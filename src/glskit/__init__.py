@@ -22,8 +22,6 @@ from .linalg import (
     nullspace_basis,
     pinv,
     projector_range,
-    psd_sqrt,
-    qr_householder,
     svd,
 )
 from .gsvd import (
@@ -51,11 +49,9 @@ from .ggkb import (
     DensePinvStrategy,
     InnerLsqrStrategy,
     NumericalBreakdownError,
-    dump_state,
     gdag_strategy,
     ggkb_init,
     ggkb_step,
-    krylov_subspace_check,
 )
 from .glsqr import (
     GivensState,

@@ -16,15 +16,13 @@ solve, or an inner LSQR run with its own tolerance).
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import orth, solve_triangular, subspace_angles
+from scipy.linalg import solve_triangular
 
-from .linalg import EPS, as_matrix, cholesky_spd, lsqr, pinv, svd
+from .linalg import EPS, as_matrix, cholesky_spd, lsqr, svd
 from .wpinv import GlsProblem
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "BidiagState",
     "ggkb_init",
     "ggkb_step",
-    "krylov_subspace_check",
-    "dump_state",
 ]
 
 BREAKDOWN_REL = 1e-13
@@ -55,13 +51,9 @@ class DensePinvStrategy:
 
     def __init__(self, G, tol=None):
         f = svd(as_matrix(G, "G"), tol)
+        self.G_pinv = f.pinv()
         r = f.rank
-        if r:
-            self.G_pinv = (f.V[:, :r] / f.singular_values[:r]) @ f.U[:, :r].T
-            kappa = f.singular_values[0] / f.singular_values[r - 1]
-        else:
-            self.G_pinv = np.zeros_like(f.V)
-            kappa = 1.0
+        kappa = f.singular_values[0] / f.singular_values[r - 1] if r else 1.0
         self.relative_noise = max(1e-12, 4.0 * EPS * kappa)
         self.hit_cap = False
 
@@ -313,39 +305,3 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
         state, alphas=alphas, betas=betas, vs=vs, us=us, gvs=gvs, pus=pus,
         inner_capped=state.inner_capped or getattr(strategy, "hit_cap", False),
     )
-
-
-def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float:
-    """Largest principal angle between span{v_1..v_k} and the explicit
-    Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}.
-
-    Test utility: the monomial basis is built with a dense pinv(G)
-    (independent of the strategy that generated the state) and
-    orthonormalized before the angle computation.
-    """
-    if not 1 <= k <= state.k:
-        raise ValueError(f"k must be in 1..{state.k}, got {k}")
-    G_pinv = pinv(prob.G)
-    t = G_pinv @ prob.apply_At_P(prob.b)
-    cols = [t]
-    for _ in range(k - 1):
-        t = G_pinv @ prob.apply_At_P(prob.A @ t)
-        cols.append(t)
-    Q1 = orth(np.column_stack(cols))
-    Q2 = orth(state.V[:, :k])
-    angles = subspace_angles(Q1, Q2)
-    return float(angles.max()) if angles.size else 0.0
-
-
-def dump_state(state: BidiagState, directory):
-    """Debug dump: coefficients as CSV, V and U_tilde as Matrix Market."""
-    from .mmio import write_matrix_market
-
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "coefficients.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "alpha", "beta"])
-        for i, (a, b) in enumerate(zip(state.alphas, state.betas), start=1):
-            writer.writerow([i, repr(float(a)), repr(float(b))])
-    write_matrix_market(os.path.join(directory, "V.mtx"), state.V)
-    write_matrix_market(os.path.join(directory, "U_tilde.mtx"), state.U_tilde)

@@ -9,9 +9,10 @@ documents its cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -26,9 +27,7 @@ __all__ = [
     "as_vector",
     "svd",
     "pinv",
-    "qr_householder",
     "cholesky_spd",
-    "psd_sqrt",
     "projector_range",
     "nullspace_basis",
     "lsqr",
@@ -106,12 +105,45 @@ class RankTolerance:
 
 @dataclass
 class SvdFactors:
-    """Full SVD ``A = U @ Sigma @ V.T`` plus the numerical rank of A."""
+    """Full SVD ``A = U @ Sigma @ V.T`` plus the numerical rank of A.
+
+    The derived operations keep the leading ``rank`` singular triplets;
+    :meth:`ranked` re-decides the rank under another tolerance without
+    refactoring, so one SVD serves every caller's cutoff.
+    """
 
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
     rank: int
+
+    @property
+    def T(self):
+        """The SVD of ``A.T``, sharing these arrays."""
+        return replace(self, U=self.V, V=self.U)
+
+    def ranked(self, tol=None):
+        """These factors, sharing their arrays, with the rank decided by
+        ``tol`` (None: the default :class:`RankTolerance`)."""
+        tol = tol if tol is not None else RankTolerance()
+        s = self.singular_values
+        cutoff = tol.cutoff((self.U.shape[0], self.V.shape[0]), float(s[0]))
+        return replace(self, rank=int(np.count_nonzero(s > cutoff)))
+
+    def pinv(self):
+        """Moore-Penrose pseudoinverse with the trailing singular values zeroed."""
+        r = self.rank
+        return (self.V[:, :r] / self.singular_values[:r]) @ self.U[:, :r].T
+
+    def range_projector(self):
+        """Orthogonal projector onto the column space of A."""
+        Ur = self.U[:, : self.rank]
+        P = Ur @ Ur.T
+        return 0.5 * (P + P.T)
+
+    def nullspace(self):
+        """Orthonormal basis of the null space of A, an n x (n - rank) view of V."""
+        return self.V[:, self.rank :]
 
     def sigma_matrix(self):
         m, n = self.U.shape[0], self.V.shape[0]
@@ -127,7 +159,8 @@ class SvdFactors:
 def svd(A, tol=None):
     """Full SVD with an explicit numerical-rank decision.
 
-    Raises :class:`FactorizationError` if the underlying iteration fails to
+    The factors are read-only, because callers may share them. Raises
+    :class:`FactorizationError` if the underlying iteration fails to
     converge.
     """
     A = as_matrix(A, "A")
@@ -137,11 +170,9 @@ def svd(A, tol=None):
         U, s, Vt = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
-    tol = tol if tol is not None else RankTolerance()
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = tol.cutoff(A.shape, smax)
-    rank = int(np.count_nonzero(s > cutoff))
-    return SvdFactors(U=U, singular_values=s, V=Vt.T, rank=rank)
+    for factor in (U, s, Vt):
+        factor.flags.writeable = False
+    return SvdFactors(U=U, singular_values=s, V=Vt.T, rank=s.size).ranked(tol)
 
 
 def pinv(A, tol=None):
@@ -149,20 +180,7 @@ def pinv(A, tol=None):
     A = as_matrix(A, "A")
     if A.size == 0:
         return np.zeros((A.shape[1], A.shape[0]))
-    f = svd(A, tol)
-    r = f.rank
-    if r == 0:
-        return np.zeros((f.V.shape[0], f.U.shape[0]))
-    return (f.V[:, :r] / f.singular_values[:r]) @ f.U[:, :r].T
-
-
-def qr_householder(A):
-    """Thin QR factorization; requires rows >= cols."""
-    A = as_matrix(A, "A")
-    if A.shape[0] < A.shape[1]:
-        raise ValueError("qr_householder expects rows >= cols")
-    Q, R = np.linalg.qr(A, mode="reduced")
-    return Q, R
+    return svd(A, tol).pinv()
 
 
 def _require_symmetric(G, name, rtol=1e-10):
@@ -176,57 +194,37 @@ def _require_symmetric(G, name, rtol=1e-10):
 
 
 def cholesky_spd(G, pivot_tol=1e-14):
-    """Lower-triangular C with ``C @ C.T == G`` for SPD ``G``.
+    """Lower-triangular C with ``C @ C.T == G`` for SPD ``G`` (LAPACK potrf).
 
-    A pivot at or below ``pivot_tol * max(diag(G))`` raises
-    :class:`IndefiniteMatrixError`, which callers use to fall back to a
-    pseudoinverse path for PSD-singular matrices.
+    A failed factorization, or a pivot ``C[j, j]**2`` at or below
+    ``pivot_tol * max(diag(G))``, raises :class:`IndefiniteMatrixError`,
+    which callers use to fall back to a pseudoinverse path for PSD-singular
+    matrices.
     """
     G = _require_symmetric(G, "G")
-    n = G.shape[0]
-    C = np.zeros_like(G)
+    try:
+        C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteMatrixError(f"G is not positive definite: {exc}") from exc
     threshold = pivot_tol * max(float(G.diagonal().max(initial=0.0)), 0.0)
-    for j in range(n):
-        d = G[j, j] - C[j, :j] @ C[j, :j]
-        if d <= threshold:
-            raise IndefiniteMatrixError(
-                f"nonpositive pivot {d:.3e} at column {j}", pivot=float(d), index=j
-            )
-        C[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            C[j + 1 :, j] = (G[j + 1 :, j] - C[j + 1 :, :j] @ C[j, :j]) / C[j, j]
-    return C
-
-
-def psd_sqrt(P, neg_tol=1e-12):
-    """Symmetric square root of a symmetric PSD matrix.
-
-    Eigenvalues within ``-neg_tol * lambda_max`` of zero are clipped; anything
-    more negative raises :class:`IndefiniteMatrixError`.
-    """
-    P = _require_symmetric(P, "P")
-    w, V = np.linalg.eigh(P)
-    scale = max(float(np.abs(w).max(initial=0.0)), EPS)
-    if w.size and w.min() < -neg_tol * scale:
+    pivots = C.diagonal() ** 2
+    small = np.flatnonzero(pivots <= threshold)
+    if small.size:
+        j = int(small[0])
         raise IndefiniteMatrixError(
-            f"negative eigenvalue {w.min():.3e} (scale {scale:.3e})", pivot=float(w.min())
+            f"nonpositive pivot {pivots[j]:.3e} at column {j}", pivot=float(pivots[j]), index=j
         )
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    return C
 
 
 def projector_range(A, tol=None):
     """Orthogonal projector onto the column space of A."""
-    f = svd(A, tol)
-    Ur = f.U[:, : f.rank]
-    P = Ur @ Ur.T
-    return 0.5 * (P + P.T)
+    return svd(A, tol).range_projector()
 
 
 def nullspace_basis(A, tol=None):
     """Orthonormal basis of the null space of A, an n x (n - rank) matrix."""
-    f = svd(A, tol)
-    return f.V[:, f.rank :].copy()
+    return svd(A, tol).nullspace()
 
 
 @dataclass

@@ -22,15 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .linalg import (
-    IndefiniteMatrixError,
-    as_matrix,
-    as_vector,
-    cholesky_spd,
-    nullspace_basis,
-    pinv,
-    projector_range,
-)
+from .linalg import IndefiniteMatrixError, as_matrix, as_vector, cholesky_spd, pinv
 from .wpinv import GlsProblem, check_gls_criterion
 
 __all__ = [
@@ -127,16 +119,13 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     """
     A = as_matrix(A, "A")
     m, n = A.shape
-    L = regularizer(regularizer_kind, n)
-    Ld = L.toarray()
     rng = np.random.default_rng(seed)
-
-    G = A.T @ A + Ld.T @ Ld
-    G = 0.5 * (G + G.T)
-    proj_g = projector_range(G)
+    # the returned problem shares these factors, so its certification reuses them
+    base = GlsProblem(A, None, regularizer(regularizer_kind, n))
+    G, proj_g = base.G, base.projector_g
 
     w = proj_g @ sample_function(func, n)
-    B = nullspace_basis(A)
+    B = base.factors.ma.nullspace()
     if B.shape[1]:
         H = B.T @ G @ B
         H = 0.5 * (H + H.T)
@@ -152,10 +141,10 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     x_true = proj_g @ x_true
 
     z = rng.standard_normal(m)
-    z = z - projector_range(A) @ z
+    z = z - base.factors.ma.range_projector() @ z
     b = A @ x_true + z
 
-    prob = GlsProblem(A, None, L, b)
+    prob = base.with_b(b)
     report = check_gls_criterion(prob, x_true, tol=criterion_tol)
     if not report:
         raise ValueError(

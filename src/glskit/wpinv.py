@@ -10,6 +10,7 @@ Moore-Penrose identities that characterize it uniquely.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -18,16 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
-from .linalg import (
-    EPS,
-    RankTolerance,
-    as_matrix,
-    as_vector,
-    nullspace_basis,
-    pinv,
-    projector_range,
-    psd_sqrt,
-)
+from .linalg import EPS, RankTolerance, as_matrix, as_vector, pinv, svd
 
 __all__ = [
     "GlsProblem",
@@ -41,12 +33,47 @@ __all__ = [
 ]
 
 
+class FactorStore:
+    """The factorizations of one problem's fixed matrices, made on first use.
+
+    Holds at most one SVD each of ``M A`` (``A`` when M is None), ``G`` and
+    ``M``, and the spectral norms of A and L. Rank decisions are not stored:
+    each caller applies its own tolerance through ``SvdFactors.ranked``.
+    """
+
+    def __init__(self, A, M, L, G):
+        self._A, self._M, self._L, self._G = A, M, L, G
+
+    @cached_property
+    def ma(self):
+        return svd(self._A if self._M is None else self._M @ self._A)
+
+    @cached_property
+    def g(self):
+        return svd(self._G)
+
+    @cached_property
+    def m(self):
+        return svd(self._M)
+
+    @cached_property
+    def norm_a(self):
+        return float(np.linalg.norm(self._A, 2))
+
+    @cached_property
+    def norm_l(self):
+        return float(np.linalg.norm(self._L, 2)) if self._L.size else 0.0
+
+
 class GlsProblem:
     """Problem data (A, M, L, b) with the derived Gram matrices cached.
 
     ``M=None`` means the identity weight (P = I). ``L=None`` means no
     regularizer (a 0 x n matrix, Q = 0). All derived matrices are
     symmetrized once at construction; instances are treated as immutable.
+    ``factors`` is the problem's :class:`FactorStore`: every route and check
+    derives its pseudoinverses, projectors and null spaces from it, so each
+    matrix is factored at most once per problem.
     """
 
     def __init__(self, A, M=None, L=None, b=None):
@@ -71,6 +98,7 @@ class GlsProblem:
         Q = self.L.T @ self.L
         self.Q = 0.5 * (Q + Q.T)
         self.G = 0.5 * ((self.ApA + self.Q) + (self.ApA + self.Q).T)
+        self.factors = FactorStore(self.A, self.M, self.L, self.G)
 
     @property
     def m(self):
@@ -89,11 +117,13 @@ class GlsProblem:
         return self.M.shape[0] if self.M is not None else self.m
 
     def with_b(self, b):
-        """A copy of the problem with a (new) right-hand side."""
-        prob = GlsProblem.__new__(GlsProblem)
-        prob.__dict__.update(
-            {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-        )
+        """A copy of the problem with a (new) right-hand side.
+
+        A, M and L never change, so the copy shares the derived matrices and
+        the factor store by reference: a factor computed through any copy is
+        seen by all of them.
+        """
+        prob = copy.copy(self)
         prob.b = as_vector(b, self.m, "b")
         return prob
 
@@ -113,11 +143,12 @@ class GlsProblem:
 
     @cached_property
     def projector_g(self):
-        return projector_range(self.G)
+        return self.factors.g.range_projector()
 
     @cached_property
     def projector_p(self):
-        return np.eye(self.m) if self.M is None else projector_range(self.P)
+        # R(P) = R(M')
+        return np.eye(self.m) if self.M is None else self.factors.m.T.range_projector()
 
     def seminorm_g(self, x):
         return math.sqrt(max(float(x @ (self.G @ x)), 0.0))
@@ -138,21 +169,13 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     rank cutoff relative to its own (possibly tiny) top singular value would
     mistake for signal.
     """
-    n = prob.n
-    if prob.M is None:
-        MA = prob.A
-        ma_tol = tol
-    else:
-        MA = prob.M @ prob.A
-        # judge the product's rank against its data error eps*||M||*||A||,
-        # not against sigma_max(MA), which may itself be tiny
-        ma_tol = tol if tol is not None else _product_tolerance(MA.shape, prob.M, prob.A)
-    MA_pinv = pinv(MA, ma_tol)
-    N = nullspace_basis(MA, ma_tol)
+    ma = prob.factors.ma.ranked(tol if tol is not None else _ma_tolerance(prob))
+    N = ma.nullspace()
     LN = prob.L @ N
-    ln_tol = tol if tol is not None else _product_tolerance(LN.shape, prob.L, N)
-    core = N @ pinv(LN, ln_tol)
-    X = (np.eye(n) - core @ prob.L) @ MA_pinv
+    if tol is None:  # N has orthonormal columns, so its spectral norm is 1
+        tol = _product_tolerance(LN.shape, (prob.L, prob.factors.norm_l), (N, 1.0))
+    core = N @ pinv(LN, tol)
+    X = (np.eye(prob.n) - core @ prob.L) @ ma.pinv()
     if prob.M is not None:
         X = X @ prob.M
     return X
@@ -161,18 +184,25 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
 def _product_tolerance(shape, *factors):
     """Absolute rank cutoff at the roundoff floor of a matrix product.
 
-    The floor scales with the factors' norms and dimensions, not with the
-    product's own (possibly tiny) top singular value; the margin factor
-    covers error inherited from upstream null-space computations.
+    ``factors`` are ``(matrix, spectral norm)`` pairs. The floor scales with
+    the factors' norms and dimensions, not with the product's own (possibly
+    tiny) top singular value; the margin factor covers error inherited from
+    upstream null-space computations.
     """
-    scale = 1.0
-    dim = max(shape) if shape else 1
-    for f in factors:
-        scale *= np.linalg.norm(f, 2) if f.size else 0.0
-        dim = max(dim, *f.shape) if f.size else dim
+    scale = math.prod(norm for _, norm in factors)
     if scale == 0.0 or 0 in shape:
         return None
+    dim = max(*shape, *(d for f, _ in factors for d in f.shape))
     return RankTolerance("absolute", 8.0 * dim * EPS * scale)
+
+
+def _ma_tolerance(prob: GlsProblem):
+    """Default rank cutoff for M A: its data error eps*||M||*||A||, not a
+    fraction of sigma_max(MA), which may itself be tiny (None when M = I)."""
+    if prob.M is None:
+        return None
+    norm_m = float(prob.factors.m.singular_values[0])
+    return _product_tolerance((prob.q, prob.n), (prob.M, norm_m), (prob.A, prob.factors.norm_a))
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
@@ -272,12 +302,12 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     PAX = prob.mult_P(A @ X)
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
 
-    r4 = _rel(norm((prob.G @ X @ A @ pinv(prob.G)).T - XA), norm(XA))
+    r4 = _rel(norm((prob.G @ X @ A @ prob.factors.g.pinv()).T - XA), norm(XA))
 
     if prob.M is None:
         r5 = 0.0
     else:
-        r5 = _rel(norm(X @ pinv(prob.M) @ prob.M - X), norm(X))
+        r5 = _rel(norm(X @ prob.factors.m.pinv() @ prob.M - X), norm(X))
 
     QXA = prob.Q @ XA
     info = _rel(norm(QXA.T - QXA), norm(QXA))
@@ -316,8 +346,9 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     """Test the two solution conditions for the GLS problem.
 
     x solves the problem iff ``A'P(Ax - b) = 0`` and x is G-orthogonal to the
-    null space of A'PA; that null space is computed from ``sqrt(P) @ A`` to
-    avoid squaring the condition number. Range membership ``x in R(G)`` is
+    null space of A'PA. That null space is read from the SVD of ``M A``:
+    ``(MA)'(MA) = A'PA``, so it is exact and does not square the condition
+    number. Range membership ``x in R(G)`` is
     reported separately (solutions form a coset of N(G); the one inside R(G)
     is the minimum 2-norm solution).
     """
@@ -330,19 +361,16 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     scale1 = float(np.linalg.norm(prob.apply_At_P(prob.b)))
     ok_normal = r1 <= tol * scale1
 
-    if prob.M is None:
-        Z = nullspace_basis(prob.A)
-    else:
-        root = psd_sqrt(prob.P)
-        weighted_a = root @ prob.A
-        Z = nullspace_basis(weighted_a, _product_tolerance(weighted_a.shape, root, prob.A))
+    Z = prob.factors.ma.ranked(_ma_tolerance(prob)).nullspace()
     gx = prob.G @ x
     g_norm_x = math.sqrt(max(float(x @ gx), 0.0))
     coupling = float(np.abs(Z.T @ gx).max()) if Z.size else 0.0
     ok_null = coupling <= tol * g_norm_x
 
     nx = float(np.linalg.norm(x))
-    in_range = float(np.linalg.norm(x - prob.projector_g @ x)) <= tol * nx
+    g = prob.factors.g
+    Ug = g.U[:, : g.rank]
+    in_range = float(np.linalg.norm(x - Ug @ (Ug.T @ x))) <= tol * nx
 
     return GlsCriterionReport(
         satisfied=bool(ok_normal and ok_null),

@@ -1,8 +1,9 @@
-"""Shared constructors for seeded test problems."""
+"""Shared constructors for seeded test problems, and test oracles."""
 
 import numpy as np
+from scipy.linalg import orth, subspace_angles
 
-from glskit import GlsProblem
+from glskit import BidiagState, GlsProblem, pinv
 
 
 def orthogonal(rng, n):
@@ -63,3 +64,25 @@ def random_gls_problem(
         L = L @ killer
     b = rng.standard_normal(m)
     return GlsProblem(A, M, L, b)
+
+
+def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float:
+    """Largest principal angle between span{v_1..v_k} and the explicit
+    Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}.
+
+    Test utility: the monomial basis is built with a dense pinv(G)
+    (independent of the strategy that generated the state) and
+    orthonormalized before the angle computation.
+    """
+    if not 1 <= k <= state.k:
+        raise ValueError(f"k must be in 1..{state.k}, got {k}")
+    G_pinv = pinv(prob.G)
+    t = G_pinv @ prob.apply_At_P(prob.b)
+    cols = [t]
+    for _ in range(k - 1):
+        t = G_pinv @ prob.apply_At_P(prob.A @ t)
+        cols.append(t)
+    Q1 = orth(np.column_stack(cols))
+    Q2 = orth(state.V[:, :k])
+    angles = subspace_angles(Q1, Q2)
+    return float(angles.max()) if angles.size else 0.0

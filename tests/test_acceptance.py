@@ -19,7 +19,6 @@ from glskit import (
     ggkb_step,
     glsqr_solve,
     gsvd_pair,
-    krylov_subspace_check,
     operator_norm,
     wpinv_elden,
     wpinv_limit,
@@ -27,7 +26,7 @@ from glskit import (
 )
 from glskit.cli import main as cli_main
 from glskit.ggkb import DensePinvStrategy
-from helpers import orthogonal, random_gls_problem, random_matrix
+from helpers import krylov_subspace_check, orthogonal, random_gls_problem, random_matrix
 
 
 def test_criterion_1_exact_termination_on_generated_problems():

@@ -10,10 +10,9 @@ from glskit import (
     gdag_strategy,
     ggkb_init,
     ggkb_step,
-    krylov_subspace_check,
     projector_range,
 )
-from helpers import random_gls_problem, random_matrix
+from helpers import krylov_subspace_check, random_gls_problem, random_matrix
 
 
 def run_ggkb(prob, strategy, steps, reorthogonalize=True):
@@ -223,16 +222,3 @@ def test_inner_cap_latches_into_state():
     strategy = InnerLsqrStrategy(prob.G, tau=1e-14, max_iter=1)
     state = run_ggkb(prob, strategy, steps=3)
     assert state.inner_capped
-
-
-def test_dump_state_roundtrip(tmp_path):
-    from glskit import dump_state, read_matrix_market
-
-    prob = full_rank_problem()
-    state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=4)
-    dump_state(state, tmp_path)
-    V = read_matrix_market(tmp_path / "V.mtx")
-    np.testing.assert_allclose(V, state.V, atol=1e-15)
-    lines = (tmp_path / "coefficients.csv").read_text().splitlines()
-    assert lines[0] == "i,alpha,beta"
-    assert len(lines) == 1 + len(state.alphas)

@@ -11,8 +11,6 @@ from glskit import (
     nullspace_basis,
     pinv,
     projector_range,
-    psd_sqrt,
-    qr_householder,
     svd,
 )
 from helpers import orthogonal, spd_matrix
@@ -95,25 +93,6 @@ def test_pinv_involution_and_moore_penrose(seed):
         assert np.linalg.norm(proj - proj.T) <= 1e-12
 
 
-def test_qr_identity_and_sign_convention():
-    Q, R = qr_householder(np.eye(2))
-    np.testing.assert_allclose(Q @ R, np.eye(2), atol=1e-15)
-    Q, R = qr_householder(np.array([[-2.0]]))
-    assert abs(abs(Q[0, 0]) - 1.0) <= 1e-15
-    np.testing.assert_allclose(Q @ R, [[-2.0]], atol=1e-15)
-
-
-def test_qr_random_reconstruction():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((5, 3))
-    Q, R = qr_householder(A)
-    assert np.linalg.norm(Q @ R - A) <= 1e-14 * np.linalg.norm(A)
-    assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-14
-    assert np.allclose(R, np.triu(R))
-    with pytest.raises(ValueError):
-        qr_householder(np.ones((2, 3)))
-
-
 def test_cholesky_identity_and_hand_case():
     np.testing.assert_allclose(cholesky_spd(np.eye(3)), np.eye(3), atol=1e-15)
     # Hand expansion of the 2x2 recursion: c11 = 2, c21 = 1, c22 = 1.
@@ -133,18 +112,6 @@ def test_cholesky_psd_singular_raises():
     B = rng.standard_normal((4, 2))
     with pytest.raises(IndefiniteMatrixError):
         cholesky_spd(B @ B.T)
-
-
-def test_psd_sqrt_cases():
-    np.testing.assert_allclose(psd_sqrt(np.eye(5)), np.eye(5), atol=1e-14)
-    np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
-    rng = np.random.default_rng(11)
-    M = rng.standard_normal((3, 2))
-    P = M.T @ M
-    S = psd_sqrt(P)
-    assert np.linalg.norm(S.T @ S - P) <= 1e-13 * np.linalg.norm(P)
-    with pytest.raises(IndefiniteMatrixError):
-        psd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_projector_range_cases():

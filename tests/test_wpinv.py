@@ -143,17 +143,22 @@ def test_gmpe_uniqueness_rejects_perturbations(seed):
 
 
 def test_criterion_accepts_solution_and_flags_coset():
-    prob = random_gls_problem(11, m=8, n=6, p=3, rank_a=4, shared_null=True)
-    x = wpinv_apply(prob)
-    report = check_gls_criterion(prob, x, tol=1e-8)
-    assert report and report.in_range_g
+    # the second problem has a rank-deficient M (q < m, rank_m < q), whose
+    # N(A'PA) comes from the SVD of M A
+    for q, rank_m in ((None, None), (7, 5)):
+        prob = random_gls_problem(
+            11, m=8, n=6, p=3, q=q, rank_a=4, rank_m=rank_m, shared_null=True
+        )
+        x = wpinv_apply(prob)
+        report = check_gls_criterion(prob, x, tol=1e-8)
+        assert report and report.in_range_g
 
-    Z = nullspace_basis(prob.G)
-    assert Z.shape[1] >= 1
-    shifted = x + Z[:, 0]
-    report = check_gls_criterion(prob, shifted, tol=1e-8)
-    assert report.satisfied and not report.in_range_g
-    assert np.linalg.norm(shifted) >= np.linalg.norm(x) - 1e-12
+        Z = nullspace_basis(prob.G)
+        assert Z.shape[1] >= 1
+        shifted = x + Z[:, 0]
+        report = check_gls_criterion(prob, shifted, tol=1e-8)
+        assert report.satisfied and not report.in_range_g
+        assert np.linalg.norm(shifted) >= np.linalg.norm(x) - 1e-12
 
 
 def test_criterion_rejects_zero_when_data_inconsistent():
@@ -208,6 +213,36 @@ def test_with_b_reuses_cached_matrices():
     assert other.projector_g is prob.projector_g
     np.testing.assert_array_equal(other.b, np.ones(6))
     np.testing.assert_array_equal(prob.b, random_gls_problem(3, m=6, n=5, p=3).b)
+    # the factor store is shared, so a factor first made through the copy
+    # is the parent's too
+    from_copy = other.factors.ma
+    assert prob.factors.ma is from_copy
+
+
+@pytest.mark.parametrize("q, rank_m", [(None, None), (7, 5)])
+def test_factorizations_do_not_grow_with_right_hand_sides(monkeypatch, q, rank_m):
+    calls = []
+    for name in ("svd", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def factorizations(n_rhs):
+        prob = random_gls_problem(19, m=8, n=6, p=3, q=q, rank_a=4, rank_m=rank_m)
+        calls.clear()
+        X = wpinv_elden(prob)
+        assert check_gmpe(prob, X).all_passed
+        rng = np.random.default_rng(n_rhs)
+        for _ in range(n_rhs):
+            child = prob.with_b(rng.standard_normal(prob.m))
+            assert check_gls_criterion(child, X @ child.b)
+        return len(calls)
+
+    assert factorizations(1) == factorizations(5)
 
 
 def test_shapes_validated():
