@@ -12,12 +12,16 @@ growing lower-bidiagonal matrix:
 Every step applies the pseudoinverse of G = A'PA + L'L once; how that
 application is carried out is pluggable (dense pseudoinverse, Cholesky
 solve, or an inner LSQR run with its own tolerance).
+
+The bases V, G V, U~ and P U~ live in one workspace per side (``Basis``)
+that ``ggkb_step`` extends in place. Reorthogonalization is two block
+classical Gram-Schmidt passes against that workspace (CGS2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -38,6 +42,8 @@ __all__ = [
 
 BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
+# workspace columns before the first doubling
+INITIAL_COLUMNS = 16
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -121,25 +127,81 @@ def gdag_strategy(G, kind="dense", **kwargs):
     raise ValueError(f"unknown Gdag strategy {kind!r}")
 
 
-@dataclass
+@dataclass(eq=False)
+class Basis:
+    """Columns x_1..x_k and their images C x_j in one growable workspace.
+
+    ``X`` and ``CX`` are Fortran-ordered ``(dim, capacity)`` arrays whose
+    leading ``k`` columns are in use; the capacity doubles when full, up to
+    ``limit`` and past it only if a run outlives its Krylov bound.
+    """
+
+    X: np.ndarray
+    CX: np.ndarray
+    limit: int
+    k: int = 0
+
+    @classmethod
+    def empty(cls, dim, limit):
+        cap = min(INITIAL_COLUMNS, limit)
+        return cls(np.empty((dim, cap), order="F"), np.empty((dim, cap), order="F"), limit)
+
+    @property
+    def cols(self):
+        return self.X[:, : self.k]
+
+    @property
+    def images(self):
+        return self.CX[:, : self.k]
+
+    def append(self, x, cx):
+        cap = self.X.shape[1]
+        if self.k == cap:
+            grown = 2 * cap if cap >= self.limit else min(2 * cap, self.limit)
+            X, CX = self.X, self.CX
+            self.X = np.empty((X.shape[0], grown), order="F")
+            self.CX = np.empty_like(self.X)
+            self.X[:, :cap] = X
+            self.CX[:, :cap] = CX
+        self.X[:, self.k] = x
+        self.CX[:, self.k] = cx
+        self.k += 1
+
+    def project_out(self, x, cx=None):
+        """Remove from x its C-inner-product components along the basis.
+
+        Two classical Gram-Schmidt passes as matrix-vector products ("twice
+        is enough"); one pass is not, when x emerges from heavy cancellation
+        near Krylov exhaustion. ``cx`` (C x) is updated alongside.
+        """
+        X, CX = self.cols, self.images
+        for _ in range(2):
+            c = CX.T @ x
+            x -= X @ c
+            if cx is not None:
+                cx -= CX @ c
+
+
+@dataclass(eq=False)
 class BidiagState:
-    """Snapshot of the bidiagonalization after k completed expansions.
+    """The bidiagonalization after k completed expansions, updated in place.
 
     ``alphas`` and ``betas`` always have equal length; a trailing zero in
     either marks termination at step ``k_t`` (the Krylov spaces are
-    exhausted and the current gLSQR iterate is exact). ``vs``/``us`` hold
-    the generated columns, ``gvs``/``pus`` cache G @ v_i and P @ u~_i for
-    reorthogonalization and cheap invariant checks.
+    exhausted and the current gLSQR iterate is exact). ``v`` holds the
+    columns v_i with G v_i, ``u`` the columns u~_i with P u~_i, each in one
+    workspace (see ``Basis``); ``V`` and ``U_tilde`` are views of their
+    leading columns. ``ggkb_step`` mutates the state and returns the same
+    object, so a view taken earlier keeps its columns but stops sharing
+    memory with the state once the workspace grows.
     """
 
     m: int
     n: int
     alphas: list
     betas: list
-    vs: list
-    us: list
-    gvs: list
-    pus: list
+    v: Basis
+    u: Basis
     terminated: bool
     k_t: int | None
     breakdown_ref: float
@@ -148,24 +210,23 @@ class BidiagState:
 
     @property
     def k(self):
-        return len(self.vs)
+        return self.v.k
 
     @property
     def V(self):
-        return np.column_stack(self.vs) if self.vs else np.zeros((self.n, 0))
+        return self.v.cols
 
     @property
     def U_tilde(self):
-        return np.column_stack(self.us) if self.us else np.zeros((self.m, 0))
+        return self.u.cols
 
     def bidiagonal(self, k=None):
         """The (k+1) x k lower-bidiagonal coefficient matrix B_k."""
         if k is None:
             k = min(len(self.alphas), len(self.betas) - 1)
         B = np.zeros((k + 1, k))
-        for i in range(k):
-            B[i, i] = self.alphas[i]
-            B[i + 1, i] = self.betas[i + 1]
+        B[:k] = np.diag(self.alphas[:k])
+        B[1:] += np.diag(self.betas[1 : k + 1])
         return B
 
 
@@ -192,13 +253,17 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     bnorm = float(np.linalg.norm(b))
     beta1 = math.sqrt(_radicand(float(b @ pb), prob.p_norm, bnorm**2))
 
-    base = dict(m=prob.m, n=prob.n, reorthogonalize=reorthogonalize)
+    # the Krylov spaces hold at most min(m, n) directions, U~ one more
+    limit = min(prob.m, prob.n) + 1
+    state = BidiagState(
+        m=prob.m, n=prob.n, alphas=[0.0], betas=[beta1],
+        v=Basis.empty(prob.n, limit), u=Basis.empty(prob.m, limit),
+        terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0),
+        reorthogonalize=reorthogonalize,
+    )
     init_scale = math.sqrt(prob.p_norm) * bnorm
     if beta1 <= BREAKDOWN_REL * init_scale:
-        return BidiagState(
-            alphas=[0.0], betas=[beta1], vs=[], us=[], gvs=[], pus=[],
-            terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0), **base,
-        )
+        return state
 
     # keep the u-carrier inside R(P): components in N(P) are invisible to
     # the P-weighted recurrences but amplify by 1/beta each step and
@@ -209,24 +274,21 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     gs = prob.G @ s
     snorm_sq = float(s @ s)
     alpha1 = math.sqrt(_radicand(float(s @ gs), prob.g_norm, snorm_sq))
-    ref = max(alpha1, beta1)
+    state.u.append(u1, pu1)
+    state.breakdown_ref = max(alpha1, beta1)
+    state.inner_capped = getattr(strategy, "hit_cap", False)
+    if alpha1 <= BREAKDOWN_REL * state.breakdown_ref:
+        return state
 
-    if alpha1 <= BREAKDOWN_REL * ref:
-        return BidiagState(
-            alphas=[0.0], betas=[beta1], vs=[], us=[u1], gvs=[], pus=[pu1],
-            terminated=True, k_t=0, breakdown_ref=ref,
-            inner_capped=getattr(strategy, "hit_cap", False), **base,
-        )
-
-    return BidiagState(
-        alphas=[alpha1], betas=[beta1], vs=[s / alpha1], us=[u1],
-        gvs=[gs / alpha1], pus=[pu1], terminated=False, k_t=None,
-        breakdown_ref=ref, inner_capped=getattr(strategy, "hit_cap", False), **base,
-    )
+    state.alphas[0] = alpha1
+    state.v.append(s / alpha1, gs / alpha1)
+    state.terminated = False
+    state.k_t = None
+    return state
 
 
 def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
-    """One expansion: returns a new state with beta_{k+1}, alpha_{k+1} appended.
+    """One expansion in place: appends beta_{k+1}, alpha_{k+1}; returns ``state``.
 
     Either coefficient falling to the breakdown threshold (relative to the
     initial coefficient scale) terminates the process at k_t = k.
@@ -238,49 +300,33 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     # coefficients below the accuracy the strategy actually delivers are
     # indistinguishable from noise, so the degeneracy cutoff scales with it
     degenerate = max(DEGENERATE_REL, 4.0 * getattr(strategy, "relative_noise", 0.0))
-    alphas = list(state.alphas)
-    betas = list(state.betas)
-    vs = list(state.vs)
-    us = list(state.us)
-    gvs = list(state.gvs)
-    pus = list(state.pus)
+    alpha = state.alphas[-1]
+    v_last = state.V[:, -1]
 
-    r = prob.A @ vs[-1] - alphas[-1] * us[-1]
+    r = prob.A @ v_last - alpha * state.U_tilde[:, -1]
     if prob.M is not None:
         r = prob.projector_p @ r  # drop N(P) junk, see ggkb_init
     if state.reorthogonalize:
-        # two MGS passes; one is not enough when the new direction emerges
-        # from heavy cancellation near Krylov exhaustion
-        for _ in range(2):
-            for u_j, pu_j in zip(us, pus):
-                r -= (pu_j @ r) * u_j
+        state.u.project_out(r)
     pr = prob.mult_P(r)
     beta_next = math.sqrt(_radicand(float(r @ pr), prob.p_norm, float(r @ r)))
     # besides the absolute cutoff, a coefficient vanishing relative to its
     # partner in the three-term identity (||A v_i||_P^2 = alpha_i^2 +
     # beta_{i+1}^2) marks a numerically degenerate rotation: the spaces are
     # exhausted and anything below the cancellation floor is roundoff
-    if beta_next <= max(threshold, degenerate * alphas[-1]):
-        alphas.append(0.0)
-        betas.append(0.0)
-        return replace(
-            state, alphas=alphas, betas=betas, terminated=True, k_t=i,
-            inner_capped=state.inner_capped or getattr(strategy, "hit_cap", False),
-        )
+    if beta_next <= max(threshold, degenerate * alpha):
+        state.alphas.append(0.0)
+        state.betas.append(0.0)
+        state.terminated, state.k_t = True, i
+        return state
 
-    u_next = r / beta_next
     pu_next = pr / beta_next
-    us.append(u_next)
-    pus.append(pu_next)
+    state.u.append(r / beta_next, pu_next)
 
-    s = strategy.apply(prob.A.T @ pu_next) - beta_next * vs[-1]
+    s = strategy.apply(prob.A.T @ pu_next) - beta_next * v_last
     gs = prob.G @ s
     if state.reorthogonalize:
-        for _ in range(2):
-            for v_j, gv_j in zip(vs, gvs):
-                c = gv_j @ s
-                s -= c * v_j
-                gs -= c * gv_j
+        state.v.project_out(s, gs)
     value = float(s @ gs)
     if value < 0.0:
         # the maintained gs carries absolute drift from earlier scales; a
@@ -289,19 +335,13 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
         gs = prob.G @ s
         value = float(s @ gs)
     alpha_next = math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
-    betas.append(beta_next)
+    state.betas.append(beta_next)
+    state.inner_capped = state.inner_capped or getattr(strategy, "hit_cap", False)
     if alpha_next <= max(threshold, degenerate * beta_next):
-        alphas.append(0.0)
-        return replace(
-            state, alphas=alphas, betas=betas, us=us, pus=pus,
-            terminated=True, k_t=i,
-            inner_capped=state.inner_capped or getattr(strategy, "hit_cap", False),
-        )
+        state.alphas.append(0.0)
+        state.terminated, state.k_t = True, i
+        return state
 
-    alphas.append(alpha_next)
-    vs.append(s / alpha_next)
-    gvs.append(gs / alpha_next)
-    return replace(
-        state, alphas=alphas, betas=betas, vs=vs, us=us, gvs=gvs, pus=pus,
-        inner_capped=state.inner_capped or getattr(strategy, "hit_cap", False),
-    )
+    state.alphas.append(alpha_next)
+    state.v.append(s / alpha_next, gs / alpha_next)
+    return state

@@ -15,6 +15,7 @@ exact minimum 2-norm solution.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ __all__ = [
 
 _TINY = float(np.finfo(np.float64).tiny)
 
+logger = logging.getLogger("glskit")
+
 
 @dataclass
 class GivensState:
@@ -52,11 +55,16 @@ class GivensState:
 
 @dataclass
 class OperatorNormEstimate:
-    """Estimate of the norm of v -> proj_R(P) A v between the G/P spaces."""
+    """Estimate of the norm of v -> proj_R(P) A v between the G/P spaces.
+
+    ``converged`` is False when the power iteration used all its steps
+    without meeting its relative tolerance.
+    """
 
     value: float
     source: str
     iterations: int | None = None
+    converged: bool = True
 
 
 @dataclass
@@ -122,6 +130,7 @@ def operator_norm(
 
     estimate = 0.0
     iterations = 0
+    converged = False
     for it in range(1, max_iters + 1):
         gv = prob.G @ v
         v_g = math.sqrt(max(float(v @ gv), 0.0))
@@ -133,12 +142,19 @@ def operator_norm(
         iterations = it
         if new_estimate == 0.0:
             return OperatorNormEstimate(value=0.0, source="power_iteration", iterations=it)
-        if abs(new_estimate - estimate) <= rel_tol * new_estimate:
-            estimate = new_estimate
-            break
+        converged = abs(new_estimate - estimate) <= rel_tol * new_estimate
         estimate = new_estimate
+        if converged:
+            break
         v = strategy.apply(prob.apply_At_P(Av))
-    return OperatorNormEstimate(value=estimate, source="power_iteration", iterations=iterations)
+    if not converged:
+        logger.warning(
+            "operator_norm: power iteration stopped at max_iters=%d without meeting "
+            "rel_tol=%.1e; estimate %.17g may be low", max_iters, rel_tol, estimate,
+        )
+    return OperatorNormEstimate(
+        value=estimate, source="power_iteration", iterations=iterations, converged=converged
+    )
 
 
 def _true_residual(prob, strategy, x):
@@ -197,7 +213,7 @@ def glsqr_solve(
 
     givens = GivensState(
         rho_bar=state.alphas[0], phi_bar=beta1,
-        w=state.vs[0].copy(), x=np.zeros(prob.n),
+        w=state.V[:, 0].copy(), x=np.zeros(prob.n),
     )
     denom = max(norm_est.value * beta1, _TINY)
 
@@ -251,7 +267,7 @@ def glsqr_solve(
             stop_reason = "tolerance_met"
             break
 
-        givens.w = state.vs[-1] - (theta / rho) * givens.w
+        givens.w = state.V[:, -1] - (theta / rho) * givens.w
         givens.rho_bar = -c * alpha_next
         givens.phi_bar = s * givens.phi_bar
 

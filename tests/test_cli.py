@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glskit
 from glskit import read_matrix_market, read_vector, write_matrix_market, write_vector
 from glskit.cli import main
 from helpers import random_matrix
@@ -233,8 +236,12 @@ def test_numeric_failure_exits_1(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child finds the package where this process did, installed or not
+    src = str(Path(glskit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "glskit.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "glskit.cli", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     for sub in ("solve", "wpinv", "gsvd", "check-mpe", "gen-problem"):

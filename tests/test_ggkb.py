@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import glskit.ggkb as ggkb_module
 from glskit import (
     CholeskyStrategy,
     DensePinvStrategy,
@@ -73,7 +74,7 @@ def test_init_unit_setup():
     prob = identity_problem()
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
     assert state.betas[0] == pytest.approx(1.0)
-    np.testing.assert_allclose(state.us[0], prob.b, atol=1e-15)
+    np.testing.assert_allclose(state.U_tilde[:, 0], prob.b, atol=1e-15)
     assert state.alphas[0] == pytest.approx(1.0)
     assert not state.terminated
 
@@ -97,7 +98,7 @@ def test_identity_problem_terminates_immediately():
     prob = identity_problem()
     state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
     assert state.terminated and state.k_t == 1
-    np.testing.assert_allclose(state.vs[0], prob.b, atol=1e-14)
+    np.testing.assert_allclose(state.V[:, 0], prob.b, atol=1e-14)
 
 
 def test_step_rejects_terminated_state():
@@ -146,7 +147,7 @@ def test_matrix_form_relations_hold_each_step():
         # the adjoint map returns V_k B_k' plus the next direction
         target = strategy.G_pinv @ prob.apply_At_P(state.U_tilde[:, : k + 1])
         expect = V @ B.T
-        expect[:, -1] += state.alphas[k] * state.vs[k]
+        expect[:, -1] += state.alphas[k] * state.V[:, k]
         assert np.linalg.norm(target - expect) <= 1e-10 * max(np.linalg.norm(target), 1.0)
 
 
@@ -164,7 +165,7 @@ def test_v_vectors_stay_in_range_g():
     strategy = DensePinvStrategy(prob.G)
     state = run_ggkb(prob, strategy, steps=30)
     PG = projector_range(prob.G)
-    for v in state.vs:
+    for v in state.V.T:
         assert np.linalg.norm(v - PG @ v) <= 1e-10
 
 
@@ -191,6 +192,83 @@ def test_orthogonality_drift_with_and_without_reorthogonalization():
     state = run_ggkb(prob, strategy, steps=50, reorthogonalize=False)
     V = state.V
     assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-8
+
+
+def test_orthonormality_holds_to_krylov_exhaustion():
+    # rank-deficient A with singular P (rank 30 of 40): the last directions
+    # emerge from heavy cancellation; without reorthogonalization the run
+    # loses orthogonality completely and never terminates
+    for seed in range(4):
+        prob = random_gls_problem(
+            400 + seed, m=40, n=30, p=30, q=36, rank_a=20, rank_m=30,
+            shared_null=seed % 2 == 0, cond=100.0,
+        )
+        state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60)
+        assert state.terminated and state.k_t == 20
+        V, U = state.V, state.U_tilde
+        assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-12
+        assert np.abs(U.T @ prob.P @ U - np.eye(U.shape[1])).max() <= 1e-12
+
+
+def test_step_updates_one_workspace_in_place():
+    prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
+    strategy = DensePinvStrategy(prob.G)
+    state = ggkb_init(prob, strategy)
+    for _ in range(5):
+        before = state.V
+        assert ggkb_step(state, prob, strategy) is state
+        assert state.k == before.shape[1] + 1
+        assert np.shares_memory(state.V, before)
+        assert np.shares_memory(state.V, state.v.X)
+        assert np.shares_memory(state.U_tilde, state.u.X)
+
+
+@pytest.mark.parametrize("reorthogonalize", [True, False])
+def test_workspace_growth_keeps_the_recurrence(monkeypatch, reorthogonalize):
+    prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
+    strategy = DensePinvStrategy(prob.G)
+    grown = run_ggkb(prob, strategy, steps=50, reorthogonalize=reorthogonalize)
+    assert grown.k == 51 > 2 * ggkb_module.INITIAL_COLUMNS
+    monkeypatch.setattr(ggkb_module, "INITIAL_COLUMNS", 1000)
+    sized = run_ggkb(prob, strategy, steps=50, reorthogonalize=reorthogonalize)
+    assert sized.v.X.shape[1] == min(prob.m, prob.n) + 1
+    assert grown.alphas == sized.alphas and grown.betas == sized.betas
+    np.testing.assert_array_equal(grown.V, sized.V)
+    np.testing.assert_array_equal(grown.U_tilde, sized.U_tilde)
+
+
+def _mgs_project_out(basis, x, cx=None):
+    # reference: two modified Gram-Schmidt passes, one column at a time
+    for _ in range(2):
+        for j in range(basis.k):
+            c = basis.CX[:, j] @ x
+            x -= c * basis.X[:, j]
+            if cx is not None:
+                cx -= c * basis.CX[:, j]
+
+
+def test_block_cgs2_matches_column_mgs2(monkeypatch):
+    prob = random_gls_problem(55, m=70, n=60, p=60, q=65, rank_m=55, cond=30.0)
+    strategy = DensePinvStrategy(prob.G)
+    cgs = run_ggkb(prob, strategy, steps=50)
+    monkeypatch.setattr(ggkb_module.Basis, "project_out", _mgs_project_out)
+    mgs = run_ggkb(prob, strategy, steps=50)
+    assert cgs.k == mgs.k == 51
+    np.testing.assert_allclose(cgs.alphas, mgs.alphas, rtol=1e-10)
+    np.testing.assert_allclose(cgs.betas, mgs.betas, rtol=1e-10)
+    np.testing.assert_allclose(cgs.V, mgs.V, atol=1e-8 * np.abs(mgs.V).max())
+
+
+def test_basis_doubles_up_to_its_limit_then_past_it():
+    basis = ggkb_module.Basis.empty(3, limit=5)
+    capacities = []
+    for j in range(12):
+        basis.append(np.full(3, j), np.full(3, -j))
+        capacities.append(basis.X.shape[1])
+    assert capacities == [5] * 5 + [10] * 5 + [20] * 2
+    np.testing.assert_array_equal(basis.cols, np.tile(np.arange(12.0), (3, 1)))
+    np.testing.assert_array_equal(basis.images, -basis.cols)
+    assert basis.X.flags.f_contiguous and basis.cols.flags.f_contiguous
 
 
 def test_strategy_equivalence_alpha_beta_sequences():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -111,6 +112,22 @@ def test_operator_norm_power_handles_general_m():
     eigs = np.linalg.eigvals(T)
     expected = math.sqrt(max(abs(eigs)))
     assert abs(est.value - expected) <= 1e-6 * expected
+
+
+def test_operator_norm_flags_power_iteration_cap(caplog):
+    prob = random_gls_problem(19, m=10, n=8, p=5, q=9, rank_m=7)
+    with caplog.at_level(logging.WARNING, logger="glskit"):
+        capped = operator_norm(prob, method="power", max_iters=2)
+    assert capped.iterations == 2 and not capped.converged
+    assert [r.name for r in caplog.records] == ["glskit"]
+    assert "max_iters=2" in caplog.records[0].getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="glskit"):
+        assert operator_norm(prob, method="power").converged
+        square = GlsProblem(np.diag([2.0, 1.0]), None, np.eye(2), np.ones(2))
+        assert operator_norm(square, method="gsvd").converged
+    assert not caplog.records
 
 
 def iterate_prefix(prob, k, strategy=None):
