@@ -21,9 +21,10 @@ def main():
           f"rank(A) = 26, planted solution certified at construction")
 
     report = gk.glsqr_solve(prob, tol=1e-12, debug=True)
+    norm = report.norm_estimate
     print(f"\nstop: {report.stop_reason} after {report.iterations} iterations "
-          f"(operator norm {report.norm_estimate.value:.4f} "
-          f"from {report.norm_estimate.source})\n")
+          f"(operator norm {norm.value:.4f} = sigma_max(B_{norm.iterations}), "
+          f"from the {norm.source})\n")
 
     print("  k   estimate      direct        ||x_k||")
     step = max(1, report.iterations // 12)

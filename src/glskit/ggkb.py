@@ -11,7 +11,10 @@ growing lower-bidiagonal matrix:
 
 Every step applies the pseudoinverse of G = A'PA + L'L once; how that
 application is carried out is pluggable (dense pseudoinverse, Cholesky
-solve, or an inner LSQR run with its own tolerance).
+solve, or an inner LSQR run with its own tolerance). A strategy provides
+``apply(rhs)``, pinv(G) rhs or an approximation of it; ``relative_noise``,
+the relative accuracy it delivers; and ``hit_cap``, True once an inner
+iteration has run out of steps.
 
 The bases V, G V, U~ and P U~ live in one workspace per side (``Basis``)
 that ``ggkb_step`` extends in place. Reorthogonalization is two block
@@ -53,8 +56,6 @@ class NumericalBreakdownError(RuntimeError):
 class DensePinvStrategy:
     """Apply pinv(G) through an explicitly formed dense pseudoinverse."""
 
-    kind = "dense"
-
     def __init__(self, G, tol=None):
         f = svd(as_matrix(G, "G"), tol)
         self.G_pinv = f.pinv()
@@ -69,8 +70,6 @@ class DensePinvStrategy:
 
 class CholeskyStrategy:
     """Solve G s = rhs through a cached Cholesky factor (G must be SPD)."""
-
-    kind = "cholesky"
 
     def __init__(self, G):
         self.factor = cholesky_spd(G)
@@ -91,8 +90,6 @@ class InnerLsqrStrategy:
     of everything built on top. Hitting the inner iteration cap latches
     ``hit_cap`` instead of raising.
     """
-
-    kind = "lsqr"
 
     def __init__(self, G, tau=1e-12, max_iter=None):
         if not tau > 0:
@@ -276,7 +273,7 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     alpha1 = math.sqrt(_radicand(float(s @ gs), prob.g_norm, snorm_sq))
     state.u.append(u1, pu1)
     state.breakdown_ref = max(alpha1, beta1)
-    state.inner_capped = getattr(strategy, "hit_cap", False)
+    state.inner_capped = strategy.hit_cap
     if alpha1 <= BREAKDOWN_REL * state.breakdown_ref:
         return state
 
@@ -299,7 +296,7 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     threshold = BREAKDOWN_REL * state.breakdown_ref
     # coefficients below the accuracy the strategy actually delivers are
     # indistinguishable from noise, so the degeneracy cutoff scales with it
-    degenerate = max(DEGENERATE_REL, 4.0 * getattr(strategy, "relative_noise", 0.0))
+    degenerate = max(DEGENERATE_REL, 4.0 * strategy.relative_noise)
     alpha = state.alphas[-1]
     v_last = state.V[:, -1]
 
@@ -336,7 +333,7 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
         value = float(s @ gs)
     alpha_next = math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
     state.betas.append(beta_next)
-    state.inner_capped = state.inner_capped or getattr(strategy, "hit_cap", False)
+    state.inner_capped = state.inner_capped or strategy.hit_cap
     if alpha_next <= max(threshold, degenerate * beta_next):
         state.alphas.append(0.0)
         state.terminated, state.k_t = True, i

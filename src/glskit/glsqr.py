@@ -7,9 +7,9 @@ QR factorization of the growing bidiagonal matrix. The quantity
     alpha_{k+1} * beta_{k+1} * |e_k' y_k|
 
 equals the G-seminorm of the transformed residual and, scaled by the
-operator norm and the P-seminorm of b, drives the stopping rule. If the
-bidiagonalization terminates, the iterate at the termination step is the
-exact minimum 2-norm solution.
+P-seminorm of b and by sigma_max(B_k), the Lanczos estimate of the operator
+norm, drives the stopping rule. If the bidiagonalization terminates, the
+iterate at the termination step is the exact minimum 2-norm solution.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .ggkb import BidiagState, DensePinvStrategy, ggkb_init, ggkb_step
 from .gsvd import gsvd_pair, sigma_max_ca
@@ -57,8 +58,9 @@ class GivensState:
 class OperatorNormEstimate:
     """Estimate of the norm of v -> proj_R(P) A v between the G/P spaces.
 
-    ``converged`` is False when the power iteration used all its steps
-    without meeting its relative tolerance.
+    ``source`` is ``bidiagonal`` (a solve's sigma_max(B_k), ``iterations``
+    = k), ``gsvd_exact`` or ``power_iteration``; ``converged`` is False when
+    the power iteration used all its steps without meeting ``rel_tol``.
     """
 
     value: float
@@ -100,18 +102,14 @@ def residual_estimate(state: BidiagState, givens: GivensState) -> float:
     return state.alphas[-1] * state.betas[-1] * abs(givens.last_phi) / givens.last_rho
 
 
-def operator_norm(
-    prob: GlsProblem, strategy=None, method="auto", max_iters=200, rel_tol=1e-10
-) -> OperatorNormEstimate:
+def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> OperatorNormEstimate:
     """Norm of the map v -> proj_R(P) A v from (R(G), G) to (R(P), P).
 
-    ``gsvd`` computes it exactly as the largest diagonal of C_A (M = I
-    only); ``power`` runs a power iteration on pinv(G) A'PA in the G-inner
-    product, seeded with pinv(G) A'P b. ``auto`` picks gsvd for M = I and
-    n <= 200, power otherwise.
+    An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
+    as the largest diagonal of C_A (M = I only); ``power`` runs a power
+    iteration on pinv(G) A'PA in the G-inner product, seeded with
+    pinv(G) A'P b, with pinv(G) from the problem's SVD of G.
     """
-    if method == "auto":
-        method = "gsvd" if prob.M is None and prob.n <= 200 else "power"
     if method == "gsvd":
         if prob.M is not None:
             raise ValueError("the gsvd norm estimate requires M = I")
@@ -120,13 +118,9 @@ def operator_norm(
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
 
-    if strategy is None:
-        strategy = DensePinvStrategy(prob.G)
-    if prob.b is not None:
-        v = strategy.apply(prob.apply_At_P(prob.b))
-    else:
-        seed = np.random.default_rng(0).standard_normal(prob.m)
-        v = strategy.apply(prob.apply_At_P(seed))
+    G_pinv = prob.factors.g.pinv()
+    seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
+    v = G_pinv @ prob.apply_At_P(seed)
 
     estimate = 0.0
     iterations = 0
@@ -140,13 +134,11 @@ def operator_norm(
         Av = prob.A @ v
         new_estimate = math.sqrt(max(float(Av @ prob.mult_P(Av)), 0.0))
         iterations = it
-        if new_estimate == 0.0:
-            return OperatorNormEstimate(value=0.0, source="power_iteration", iterations=it)
         converged = abs(new_estimate - estimate) <= rel_tol * new_estimate
         estimate = new_estimate
         if converged:
             break
-        v = strategy.apply(prob.apply_At_P(Av))
+        v = G_pinv @ prob.apply_At_P(Av)
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
@@ -155,6 +147,15 @@ def operator_norm(
     return OperatorNormEstimate(
         value=estimate, source="power_iteration", iterations=iterations, converged=converged
     )
+
+
+def _bidiagonal_norm(state: BidiagState, k: int) -> float:
+    """sigma_max(B_k) from the tridiagonal B_k'B_k; B_k is a leading block of
+    B_{k+1}, so it never decreases with k nor exceeds the operator norm."""
+    a, b = np.array(state.alphas[:k]), np.array(state.betas[1 : k + 1])
+    d, e = a * a + b * b, a[1:] * b[:-1]
+    top = eigvalsh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 def _true_residual(prob, strategy, x):
@@ -167,7 +168,6 @@ def glsqr_solve(
     strategy=None,
     tol=1e-10,
     max_iter=None,
-    norm_est=None,
     debug=False,
     reorthogonalize=True,
 ) -> SolveReport:
@@ -180,12 +180,12 @@ def glsqr_solve(
     strategy : Gdag strategy, optional
         How pinv(G) is applied each step (default: dense pseudoinverse).
     tol : float
-        Stopping threshold for the normalized residual estimate.
+        Stopping threshold for the residual estimate normalized by beta_1
+        and sigma_max(B_k). The norm is refreshed only at k = 1, 2, 4, ...;
+        as it only grows with k, that can delay the stop, never advance it.
     max_iter : int, optional
         Iteration cap, default ``2 * min(m, n)``. Reaching it is a status,
         not an error.
-    norm_est : OperatorNormEstimate, optional
-        Operator norm used in the stopping rule; computed on demand.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
         (dense-cost, for validation).
@@ -200,22 +200,19 @@ def glsqr_solve(
 
     state = ggkb_init(prob, strategy, reorthogonalize=reorthogonalize)
     beta1 = state.betas[0] if state.betas else 0.0
-    if norm_est is None:
-        norm_est = operator_norm(prob, strategy)
 
     if state.terminated:
         return SolveReport(
             x=np.zeros(prob.n), iterations=0, stop_reason="ggkb_terminated",
             residual_estimate_history=[], true_residual_history=[] if debug else None,
             x_norm_history=[], alphas=list(state.alphas), betas=list(state.betas),
-            norm_estimate=norm_est, beta1=beta1, state=state,
+            norm_estimate=OperatorNormEstimate(0.0, "bidiagonal", 0), beta1=beta1, state=state,
         )
 
     givens = GivensState(
         rho_bar=state.alphas[0], phi_bar=beta1,
         w=state.V[:, 0].copy(), x=np.zeros(prob.n),
     )
-    denom = max(norm_est.value * beta1, _TINY)
 
     est_hist = []
     true_hist = [] if debug else None
@@ -225,11 +222,13 @@ def glsqr_solve(
 
     for k in range(1, max_iter + 1):
         state = ggkb_step(state, prob, strategy)
+        if k & (k - 1) == 0:
+            denom = max(_bidiagonal_norm(state, k) * beta1, _TINY)
         beta_next = state.betas[-1]
         alpha_next = state.alphas[-1]
 
         rho = math.hypot(givens.rho_bar, beta_next)
-        guard = max(1e-10, 10.0 * getattr(strategy, "relative_noise", 0.0))
+        guard = max(1e-10, 10.0 * strategy.relative_noise)
         if state.terminated and rho <= guard * max(max(state.alphas), max(state.betas)):
             # The trailing column of the bidiagonal matrix is numerically
             # zero (the Krylov space was already exhausted and the last
@@ -271,11 +270,12 @@ def glsqr_solve(
         givens.rho_bar = -c * alpha_next
         givens.phi_bar = s * givens.phi_bar
 
+    norm = OperatorNormEstimate(_bidiagonal_norm(state, iterations), "bidiagonal", iterations)
     return SolveReport(
         x=givens.x, iterations=iterations, stop_reason=stop_reason,
         residual_estimate_history=est_hist, true_residual_history=true_hist,
         x_norm_history=xnorm_hist, alphas=list(state.alphas), betas=list(state.betas),
-        norm_estimate=norm_est, beta1=beta1, state=state,
+        norm_estimate=norm, beta1=beta1, state=state,
     )
 
 

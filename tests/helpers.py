@@ -66,6 +66,34 @@ def random_gls_problem(
     return GlsProblem(A, M, L, b)
 
 
+def prescribed_gsvd_pair(seed):
+    """Seeded {A, L} pair (M = I) with a prescribed GSVD whose top
+    generalized singular value has a clear gap."""
+    # the gap lets the fixed-budget power iteration reach 1e-8
+    rng = np.random.default_rng(seed)
+    q1 = int(rng.integers(0, 3))
+    q2 = int(rng.integers(2, 6))
+    q3 = int(rng.integers(0, 3))
+    r = q1 + q2 + q3
+    n = r + int(rng.integers(0, 3))
+    m = q1 + q2 + int(rng.integers(1, 4))
+    p = (r - q1) + int(rng.integers(1, 4))
+    c2 = 0.9 * np.exp(-0.4 * np.arange(q2)) * (0.9 + 0.2 * rng.random(q2))
+    c = np.concatenate([np.ones(q1), np.sort(np.clip(c2, 0.05, 0.9))[::-1], np.zeros(q3)])
+    s = np.sqrt(1 - c**2)
+    CA = np.zeros((m, r))
+    SL = np.zeros((p, r))
+    for i in range(q1 + q2):
+        CA[i, i] = c[i]
+    for j in range(r - q1):
+        SL[p - (r - q1) + j, q1 + j] = s[q1 + j]
+    X = orthogonal(rng, n) @ np.diag(1 + rng.random(n)) @ orthogonal(rng, n)
+    X_inv = np.linalg.inv(X)
+    A = orthogonal(rng, m) @ np.hstack([CA, np.zeros((m, n - r))]) @ X_inv
+    L = orthogonal(rng, p) @ np.hstack([SL, np.zeros((p, n - r))]) @ X_inv
+    return GlsProblem(A, None, L, rng.standard_normal(m))
+
+
 def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float:
     """Largest principal angle between span{v_1..v_k} and the explicit
     Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}.

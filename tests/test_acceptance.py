@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from glskit import (
-    GlsProblem,
     InnerLsqrStrategy,
     check_gmpe,
     generate,
@@ -26,7 +25,7 @@ from glskit import (
 )
 from glskit.cli import main as cli_main
 from glskit.ggkb import DensePinvStrategy
-from helpers import krylov_subspace_check, orthogonal, random_gls_problem, random_matrix
+from helpers import krylov_subspace_check, prescribed_gsvd_pair, random_gls_problem, random_matrix
 
 
 def test_criterion_1_exact_termination_on_generated_problems():
@@ -209,37 +208,10 @@ def test_criterion_6_ggkb_structural_invariants():
           f"over 50 steps, Krylov angle {worst_angle:.2e}, termination within rank bound")
 
 
-def _prescribed_pair(seed):
-    # pair with a prescribed GSVD so the top generalized singular value has a
-    # clear gap (the fixed-budget power iteration needs one to reach 1e-8)
-    rng = np.random.default_rng(seed)
-    q1 = int(rng.integers(0, 3))
-    q2 = int(rng.integers(2, 6))
-    q3 = int(rng.integers(0, 3))
-    r = q1 + q2 + q3
-    n = r + int(rng.integers(0, 3))
-    m = q1 + q2 + int(rng.integers(1, 4))
-    p = (r - q1) + int(rng.integers(1, 4))
-    c2 = 0.9 * np.exp(-0.4 * np.arange(q2)) * (0.9 + 0.2 * rng.random(q2))
-    c = np.concatenate([np.ones(q1), np.sort(np.clip(c2, 0.05, 0.9))[::-1], np.zeros(q3)])
-    s = np.sqrt(1 - c**2)
-    CA = np.zeros((m, r))
-    SL = np.zeros((p, r))
-    for i in range(q1 + q2):
-        CA[i, i] = c[i]
-    for j in range(r - q1):
-        SL[p - (r - q1) + j, q1 + j] = s[q1 + j]
-    X = orthogonal(rng, n) @ np.diag(1 + rng.random(n)) @ orthogonal(rng, n)
-    X_inv = np.linalg.inv(X)
-    A = orthogonal(rng, m) @ np.hstack([CA, np.zeros((m, n - r))]) @ X_inv
-    L = orthogonal(rng, p) @ np.hstack([SL, np.zeros((p, n - r))]) @ X_inv
-    return GlsProblem(A, None, L, rng.standard_normal(m))
-
-
 def test_criterion_7_operator_norm_agreement():
     worst = 0.0
     for i in range(20):
-        prob = _prescribed_pair(7000 + i)
+        prob = prescribed_gsvd_pair(7000 + i)
         exact = operator_norm(prob, method="gsvd").value
         power = operator_norm(prob, method="power").value
         rel = abs(power - exact) / exact

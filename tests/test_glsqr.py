@@ -16,7 +16,7 @@ from glskit import (
     save_history,
     wpinv_elden,
 )
-from helpers import random_gls_problem, random_matrix
+from helpers import prescribed_gsvd_pair, random_gls_problem, random_matrix
 
 
 def planted_problem(seed=50, m=40, n=50, rank=30, kind="l1", func="ramp"):
@@ -189,6 +189,52 @@ def test_recursive_update_matches_explicit_solve():
         )
         if partial.stop_reason == "ggkb_terminated":
             break
+
+
+class CountingStrategy(DensePinvStrategy):
+    """Dense pinv(G) that counts its applications."""
+
+    applies = 0
+
+    def apply(self, rhs):
+        self.applies += 1
+        return super().apply(rhs)
+
+
+def test_solve_applies_pinv_g_once_per_expansion():
+    prob = random_gls_problem(19, m=30, n=24, p=10, q=28, rank_m=20)
+    strategy = CountingStrategy(prob.G)
+    report = glsqr_solve(prob, strategy, tol=1e-300, max_iter=6)
+    assert report.stop_reason == "max_iter"
+    # one apply in ggkb_init, one per step: no norm pre-pass
+    assert strategy.applies == report.iterations + 1
+
+
+def test_reported_norm_matches_gsvd_oracle_at_termination():
+    for i in range(20):
+        prob = prescribed_gsvd_pair(7000 + i)
+        report = glsqr_solve(prob, tol=1e-300)
+        assert report.stop_reason == "ggkb_terminated"
+        est = report.norm_estimate
+        assert est.source == "bidiagonal" and est.iterations == report.iterations
+        exact = operator_norm(prob, method="gsvd").value
+        assert abs(est.value - exact) <= 1e-10 * exact
+        assert est.value <= exact * (1 + 1e-12)
+
+
+def test_reported_norm_is_nondecreasing_in_k():
+    prob = planted_problem(seed=33, m=22, n=26, rank=14).problem
+    values = []
+    for k in range(1, 40):
+        partial = iterate_prefix(prob, k)
+        values.append(partial.norm_estimate.value)
+        if partial.stop_reason == "ggkb_terminated":
+            break
+    assert len(values) > 8
+    # exact in exact arithmetic (B_k is a leading block of B_{k+1}); once
+    # converged, the computed eigenvalue may move by an ulp either way
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.diff(values) >= -4 * eps * values[-1])
 
 
 @pytest.mark.parametrize("seed", range(8))
