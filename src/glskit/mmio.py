@@ -151,13 +151,13 @@ def write_matrix_market(path, a, comment=None):
         coo = sp.coo_array(a)
         coo.sum_duplicates()
         coo.eliminate_zeros()
-        order = np.lexsort((coo.coords[1], coo.coords[0]))
+        order = np.lexsort((coo.col, coo.row))
         lines.append("%%MatrixMarket matrix coordinate real general")
         if comment:
             lines.append(f"% {comment}")
         m, n = coo.shape
         lines.append(f"{m} {n} {coo.nnz}")
-        rows, cols = coo.coords
+        rows, cols = coo.row, coo.col
         for k in order:
             lines.append(f"{rows[k] + 1} {cols[k] + 1} {float(coo.data[k])!r}")
     else:

@@ -3,9 +3,10 @@
 Problems are built (with M = I) by planting the solution directly:
 
     1. pick A and a regularizer L, form G = A'A + L'L;
-    2. project a grid-sampled target function onto R(G) to get w, then
-       remove its G-coupling to the null space of A,
-           x_true = w - B inv(B'G B) B'G w,   B a basis of N(A);
+    2. project a grid-sampled target function f onto R(G),
+           w = f - N_G N_G' f,   N_G an orthonormal basis of N(G),
+       then apply the direct route's projector, with its factors, to it,
+           x_true = w - N pinv(L N) L w,   N an orthonormal basis of N(A);
     3. perturb the data orthogonally to R(A): b = A x_true + z.
 
 The construction is validated through the solution criterion before the
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
-from .linalg import IndefiniteMatrixError, as_matrix, as_vector, cholesky_spd, pinv
+# cholesky_spd is not called here; it stays importable because the
+# benchmark's tracer (glsbench/spans.py) hooks glskit.problems.cholesky_spd
+from .linalg import as_matrix, as_vector, cholesky_spd  # noqa: F401
 from .wpinv import GlsProblem, check_gls_criterion
 
 __all__ = [
@@ -43,7 +45,7 @@ def make_l1(n):
     if n < 2:
         raise ValueError("the first-difference stencil needs n >= 2")
     ones = np.ones(n - 1)
-    return sp.csr_array(sp.diags_array([ones, -ones], offsets=[0, 1], shape=(n - 1, n)))
+    return sp.csr_array(sp.diags([ones, -ones], offsets=[0, 1], shape=(n - 1, n)))
 
 
 def make_l2(n):
@@ -52,7 +54,7 @@ def make_l2(n):
         raise ValueError("the second-difference stencil needs n >= 3")
     ones = np.ones(n - 2)
     return sp.csr_array(
-        sp.diags_array([-ones, 2 * ones, -ones], offsets=[0, 1, 2], shape=(n - 2, n))
+        sp.diags([-ones, 2 * ones, -ones], offsets=[0, 1, 2], shape=(n - 2, n))
     )
 
 
@@ -86,7 +88,7 @@ def regularizer(kind, n):
         if kind == "l2":
             return make_l2(n)
         if kind == "identity":
-            return sp.csr_array(sp.eye_array(n))
+            return sp.csr_array(sp.eye(n))
         raise ValueError(f"unknown regularizer {kind!r}")
     mat = sp.csr_array(kind) if sp.issparse(kind) else sp.csr_array(np.atleast_2d(kind))
     if mat.shape[1] != n:
@@ -111,34 +113,20 @@ class GeneratedProblem:
 def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     """Build a GLS problem (M = I) with a certified planted solution.
 
-    The (B'GB) solve runs through Cholesky and falls back to the
-    pseudoinverse when the restriction is singular (shared null directions
-    of A and L). For singular G the planted vector is projected onto R(G),
-    which keeps it the minimum 2-norm solution. Raises ``ValueError`` if
-    the construction fails its own criterion at ``criterion_tol``.
+    The plant is the direct route's projector applied to the sampled
+    function in R(G), so it is the minimum 2-norm solution even for singular
+    G. Raises ``ValueError`` if it fails its own criterion at ``criterion_tol``.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
     rng = np.random.default_rng(seed)
     # the returned problem shares these factors, so its certification reuses them
     base = GlsProblem(A, None, regularizer(regularizer_kind, n))
-    G, proj_g = base.G, base.projector_g
-
-    w = proj_g @ sample_function(func, n)
-    B = base.factors.ma.nullspace()
-    if B.shape[1]:
-        H = B.T @ G @ B
-        H = 0.5 * (H + H.T)
-        rhs = B.T @ (G @ w)
-        try:
-            C = cholesky_spd(H)
-            y = solve_triangular(C.T, solve_triangular(C, rhs, lower=True), lower=False)
-        except IndefiniteMatrixError:
-            y = pinv(H) @ rhs
-        x_true = w - B @ y
-    else:
-        x_true = w.copy()
-    x_true = proj_g @ x_true
+    f = sample_function(func, n)
+    N_g = base.factors.nullspace_g
+    w = f - N_g @ (N_g.T @ f)
+    N = base.factors.ma_ranked.nullspace()
+    x_true = w - N @ (base.factors.ln.pinv() @ (base.L @ w))
 
     z = rng.standard_normal(m)
     z = z - base.factors.ma.range_projector() @ z

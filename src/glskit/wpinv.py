@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
-from .linalg import EPS, RankTolerance, as_matrix, as_vector, pinv, svd
+from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, pinv, svd
 
 __all__ = [
     "GlsProblem",
@@ -36,9 +36,11 @@ __all__ = [
 class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
-    Holds at most one SVD each of ``M A`` (``A`` when M is None), ``G`` and
-    ``M``, and the spectral norms of A and L. Rank decisions are not stored:
-    each caller applies its own tolerance through ``SvdFactors.ranked``.
+    Holds at most one SVD each of ``M A`` (``A`` when M is None), ``G``, ``M``
+    and ``L N``, N the basis of N(MA) at the direct route's cutoff, and the
+    spectral norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is
+    factored only where pinv(G) itself is needed. Other rank decisions apply
+    their own tolerance through ``SvdFactors.ranked``.
     """
 
     def __init__(self, A, M, L, G):
@@ -63,6 +65,33 @@ class FactorStore:
     @cached_property
     def norm_l(self):
         return float(np.linalg.norm(self._L, 2)) if self._L.size else 0.0
+
+    @cached_property
+    def ma_ranked(self):
+        """The SVD of M A ranked at its data error eps*||M||*||A||, not at a
+        fraction of sigma_max(MA), which may itself be tiny (the default
+        cutoff when M = I)."""
+        if self._M is None:
+            return self.ma
+        norm_m = float(self.m.singular_values[0])
+        shape = (self._M.shape[0], self._A.shape[1])
+        return self.ma.ranked(_product_tolerance(shape, (self._M, norm_m), (self._A, self.norm_a)))
+
+    @cached_property
+    def ln(self):
+        """The SVD of ``L N`` ranked at the roundoff floor of the product
+        (rank 0 and identity singular vectors when p = 0 or N(MA) = {0})."""
+        N = self.ma_ranked.nullspace()
+        LN = self._L @ N
+        if LN.size == 0:
+            return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
+        # N has orthonormal columns, so its spectral norm is 1
+        return svd(LN, _product_tolerance(LN.shape, (self._L, self.norm_l), (N, 1.0)))
+
+    @cached_property
+    def nullspace_g(self):
+        """Orthonormal basis of N(G) = N(MA) & N(L)."""
+        return self.ma_ranked.nullspace() @ self.ln.nullspace()
 
 
 class GlsProblem:
@@ -142,10 +171,6 @@ class GlsProblem:
         return float(np.linalg.norm(self.P))
 
     @cached_property
-    def projector_g(self):
-        return self.factors.g.range_projector()
-
-    @cached_property
     def projector_p(self):
         # R(P) = R(M')
         return np.eye(self.m) if self.M is None else self.factors.m.T.range_projector()
@@ -169,13 +194,10 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     rank cutoff relative to its own (possibly tiny) top singular value would
     mistake for signal.
     """
-    ma = prob.factors.ma.ranked(tol if tol is not None else _ma_tolerance(prob))
+    ma = prob.factors.ma_ranked if tol is None else prob.factors.ma.ranked(tol)
     N = ma.nullspace()
-    LN = prob.L @ N
-    if tol is None:  # N has orthonormal columns, so its spectral norm is 1
-        tol = _product_tolerance(LN.shape, (prob.L, prob.factors.norm_l), (N, 1.0))
-    core = N @ pinv(LN, tol)
-    X = (np.eye(prob.n) - core @ prob.L) @ ma.pinv()
+    pinv_ln = prob.factors.ln.pinv() if tol is None else pinv(prob.L @ N, tol)
+    X = (np.eye(prob.n) - N @ pinv_ln @ prob.L) @ ma.pinv()
     if prob.M is not None:
         X = X @ prob.M
     return X
@@ -194,15 +216,6 @@ def _product_tolerance(shape, *factors):
         return None
     dim = max(*shape, *(d for f, _ in factors for d in f.shape))
     return RankTolerance("absolute", 8.0 * dim * EPS * scale)
-
-
-def _ma_tolerance(prob: GlsProblem):
-    """Default rank cutoff for M A: its data error eps*||M||*||A||, not a
-    fraction of sigma_max(MA), which may itself be tiny (None when M = I)."""
-    if prob.M is None:
-        return None
-    norm_m = float(prob.factors.m.singular_values[0])
-    return _product_tolerance((prob.q, prob.n), (prob.M, norm_m), (prob.A, prob.factors.norm_a))
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
@@ -348,7 +361,8 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     x solves the problem iff ``A'P(Ax - b) = 0`` and x is G-orthogonal to the
     null space of A'PA. That null space is read from the SVD of ``M A``:
     ``(MA)'(MA) = A'PA``, so it is exact and does not square the condition
-    number. Range membership ``x in R(G)`` is
+    number. Range membership ``x in R(G)``, tested as
+    ``||N_G' x|| <= tol ||x||`` with N_G = ``prob.factors.nullspace_g``, is
     reported separately (solutions form a coset of N(G); the one inside R(G)
     is the minimum 2-norm solution).
     """
@@ -361,16 +375,14 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     scale1 = float(np.linalg.norm(prob.apply_At_P(prob.b)))
     ok_normal = r1 <= tol * scale1
 
-    Z = prob.factors.ma.ranked(_ma_tolerance(prob)).nullspace()
+    Z = prob.factors.ma_ranked.nullspace()
     gx = prob.G @ x
     g_norm_x = math.sqrt(max(float(x @ gx), 0.0))
     coupling = float(np.abs(Z.T @ gx).max()) if Z.size else 0.0
     ok_null = coupling <= tol * g_norm_x
 
     nx = float(np.linalg.norm(x))
-    g = prob.factors.g
-    Ug = g.U[:, : g.rank]
-    in_range = float(np.linalg.norm(x - Ug @ (Ug.T @ x))) <= tol * nx
+    in_range = float(np.linalg.norm(prob.factors.nullspace_g.T @ x)) <= tol * nx
 
     return GlsCriterionReport(
         satisfied=bool(ok_normal and ok_null),

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from glskit import (
     GlsProblem,
+    certify_solution,
     check_gls_criterion,
     check_gmpe,
+    glsqr_solve,
     gsvd_pair,
     nullspace_basis,
     pinv,
@@ -207,16 +210,60 @@ def test_cross_method_agreement(case):
 
 def test_with_b_reuses_cached_matrices():
     prob = random_gls_problem(3, m=6, n=5, p=3)
-    _ = prob.projector_g  # populate a cached property
+    _ = prob.factors.nullspace_g  # populate a cached property
     other = prob.with_b(np.ones(6))
     assert other.G is prob.G
-    assert other.projector_g is prob.projector_g
+    assert other.factors.nullspace_g is prob.factors.nullspace_g
     np.testing.assert_array_equal(other.b, np.ones(6))
     np.testing.assert_array_equal(prob.b, random_gls_problem(3, m=6, n=5, p=3).b)
     # the factor store is shared, so a factor first made through the copy
     # is the parent's too
     from_copy = other.factors.ma
     assert prob.factors.ma is from_copy
+
+
+# name -> (random_gls_problem keywords, drop L); with L dropped, N(G) = N(MA)
+NULLSPACE_SHAPES = {
+    "full rank": (dict(), False),
+    "shared null": (dict(rank_a=4, shared_null=True), False),
+    "singular M": (dict(q=7, rank_a=4, rank_m=5), False),
+    "singular M, shared null": (dict(q=7, rank_a=4, rank_m=5, shared_null=True), False),
+    "m<n, shared null": (dict(m=5, n=9, p=3, rank_a=4, shared_null=True), False),
+    "m<n, singular M, shared null": (dict(m=5, n=9, p=3, q=4, rank_m=3, shared_null=True), False),
+    "L=None": (dict(rank_a=4), True),
+    "L=None, m<n, singular M": (dict(m=5, n=9, q=4, rank_m=3), True),
+}
+
+
+@pytest.mark.parametrize("name", list(NULLSPACE_SHAPES))
+def test_nullspace_g_is_the_null_space_of_g(name):
+    # N(G) comes from the SVDs of M A and L N, not from G; it must be the
+    # subspace an SVD of G itself finds
+    shape, drop_l = NULLSPACE_SHAPES[name]
+    prob = random_gls_problem(60, **shape)
+    if drop_l:
+        prob = GlsProblem(prob.A, prob.M, None, prob.b)
+    N_g = prob.factors.nullspace_g
+    Z = nullspace_basis(prob.G)
+    assert N_g.shape == Z.shape
+    if shape.get("shared_null") or drop_l:
+        assert N_g.shape[1] >= 1
+    np.testing.assert_allclose(N_g.T @ N_g, np.eye(N_g.shape[1]), atol=1e-12)
+    if Z.shape[1]:
+        assert subspace_angles(N_g, Z).max() <= 1e-8
+
+
+def test_routes_and_checks_do_not_factor_g():
+    # the planted solution, the direct route and both certifications read
+    # N(G) from the same factors; only pinv(G) needs an SVD of G
+    rng = np.random.default_rng(62)
+    prob = generate(random_matrix(rng, 12, 16, rank=8), "l1", "trig", seed=62).problem
+    weighted = random_gls_problem(63, q=7, rank_a=4, rank_m=5, shared_null=True)
+    for p in (prob, weighted):
+        x = wpinv_elden(p) @ p.b
+        assert check_gls_criterion(p, x, tol=1e-8).in_range_g
+        assert certify_solution(p, glsqr_solve(p, tol=1e-12))
+        assert "g" not in p.factors.__dict__
 
 
 @pytest.mark.parametrize("q, rank_m", [(None, None), (7, 5)])
