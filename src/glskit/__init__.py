@@ -49,7 +49,6 @@ from .ggkb import (
     DensePinvStrategy,
     InnerLsqrStrategy,
     NumericalBreakdownError,
-    gdag_strategy,
     ggkb_init,
     ggkb_step,
 )

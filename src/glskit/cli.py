@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .ggkb import NumericalBreakdownError, gdag_strategy
+from .ggkb import CholeskyStrategy, DensePinvStrategy, InnerLsqrStrategy, NumericalBreakdownError
 from .glsqr import certify_solution, glsqr_solve, save_history
 from .gsvd import gsvd_pair, save_factors
 from .linalg import FactorizationError, IndefiniteMatrixError, RankTolerance, as_matrix
@@ -46,15 +46,16 @@ def _default_stop_tol():
     return float(raw) if raw else 1e-10
 
 
+_GDAG = {"dense": DensePinvStrategy, "cholesky": CholeskyStrategy, "lsqr": InnerLsqrStrategy}
+
+
 def _parse_gdag(value):
-    if value.startswith("lsqr"):
-        tau = 1e-12
-        if ":" in value:
-            tau = float(value.split(":", 1)[1])
-        return "lsqr", {"tau": tau}
-    if value in ("dense", "cholesky"):
-        return value, {}
-    raise ValueError(f"unknown --gdag value {value!r}")
+    """``dense | cholesky | lsqr[:tau]`` as (kind, strategy class, kwargs)."""
+    kind, sep, tau = value.partition(":")
+    if kind not in _GDAG or (sep and kind != "lsqr"):
+        raise ValueError(f"unknown --gdag value {value!r}")
+    kwargs = {"tau": float(tau) if sep else 1e-12} if kind == "lsqr" else {}
+    return kind, _GDAG[kind], kwargs
 
 
 def _load_problem_files(args):
@@ -73,8 +74,8 @@ def _json_dump(obj, path):
 
 def _cmd_solve(args):
     prob = _load_problem_files(args)
-    kind, kwargs = _parse_gdag(args.gdag)
-    strategy = gdag_strategy(prob.G, kind, **kwargs)
+    kind, strategy_class, kwargs = _parse_gdag(args.gdag)
+    strategy = strategy_class(prob.G, **kwargs)
     report = glsqr_solve(
         prob,
         strategy,

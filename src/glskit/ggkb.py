@@ -1,13 +1,15 @@
 """Generalized Golub-Kahan bidiagonalization (gGKB).
 
 Starting from b, the process generates vectors v_i that are orthonormal in
-the G-inner product and vectors u_tilde_i whose projections onto R(P) are
-orthonormal in the P-inner product, together with the coefficients of a
-growing lower-bidiagonal matrix:
+the G-inner product and vectors u~_i that are orthonormal in the
+P-seminorm, together with the coefficients of a growing lower-bidiagonal
+matrix. M maps (R^m, P-seminorm) isometrically onto R(M) in R^q with the
+2-norm, so the data side is carried as u_bar_i = M u~_i, orthonormal in the
+Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 
-    beta_1 u~_1 = b
-    s_bar = A' P u~_i,          alpha_i v_i = Gdag(s_bar) - beta_i v_{i-1}
-    r = A v_i - alpha_i u~_i,   beta_{i+1} u~_{i+1} = r / (r' P r)^(1/2)
+    beta_1 u_bar_1 = M b
+    s_bar = (MA)' u_bar_i,          alpha_i v_i = Gdag(s_bar) - beta_i v_{i-1}
+    r = MA v_i - alpha_i u_bar_i,   beta_{i+1} = (r'r)^(1/2),  u_bar_{i+1} = r / beta_{i+1}
 
 Every step applies the pseudoinverse of G = A'PA + L'L once; how that
 application is carried out is pluggable (dense pseudoinverse, Cholesky
@@ -16,7 +18,7 @@ solve, or an inner LSQR run with its own tolerance). A strategy provides
 the relative accuracy it delivers; and ``hit_cap``, True once an inner
 iteration has run out of steps.
 
-The bases V, G V, U~ and P U~ live in one workspace per side (``Basis``)
+The bases V with G V, and M U~, live in one workspace per side (``Basis``)
 that ``ggkb_step`` extends in place. Reorthogonalization is two block
 classical Gram-Schmidt passes against that workspace (CGS2).
 """
@@ -37,7 +39,6 @@ __all__ = [
     "DensePinvStrategy",
     "CholeskyStrategy",
     "InnerLsqrStrategy",
-    "gdag_strategy",
     "BidiagState",
     "ggkb_init",
     "ggkb_step",
@@ -113,24 +114,14 @@ class InnerLsqrStrategy:
         return result.x
 
 
-def gdag_strategy(G, kind="dense", **kwargs):
-    """Build a pinv(G)-application strategy: dense, cholesky, or lsqr."""
-    if kind == "dense":
-        return DensePinvStrategy(G, **kwargs)
-    if kind == "cholesky":
-        return CholeskyStrategy(G, **kwargs)
-    if kind == "lsqr":
-        return InnerLsqrStrategy(G, **kwargs)
-    raise ValueError(f"unknown Gdag strategy {kind!r}")
-
-
 @dataclass(eq=False)
 class Basis:
     """Columns x_1..x_k and their images C x_j in one growable workspace.
 
     ``X`` and ``CX`` are Fortran-ordered ``(dim, capacity)`` arrays whose
     leading ``k`` columns are in use; the capacity doubles when full, up to
-    ``limit`` and past it only if a run outlives its Krylov bound.
+    ``limit`` and past it only if a run outlives its Krylov bound. A
+    Euclidean basis (C = I) keeps no images: ``CX`` is ``X`` itself.
     """
 
     X: np.ndarray
@@ -139,9 +130,10 @@ class Basis:
     k: int = 0
 
     @classmethod
-    def empty(cls, dim, limit):
+    def empty(cls, dim, limit, euclidean=False):
         cap = min(INITIAL_COLUMNS, limit)
-        return cls(np.empty((dim, cap), order="F"), np.empty((dim, cap), order="F"), limit)
+        X = np.empty((dim, cap), order="F")
+        return cls(X, X if euclidean else np.empty_like(X), limit)
 
     @property
     def cols(self):
@@ -151,17 +143,17 @@ class Basis:
     def images(self):
         return self.CX[:, : self.k]
 
-    def append(self, x, cx):
+    def append(self, x, cx=None):
+        """Add column x, and its image cx unless the basis is Euclidean."""
+        euclidean = self.CX is self.X
         cap = self.X.shape[1]
         if self.k == cap:
             grown = 2 * cap if cap >= self.limit else min(2 * cap, self.limit)
-            X, CX = self.X, self.CX
-            self.X = np.empty((X.shape[0], grown), order="F")
-            self.CX = np.empty_like(self.X)
-            self.X[:, :cap] = X
-            self.CX[:, :cap] = CX
+            self.X = _widened(self.X, grown)
+            self.CX = self.X if euclidean else _widened(self.CX, grown)
         self.X[:, self.k] = x
-        self.CX[:, self.k] = cx
+        if not euclidean:
+            self.CX[:, self.k] = cx
         self.k += 1
 
     def project_out(self, x, cx=None):
@@ -179,6 +171,13 @@ class Basis:
                 cx -= CX @ c
 
 
+def _widened(a, cols):
+    """A Fortran-ordered copy of ``a`` with room for ``cols`` columns."""
+    w = np.empty((a.shape[0], cols), order="F")
+    w[:, : a.shape[1]] = a
+    return w
+
+
 @dataclass(eq=False)
 class BidiagState:
     """The bidiagonalization after k completed expansions, updated in place.
@@ -186,11 +185,16 @@ class BidiagState:
     ``alphas`` and ``betas`` always have equal length; a trailing zero in
     either marks termination at step ``k_t`` (the Krylov spaces are
     exhausted and the current gLSQR iterate is exact). ``v`` holds the
-    columns v_i with G v_i, ``u`` the columns u~_i with P u~_i, each in one
-    workspace (see ``Basis``); ``V`` and ``U_tilde`` are views of their
-    leading columns. ``ggkb_step`` mutates the state and returns the same
-    object, so a view taken earlier keeps its columns but stops sharing
-    memory with the state once the workspace grows.
+    columns v_i with G v_i, orthonormal in the G-inner product; ``u`` holds
+    the columns M u~_i in R^q, orthonormal in the Euclidean one, where the
+    u~_i are the P-orthonormal data-side vectors of the recurrence (see the
+    module docstring). Each lives in one workspace (see ``Basis``); ``V``
+    and ``MU`` are views of their leading columns, so the bidiagonal
+    relations read ``MA V_k = MU_{k+1} B_k`` and
+    ``pinv(G) (MA)' MU_{k+1} = V_k B_k' + alpha_{k+1} v_{k+1} e_{k+1}'``.
+    ``ggkb_step`` mutates the state and returns the same object, so a view
+    taken earlier keeps its columns but stops sharing memory with the state
+    once the workspace grows.
     """
 
     m: int
@@ -214,7 +218,7 @@ class BidiagState:
         return self.v.cols
 
     @property
-    def U_tilde(self):
+    def MU(self):
         return self.u.cols
 
     def bidiagonal(self, k=None):
@@ -228,7 +232,7 @@ class BidiagState:
 
 
 def _radicand(value, scale, vec_sq):
-    """Clamp a roundoff-negative x'Cx to zero; fail if genuinely negative."""
+    """Clamp a roundoff-negative s'Gs to zero; fail if genuinely negative."""
     guard = 1e-14 * scale * vec_sq
     if value < -guard:
         raise NumericalBreakdownError(
@@ -237,41 +241,49 @@ def _radicand(value, scale, vec_sq):
     return max(value, 0.0)
 
 
+def _g_orthonormalize(state, prob, s):
+    """Reorthogonalize s in place against V (nothing to do while V is
+    empty); return G s and the G-seminorm of s."""
+    gs = prob.G @ s
+    if state.reorthogonalize:
+        state.v.project_out(s, gs)
+    value = float(s @ gs)
+    if value < 0.0:
+        # the maintained gs carries absolute drift from earlier scales; a
+        # fresh product restores the ||s||^2-proportional error the
+        # negativity guard assumes
+        gs = prob.G @ s
+        value = float(s @ gs)
+    return gs, math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
+
+
 def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     """First bidiagonalization vectors from b; may terminate immediately.
 
-    If the P-projection of b vanishes (b in the null space of M) the state
-    terminates with k_t = 0 and the downstream solution is zero.
+    If M b vanishes (b in the null space of M) the state terminates with
+    k_t = 0 and the downstream solution is zero.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
-    b = prob.b
-    pb = prob.mult_P(b)
-    bnorm = float(np.linalg.norm(b))
-    beta1 = math.sqrt(_radicand(float(b @ pb), prob.p_norm, bnorm**2))
+    mb = prob.mult_M(prob.b)
+    beta1 = math.sqrt(float(mb @ mb))
 
-    # the Krylov spaces hold at most min(m, n) directions, U~ one more
+    # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
         m=prob.m, n=prob.n, alphas=[0.0], betas=[beta1],
-        v=Basis.empty(prob.n, limit), u=Basis.empty(prob.m, limit),
+        v=Basis.empty(prob.n, limit), u=Basis.empty(prob.q, limit, euclidean=True),
         terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0),
         reorthogonalize=reorthogonalize,
     )
-    init_scale = math.sqrt(prob.p_norm) * bnorm
+    init_scale = math.sqrt(prob.p_norm) * float(np.linalg.norm(prob.b))
     if beta1 <= BREAKDOWN_REL * init_scale:
         return state
 
-    # keep the u-carrier inside R(P): components in N(P) are invisible to
-    # the P-weighted recurrences but amplify by 1/beta each step and
-    # eventually poison the computed inner products when P is singular
-    u1 = (b if prob.M is None else prob.projector_p @ b) / beta1
-    pu1 = pb / beta1
-    s = strategy.apply(prob.A.T @ pu1)
-    gs = prob.G @ s
-    snorm_sq = float(s @ s)
-    alpha1 = math.sqrt(_radicand(float(s @ gs), prob.g_norm, snorm_sq))
-    state.u.append(u1, pu1)
+    u1 = mb / beta1
+    s = strategy.apply(prob.MA.T @ u1)
+    gs, alpha1 = _g_orthonormalize(state, prob, s)
+    state.u.append(u1)
     state.breakdown_ref = max(alpha1, beta1)
     state.inner_capped = strategy.hit_cap
     if alpha1 <= BREAKDOWN_REL * state.breakdown_ref:
@@ -300,15 +312,12 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     alpha = state.alphas[-1]
     v_last = state.V[:, -1]
 
-    r = prob.A @ v_last - alpha * state.U_tilde[:, -1]
-    if prob.M is not None:
-        r = prob.projector_p @ r  # drop N(P) junk, see ggkb_init
+    r = prob.MA @ v_last - alpha * state.MU[:, -1]
     if state.reorthogonalize:
         state.u.project_out(r)
-    pr = prob.mult_P(r)
-    beta_next = math.sqrt(_radicand(float(r @ pr), prob.p_norm, float(r @ r)))
+    beta_next = math.sqrt(float(r @ r))
     # besides the absolute cutoff, a coefficient vanishing relative to its
-    # partner in the three-term identity (||A v_i||_P^2 = alpha_i^2 +
+    # partner in the three-term identity (||MA v_i||^2 = alpha_i^2 +
     # beta_{i+1}^2) marks a numerically degenerate rotation: the spaces are
     # exhausted and anything below the cancellation floor is roundoff
     if beta_next <= max(threshold, degenerate * alpha):
@@ -317,21 +326,11 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
         state.terminated, state.k_t = True, i
         return state
 
-    pu_next = pr / beta_next
-    state.u.append(r / beta_next, pu_next)
+    u_next = r / beta_next
+    state.u.append(u_next)
 
-    s = strategy.apply(prob.A.T @ pu_next) - beta_next * v_last
-    gs = prob.G @ s
-    if state.reorthogonalize:
-        state.v.project_out(s, gs)
-    value = float(s @ gs)
-    if value < 0.0:
-        # the maintained gs carries absolute drift from earlier scales; a
-        # fresh product restores the ||s||^2-proportional error the
-        # negativity guard assumes
-        gs = prob.G @ s
-        value = float(s @ gs)
-    alpha_next = math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
+    s = strategy.apply(prob.MA.T @ u_next) - beta_next * v_last
+    gs, alpha_next = _g_orthonormalize(state, prob, s)
     state.betas.append(beta_next)
     state.inner_capped = state.inner_capped or strategy.hit_cap
     if alpha_next <= max(threshold, degenerate * beta_next):

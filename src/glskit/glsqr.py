@@ -1,13 +1,14 @@
 """gLSQR: the LSQR iteration built on generalized Golub-Kahan bidiagonalization.
 
-At step k the iterate x_k minimizes the P-seminorm of the projected residual
-over the Krylov space span{v_1..v_k}, updated recursively through a Givens
-QR factorization of the growing bidiagonal matrix. The quantity
+At step k the iterate x_k minimizes the 2-norm of the weighted residual
+M (A x - b) over the Krylov space span{v_1..v_k}, updated recursively
+through a Givens QR factorization of the growing bidiagonal matrix. The
+quantity
 
     alpha_{k+1} * beta_{k+1} * |e_k' y_k|
 
-equals the G-seminorm of the transformed residual and, scaled by the
-P-seminorm of b and by sigma_max(B_k), the Lanczos estimate of the operator
+equals the G-seminorm of the transformed residual and, scaled by
+beta_1 = ||M b|| and by sigma_max(B_k), the Lanczos estimate of the operator
 norm, drives the stopping rule. If the bidiagonalization terminates, the
 iterate at the termination step is the exact minimum 2-norm solution.
 """
@@ -56,7 +57,7 @@ class GivensState:
 
 @dataclass
 class OperatorNormEstimate:
-    """Estimate of the norm of v -> proj_R(P) A v between the G/P spaces.
+    """Estimate of the norm of v -> M A v from (R(G), G) to (R^q, 2-norm).
 
     ``source`` is ``bidiagonal`` (a solve's sigma_max(B_k), ``iterations``
     = k), ``gsvd_exact`` or ``power_iteration``; ``converged`` is False when
@@ -103,12 +104,12 @@ def residual_estimate(state: BidiagState, givens: GivensState) -> float:
 
 
 def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> OperatorNormEstimate:
-    """Norm of the map v -> proj_R(P) A v from (R(G), G) to (R(P), P).
+    """Norm of the map v -> M A v from (R(G), G) to (R^q, 2-norm).
 
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A (M = I only); ``power`` runs a power
-    iteration on pinv(G) A'PA in the G-inner product, seeded with
-    pinv(G) A'P b, with pinv(G) from the problem's SVD of G.
+    iteration on pinv(G) (MA)'(MA) in the G-inner product, seeded with
+    pinv(G) (MA)' M b, with pinv(G) from the problem's SVD of G.
     """
     if method == "gsvd":
         if prob.M is not None:
@@ -120,7 +121,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> Ope
 
     G_pinv = prob.factors.g.pinv()
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
-    v = G_pinv @ prob.apply_At_P(seed)
+    v = G_pinv @ (prob.MA.T @ prob.mult_M(seed))
 
     estimate = 0.0
     iterations = 0
@@ -131,14 +132,14 @@ def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> Ope
         if v_g == 0.0:
             return OperatorNormEstimate(value=0.0, source="power_iteration", iterations=it)
         v = v / v_g
-        Av = prob.A @ v
-        new_estimate = math.sqrt(max(float(Av @ prob.mult_P(Av)), 0.0))
+        Av = prob.MA @ v
+        new_estimate = math.sqrt(float(Av @ Av))
         iterations = it
         converged = abs(new_estimate - estimate) <= rel_tol * new_estimate
         estimate = new_estimate
         if converged:
             break
-        v = G_pinv @ prob.apply_At_P(Av)
+        v = G_pinv @ (prob.MA.T @ Av)
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
@@ -159,7 +160,7 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
 
 
 def _true_residual(prob, strategy, x):
-    q = strategy.apply(prob.apply_At_P(prob.A @ x - prob.b))
+    q = strategy.apply(prob.MA.T @ (prob.MA @ x - prob.mult_M(prob.b)))
     return math.sqrt(max(float(q @ (prob.G @ q)), 0.0))
 
 

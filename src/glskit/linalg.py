@@ -117,11 +117,6 @@ class SvdFactors:
     V: np.ndarray
     rank: int
 
-    @property
-    def T(self):
-        """The SVD of ``A.T``, sharing these arrays."""
-        return replace(self, U=self.V, V=self.U)
-
     def ranked(self, tol=None):
         """These factors, sharing their arrays, with the rank decided by
         ``tol`` (None: the default :class:`RankTolerance`)."""
@@ -144,16 +139,6 @@ class SvdFactors:
     def nullspace(self):
         """Orthonormal basis of the null space of A, an n x (n - rank) view of V."""
         return self.V[:, self.rank :]
-
-    def sigma_matrix(self):
-        m, n = self.U.shape[0], self.V.shape[0]
-        S = np.zeros((m, n))
-        k = self.singular_values.size
-        S[:k, :k] = np.diag(self.singular_values)
-        return S
-
-    def reconstruct(self):
-        return self.U @ self.sigma_matrix() @ self.V.T
 
 
 def svd(A, tol=None):

@@ -36,19 +36,19 @@ __all__ = [
 class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
-    Holds at most one SVD each of ``M A`` (``A`` when M is None), ``G``, ``M``
-    and ``L N``, N the basis of N(MA) at the direct route's cutoff, and the
-    spectral norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is
-    factored only where pinv(G) itself is needed. Other rank decisions apply
-    their own tolerance through ``SvdFactors.ranked``.
+    Holds at most one SVD each of ``M A`` (the problem's ``MA``), ``G``,
+    ``M`` and ``L N``, N the basis of N(MA) at the direct route's cutoff, and
+    the spectral norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G``
+    is factored only where pinv(G) itself is needed. Other rank decisions
+    apply their own tolerance through ``SvdFactors.ranked``.
     """
 
-    def __init__(self, A, M, L, G):
-        self._A, self._M, self._L, self._G = A, M, L, G
+    def __init__(self, A, M, MA, L, G):
+        self._A, self._M, self._MA, self._L, self._G = A, M, MA, L, G
 
     @cached_property
     def ma(self):
-        return svd(self._A if self._M is None else self._M @ self._A)
+        return svd(self._MA)
 
     @cached_property
     def g(self):
@@ -74,8 +74,8 @@ class FactorStore:
         if self._M is None:
             return self.ma
         norm_m = float(self.m.singular_values[0])
-        shape = (self._M.shape[0], self._A.shape[1])
-        return self.ma.ranked(_product_tolerance(shape, (self._M, norm_m), (self._A, self.norm_a)))
+        tol = _product_tolerance(self._MA.shape, (self._M, norm_m), (self._A, self.norm_a))
+        return self.ma.ranked(tol)
 
     @cached_property
     def ln(self):
@@ -95,11 +95,13 @@ class FactorStore:
 
 
 class GlsProblem:
-    """Problem data (A, M, L, b) with the derived Gram matrices cached.
+    """Problem data (A, M, L, b) with the derived matrices cached.
 
-    ``M=None`` means the identity weight (P = I). ``L=None`` means no
-    regularizer (a 0 x n matrix, Q = 0). All derived matrices are
-    symmetrized once at construction; instances are treated as immutable.
+    ``M=None`` means the identity weight (P = I); ``MA`` is then the same
+    array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix, Q = 0).
+    ``MA = M A`` is formed once and every product with A'P reads it, as
+    A'P u = (MA)'(M u); the Gram matrices are symmetrized once at
+    construction. Instances are treated as immutable.
     ``factors`` is the problem's :class:`FactorStore`: every route and check
     derives its pseudoinverses, projectors and null spaces from it, so each
     matrix is factored at most once per problem.
@@ -118,16 +120,17 @@ class GlsProblem:
 
         if self.M is None:
             self.P = np.eye(m)
-            ApA = self.A.T @ self.A
+            self.MA = self.A
         else:
             P = self.M.T @ self.M
             self.P = 0.5 * (P + P.T)
-            ApA = self.A.T @ self.P @ self.A
+            self.MA = self.M @ self.A
+        ApA = self.MA.T @ self.MA
         self.ApA = 0.5 * (ApA + ApA.T)
         Q = self.L.T @ self.L
         self.Q = 0.5 * (Q + Q.T)
         self.G = 0.5 * ((self.ApA + self.Q) + (self.ApA + self.Q).T)
-        self.factors = FactorStore(self.A, self.M, self.L, self.G)
+        self.factors = FactorStore(self.A, self.M, self.MA, self.L, self.G)
 
     @property
     def m(self):
@@ -156,11 +159,9 @@ class GlsProblem:
         prob.b = as_vector(b, self.m, "b")
         return prob
 
-    def mult_P(self, u):
-        return u if self.M is None else self.P @ u
-
-    def apply_At_P(self, u):
-        return self.A.T @ self.mult_P(u)
+    def mult_M(self, u):
+        """M u, or u itself when M is None."""
+        return u if self.M is None else self.M @ u
 
     @cached_property
     def g_norm(self):
@@ -169,17 +170,6 @@ class GlsProblem:
     @cached_property
     def p_norm(self):
         return float(np.linalg.norm(self.P))
-
-    @cached_property
-    def projector_p(self):
-        # R(P) = R(M')
-        return np.eye(self.m) if self.M is None else self.factors.m.T.range_projector()
-
-    def seminorm_g(self, x):
-        return math.sqrt(max(float(x @ (self.G @ x)), 0.0))
-
-    def seminorm_p(self, u):
-        return math.sqrt(max(float(u @ self.mult_P(u)), 0.0))
 
 
 def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
@@ -227,7 +217,7 @@ def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
     if not delta > 0:
         raise ValueError("delta must be positive")
     core = pinv(prob.ApA + delta * prob.G, tol)
-    AtP = prob.A.T if prob.M is None else prob.A.T @ prob.P
+    AtP = prob.A.T if prob.M is None else prob.MA.T @ prob.M
     return core @ AtP
 
 
@@ -309,10 +299,10 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     XA = X @ A
     r1 = _rel(norm(X @ A @ X - X), norm(X))
 
-    MA = A if prob.M is None else prob.M @ A
+    MA = prob.MA
     r2 = _rel(norm(MA @ X @ A - MA), norm(MA))
 
-    PAX = prob.mult_P(A @ X)
+    PAX = A @ X if prob.M is None else prob.P @ (A @ X)
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
 
     r4 = _rel(norm((prob.G @ X @ A @ prob.factors.g.pinv()).T - XA), norm(XA))
@@ -358,8 +348,9 @@ class GlsCriterionReport:
 def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     """Test the two solution conditions for the GLS problem.
 
-    x solves the problem iff ``A'P(Ax - b) = 0`` and x is G-orthogonal to the
-    null space of A'PA. That null space is read from the SVD of ``M A``:
+    x solves the problem iff ``A'P(Ax - b) = (MA)'(MA x - M b) = 0`` and x is
+    G-orthogonal to the null space of A'PA. That null space is read from the
+    SVD of ``M A``:
     ``(MA)'(MA) = A'PA``, so it is exact and does not square the condition
     number. Range membership ``x in R(G)``, tested as
     ``||N_G' x|| <= tol ||x||`` with N_G = ``prob.factors.nullspace_g``, is
@@ -370,9 +361,10 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
         raise ValueError("problem has no right-hand side b")
     x = as_vector(x, prob.n, "x")
 
-    residual = prob.apply_At_P(prob.A @ x - prob.b)
+    mb = prob.mult_M(prob.b)
+    residual = prob.MA.T @ (prob.MA @ x - mb)
     r1 = float(np.linalg.norm(residual))
-    scale1 = float(np.linalg.norm(prob.apply_At_P(prob.b)))
+    scale1 = float(np.linalg.norm(prob.MA.T @ mb))
     ok_normal = r1 <= tol * scale1
 
     Z = prob.factors.ma_ranked.nullspace()

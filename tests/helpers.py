@@ -1,5 +1,7 @@
 """Shared constructors for seeded test problems, and test oracles."""
 
+import math
+
 import numpy as np
 from scipy.linalg import orth, subspace_angles
 
@@ -96,7 +98,8 @@ def prescribed_gsvd_pair(seed):
 
 def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float:
     """Largest principal angle between span{v_1..v_k} and the explicit
-    Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}.
+    Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}, built as
+    A'PA = (MA)'(MA) and A'P b = (MA)' M b.
 
     Test utility: the monomial basis is built with a dense pinv(G)
     (independent of the strategy that generated the state) and
@@ -105,12 +108,25 @@ def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float
     if not 1 <= k <= state.k:
         raise ValueError(f"k must be in 1..{state.k}, got {k}")
     G_pinv = pinv(prob.G)
-    t = G_pinv @ prob.apply_At_P(prob.b)
+    t = G_pinv @ (prob.MA.T @ prob.mult_M(prob.b))
     cols = [t]
     for _ in range(k - 1):
-        t = G_pinv @ prob.apply_At_P(prob.A @ t)
+        t = G_pinv @ (prob.MA.T @ (prob.MA @ t))
         cols.append(t)
     Q1 = orth(np.column_stack(cols))
     Q2 = orth(state.V[:, :k])
     angles = subspace_angles(Q1, Q2)
     return float(angles.max()) if angles.size else 0.0
+
+
+def seminorm_p(prob: GlsProblem, u) -> float:
+    """The P-seminorm (u' P u)^(1/2) of a data-space vector."""
+    return math.sqrt(max(float(u @ (prob.P @ u)), 0.0))
+
+
+def reconstruct(f) -> np.ndarray:
+    """U @ Sigma @ V.T from an ``SvdFactors``, Sigma the rectangular diagonal."""
+    S = np.zeros((f.U.shape[0], f.V.shape[0]))
+    k = f.singular_values.size
+    S[:k, :k] = np.diag(f.singular_values)
+    return f.U @ S @ f.V.T

@@ -174,9 +174,9 @@ def test_criterion_6_ggkb_structural_invariants():
         if state.terminated:
             break
         state = ggkb_step(state, prob, strategy)
-    V, U = state.V, state.U_tilde
+    V, U = state.V, state.MU
     drift_v = float(np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max())
-    drift_u = float(np.abs(U.T @ prob.P @ U - np.eye(U.shape[1])).max())
+    drift_u = float(np.abs(U.T @ U - np.eye(U.shape[1])).max())
     assert drift_v <= 1e-10 and drift_u <= 1e-10
 
     small = random_gls_problem(56, m=14, n=10, p=6, cond=10.0)

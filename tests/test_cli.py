@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 import glskit
-from glskit import read_matrix_market, read_vector, write_matrix_market, write_vector
-from glskit.cli import main
+from glskit import (
+    CholeskyStrategy,
+    DensePinvStrategy,
+    InnerLsqrStrategy,
+    read_matrix_market,
+    read_vector,
+    write_matrix_market,
+    write_vector,
+)
+from glskit.cli import _parse_gdag, main
 from helpers import random_matrix
 
 
@@ -105,6 +113,29 @@ def test_solve_deterministic_outputs(problem_dir, tmp_path):
     main(args + ["--out-dir", str(tmp_path / "r2")])
     for name in ("x.mtx", "history.csv", "summary.json"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["unknown", "dense:1e-6", "lsqrx", "lsqr:"])
+def test_unknown_gdag_exits_1(problem_dir, tmp_path, capsys, value):
+    code = main(
+        [
+            "solve",
+            "--A", str(problem_dir / "A.mtx"),
+            "--b", str(problem_dir / "b.mtx"),
+            "--gdag", value,
+            "--out-dir", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_gdag_values_map_to_strategy_classes():
+    assert _parse_gdag("dense") == ("dense", DensePinvStrategy, {})
+    assert _parse_gdag("cholesky") == ("cholesky", CholeskyStrategy, {})
+    assert _parse_gdag("lsqr") == ("lsqr", InnerLsqrStrategy, {"tau": 1e-12})
+    assert _parse_gdag("lsqr:1e-6") == ("lsqr", InnerLsqrStrategy, {"tau": 1e-6})
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

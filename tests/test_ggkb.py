@@ -8,9 +8,10 @@ from glskit import (
     GlsProblem,
     IndefiniteMatrixError,
     InnerLsqrStrategy,
-    gdag_strategy,
+    NumericalBreakdownError,
     ggkb_init,
     ggkb_step,
+    nullspace_basis,
     projector_range,
 )
 from helpers import krylov_subspace_check, random_gls_problem, random_matrix
@@ -35,11 +36,6 @@ def test_strategies_dispatch_and_validate():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     G = B @ B.T + np.eye(6)
-    assert isinstance(gdag_strategy(G, "dense"), DensePinvStrategy)
-    assert isinstance(gdag_strategy(G, "cholesky"), CholeskyStrategy)
-    assert isinstance(gdag_strategy(G, "lsqr", tau=1e-10), InnerLsqrStrategy)
-    with pytest.raises(ValueError):
-        gdag_strategy(G, "unknown")
     with pytest.raises(ValueError):
         InnerLsqrStrategy(G, tau=0.0)
     # cholesky refuses PSD-singular G
@@ -74,7 +70,7 @@ def test_init_unit_setup():
     prob = identity_problem()
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
     assert state.betas[0] == pytest.approx(1.0)
-    np.testing.assert_allclose(state.U_tilde[:, 0], prob.b, atol=1e-15)
+    np.testing.assert_allclose(state.MU[:, 0], prob.b, atol=1e-15)
     assert state.alphas[0] == pytest.approx(1.0)
     assert not state.terminated
 
@@ -83,6 +79,13 @@ def test_init_terminates_when_projected_b_vanishes():
     # b in the null space of M: P b = 0, the whole problem is trivial.
     M = np.array([[1.0, 0.0, 0.0]])
     prob = GlsProblem(np.eye(3), M, np.eye(3), [0.0, 2.0, -1.0])
+    state = ggkb_init(prob, DensePinvStrategy(prob.G))
+    assert state.terminated and state.k_t == 0
+
+    # a computed null vector of a rank-deficient M: M b is roundoff, not 0
+    prob = random_gls_problem(74, m=8, n=6, p=3, q=7, rank_a=4, rank_m=5)
+    prob = prob.with_b(nullspace_basis(prob.M)[:, 0])
+    assert 0.0 < np.linalg.norm(prob.M @ prob.b) <= 1e-14
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
     assert state.terminated and state.k_t == 0
 
@@ -127,36 +130,36 @@ def test_full_rank_run_structure():
 
 
 def test_matrix_form_relations_hold_each_step():
-    prob = full_rank_problem()
-    strategy = DensePinvStrategy(prob.G)
-    proj_p = projector_range(prob.P)
-    state = ggkb_init(prob, strategy)
-    while not state.terminated and state.k < 6:
-        state = ggkb_step(state, prob, strategy)
-        if state.terminated:
-            break
-        k = state.k - 1
-        B = state.bidiagonal(k)
-        V = state.V[:, :k]
-        U = proj_p @ state.U_tilde[:, : k + 1]
+    singular_m = random_gls_problem(21, m=14, n=10, p=6, q=12, rank_m=10)
+    for prob in (full_rank_problem(), singular_m):
+        strategy = DensePinvStrategy(prob.G)
+        state = ggkb_init(prob, strategy)
+        while not state.terminated and state.k < 6:
+            state = ggkb_step(state, prob, strategy)
+            if state.terminated:
+                break
+            k = state.k - 1
+            B = state.bidiagonal(k)
+            V = state.V[:, :k]
+            U = state.MU[:, : k + 1]
 
-        # projected A maps V_k onto U_{k+1} B_k
-        lhs = proj_p @ prob.A @ V
-        assert np.linalg.norm(lhs - U @ B) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
+            # M A maps V_k onto (M U~_{k+1}) B_k
+            lhs = prob.MA @ V
+            assert np.linalg.norm(lhs - U @ B) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
 
-        # the adjoint map returns V_k B_k' plus the next direction
-        target = strategy.G_pinv @ prob.apply_At_P(state.U_tilde[:, : k + 1])
-        expect = V @ B.T
-        expect[:, -1] += state.alphas[k] * state.V[:, k]
-        assert np.linalg.norm(target - expect) <= 1e-10 * max(np.linalg.norm(target), 1.0)
+            # the adjoint map returns V_k B_k' plus the next direction
+            target = strategy.G_pinv @ prob.MA.T @ U
+            expect = V @ B.T
+            expect[:, -1] += state.alphas[k] * state.V[:, k]
+            assert np.linalg.norm(target - expect) <= 1e-10 * max(np.linalg.norm(target), 1.0)
 
 
 def test_u_vectors_p_orthonormal():
     prob = random_gls_problem(21, m=14, n=10, p=6, q=12, rank_m=10)
     strategy = DensePinvStrategy(prob.G)
     state = run_ggkb(prob, strategy, steps=30)
-    U = state.U_tilde
-    gram = U.T @ prob.P @ U
+    U = state.MU
+    gram = U.T @ U
     assert np.abs(gram - np.eye(U.shape[1])).max() <= 1e-10
 
 
@@ -185,9 +188,9 @@ def test_orthogonality_drift_with_and_without_reorthogonalization():
     strategy = DensePinvStrategy(prob.G)
 
     state = run_ggkb(prob, strategy, steps=50, reorthogonalize=True)
-    V, U = state.V, state.U_tilde
+    V, U = state.V, state.MU
     assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-12
-    assert np.abs(U.T @ prob.P @ U - np.eye(U.shape[1])).max() <= 1e-12
+    assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
 
     state = run_ggkb(prob, strategy, steps=50, reorthogonalize=False)
     V = state.V
@@ -205,9 +208,9 @@ def test_orthonormality_holds_to_krylov_exhaustion():
         )
         state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60)
         assert state.terminated and state.k_t == 20
-        V, U = state.V, state.U_tilde
+        V, U = state.V, state.MU
         assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-12
-        assert np.abs(U.T @ prob.P @ U - np.eye(U.shape[1])).max() <= 1e-12
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
 
 
 def test_step_updates_one_workspace_in_place():
@@ -220,7 +223,7 @@ def test_step_updates_one_workspace_in_place():
         assert state.k == before.shape[1] + 1
         assert np.shares_memory(state.V, before)
         assert np.shares_memory(state.V, state.v.X)
-        assert np.shares_memory(state.U_tilde, state.u.X)
+        assert np.shares_memory(state.MU, state.u.X)
 
 
 @pytest.mark.parametrize("reorthogonalize", [True, False])
@@ -234,7 +237,7 @@ def test_workspace_growth_keeps_the_recurrence(monkeypatch, reorthogonalize):
     assert sized.v.X.shape[1] == min(prob.m, prob.n) + 1
     assert grown.alphas == sized.alphas and grown.betas == sized.betas
     np.testing.assert_array_equal(grown.V, sized.V)
-    np.testing.assert_array_equal(grown.U_tilde, sized.U_tilde)
+    np.testing.assert_array_equal(grown.MU, sized.MU)
 
 
 def _mgs_project_out(basis, x, cx=None):
@@ -300,3 +303,19 @@ def test_inner_cap_latches_into_state():
     strategy = InnerLsqrStrategy(prob.G, tau=1e-14, max_iter=1)
     state = run_ggkb(prob, strategy, steps=3)
     assert state.inner_capped
+
+
+def test_indefinite_g_raises_radicand_breakdown():
+    # G = A'PA + L'L is PSD by construction, so plant an indefinite one:
+    # s'Gs < 0 on its negative eigenvector is a breakdown, never a clamp
+    G = np.diag([1.0, 1.0, -1.0])
+    prob = GlsProblem(np.eye(3), None, None, [0.0, 0.0, 1.0])
+    prob.G = G
+    with pytest.raises(NumericalBreakdownError, match="radicand"):
+        ggkb_init(prob, DensePinvStrategy(G))
+
+    prob = prob.with_b([1.0, 0.0, 0.5])
+    state = ggkb_init(prob, DensePinvStrategy(G))
+    assert not state.terminated and state.alphas[0] > 0.0
+    with pytest.raises(NumericalBreakdownError, match="radicand"):
+        ggkb_step(state, prob, DensePinvStrategy(G))
