@@ -3,7 +3,7 @@
 Download Matrix Market files (for example lp_bnl2, TF15, or ch from the
 SuiteSparse Matrix Collection) into a directory and point this script at
 them. For each matrix it plants a solution with the standard construction,
-solves with an inner-LSQR pinv(G) application, and writes the convergence
+solves with an inner-CG pinv(G) application, and writes the convergence
 history and summary next to the inputs. Nothing is downloaded here.
 
 Usage:  python collection_experiment.py /path/to/mtx/dir [name ...]

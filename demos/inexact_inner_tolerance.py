@@ -1,14 +1,15 @@
 """How inner-solver accuracy caps the outer solution accuracy.
 
 Each bidiagonalization step applies pinv(G). When that application is
-itself an inner LSQR run with relative-residual tolerance tau, the final
-accuracy of the outer iteration lands on the order of tau. The outer
-stopping tolerance is paired with tau, since iterating below the inner
-accuracy only accumulates noise.
+itself an inner conjugate-gradient run with relative-residual tolerance
+tau, the final accuracy of the outer iteration lands on the order of tau.
+The outer stopping tolerance is paired with tau, since iterating below the
+inner accuracy only accumulates noise.
 
-The second half shows the failure mode: on a badly conditioned G the inner
-iteration hits its cap before reaching tau, the run latches a warning flag,
-and certification of the result fails rather than silently returning junk.
+The second half shows the failure mode: on a badly conditioned G, an inner
+iteration cap too small for cond(G) stops the inner solves before they reach
+tau, the run latches a warning flag, and certification of the result fails
+rather than silently returning junk.
 """
 
 import numpy as np
@@ -41,15 +42,17 @@ def main():
     print(f"\nexact pinv(G) for reference: error {err:.3e} "
           f"after {exact.iterations} iterations ({exact.stop_reason})")
 
-    # failure mode: raw Gaussian products give cond(G) in the thousands and
-    # the capped inner iteration cannot actually deliver tau = 1e-8
+    # failure mode: raw Gaussian products give cond(G) in the thousands, and
+    # 20 inner iterations (the default cap is 4n = 160) cannot deliver
+    # tau = 1e-8 there
     rng = np.random.default_rng(61)
     A_hard = rng.standard_normal((30, 24)) @ rng.standard_normal((24, 40))
     gen = gk.generate(A_hard, "l1", "ramp", seed=61)
     prob = gen.problem
-    strategy = gk.InnerLsqrStrategy(prob.G, tau=1e-8)
+    strategy = gk.InnerLsqrStrategy(prob.G, tau=1e-8, max_iter=20)
     report = gk.glsqr_solve(prob, strategy, tol=1e-8, max_iter=300)
-    print(f"\nhard problem (cond(G) = {np.linalg.cond(prob.G):.0f}) with tau = 1e-8:")
+    print(f"\nhard problem (cond(G) = {np.linalg.cond(prob.G):.0f}) with tau = 1e-8"
+          " and an inner cap of 20:")
     print(f"  inner iteration capped: {report.state.inner_capped}")
     print(f"  result certified:       {gk.certify_solution(prob, report)}")
     print("  -> raise the inner cap or loosen tau when the flag is set")

@@ -13,10 +13,11 @@ Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 
 Every step applies the pseudoinverse of G = A'PA + L'L once; how that
 application is carried out is pluggable (dense pseudoinverse, Cholesky
-solve, or an inner LSQR run with its own tolerance). A strategy provides
-``apply(rhs)``, pinv(G) rhs or an approximation of it; ``relative_noise``,
-the relative accuracy it delivers; and ``hit_cap``, True once an inner
-iteration has run out of steps.
+solve, or an inner conjugate-gradient run with its own tolerance). A
+strategy provides ``apply(rhs)``, pinv(G) rhs or an approximation of it;
+``relative_noise``, the relative accuracy it delivers; and ``hit_cap``,
+True once an inner iteration has ended unconverged (out of steps, or on a
+curvature breakdown).
 
 The bases V with G V, and M U~, live in one workspace per side (``Basis``)
 that ``ggkb_step`` extends in place. Reorthogonalization is two block
@@ -85,10 +86,13 @@ class CholeskyStrategy:
 
 
 class InnerLsqrStrategy:
-    """Approximate pinv(G) rhs by an inner LSQR run on min ||G s - rhs||.
+    """Approximate pinv(G) rhs by inner conjugate gradients on G s = rhs.
 
-    ``tau`` is the inner relative-residual tolerance; it caps the accuracy
-    of everything built on top. Hitting the inner iteration cap latches
+    Every caller hands it ``rhs = (MA)' u_bar``, in R(G), so CG from zero
+    returns the minimum-norm solution. ``tau`` is the inner
+    relative-residual tolerance, ``||G s - rhs|| <= tau ||rhs||``; it caps
+    the accuracy of everything built on top. An inner solve that ends
+    unconverged, at the iteration cap or on a curvature breakdown, latches
     ``hit_cap`` instead of raising.
     """
 

@@ -3,7 +3,10 @@
 All routines operate on float64 numpy arrays (scipy sparse inputs are
 densified on entry). Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
-documents its cutoff.
+documents its cutoff. The one iterative kernel, :func:`lsqr`, solves a
+symmetric positive semidefinite system by conjugate gradients and needs the
+operator only as a product, so it takes sparse matrices and callables as
+they are.
 """
 
 from __future__ import annotations
@@ -221,14 +224,16 @@ class LsqrResult:
 
 
 def lsqr(G, rhs, tau=1e-12, max_iter=None):
-    """LSQR for ``min ||G s - rhs||_2`` with a symmetric operator G.
+    """Conjugate gradients for ``G s = rhs``, G symmetric positive semidefinite.
 
-    ``G`` may be a dense array, a scipy sparse matrix, or a callable
-    implementing the matrix-vector product. Iteration starts from zero (so
-    the result is the minimum 2-norm solution for consistent systems) and
-    stops once the recursively estimated relative residual drops to ``tau``.
-    Hitting ``max_iter`` is reported through the ``converged`` flag, not an
-    error.
+    Precondition: ``rhs`` lies in R(G). ``G`` may be a dense array, a scipy
+    sparse matrix, or a callable implementing the matrix-vector product.
+    Iteration starts from zero, so the iterates stay in R(G) and the result
+    is the minimum 2-norm solution. It stops once the recursive residual
+    satisfies ``||r_k|| <= tau ||rhs||``; the rate is set by cond(G)^(1/2)
+    (the Krylov space of G, not of G^2). Hitting ``max_iter``, or a
+    curvature ``d'Gd <= 0`` (G not positive definite on the search
+    direction), is reported through ``converged=False``, not an error.
     """
     rhs = as_vector(rhs, name="rhs")
     matvec = G if callable(G) else (lambda v, _G=G: _G @ v)
@@ -240,56 +245,34 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
     beta1 = float(np.linalg.norm(rhs))
     if beta1 == 0.0:
         return LsqrResult(x=x, iterations=0, converged=True, relative_residual=0.0)
-    u = rhs / beta1
-    v_raw = np.asarray(matvec(u), dtype=np.float64)
-    alpha = float(np.linalg.norm(v_raw))
-    if alpha == 0.0:
-        # rhs is orthogonal to the range; zero minimizes the residual
-        return LsqrResult(x=x, iterations=0, converged=True, relative_residual=1.0)
-    v = v_raw / alpha
-    w = v.copy()
-    phi_bar = beta1
-    rho_bar = alpha
+    r = rhs.copy()
+    d = rhs.copy()
+    rr = beta1 * beta1
+    stop = (tau * beta1) ** 2
 
     iterations = 0
-    relres = 1.0
     converged = False
-    for it in range(1, max_iter + 1):
-        r_u = np.asarray(matvec(v), dtype=np.float64) - alpha * u
-        beta = float(np.linalg.norm(r_u))
-        if beta > 0.0:
-            u = r_u / beta
-            r_v = np.asarray(matvec(u), dtype=np.float64) - beta * v
-            alpha_next = float(np.linalg.norm(r_v))
-            if alpha_next > 0.0:
-                v = r_v / alpha_next
-        else:
-            alpha_next = 0.0
-
-        rho = math.hypot(rho_bar, beta)
-        c = rho_bar / rho
-        s = beta / rho
-        theta = s * alpha_next
-        phi = c * phi_bar
-        phi_bar = s * phi_bar
-        x = x + (phi / rho) * w
-        iterations = it
-        relres = phi_bar / beta1
-
-        if relres <= tau:
+    while iterations < max_iter:
+        iterations += 1
+        gd = np.asarray(matvec(d), dtype=np.float64)
+        curvature = float(d @ gd)
+        if not curvature > 0.0:
+            break
+        a = rr / curvature
+        x += a * d
+        r -= a * gd
+        rr_old, rr = rr, float(r @ r)
+        if rr <= stop:
             converged = True
             break
-        if beta == 0.0 or alpha_next == 0.0:
-            # Krylov space exhausted; the current iterate is exact
-            converged = True
-            break
-        w = v - (theta / rho) * w
-        rho_bar = -c * alpha_next
-        alpha = alpha_next
+        d *= rr / rr_old
+        d += r
 
-    if not converged:
-        # after stagnation the recurrence residual under-reports; callers
-        # that hit the cap get the directly evaluated value
+    if converged:
+        relres = math.sqrt(rr) / beta1
+    else:
+        # after stagnation the recursive residual under-reports; callers
+        # that stop unconverged get the directly evaluated value
         relres = float(np.linalg.norm(np.asarray(matvec(x)) - rhs)) / beta1
 
     return LsqrResult(x=x, iterations=iterations, converged=converged, relative_residual=relres)

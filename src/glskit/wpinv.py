@@ -101,7 +101,8 @@ class GlsProblem:
     array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix, Q = 0).
     ``MA = M A`` is formed once and every product with A'P reads it, as
     A'P u = (MA)'(M u); the Gram matrices are symmetrized once at
-    construction. Instances are treated as immutable.
+    construction, except ``P``, which only the checks and ``p_norm`` read
+    and which is formed on first use. Instances are treated as immutable.
     ``factors`` is the problem's :class:`FactorStore`: every route and check
     derives its pseudoinverses, projectors and null spaces from it, so each
     matrix is factored at most once per problem.
@@ -118,13 +119,7 @@ class GlsProblem:
             raise ValueError(f"L must have {n} columns, got {self.L.shape[1]}")
         self.b = as_vector(b, m, "b") if b is not None else None
 
-        if self.M is None:
-            self.P = np.eye(m)
-            self.MA = self.A
-        else:
-            P = self.M.T @ self.M
-            self.P = 0.5 * (P + P.T)
-            self.MA = self.M @ self.A
+        self.MA = self.A if self.M is None else self.M @ self.A
         ApA = self.MA.T @ self.MA
         self.ApA = 0.5 * (ApA + ApA.T)
         Q = self.L.T @ self.L
@@ -168,8 +163,17 @@ class GlsProblem:
         return float(np.linalg.norm(self.G))
 
     @cached_property
+    def P(self):
+        """The weight M'M, symmetrized; I_m when M is None."""
+        if self.M is None:
+            return np.eye(self.m)
+        P = self.M.T @ self.M
+        return 0.5 * (P + P.T)
+
+    @cached_property
     def p_norm(self):
-        return float(np.linalg.norm(self.P))
+        """Frobenius norm of P, without forming I_m when M is None."""
+        return math.sqrt(self.m) if self.M is None else float(np.linalg.norm(self.P))
 
 
 def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from glskit import (
     IndefiniteMatrixError,
+    InnerLsqrStrategy,
     RankTolerance,
     cholesky_spd,
     lsqr,
@@ -185,6 +186,31 @@ def test_lsqr_accepts_callables_and_caps():
     res = lsqr(lambda v: G @ v, rhs, tau=1e-14, max_iter=2)
     assert res.iterations == 2
     assert not res.converged  # cap reached is a status, not an error
+
+
+def test_lsqr_converges_at_the_cg_rate():
+    # conjugate gradients on G converge at a rate set by cond(G)^(1/2): the
+    # textbook bound sqrt(k) ln(2 sqrt(k) / tau) is ~260 iterations here,
+    # and a solve on the Krylov space of G^2 needs several times that
+    rng = np.random.default_rng(7)
+    kappa, tau = 100.0, 1e-10
+    G = spd_matrix(rng, 400, cond=kappa)
+    rhs = rng.standard_normal(400)
+    res = lsqr(G, rhs, tau=tau)
+    assert res.converged
+    assert res.iterations <= math.sqrt(kappa) * math.log(2 * math.sqrt(kappa) / tau)
+    assert np.linalg.norm(G @ res.x - rhs) <= 2 * tau * np.linalg.norm(rhs)
+
+
+def test_lsqr_curvature_breakdown_is_reported():
+    # d'Gd = -1 on the first search direction: G is not PSD, and the solve
+    # stops unconverged, never claiming convergence; the strategy latches it
+    G = np.diag([1.0, 1.0, -1.0])
+    e3 = np.array([0.0, 0.0, 1.0])
+    assert not lsqr(G, e3).converged
+    strategy = InnerLsqrStrategy(G)
+    strategy.apply(e3)
+    assert strategy.hit_cap
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -24,6 +27,22 @@ def hand_problem(b=2.0):
     # One equation, two unknowns: least squares set is x1 + x2 = b, and
     # minimizing |x1 - x2| forces x1 = x2 = b / 2.
     return GlsProblem([[1.0, 1.0]], None, [[1.0, -1.0]], [b])
+
+
+def test_identity_weight_forms_no_m_by_m_matrix():
+    # M = None means P = I_m, which only the checks read: a tall problem
+    # does not pay m^2 memory for it at construction
+    A = np.random.default_rng(0).standard_normal((3000, 20))
+    b = np.ones(3000)
+    tracemalloc.start()
+    try:
+        prob = GlsProblem(A, None, np.eye(20), b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert prob.p_norm == pytest.approx(math.sqrt(3000), rel=1e-15)
+    assert prob.p_norm == pytest.approx(np.linalg.norm(prob.P), rel=1e-15)
 
 
 def test_elden_reduces_to_pinv_for_trivial_regularizers():
