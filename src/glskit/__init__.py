@@ -19,9 +19,7 @@ from .linalg import (
     SvdFactors,
     cholesky_spd,
     lsqr,
-    nullspace_basis,
     pinv,
-    projector_range,
     svd,
 )
 from .gsvd import (

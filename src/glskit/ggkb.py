@@ -58,8 +58,8 @@ class NumericalBreakdownError(RuntimeError):
 class DensePinvStrategy:
     """Apply pinv(G) through an explicitly formed dense pseudoinverse."""
 
-    def __init__(self, G, tol=None):
-        f = svd(as_matrix(G, "G"), tol)
+    def __init__(self, G):
+        f = svd(as_matrix(G, "G"))
         self.G_pinv = f.pinv()
         r = f.rank
         kappa = f.singular_values[0] / f.singular_values[r - 1] if r else 1.0
@@ -91,17 +91,19 @@ class InnerLsqrStrategy:
     Every caller hands it ``rhs = (MA)' u_bar``, in R(G), so CG from zero
     returns the minimum-norm solution. ``tau`` is the inner
     relative-residual tolerance, ``||G s - rhs|| <= tau ||rhs||``; it caps
-    the accuracy of everything built on top. An inner solve that ends
-    unconverged, at the iteration cap or on a curvature breakdown, latches
-    ``hit_cap`` instead of raising.
+    the accuracy of everything built on top. ``G`` is kept as given (dense,
+    scipy sparse, or a callable for the product), since CG reads it only
+    through products; ``max_iter`` defaults to the ``4n`` cap of
+    :func:`lsqr`. An inner solve that ends unconverged, at the iteration cap
+    or on a curvature breakdown, latches ``hit_cap`` instead of raising.
     """
 
     def __init__(self, G, tau=1e-12, max_iter=None):
         if not tau > 0:
             raise ValueError("tau must be positive")
-        self.G = np.asarray(G, dtype=np.float64)
+        self.G = G
         self.tau = float(tau)
-        self.max_iter = int(max_iter) if max_iter is not None else 4 * self.G.shape[0]
+        self.max_iter = max_iter
         self.hit_cap = False
         self._worst_achieved = 0.0
 
@@ -265,7 +267,9 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     """First bidiagonalization vectors from b; may terminate immediately.
 
     If M b vanishes (b in the null space of M) the state terminates with
-    k_t = 0 and the downstream solution is zero.
+    k_t = 0 and the downstream solution is zero. "Vanishes" means
+    ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
+    is None), the roundoff floor of the product M b.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
@@ -280,7 +284,8 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
         terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0),
         reorthogonalize=reorthogonalize,
     )
-    init_scale = math.sqrt(prob.p_norm) * float(np.linalg.norm(prob.b))
+    norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
+    init_scale = norm_m * float(np.linalg.norm(prob.b))
     if beta1 <= BREAKDOWN_REL * init_scale:
         return state
 

@@ -170,7 +170,6 @@ def glsqr_solve(
     tol=1e-10,
     max_iter=None,
     debug=False,
-    reorthogonalize=True,
 ) -> SolveReport:
     """Iteratively compute the minimum 2-norm GLS solution A_ML^+ b.
 
@@ -199,7 +198,7 @@ def glsqr_solve(
         max_iter = 2 * min(prob.m, prob.n)
     max_iter = max(int(max_iter), 1)
 
-    state = ggkb_init(prob, strategy, reorthogonalize=reorthogonalize)
+    state = ggkb_init(prob, strategy)
     beta1 = state.betas[0] if state.betas else 0.0
 
     if state.terminated:

@@ -206,8 +206,8 @@ def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
     XS[:, : f.q1] = part.X1
     if f.q2:
         XS[:, f.q1 : f.q1 + f.q2] = part.X2 / cq2[None, :]
-    projector = f.range_basis @ f.range_basis.T
-    return projector @ XS @ f.U_A.T
+    W = f.range_basis
+    return W @ ((W.T @ XS) @ f.U_A.T)
 
 
 def save_factors(f: GsvdFactors, directory):

@@ -3,10 +3,12 @@
 All routines operate on float64 numpy arrays (scipy sparse inputs are
 densified on entry). Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
-documents its cutoff. The one iterative kernel, :func:`lsqr`, solves a
-symmetric positive semidefinite system by conjugate gradients and needs the
-operator only as a product, so it takes sparse matrices and callables as
-they are.
+documents its cutoff. Pseudoinverses and null-space bases are read off one
+:class:`SvdFactors`; no projector is formed here, its users apply the
+singular vectors as products. The one iterative kernel, :func:`lsqr`,
+solves a symmetric positive semidefinite system by conjugate gradients and
+needs the operator only as a product, so it takes sparse matrices and
+callables as they are.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ __all__ = [
     "svd",
     "pinv",
     "cholesky_spd",
-    "projector_range",
-    "nullspace_basis",
     "lsqr",
 ]
 
@@ -133,12 +133,6 @@ class SvdFactors:
         r = self.rank
         return (self.V[:, :r] / self.singular_values[:r]) @ self.U[:, :r].T
 
-    def range_projector(self):
-        """Orthogonal projector onto the column space of A."""
-        Ur = self.U[:, : self.rank]
-        P = Ur @ Ur.T
-        return 0.5 * (P + P.T)
-
     def nullspace(self):
         """Orthonormal basis of the null space of A, an n x (n - rank) view of V."""
         return self.V[:, self.rank :]
@@ -203,16 +197,6 @@ def cholesky_spd(G, pivot_tol=1e-14):
             f"nonpositive pivot {pivots[j]:.3e} at column {j}", pivot=float(pivots[j]), index=j
         )
     return C
-
-
-def projector_range(A, tol=None):
-    """Orthogonal projector onto the column space of A."""
-    return svd(A, tol).range_projector()
-
-
-def nullspace_basis(A, tol=None):
-    """Orthonormal basis of the null space of A, an n x (n - rank) matrix."""
-    return svd(A, tol).nullspace()
 
 
 @dataclass

@@ -129,7 +129,9 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     x_true = w - N @ (base.factors.ln.pinv() @ (base.L @ w))
 
     z = rng.standard_normal(m)
-    z = z - base.factors.ma.range_projector() @ z
+    ma = base.factors.ma
+    U_r = ma.U[:, : ma.rank]
+    z = z - U_r @ (U_r.T @ z)
     b = A @ x_true + z
 
     prob = base.with_b(b)

@@ -95,17 +95,17 @@ class FactorStore:
 
 
 class GlsProblem:
-    """Problem data (A, M, L, b) with the derived matrices cached.
+    """Problem data (A, M, L, b) with the two derived matrices ``MA`` and ``G``.
 
     ``M=None`` means the identity weight (P = I); ``MA`` is then the same
-    array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix, Q = 0).
+    array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix).
     ``MA = M A`` is formed once and every product with A'P reads it, as
-    A'P u = (MA)'(M u); the Gram matrices are symmetrized once at
-    construction, except ``P``, which only the checks and ``p_norm`` read
-    and which is formed on first use. Instances are treated as immutable.
-    ``factors`` is the problem's :class:`FactorStore`: every route and check
-    derives its pseudoinverses, projectors and null spaces from it, so each
-    matrix is factored at most once per problem.
+    A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is symmetrized once at
+    construction. No other Gram matrix or projector is stored: P = M'M,
+    A'PA and L'L are applied as products where they are read. Instances are
+    treated as immutable. ``factors`` is the problem's :class:`FactorStore`:
+    every route and check derives its pseudoinverses and null spaces from
+    it, so each matrix is factored at most once per problem.
     """
 
     def __init__(self, A, M=None, L=None, b=None):
@@ -120,11 +120,8 @@ class GlsProblem:
         self.b = as_vector(b, m, "b") if b is not None else None
 
         self.MA = self.A if self.M is None else self.M @ self.A
-        ApA = self.MA.T @ self.MA
-        self.ApA = 0.5 * (ApA + ApA.T)
-        Q = self.L.T @ self.L
-        self.Q = 0.5 * (Q + Q.T)
-        self.G = 0.5 * ((self.ApA + self.Q) + (self.ApA + self.Q).T)
+        G = self.MA.T @ self.MA + self.L.T @ self.L
+        self.G = 0.5 * (G + G.T)
         self.factors = FactorStore(self.A, self.M, self.MA, self.L, self.G)
 
     @property
@@ -162,19 +159,6 @@ class GlsProblem:
     def g_norm(self):
         return float(np.linalg.norm(self.G))
 
-    @cached_property
-    def P(self):
-        """The weight M'M, symmetrized; I_m when M is None."""
-        if self.M is None:
-            return np.eye(self.m)
-        P = self.M.T @ self.M
-        return 0.5 * (P + P.T)
-
-    @cached_property
-    def p_norm(self):
-        """Frobenius norm of P, without forming I_m when M is None."""
-        return math.sqrt(self.m) if self.M is None else float(np.linalg.norm(self.P))
-
 
 def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     """Direct weighted pseudoinverse
@@ -186,12 +170,14 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     equals ``N @ pinv(L @ N)`` exactly; the latter form is used because the
     explicit product L @ P_null carries roundoff of size eps * ||L|| that a
     rank cutoff relative to its own (possibly tiny) top singular value would
-    mistake for signal.
+    mistake for signal. The projector ``I - N pinv(L N) L`` is applied to
+    pinv(M A) as products, never formed.
     """
     ma = prob.factors.ma_ranked if tol is None else prob.factors.ma.ranked(tol)
     N = ma.nullspace()
     pinv_ln = prob.factors.ln.pinv() if tol is None else pinv(prob.L @ N, tol)
-    X = (np.eye(prob.n) - N @ pinv_ln @ prob.L) @ ma.pinv()
+    X = ma.pinv()
+    X = X - N @ (pinv_ln @ (prob.L @ X))
     if prob.M is not None:
         X = X @ prob.M
     return X
@@ -220,7 +206,7 @@ def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    core = pinv(prob.ApA + delta * prob.G, tol)
+    core = pinv(prob.MA.T @ prob.MA + delta * prob.G, tol)
     AtP = prob.A.T if prob.M is None else prob.MA.T @ prob.M
     return core @ AtP
 
@@ -292,7 +278,8 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
         5.  X pinv(M) M = X
 
     Residuals are Frobenius norms normalized by the scale of the left-hand
-    side (0/0 counts as a pass).
+    side (0/0 counts as a pass). P A X is evaluated as M'(MA X), and the
+    informational L'L X A as L'(L XA), so neither P nor L'L is formed.
     """
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
@@ -304,9 +291,10 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     r1 = _rel(norm(X @ A @ X - X), norm(X))
 
     MA = prob.MA
-    r2 = _rel(norm(MA @ X @ A - MA), norm(MA))
+    MAX = MA @ X
+    r2 = _rel(norm(MAX @ A - MA), norm(MA))
 
-    PAX = A @ X if prob.M is None else prob.P @ (A @ X)
+    PAX = MAX if prob.M is None else prob.M.T @ MAX
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
 
     r4 = _rel(norm((prob.G @ X @ A @ prob.factors.g.pinv()).T - XA), norm(XA))
@@ -316,8 +304,8 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     else:
         r5 = _rel(norm(X @ prob.factors.m.pinv() @ prob.M - X), norm(X))
 
-    QXA = prob.Q @ XA
-    info = _rel(norm(QXA.T - QXA), norm(QXA))
+    LLXA = prob.L.T @ (prob.L @ XA)
+    info = _rel(norm(LLXA.T - LLXA), norm(LLXA))
 
     residuals = (r1, r2, r3, r4, r5)
     return MpeReport(

@@ -1,11 +1,9 @@
 """Shared constructors for seeded test problems, and test oracles."""
 
-import math
-
 import numpy as np
 from scipy.linalg import orth, subspace_angles
 
-from glskit import BidiagState, GlsProblem, pinv
+from glskit import BidiagState, GlsProblem, pinv, svd
 
 
 def orthogonal(rng, n):
@@ -120,8 +118,21 @@ def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float
 
 
 def seminorm_p(prob: GlsProblem, u) -> float:
-    """The P-seminorm (u' P u)^(1/2) of a data-space vector."""
-    return math.sqrt(max(float(u @ (prob.P @ u)), 0.0))
+    """The P-seminorm (u' P u)^(1/2) = ||M u|| of a data-space vector."""
+    return float(np.linalg.norm(prob.mult_M(u)))
+
+
+def projector_range(A, tol=None):
+    """Orthogonal projector onto the column space of A, symmetrized."""
+    f = svd(A, tol)
+    Ur = f.U[:, : f.rank]
+    P = Ur @ Ur.T
+    return 0.5 * (P + P.T)
+
+
+def nullspace_basis(A, tol=None):
+    """Orthonormal basis of the null space of A, an n x (n - rank) matrix."""
+    return svd(A, tol).nullspace()
 
 
 def reconstruct(f) -> np.ndarray:

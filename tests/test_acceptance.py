@@ -201,7 +201,7 @@ def test_criterion_6_ggkb_structural_invariants():
             if st.terminated:
                 break
             st = ggkb_step(st, p2, DensePinvStrategy(p2.G))
-        rank_bound = min(np.linalg.matrix_rank(p2.G), np.linalg.matrix_rank(p2.P))
+        rank_bound = min(np.linalg.matrix_rank(p2.G), p2.m)  # M = I, so rank P = m
         bound_ok = bound_ok and st.terminated and st.k_t <= rank_bound
     assert bound_ok
     print(f"\n[criterion 6] PASS gGKB invariants: drift G {drift_v:.2e} / P {drift_u:.2e} "

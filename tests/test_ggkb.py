@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import glskit.ggkb as ggkb_module
 from glskit import (
@@ -11,10 +12,14 @@ from glskit import (
     NumericalBreakdownError,
     ggkb_init,
     ggkb_step,
+)
+from helpers import (
+    krylov_subspace_check,
     nullspace_basis,
     projector_range,
+    random_gls_problem,
+    random_matrix,
 )
-from helpers import krylov_subspace_check, random_gls_problem, random_matrix
 
 
 def run_ggkb(prob, strategy, steps, reorthogonalize=True):
@@ -66,6 +71,22 @@ def test_strategies_agree_on_spd_solve():
     assert np.linalg.norm(dense - inner) <= 1e-10 * np.linalg.norm(dense)
 
 
+def test_inner_strategy_takes_g_as_a_product():
+    # CG reads G only through products, so sparse and callable G give the
+    # dense result, and max_iter caps all three alike
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((8, 8))
+    G = B @ B.T + np.eye(8)
+    rhs = rng.standard_normal(8)
+    dense = InnerLsqrStrategy(G, tau=1e-14).apply(rhs)
+    for form in (scipy.sparse.csr_array(G), lambda v: G @ v):
+        x = InnerLsqrStrategy(form, tau=1e-14).apply(rhs)
+        np.testing.assert_allclose(x, dense, rtol=1e-12)
+        capped = InnerLsqrStrategy(form, tau=1e-14, max_iter=2)
+        capped.apply(rhs)
+        assert capped.hit_cap
+
+
 def test_init_unit_setup():
     prob = identity_problem()
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
@@ -93,7 +114,8 @@ def test_init_terminates_when_projected_b_vanishes():
 def test_init_beta1_matches_direct_formula():
     prob = random_gls_problem(10, m=10, n=8, p=5, q=9)
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
-    expected = float(np.sqrt(prob.b @ prob.P @ prob.b))
+    P = prob.M.T @ prob.M
+    expected = float(np.sqrt(prob.b @ P @ prob.b))
     assert abs(state.betas[0] - expected) <= 1e-14 * expected
 
 
@@ -179,7 +201,7 @@ def test_termination_bound_and_rank():
         state = run_ggkb(prob, strategy, steps=40)
         assert state.terminated
         rank_g = np.linalg.matrix_rank(prob.G)
-        rank_p = np.linalg.matrix_rank(prob.P)
+        rank_p = prob.m  # M = I, so P = I_m
         assert state.k_t <= min(rank_g, rank_p)
 
 

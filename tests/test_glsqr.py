@@ -12,11 +12,16 @@ from glskit import (
     generate,
     glsqr_solve,
     operator_norm,
-    projector_range,
     save_history,
     wpinv_elden,
 )
-from helpers import prescribed_gsvd_pair, random_gls_problem, random_matrix, seminorm_p
+from helpers import (
+    prescribed_gsvd_pair,
+    projector_range,
+    random_gls_problem,
+    random_matrix,
+    seminorm_p,
+)
 
 
 def planted_problem(seed=50, m=40, n=50, rank=30, kind="l1", func="ramp"):
@@ -108,7 +113,8 @@ def test_operator_norm_power_handles_general_m():
     assert est.source == "power_iteration"
     # oracle: largest generalized singular value of the pair {sqrt(P) A-ish}
     # computed densely from the operator pinv(G) A'PA restricted to R(G)
-    T = np.linalg.pinv(prob.G) @ prob.ApA
+    MA = prob.M @ prob.A
+    T = np.linalg.pinv(prob.G) @ (MA.T @ MA)
     eigs = np.linalg.eigvals(T)
     expected = math.sqrt(max(abs(eigs)))
     assert abs(est.value - expected) <= 1e-6 * expected

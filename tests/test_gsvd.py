@@ -8,12 +8,11 @@ from glskit import (
     gsvd_pair,
     partition_x,
     pinv,
-    projector_range,
     sigma_max_ca,
     wpinv_elden,
     wpinv_via_gsvd,
 )
-from helpers import random_matrix
+from helpers import projector_range, random_matrix
 
 
 def check_factors(A, L, f, rtol=1e-10):

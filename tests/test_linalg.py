@@ -9,12 +9,10 @@ from glskit import (
     RankTolerance,
     cholesky_spd,
     lsqr,
-    nullspace_basis,
     pinv,
-    projector_range,
     svd,
 )
-from helpers import orthogonal, reconstruct, spd_matrix
+from helpers import nullspace_basis, orthogonal, projector_range, reconstruct, spd_matrix
 
 
 def test_svd_identity():

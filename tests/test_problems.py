@@ -9,8 +9,6 @@ from glskit import (
     load_problem,
     make_l1,
     make_l2,
-    nullspace_basis,
-    projector_range,
     sample_function,
     random_sparse_matrix,
     regularizer,
@@ -18,7 +16,7 @@ from glskit import (
     wpinv_elden,
 )
 from glskit.wpinv import check_gls_criterion
-from helpers import random_matrix
+from helpers import nullspace_basis, projector_range, random_matrix
 
 
 def test_l1_stencil():

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from glskit import (
     check_gmpe,
     glsqr_solve,
     gsvd_pair,
-    nullspace_basis,
     pinv,
     wpinv_apply,
     wpinv_elden,
@@ -20,7 +18,7 @@ from glskit import (
     wpinv_via_gsvd,
 )
 from glskit.problems import generate
-from helpers import random_gls_problem, random_matrix
+from helpers import nullspace_basis, random_gls_problem, random_matrix
 
 
 def hand_problem(b=2.0):
@@ -29,20 +27,23 @@ def hand_problem(b=2.0):
     return GlsProblem([[1.0, 1.0]], None, [[1.0, -1.0]], [b])
 
 
-def test_identity_weight_forms_no_m_by_m_matrix():
-    # M = None means P = I_m, which only the checks read: a tall problem
-    # does not pay m^2 memory for it at construction
-    A = np.random.default_rng(0).standard_normal((3000, 20))
+@pytest.mark.parametrize("q", [None, 40], ids=["identity", "weighted"])
+def test_identity_weight_forms_no_m_by_m_matrix(q):
+    # P = M'M (I_m when M = None) is never formed: a tall problem does not
+    # pay m^2 memory for it, neither at construction nor in a gLSQR solve
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((3000, 20))
+    M = rng.standard_normal((q, 3000)) if q is not None else None
     b = np.ones(3000)
     tracemalloc.start()
     try:
-        prob = GlsProblem(A, None, np.eye(20), b)
+        prob = GlsProblem(A, M, np.eye(20), b)
+        report = glsqr_solve(prob)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert prob.p_norm == pytest.approx(math.sqrt(3000), rel=1e-15)
-    assert prob.p_norm == pytest.approx(np.linalg.norm(prob.P), rel=1e-15)
+    assert report.iterations > 0
 
 
 def test_elden_reduces_to_pinv_for_trivial_regularizers():
@@ -76,13 +77,14 @@ def test_limit_approaches_hand_value():
 
 
 def test_limit_g_and_q_forms_are_equivalent():
-    # A'PA + delta G = (1 + delta) (A'PA + delta/(1+delta) Q), so the two
+    # A'PA + delta G = (1 + delta) (A'PA + delta/(1+delta) L'L), so the two
     # regularized formulas agree after the (1 + delta) rescaling.
-    prob = random_gls_problem(123, m=5, n=4, p=3)
+    prob = random_gls_problem(123, m=5, n=4, p=3)  # M = I, so P = I
+    A, L = prob.A, prob.L
     delta = 1e-4
     lhs = wpinv_limit(prob, delta)
-    core = pinv(prob.ApA + (delta / (1 + delta)) * prob.Q)
-    rhs = core @ prob.A.T @ prob.P / (1 + delta)
+    core = pinv(A.T @ A + (delta / (1 + delta)) * (L.T @ L))
+    rhs = core @ A.T / (1 + delta)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
 
