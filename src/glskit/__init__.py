@@ -51,13 +51,11 @@ from .ggkb import (
     ggkb_step,
 )
 from .glsqr import (
-    GivensState,
     OperatorNormEstimate,
     SolveReport,
     certify_solution,
     glsqr_solve,
     operator_norm,
-    residual_estimate,
     save_history,
 )
 from .problems import (

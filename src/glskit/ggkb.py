@@ -203,8 +203,6 @@ class BidiagState:
     once the workspace grows.
     """
 
-    m: int
-    n: int
     alphas: list
     betas: list
     v: Basis
@@ -279,7 +277,7 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
-        m=prob.m, n=prob.n, alphas=[0.0], betas=[beta1],
+        alphas=[0.0], betas=[beta1],
         v=Basis.empty(prob.n, limit), u=Basis.empty(prob.q, limit, euclidean=True),
         terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0),
         reorthogonalize=reorthogonalize,

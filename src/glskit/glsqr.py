@@ -1,16 +1,15 @@
 """gLSQR: the LSQR iteration built on generalized Golub-Kahan bidiagonalization.
 
 At step k the iterate x_k minimizes the 2-norm of the weighted residual
-M (A x - b) over the Krylov space span{v_1..v_k}, updated recursively
-through a Givens QR factorization of the growing bidiagonal matrix. The
-quantity
-
-    alpha_{k+1} * beta_{k+1} * |e_k' y_k|
-
-equals the G-seminorm of the transformed residual and, scaled by
-beta_1 = ||M b|| and by sigma_max(B_k), the Lanczos estimate of the operator
-norm, drives the stopping rule. If the bidiagonalization terminates, the
-iterate at the termination step is the exact minimum 2-norm solution.
+M (A x - b) over the Krylov space span{v_1..v_k}. One loop runs the LSQR
+recurrence of Paige and Saunders on the gGKB coefficients: each step
+extends the bidiagonalization, applies one Givens rotation to the growing
+bidiagonal matrix B_k, updates x_k, and makes one exit test. The stopping
+quantity is the G-seminorm of the transformed residual (see
+:func:`glsqr_solve`), scaled by beta_1 = ||M b|| and by sigma_max(B_k), the
+Lanczos estimate of the operator norm. If the bidiagonalization
+terminates, the iterate at the termination step is the exact minimum
+2-norm solution.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from .gsvd import gsvd_pair, sigma_max_ca
 from .wpinv import GlsProblem, check_gls_criterion
 
 __all__ = [
-    "GivensState",
     "SolveReport",
     "OperatorNormEstimate",
-    "residual_estimate",
     "operator_norm",
     "glsqr_solve",
     "certify_solution",
@@ -41,18 +38,6 @@ __all__ = [
 _TINY = float(np.finfo(np.float64).tiny)
 
 logger = logging.getLogger("glskit")
-
-
-@dataclass
-class GivensState:
-    """Running quantities of the Givens QR recurrence."""
-
-    rho_bar: float
-    phi_bar: float
-    w: np.ndarray
-    x: np.ndarray
-    last_phi: float = 0.0
-    last_rho: float = math.inf
 
 
 @dataclass
@@ -90,17 +75,6 @@ class SolveReport:
     norm_estimate: OperatorNormEstimate
     beta1: float
     state: BidiagState
-
-
-def residual_estimate(state: BidiagState, givens: GivensState) -> float:
-    """alpha_{k+1} * beta_{k+1} * |e_k' y_k| without forming y_k.
-
-    Back substitution in the Givens QR factorization gives
-    ``e_k' y_k = phi_k / rho_k``.
-    """
-    if not math.isfinite(givens.last_rho) or givens.last_rho == 0.0:
-        return 0.0
-    return state.alphas[-1] * state.betas[-1] * abs(givens.last_phi) / givens.last_rho
 
 
 def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> OperatorNormEstimate:
@@ -152,7 +126,10 @@ def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> Ope
 
 def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     """sigma_max(B_k) from the tridiagonal B_k'B_k; B_k is a leading block of
-    B_{k+1}, so it never decreases with k nor exceeds the operator norm."""
+    B_{k+1}, so it never decreases with k nor exceeds the operator norm.
+    B_0 is empty, with norm 0."""
+    if k == 0:
+        return 0.0
     a, b = np.array(state.alphas[:k]), np.array(state.betas[1 : k + 1])
     d, e = a * a + b * b, a[1:] * b[:-1]
     top = eigvalsh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
@@ -172,6 +149,14 @@ def glsqr_solve(
     debug=False,
 ) -> SolveReport:
     """Iteratively compute the minimum 2-norm GLS solution A_ML^+ b.
+
+    Each step extends the bidiagonalization by one ``ggkb_step``, rotates
+    the new column of B_k, and updates x_k unless that column is
+    numerically zero (then x_{k-1} stands and the estimate is 0). The loop
+    exits at the first of: the bidiagonalization terminated
+    (``ggkb_terminated``, also before any step when M b vanishes, with
+    x = 0), the normalized residual estimate at or below ``tol``
+    (``tolerance_met``), or ``max_iter`` steps (``max_iter``).
 
     Parameters
     ----------
@@ -199,35 +184,24 @@ def glsqr_solve(
     max_iter = max(int(max_iter), 1)
 
     state = ggkb_init(prob, strategy)
-    beta1 = state.betas[0] if state.betas else 0.0
-
-    if state.terminated:
-        return SolveReport(
-            x=np.zeros(prob.n), iterations=0, stop_reason="ggkb_terminated",
-            residual_estimate_history=[], true_residual_history=[] if debug else None,
-            x_norm_history=[], alphas=list(state.alphas), betas=list(state.betas),
-            norm_estimate=OperatorNormEstimate(0.0, "bidiagonal", 0), beta1=beta1, state=state,
-        )
-
-    givens = GivensState(
-        rho_bar=state.alphas[0], phi_bar=beta1,
-        w=state.V[:, 0].copy(), x=np.zeros(prob.n),
-    )
-
-    est_hist = []
+    beta1 = state.betas[0]
+    x = np.zeros(prob.n)
+    w = np.zeros(prob.n)
+    # w_k = v_k - (theta_{k-1} / rho_{k-1}) w_{k-1}, with w_1 = v_1
+    rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
+    est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
-    xnorm_hist = []
-    iterations = 0
-    stop_reason = "max_iter"
+    k, est = 0, math.inf
 
-    for k in range(1, max_iter + 1):
+    while not (state.terminated or est <= tol or k == max_iter):
+        k += 1
+        w = state.V[:, k - 1] - w_coef * w
         state = ggkb_step(state, prob, strategy)
         if k & (k - 1) == 0:
             denom = max(_bidiagonal_norm(state, k) * beta1, _TINY)
-        beta_next = state.betas[-1]
-        alpha_next = state.alphas[-1]
+        alpha_next, beta_next = state.alphas[-1], state.betas[-1]
 
-        rho = math.hypot(givens.rho_bar, beta_next)
+        rho = math.hypot(rho_bar, beta_next)
         guard = max(1e-10, 10.0 * strategy.relative_noise)
         if state.terminated and rho <= guard * max(max(state.alphas), max(state.betas)):
             # The trailing column of the bidiagonal matrix is numerically
@@ -236,43 +210,32 @@ def glsqr_solve(
             # The minimum-norm solution of the rank-deficient trailing
             # system keeps its coefficient at zero, so the previous iterate
             # stands.
-            est_hist.append(0.0)
-            xnorm_hist.append(float(np.linalg.norm(givens.x)))
-            if debug:
-                true_hist.append(_true_residual(prob, strategy, givens.x) / denom)
-            iterations = k
-            stop_reason = "ggkb_terminated"
-            break
-        c = givens.rho_bar / rho
-        s = beta_next / rho
-        theta = s * alpha_next
-        phi = c * givens.phi_bar
+            est = 0.0
+        else:
+            c, s = rho_bar / rho, beta_next / rho
+            phi = c * phi_bar
+            x = x + (phi / rho) * w
+            # the G-seminorm of the transformed residual,
+            # alpha_{k+1} beta_{k+1} |e_k' y_k| = alpha_{k+1} beta_{k+1} |phi_k| / rho_k
+            # by back substitution in the Givens QR factorization of B_k
+            est = alpha_next * beta_next * abs(phi) / rho / denom
+            w_coef = s * alpha_next / rho
+            rho_bar, phi_bar = -c * alpha_next, s * phi_bar
 
-        givens.x = givens.x + (phi / rho) * givens.w
-        givens.last_phi = phi
-        givens.last_rho = rho
-
-        est = residual_estimate(state, givens) / denom
         est_hist.append(est)
-        xnorm_hist.append(float(np.linalg.norm(givens.x)))
+        xnorm_hist.append(float(np.linalg.norm(x)))
         if debug:
-            true_hist.append(_true_residual(prob, strategy, givens.x) / denom)
-        iterations = k
+            true_hist.append(_true_residual(prob, strategy, x) / denom)
 
-        if state.terminated:
-            stop_reason = "ggkb_terminated"
-            break
-        if est <= tol:
-            stop_reason = "tolerance_met"
-            break
-
-        givens.w = state.V[:, -1] - (theta / rho) * givens.w
-        givens.rho_bar = -c * alpha_next
-        givens.phi_bar = s * givens.phi_bar
-
-    norm = OperatorNormEstimate(_bidiagonal_norm(state, iterations), "bidiagonal", iterations)
+    if state.terminated:
+        stop_reason = "ggkb_terminated"
+    elif est <= tol:
+        stop_reason = "tolerance_met"
+    else:
+        stop_reason = "max_iter"
+    norm = OperatorNormEstimate(_bidiagonal_norm(state, k), "bidiagonal", k)
     return SolveReport(
-        x=givens.x, iterations=iterations, stop_reason=stop_reason,
+        x=x, iterations=k, stop_reason=stop_reason,
         residual_estimate_history=est_hist, true_residual_history=true_hist,
         x_norm_history=xnorm_hist, alphas=list(state.alphas), betas=list(state.betas),
         norm_estimate=norm, beta1=beta1, state=state,

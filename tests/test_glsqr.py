@@ -47,19 +47,61 @@ def test_recovers_planted_solution_with_exact_gdag():
     assert certify_solution(gen.problem, report)
 
 
-def test_histories_conform_to_iteration_count():
-    gen = planted_problem(seed=7, m=20, n=25, rank=15)
-    report = glsqr_solve(gen.problem, tol=1e-12, debug=True)
-    assert len(report.residual_estimate_history) == report.iterations
-    assert len(report.true_residual_history) == report.iterations
-    assert len(report.x_norm_history) == report.iterations
-    if report.stop_reason == "tolerance_met":
-        assert report.residual_estimate_history[-1] <= 1e-12
+def trivial_rhs_problem():
+    # M b = 0: ggkb_init terminates before the first step
+    M = np.array([[1.0, 0.0, 0.0]])
+    return GlsProblem(np.eye(3), M, np.eye(3), [0.0, 2.0, -1.0])
+
+
+def degenerate_column_problem():
+    # at tol=1e-300 the last column of B_k, at k = 21, is numerically zero
+    return planted_problem(seed=44, m=28, n=34, rank=20).problem
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, stop_reason",
+    [
+        pytest.param(trivial_rhs_problem, {}, "ggkb_terminated", id="init"),
+        pytest.param(
+            degenerate_column_problem, {"tol": 1e-300}, "ggkb_terminated",
+            id="degenerate_column",
+        ),
+        pytest.param(
+            lambda: planted_problem(seed=7, m=20, n=25, rank=15).problem,
+            {"tol": 1e-6}, "tolerance_met", id="tolerance_met",
+        ),
+        pytest.param(
+            lambda: planted_problem(seed=7, m=20, n=25, rank=15).problem,
+            {"tol": 1e-300, "max_iter": 5}, "max_iter", id="max_iter",
+        ),
+    ],
+)
+def test_histories_conform_to_iteration_count(make, kwargs, stop_reason):
+    report = glsqr_solve(make(), debug=True, **kwargs)
+    k = report.iterations
+    assert report.stop_reason == stop_reason
+    assert len(report.residual_estimate_history) == k
+    assert len(report.true_residual_history) == k
+    assert len(report.x_norm_history) == k
+    assert report.norm_estimate.iterations == k
+    assert report.norm_estimate.source == "bidiagonal"
+    if k == 0:
+        assert not report.x.any()
+        assert report.norm_estimate.value == 0.0
+    else:
+        assert report.x_norm_history[-1] == np.linalg.norm(report.x)
+    if make is degenerate_column_problem:
+        # the last step records an estimate of 0 and keeps the previous iterate
+        assert report.residual_estimate_history[-1] == 0.0
+        assert report.x_norm_history[-1] == report.x_norm_history[-2]
+    if stop_reason == "tolerance_met":
+        assert report.residual_estimate_history[-1] <= kwargs["tol"]
+    if stop_reason == "max_iter":
+        assert k == kwargs["max_iter"]
 
 
 def test_trivial_rhs_terminates_at_zero():
-    M = np.array([[1.0, 0.0, 0.0]])
-    prob = GlsProblem(np.eye(3), M, np.eye(3), [0.0, 2.0, -1.0])
+    prob = trivial_rhs_problem()
     report = glsqr_solve(prob)
     np.testing.assert_allclose(report.x, np.zeros(3))
     assert report.iterations == 0
