@@ -108,7 +108,10 @@ class RankTolerance:
 
 @dataclass
 class SvdFactors:
-    """Full SVD ``A = U @ Sigma @ V.T`` plus the numerical rank of A.
+    """SVD ``A = U @ Sigma @ V.T`` plus the numerical rank of A.
+
+    ``V`` is square (n x n), so :meth:`nullspace` can read N(A) off it;
+    ``U`` is m x min(m, n), the thin factor when A is tall or square.
 
     The derived operations keep the leading ``rank`` singular triplets;
     :meth:`ranked` re-decides the rank under another tolerance without
@@ -139,9 +142,10 @@ class SvdFactors:
 
 
 def svd(A, tol=None):
-    """Full SVD with an explicit numerical-rank decision.
+    """SVD with an explicit numerical-rank decision (see :class:`SvdFactors`).
 
-    The factors are read-only, because callers may share them. Raises
+    Only a wide A gets the full factors, to keep V square; a tall A never
+    forms an m x m U. The factors are read-only, because callers may share them. Raises
     :class:`FactorizationError` if the underlying iteration fails to
     converge.
     """
@@ -149,7 +153,7 @@ def svd(A, tol=None):
     if A.size == 0:
         raise ValueError("svd requires a nonempty matrix")
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
+        U, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
     for factor in (U, s, Vt):

@@ -137,7 +137,7 @@ def nullspace_basis(A, tol=None):
 
 def reconstruct(f) -> np.ndarray:
     """U @ Sigma @ V.T from an ``SvdFactors``, Sigma the rectangular diagonal."""
-    S = np.zeros((f.U.shape[0], f.V.shape[0]))
+    S = np.zeros((f.U.shape[1], f.V.shape[0]))
     k = f.singular_values.size
     S[:k, :k] = np.diag(f.singular_values)
     return f.U @ S @ f.V.T

@@ -46,6 +46,23 @@ def test_identity_weight_forms_no_m_by_m_matrix(q):
     assert report.iterations > 0
 
 
+def test_certifying_a_tall_problem_forms_no_m_by_m_factor():
+    # the SVD of MA behind certify_solution keeps U thin (m x n), so a tall
+    # problem does not pay m^2 memory for singular vectors nobody reads
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((3000, 20))
+    prob = GlsProblem(A, None, np.eye(20), np.ones(3000))
+    report = glsqr_solve(prob)
+    tracemalloc.start()
+    try:
+        certified = certify_solution(prob, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert certified
+
+
 def test_elden_reduces_to_pinv_for_trivial_regularizers():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 4))
