@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _TINY = float(np.finfo(np.float64).tiny)
+_POWER_REL_TOL = 1e-10
 
 logger = logging.getLogger("glskit")
 
@@ -46,7 +47,7 @@ class OperatorNormEstimate:
 
     ``source`` is ``bidiagonal`` (a solve's sigma_max(B_k), ``iterations``
     = k), ``gsvd_exact`` or ``power_iteration``; ``converged`` is False when
-    the power iteration used all its steps without meeting ``rel_tol``.
+    the power iteration used all its steps unconverged.
     """
 
     value: float
@@ -77,7 +78,7 @@ class SolveReport:
     state: BidiagState
 
 
-def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> OperatorNormEstimate:
+def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstimate:
     """Norm of the map v -> M A v from (R(G), G) to (R^q, 2-norm).
 
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
@@ -109,7 +110,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> Ope
         Av = prob.MA @ v
         new_estimate = math.sqrt(float(Av @ Av))
         iterations = it
-        converged = abs(new_estimate - estimate) <= rel_tol * new_estimate
+        converged = abs(new_estimate - estimate) <= _POWER_REL_TOL * new_estimate
         estimate = new_estimate
         if converged:
             break
@@ -117,7 +118,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200, rel_tol=1e-10) -> Ope
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
-            "rel_tol=%.1e; estimate %.17g may be low", max_iters, rel_tol, estimate,
+            "rel_tol=%.1e; estimate %.17g may be low", max_iters, _POWER_REL_TOL, estimate,
         )
     return OperatorNormEstimate(
         value=estimate, source="power_iteration", iterations=iterations, converged=converged
@@ -150,12 +151,10 @@ def glsqr_solve(
 ) -> SolveReport:
     """Iteratively compute the minimum 2-norm GLS solution A_ML^+ b.
 
-    Each step extends the bidiagonalization by one ``ggkb_step``, rotates
-    the new column of B_k, and updates x_k unless that column is
-    numerically zero (then x_{k-1} stands and the estimate is 0). The loop
-    exits at the first of: the bidiagonalization terminated
-    (``ggkb_terminated``, also before any step when M b vanishes, with
-    x = 0), the normalized residual estimate at or below ``tol``
+    A numerically zero trailing column of B_k keeps x_{k-1} and records an
+    estimate of 0. The loop exits at the first of: the bidiagonalization
+    terminated (``ggkb_terminated``; before any step, with x = 0, when M b
+    vanishes), the normalized estimate at or below ``tol``
     (``tolerance_met``), or ``max_iter`` steps (``max_iter``).
 
     Parameters
@@ -215,9 +214,9 @@ def glsqr_solve(
             c, s = rho_bar / rho, beta_next / rho
             phi = c * phi_bar
             x = x + (phi / rho) * w
-            # the G-seminorm of the transformed residual,
-            # alpha_{k+1} beta_{k+1} |e_k' y_k| = alpha_{k+1} beta_{k+1} |phi_k| / rho_k
-            # by back substitution in the Givens QR factorization of B_k
+            # alpha_{k+1} beta_{k+1} |phi_k| / rho_k is the G-seminorm of the
+            # transformed residual, alpha_{k+1} beta_{k+1} |e_k' y_k|: back
+            # substitution in the Givens QR of B_k gives e_k' y_k = phi_k / rho_k
             est = alpha_next * beta_next * abs(phi) / rho / denom
             w_coef = s * alpha_next / rho
             rho_bar, phi_bar = -c * alpha_next, s * phi_bar

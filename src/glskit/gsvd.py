@@ -28,6 +28,8 @@ __all__ = [
     "save_factors",
 ]
 
+_CLUSTER_TOL = 1e-12
+
 
 @dataclass
 class GsvdFactors:
@@ -78,7 +80,7 @@ def _orthonormalize_columns(T):
     return Q[:, :k], Q[:, k:]
 
 
-def gsvd_pair(A, L, tol=None, cluster_tol=1e-12):
+def gsvd_pair(A, L, tol=None):
     """GSVD of the pair {A, L} via the stacked SVD and a CS-style split.
 
     The stacked matrix ``K = [A; L]`` is factored ``K = Z diag(sig) W.T``;
@@ -88,8 +90,8 @@ def gsvd_pair(A, L, tol=None, cluster_tol=1e-12):
     after an orthonormal completion) form U_L. ``X = [W diag(1/sig) Vhat, N]``
     with N an orthonormal basis of the null space of K.
 
-    Cosines within ``cluster_tol`` of 1 (0) are snapped into the q1 (q3)
-    block so the factors carry the exact block structure.
+    Cosines within 1e-12 of 1 (0) are snapped into the q1 (q3) block so the
+    factors carry the exact block structure.
     """
     A = as_matrix(A, "A")
     L = as_matrix(L, "L")
@@ -115,8 +117,8 @@ def gsvd_pair(A, L, tol=None, cluster_tol=1e-12):
 
     c = np.zeros(r)
     c[: min(m, r)] = np.clip(c_part, 0.0, 1.0)
-    q1 = int(np.count_nonzero(1.0 - c <= cluster_tol))
-    q3 = int(np.count_nonzero(c <= cluster_tol))
+    q1 = int(np.count_nonzero(1.0 - c <= _CLUSTER_TOL))
+    q3 = int(np.count_nonzero(c <= _CLUSTER_TOL))
     q2 = r - q1 - q3
 
     C_A = np.zeros((m, r))

@@ -4,11 +4,11 @@ All routines operate on float64 numpy arrays (scipy sparse inputs are
 densified on entry). Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
 documents its cutoff. Pseudoinverses and null-space bases are read off one
-:class:`SvdFactors`; no projector is formed here, its users apply the
-singular vectors as products. The one iterative kernel, :func:`lsqr`,
-solves a symmetric positive semidefinite system by conjugate gradients and
-needs the operator only as a product, so it takes sparse matrices and
-callables as they are.
+:class:`SvdFactors` (U thin, V square); no projector is formed here, its
+users apply the singular vectors as products. The one iterative kernel,
+:func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
+gradients and needs the operator only as a product, so it takes sparse
+matrices and callables as they are.
 """
 
 from __future__ import annotations
@@ -110,12 +110,11 @@ class RankTolerance:
 class SvdFactors:
     """SVD ``A = U @ Sigma @ V.T`` plus the numerical rank of A.
 
-    ``V`` is square (n x n), so :meth:`nullspace` can read N(A) off it;
-    ``U`` is m x min(m, n), the thin factor when A is tall or square.
-
-    The derived operations keep the leading ``rank`` singular triplets;
-    :meth:`ranked` re-decides the rank under another tolerance without
-    refactoring, so one SVD serves every caller's cutoff.
+    ``V`` is n x n, so :meth:`nullspace` can read N(A) off it; ``U`` is
+    m x min(m, n), so a tall A costs no m x m factor. The derived
+    operations keep the leading ``rank`` singular triplets; :meth:`ranked`
+    re-decides the rank under another tolerance without refactoring, so one
+    SVD serves every caller's cutoff.
     """
 
     U: np.ndarray
@@ -142,10 +141,10 @@ class SvdFactors:
 
 
 def svd(A, tol=None):
-    """SVD with an explicit numerical-rank decision (see :class:`SvdFactors`).
+    """SVD with an explicit numerical-rank decision.
 
-    Only a wide A gets the full factors, to keep V square; a tall A never
-    forms an m x m U. The factors are read-only, because callers may share them. Raises
+    Only a wide A gets full factors, to keep V square. The factors are
+    read-only, because callers may share them. Raises
     :class:`FactorizationError` if the underlying iteration fails to
     converge.
     """
@@ -179,11 +178,11 @@ def _require_symmetric(G, name, rtol=1e-10):
     return 0.5 * (G + G.T)
 
 
-def cholesky_spd(G, pivot_tol=1e-14):
+def cholesky_spd(G):
     """Lower-triangular C with ``C @ C.T == G`` for SPD ``G`` (LAPACK potrf).
 
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
-    ``pivot_tol * max(diag(G))``, raises :class:`IndefiniteMatrixError`,
+    ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`,
     which callers use to fall back to a pseudoinverse path for PSD-singular
     matrices.
     """
@@ -192,7 +191,7 @@ def cholesky_spd(G, pivot_tol=1e-14):
         C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError(f"G is not positive definite: {exc}") from exc
-    threshold = pivot_tol * max(float(G.diagonal().max(initial=0.0)), 0.0)
+    threshold = 1e-14 * max(float(G.diagonal().max(initial=0.0)), 0.0)
     pivots = C.diagonal() ** 2
     small = np.flatnonzero(pivots <= threshold)
     if small.size:

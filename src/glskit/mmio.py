@@ -144,7 +144,7 @@ def read_matrix_market(path):
     return out
 
 
-def write_matrix_market(path, a, comment=None):
+def write_matrix_market(path, a):
     """Write a matrix: scipy sparse -> coordinate format, dense -> array."""
     lines = []
     if sp.issparse(a):
@@ -153,8 +153,6 @@ def write_matrix_market(path, a, comment=None):
         coo.eliminate_zeros()
         order = np.lexsort((coo.col, coo.row))
         lines.append("%%MatrixMarket matrix coordinate real general")
-        if comment:
-            lines.append(f"% {comment}")
         m, n = coo.shape
         lines.append(f"{m} {n} {coo.nnz}")
         rows, cols = coo.row, coo.col
@@ -167,8 +165,6 @@ def write_matrix_market(path, a, comment=None):
         if arr.ndim != 2:
             raise ValueError("only 1-D or 2-D arrays can be written")
         lines.append("%%MatrixMarket matrix array real general")
-        if comment:
-            lines.append(f"% {comment}")
         m, n = arr.shape
         lines.append(f"{m} {n}")
         for j in range(n):
@@ -189,5 +185,5 @@ def read_vector(path):
     return mat.reshape(-1)
 
 
-def write_vector(path, v, comment=None):
-    write_matrix_market(path, np.asarray(v, dtype=np.float64).reshape(-1, 1), comment)
+def write_vector(path, v):
+    write_matrix_market(path, np.asarray(v, dtype=np.float64).reshape(-1, 1))
