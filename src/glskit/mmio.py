@@ -1,8 +1,10 @@
 """Matrix Market files: coordinate and array formats, real or integer data.
 
 Coordinate files come back as scipy CSR arrays (duplicates summed, entries
-canonicalized), array files as dense ndarrays. Symmetric storage is expanded
-to general on read. Parse failures report the offending line number.
+canonicalized), array files as dense ndarrays. Symmetric storage must be
+square and is expanded to general on read. The reader collects the data
+tokens in one pass and parses each column by one numpy call; a parse
+failure reports the offending line number. Writers emit floats as ``repr``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,40 @@ class MatrixMarketError(ValueError):
         self.line_no = line_no
 
 
-def _parse_value(token, field, path, line_no):
+def _size(path, line_no, tokens, fmt, symmetry):
+    """``(rows, cols, entries)`` declared by the size line."""
+    coordinate = fmt == "coordinate"
+    if len(tokens) != 2 + coordinate:
+        need = "rows cols nnz" if coordinate else "rows cols"
+        raise MatrixMarketError(path, line_no, f"{fmt} size line needs '{need}'")
     try:
-        return float(int(token)) if field == "integer" else float(token)
+        size = [int(t) for t in tokens]
     except ValueError:
-        raise MatrixMarketError(path, line_no, f"bad {field} value {token!r}") from None
+        raise MatrixMarketError(path, line_no, "non-integer size line") from None
+    if min(size) < 0:
+        raise MatrixMarketError(path, line_no, "negative dimension")
+    m, n = size[:2]
+    if symmetry == "symmetric" and m != n:
+        raise MatrixMarketError(path, line_no, "symmetric storage must be square")
+    if coordinate:
+        return m, n, size[2]
+    return m, n, m * n if symmetry == "general" else m * (m + 1) // 2
+
+
+def _column(path, tokens, token_lines, integer, what):
+    """The tokens as float64, parsed by one call. Integer tokens go through
+    Python ints, so one above 2**63 - 1 reads as float(int(token)). If the
+    call fails, the first token that fails alone is reported with its line."""
+    try:
+        return np.array(list(map(int, tokens)) if integer else tokens, dtype=float)
+    except ValueError:
+        parse = int if integer else float
+        for token, line_no in zip(tokens, token_lines):
+            try:
+                parse(token)
+            except ValueError:
+                raise MatrixMarketError(path, line_no, f"{what} {token!r}") from None
+        raise
 
 
 def read_matrix_market(path):
@@ -54,122 +85,90 @@ def read_matrix_market(path):
         raise MatrixMarketError(path, 1, f"unsupported field {field!r} (need real data)")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
+    coordinate = fmt == "coordinate"
+    integer = field == "integer"
 
-    idx = 1
-    while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
-        idx += 1
-    if idx >= len(lines):
-        raise MatrixMarketError(path, len(lines), "missing size line")
-    size_tokens = lines[idx].split()
-    size_line = idx + 1
-
-    if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            raise MatrixMarketError(path, size_line, "coordinate size line needs 'rows cols nnz'")
-        try:
-            m, n, nnz = (int(t) for t in size_tokens)
-        except ValueError:
-            raise MatrixMarketError(path, size_line, "non-integer size line") from None
-        if m < 0 or n < 0 or nnz < 0:
-            raise MatrixMarketError(path, size_line, "negative dimension")
-        entries = {}
-        seen = 0
-        for line_no in range(size_line + 1, len(lines) + 1):
-            raw = lines[line_no - 1].strip()
-            if not raw or raw.startswith("%"):
-                continue
-            if seen == nnz:
-                raise MatrixMarketError(path, line_no, "more entries than declared")
-            tokens = raw.split()
-            if len(tokens) != 3:
-                raise MatrixMarketError(path, line_no, "coordinate entry needs 'i j value'")
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise MatrixMarketError(path, line_no, "non-integer index") from None
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(
-                    path, line_no, f"index ({i}, {j}) outside {m} x {n}"
-                )
-            v = _parse_value(tokens[2], field, path, line_no)
-            entries[(i - 1, j - 1)] = entries.get((i - 1, j - 1), 0.0) + v
-            if symmetry == "symmetric" and i != j:
-                entries[(j - 1, i - 1)] = entries.get((j - 1, i - 1), 0.0) + v
-            seen += 1
-        if seen != nnz:
-            raise MatrixMarketError(path, len(lines), f"expected {nnz} entries, found {seen}")
-        if entries:
-            keys = sorted(entries)
-            rows = np.array([k[0] for k in keys], dtype=np.int64)
-            cols = np.array([k[1] for k in keys], dtype=np.int64)
-            vals = np.array([entries[k] for k in keys])
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0)
-        mat = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(m, n)))
-        mat.eliminate_zeros()
-        return mat
-
-    if len(size_tokens) != 2:
-        raise MatrixMarketError(path, size_line, "array size line needs 'rows cols'")
-    try:
-        m, n = (int(t) for t in size_tokens)
-    except ValueError:
-        raise MatrixMarketError(path, size_line, "non-integer size line") from None
-    if m < 0 or n < 0:
-        raise MatrixMarketError(path, size_line, "negative dimension")
-    expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    if symmetry == "symmetric" and m != n:
-        raise MatrixMarketError(path, size_line, "symmetric array must be square")
-    values = []
-    for line_no in range(size_line + 1, len(lines) + 1):
-        raw = lines[line_no - 1].strip()
-        if not raw or raw.startswith("%"):
+    # the header starts with '%', so it is skipped with the comments; the two
+    # lists stay flat, as the GC rescans a live list of per-line objects
+    size = None
+    tokens, token_lines = [], []
+    for line_no, raw in enumerate(lines, 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "%":
             continue
-        for token in raw.split():
-            if len(values) == expected:
-                raise MatrixMarketError(path, line_no, "more values than declared")
-            values.append(_parse_value(token, field, path, line_no))
-    if len(values) != expected:
-        raise MatrixMarketError(path, len(lines), f"expected {expected} values, found {len(values)}")
-    if symmetry == "general":
-        return np.array(values).reshape((n, m)).T.copy()  # column-major payload
-    out = np.zeros((m, n))
-    pos = 0
-    for j in range(n):
-        for i in range(j, m):
-            out[i, j] = values[pos]
-            out[j, i] = values[pos]
-            pos += 1
-    return out
+        if size is None:
+            size = _size(path, line_no, parts, fmt, symmetry)
+        elif coordinate and len(parts) != 3:
+            raise MatrixMarketError(path, line_no, "coordinate entry needs 'i j value'")
+        else:
+            tokens += parts
+            token_lines += (line_no,) * len(parts)
+    if size is None:
+        raise MatrixMarketError(path, len(lines), "missing size line")
+    m, n, count = size
+    width, noun = (3, "entries") if coordinate else (1, "values")
+    found = len(tokens) // width
+    if found > count:
+        raise MatrixMarketError(path, token_lines[width * count], f"more {noun} than declared")
+    if found < count:
+        raise MatrixMarketError(path, len(lines), f"expected {count} {noun}, found {found}")
+
+    value = f"bad {field} value"
+    if not coordinate:
+        values = _column(path, tokens, token_lines, integer, value)
+        if symmetry == "general":
+            return values.reshape((n, m)).T.copy()  # column-major payload
+        # the lower triangle, column by column: row by row of the upper one
+        cols, rows = np.triu_indices(n)
+        out = np.zeros((m, n))
+        out[rows, cols] = values
+        out[cols, rows] = values
+        return out
+
+    rows = _column(path, tokens[0::3], token_lines[0::3], True, "non-integer index")
+    cols = _column(path, tokens[1::3], token_lines[1::3], True, "non-integer index")
+    vals = _column(path, tokens[2::3], token_lines[2::3], integer, value)
+    outside = (rows < 1) | (rows > m) | (cols < 1) | (cols > n)
+    if outside.any():
+        k = 3 * int(outside.argmax())
+        i, j = int(tokens[k]), int(tokens[k + 1])
+        raise MatrixMarketError(path, token_lines[k], f"index ({i}, {j}) outside {m} x {n}")
+    rows, cols = rows.astype(np.int64) - 1, cols.astype(np.int64) - 1
+    if symmetry == "symmetric":
+        off = rows != cols
+        rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
+        vals = np.concatenate((vals, vals[off]))
+    # the CSR conversion sums duplicates
+    mat = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(m, n)))
+    mat.eliminate_zeros()
+    return mat
 
 
 def write_matrix_market(path, a):
     """Write a matrix: scipy sparse -> coordinate format, dense -> array."""
-    lines = []
     if sp.issparse(a):
         coo = sp.coo_array(a)
         coo.sum_duplicates()
         coo.eliminate_zeros()
         order = np.lexsort((coo.col, coo.row))
-        lines.append("%%MatrixMarket matrix coordinate real general")
         m, n = coo.shape
-        lines.append(f"{m} {n} {coo.nnz}")
-        rows, cols = coo.row, coo.col
-        for k in order:
-            lines.append(f"{rows[k] + 1} {cols[k] + 1} {float(coo.data[k])!r}")
+        lines = ["%%MatrixMarket matrix coordinate real general", f"{m} {n} {coo.nnz}"]
+        lines += map(
+            "{} {} {!r}".format,
+            (coo.row[order] + 1).tolist(),
+            (coo.col[order] + 1).tolist(),
+            coo.data[order].astype(np.float64).tolist(),
+        )
     else:
         arr = np.asarray(a, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise ValueError("only 1-D or 2-D arrays can be written")
-        lines.append("%%MatrixMarket matrix array real general")
         m, n = arr.shape
-        lines.append(f"{m} {n}")
-        for j in range(n):
-            for i in range(m):
-                lines.append(f"{float(arr[i, j])!r}")
+        lines = ["%%MatrixMarket matrix array real general", f"{m} {n}"]
+        for column in arr.T:  # column-major; one column's floats live at a time
+            lines += map(repr, column.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -37,10 +37,10 @@ class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
     Holds at most one SVD each of ``M A`` (the problem's ``MA``), ``G``,
-    ``M`` and ``L N``, N the basis of N(MA) at the direct route's cutoff, and
-    the spectral norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G``
-    is factored only where pinv(G) itself is needed. Other rank decisions
-    apply their own tolerance through ``SvdFactors.ranked``.
+    ``M'`` (so U is thin for a wide M) and ``L N``, N the basis of N(MA) at
+    the direct route's cutoff, and the spectral norms of A and L. N(G) =
+    N(MA) & N(L) = N N(L N), so ``G`` is factored only for pinv(G). Other
+    rank decisions apply their own tolerance through ``SvdFactors.ranked``.
     """
 
     def __init__(self, A, M, MA, L, G):
@@ -56,7 +56,7 @@ class FactorStore:
 
     @cached_property
     def m(self):
-        return svd(self._M)
+        return svd(self._M.T)
 
     @cached_property
     def norm_a(self):
@@ -302,7 +302,7 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     if prob.M is None:
         r5 = 0.0
     else:
-        r5 = _rel(norm(X @ prob.factors.m.pinv() @ prob.M - X), norm(X))
+        r5 = _rel(norm(X @ prob.factors.m.pinv().T @ prob.M - X), norm(X))
 
     LLXA = prob.L.T @ (prob.L @ XA)
     info = _rel(norm(LLXA.T - LLXA), norm(LLXA))

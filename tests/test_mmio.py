@@ -95,6 +95,7 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3),
         ("%%MatrixMarket matrix array real general\n2 1\n1.0\n", 3),
+        ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, text, line):
@@ -143,3 +144,58 @@ def test_write_is_deterministic(tmp_path):
     write_matrix_market(p1, mat)
     write_matrix_market(p2, mat)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_written_bytes(tmp_path):
+    # floats as their repr, array values column-major, coordinates 1-based
+    # and sorted by row then column, and a trailing newline
+    dense, sparse, vector = tmp_path / "d.mtx", tmp_path / "s.mtx", tmp_path / "v.mtx"
+    write_matrix_market(dense, np.array([[0.1, 2.0], [-3.5, 1e-20]]))
+    write_matrix_market(sparse, sp.coo_array(([0.1, -2.0, 3.0], ([1, 0, 0], [0, 2, 1])), shape=(2, 3)))
+    write_vector(vector, [1.0, 1 / 3])
+    assert dense.read_text() == (
+        "%%MatrixMarket matrix array real general\n2 2\n0.1\n-3.5\n2.0\n1e-20\n"
+    )
+    assert sparse.read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n2 3 3\n1 2 3.0\n1 3 -2.0\n2 1 0.1\n"
+    )
+    assert vector.read_text() == (
+        "%%MatrixMarket matrix array real general\n2 1\n1.0\n0.3333333333333333\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix coordinate integer general\n1 2 1\n1 2 100000000000000000000\n",
+        "%%MatrixMarket matrix array integer general\n1 2\n0\n100000000000000000000\n",
+    ],
+    ids=["coordinate", "array"],
+)
+def test_integer_above_int64_reads_as_float(tmp_path, text):
+    mat = read_matrix_market(write(tmp_path, text))
+    mat = mat.toarray() if sp.issparse(mat) else mat
+    np.testing.assert_array_equal(mat, [[0.0, 1e20]])
+
+
+def test_comment_and_blank_lines_inside_body_skipped(tmp_path):
+    coordinate = write(
+        tmp_path,
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n% mid\n  %x\n2 2 4.0\n\n",
+    )
+    array = write(
+        tmp_path,
+        "%%MatrixMarket matrix array real general\n2 1\n% first\n1.0\n\n   \n%\n2.0\n",
+        name="a.mtx",
+    )
+    np.testing.assert_array_equal(read_matrix_market(coordinate).toarray(), [[1.0, 0.0], [0.0, 4.0]])
+    np.testing.assert_array_equal(read_matrix_market(array), [[1.0], [2.0]])
+
+
+def test_several_array_values_on_one_line(tmp_path):
+    general = write(tmp_path, "%%MatrixMarket matrix array real general\n2 3\n1 2 3\n4\n5 6\n")
+    symmetric = write(
+        tmp_path, "%%MatrixMarket matrix array integer symmetric\n2 2\n1 2 3\n", name="s.mtx"
+    )
+    np.testing.assert_array_equal(read_matrix_market(general), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    np.testing.assert_array_equal(read_matrix_market(symmetric), [[1.0, 2.0], [2.0, 3.0]])

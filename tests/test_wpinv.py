@@ -46,12 +46,15 @@ def test_identity_weight_forms_no_m_by_m_matrix(q):
     assert report.iterations > 0
 
 
-def test_certifying_a_tall_problem_forms_no_m_by_m_factor():
-    # the SVD of MA behind certify_solution keeps U thin (m x n), so a tall
-    # problem does not pay m^2 memory for singular vectors nobody reads
+@pytest.mark.parametrize("q", [None, 40], ids=["identity", "weighted"])
+def test_certifying_a_tall_problem_forms_no_m_by_m_factor(q):
+    # the SVDs of MA and M' behind certify_solution keep U thin (m x n and
+    # m x q), so a tall problem does not pay m^2 memory for singular vectors
+    # nobody reads
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3000, 20))
-    prob = GlsProblem(A, None, np.eye(20), np.ones(3000))
+    M = rng.standard_normal((q, 3000)) if q is not None else None
+    prob = GlsProblem(A, M, np.eye(20), np.ones(3000))
     report = glsqr_solve(prob)
     tracemalloc.start()
     try:
