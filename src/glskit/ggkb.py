@@ -188,9 +188,10 @@ def _widened(a, cols):
 class BidiagState:
     """The bidiagonalization after k completed expansions, updated in place.
 
-    ``alphas`` and ``betas`` always have equal length; a trailing zero in
-    either marks termination at step ``k_t`` (the Krylov spaces are
-    exhausted and the current gLSQR iterate is exact). ``v`` holds the
+    ``alphas`` and ``betas`` always have equal length. A kept alpha is
+    positive and every termination stores a zero one, so ``terminated`` and
+    ``k_t = k`` are read off a trailing zero in ``alphas`` (the Krylov spaces
+    are exhausted and the current gLSQR iterate is exact). ``v`` holds the
     columns v_i with G v_i, orthonormal in the G-inner product; ``u`` holds
     the columns M u~_i in R^q, orthonormal in the Euclidean one, where the
     u~_i are the P-orthonormal data-side vectors of the recurrence (see the
@@ -207,8 +208,6 @@ class BidiagState:
     betas: list
     v: Basis
     u: Basis
-    terminated: bool
-    k_t: int | None
     breakdown_ref: float
     reorthogonalize: bool = True
     inner_capped: bool = False
@@ -216,6 +215,14 @@ class BidiagState:
     @property
     def k(self):
         return self.v.k
+
+    @property
+    def terminated(self):
+        return self.alphas[-1] == 0.0
+
+    @property
+    def k_t(self):
+        return self.k if self.terminated else None
 
     @property
     def V(self):
@@ -261,13 +268,30 @@ def _g_orthonormalize(state, prob, s):
     return gs, math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
 
 
+def _expand_v(state, prob, strategy, s, u, floor):
+    """The V half of an expansion: G-orthonormalize s into alpha v, append u,
+    latch the strategy's cap, then append alpha and v, or, if alpha is at or
+    below ``floor``, the terminating 0.0. Returns alpha."""
+    gs, alpha = _g_orthonormalize(state, prob, s)
+    state.u.append(u)
+    state.inner_capped = state.inner_capped or strategy.hit_cap
+    if alpha <= floor:
+        state.alphas.append(0.0)
+    else:
+        state.alphas.append(alpha)
+        state.v.append(s / alpha, gs / alpha)
+    return alpha
+
+
 def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     """First bidiagonalization vectors from b; may terminate immediately.
 
     If M b vanishes (b in the null space of M) the state terminates with
     k_t = 0 and the downstream solution is zero. "Vanishes" means
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
-    is None), the roundoff floor of the product M b.
+    is None), the roundoff floor of the product M b. An alpha_1 at or below
+    ``BREAKDOWN_REL beta_1`` terminates at k_t = 0 too; either way alpha_1
+    is stored as 0.0.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
@@ -277,29 +301,21 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
-        alphas=[0.0], betas=[beta1],
+        alphas=[], betas=[beta1],
         v=Basis.empty(prob.n, limit), u=Basis.empty(prob.q, limit, euclidean=True),
-        terminated=True, k_t=0, breakdown_ref=max(beta1, 1.0),
-        reorthogonalize=reorthogonalize,
+        breakdown_ref=max(beta1, 1.0), reorthogonalize=reorthogonalize,
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
     if beta1 <= BREAKDOWN_REL * init_scale:
+        state.alphas.append(0.0)
         return state
 
     u1 = mb / beta1
     s = strategy.apply(prob.MA.T @ u1)
-    gs, alpha1 = _g_orthonormalize(state, prob, s)
-    state.u.append(u1)
+    # as BREAKDOWN_REL * max(alpha1, beta1): the max is beta1 wherever the test can pass
+    alpha1 = _expand_v(state, prob, strategy, s, u1, BREAKDOWN_REL * beta1)
     state.breakdown_ref = max(alpha1, beta1)
-    state.inner_capped = strategy.hit_cap
-    if alpha1 <= BREAKDOWN_REL * state.breakdown_ref:
-        return state
-
-    state.alphas[0] = alpha1
-    state.v.append(s / alpha1, gs / alpha1)
-    state.terminated = False
-    state.k_t = None
     return state
 
 
@@ -311,7 +327,6 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     """
     if state.terminated:
         raise ValueError("the bidiagonalization already terminated")
-    i = state.k
     threshold = BREAKDOWN_REL * state.breakdown_ref
     # coefficients below the accuracy the strategy actually delivers are
     # indistinguishable from noise, so the degeneracy cutoff scales with it
@@ -330,21 +345,10 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     if beta_next <= max(threshold, degenerate * alpha):
         state.alphas.append(0.0)
         state.betas.append(0.0)
-        state.terminated, state.k_t = True, i
         return state
 
     u_next = r / beta_next
-    state.u.append(u_next)
-
     s = strategy.apply(prob.MA.T @ u_next) - beta_next * v_last
-    gs, alpha_next = _g_orthonormalize(state, prob, s)
     state.betas.append(beta_next)
-    state.inner_capped = state.inner_capped or strategy.hit_cap
-    if alpha_next <= max(threshold, degenerate * beta_next):
-        state.alphas.append(0.0)
-        state.terminated, state.k_t = True, i
-        return state
-
-    state.alphas.append(alpha_next)
-    state.v.append(s / alpha_next, gs / alpha_next)
+    _expand_v(state, prob, strategy, s, u_next, max(threshold, degenerate * beta_next))
     return state

@@ -43,7 +43,6 @@ class GsvdFactors:
     q2: int
     q3: int
     X_inv: np.ndarray  # exact inverse assembled from the construction
-    range_basis: np.ndarray  # n x r orthonormal basis of R(A^T A + L^T L)
 
     @property
     def shape(self):
@@ -150,7 +149,7 @@ def gsvd_pair(A, L, tol=None):
 
     factors = GsvdFactors(
         U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,
-        X_inv=X_inv, range_basis=W,
+        X_inv=X_inv,
     )
 
     scale = np.linalg.norm(A) + np.linalg.norm(L)
@@ -187,9 +186,11 @@ def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
     """Closed-form weighted pseudoinverse (M = I): proj_R(G) X pinv(Sigma_A) U_A.T.
 
     Uses the partition identity ``X pinv(Sigma_A) = [X1, X2 inv(C_q2), 0]``,
-    so no singular values are inverted beyond the q2 block. ``G`` must be the
-    Gram matrix ``A.T A + L.T L`` of the factored pair; its null space is
-    checked against the X4 block.
+    so no singular values are inverted beyond the q2 block. The projector is
+    the identity on these columns, so it is not applied: ``gsvd_pair`` builds
+    them as ``W diag(1/sig) Vhat``, W an orthonormal basis of R(G). ``G``
+    must be the Gram matrix ``A.T A + L.T L`` of the factored pair; its null
+    space is checked against the X4 block.
     """
     G = as_matrix(G, "G")
     m, _, n = f.shape
@@ -208,8 +209,7 @@ def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
     XS[:, : f.q1] = part.X1
     if f.q2:
         XS[:, f.q1 : f.q1 + f.q2] = part.X2 / cq2[None, :]
-    W = f.range_basis
-    return W @ ((W.T @ XS) @ f.U_A.T)
+    return XS @ f.U_A.T
 
 
 def save_factors(f: GsvdFactors, directory):

@@ -43,6 +43,8 @@ def _size(path, line_no, tokens, fmt, symmetry):
     if min(size) < 0:
         raise MatrixMarketError(path, line_no, "negative dimension")
     m, n = size[:2]
+    if max(m, n) > 2**63 - 1:  # beyond scipy's int64 shapes
+        raise MatrixMarketError(path, line_no, "dimension above 2**63 - 1")
     if symmetry == "symmetric" and m != n:
         raise MatrixMarketError(path, line_no, "symmetric storage must be square")
     if coordinate:
@@ -52,16 +54,17 @@ def _size(path, line_no, tokens, fmt, symmetry):
 
 def _column(path, tokens, token_lines, integer, what):
     """The tokens as float64, parsed by one call. Integer tokens go through
-    Python ints, so one above 2**63 - 1 reads as float(int(token)). If the
-    call fails, the first token that fails alone is reported with its line."""
+    Python ints, so one above 2**63 - 1 reads as float(int(token)), and one
+    beyond the float64 range fails. If the call fails, the first token that
+    fails alone is reported with its line."""
     try:
         return np.array(list(map(int, tokens)) if integer else tokens, dtype=float)
-    except ValueError:
+    except (ValueError, OverflowError):
         parse = int if integer else float
         for token, line_no in zip(tokens, token_lines):
             try:
-                parse(token)
-            except ValueError:
+                float(parse(token))
+            except (ValueError, OverflowError):
                 raise MatrixMarketError(path, line_no, f"{what} {token!r}") from None
         raise
 

@@ -125,7 +125,7 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     f = sample_function(func, n)
     N_g = base.factors.nullspace_g
     w = f - N_g @ (N_g.T @ f)
-    N = base.factors.ma_ranked.nullspace()
+    N = base.factors.ma.nullspace()
     x_true = w - N @ (base.factors.ln.pinv() @ (base.L @ w))
 
     z = rng.standard_normal(m)

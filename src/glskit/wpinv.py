@@ -36,11 +36,12 @@ __all__ = [
 class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
-    Holds at most one SVD each of ``M A`` (the problem's ``MA``), ``G``,
-    ``M'`` (so U is thin for a wide M) and ``L N``, N the basis of N(MA) at
-    the direct route's cutoff, and the spectral norms of A and L. N(G) =
-    N(MA) & N(L) = N N(L N), so ``G`` is factored only for pinv(G). Other
-    rank decisions apply their own tolerance through ``SvdFactors.ranked``.
+    Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
+    the direct route's cutoff), ``G``, ``M'`` (so U is thin for a wide M)
+    and ``L N``, N the basis of N(MA) that ``ma`` ranks, and the spectral
+    norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is factored
+    only for pinv(G). Other rank decisions of M A apply their own tolerance
+    through ``SvdFactors.ranked``; L N is always ranked at its product floor.
     """
 
     def __init__(self, A, M, MA, L, G):
@@ -48,7 +49,14 @@ class FactorStore:
 
     @cached_property
     def ma(self):
-        return svd(self._MA)
+        """The SVD of M A ranked at its data error eps*||M||*||A||, not at a
+        fraction of sigma_max(MA), which may itself be tiny (the default
+        cutoff when M = I)."""
+        if self._M is None:
+            return svd(self._MA)
+        norm_m = float(self.m.singular_values[0])
+        tol = _product_tolerance(self._MA.shape, (self._M, norm_m), (self._A, self.norm_a))
+        return svd(self._MA, tol)
 
     @cached_property
     def g(self):
@@ -67,31 +75,14 @@ class FactorStore:
         return float(np.linalg.norm(self._L, 2)) if self._L.size else 0.0
 
     @cached_property
-    def ma_ranked(self):
-        """The SVD of M A ranked at its data error eps*||M||*||A||, not at a
-        fraction of sigma_max(MA), which may itself be tiny (the default
-        cutoff when M = I)."""
-        if self._M is None:
-            return self.ma
-        norm_m = float(self.m.singular_values[0])
-        tol = _product_tolerance(self._MA.shape, (self._M, norm_m), (self._A, self.norm_a))
-        return self.ma.ranked(tol)
-
-    @cached_property
     def ln(self):
-        """The SVD of ``L N`` ranked at the roundoff floor of the product
-        (rank 0 and identity singular vectors when p = 0 or N(MA) = {0})."""
-        N = self.ma_ranked.nullspace()
-        LN = self._L @ N
-        if LN.size == 0:
-            return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
-        # N has orthonormal columns, so its spectral norm is 1
-        return svd(LN, _product_tolerance(LN.shape, (self._L, self.norm_l), (N, 1.0)))
+        """The SVD of ``L N``, N = ``ma.nullspace()``, ranked by ``_ln_svd``."""
+        return _ln_svd(self._L, self.norm_l, self.ma.nullspace())
 
     @cached_property
     def nullspace_g(self):
         """Orthonormal basis of N(G) = N(MA) & N(L)."""
-        return self.ma_ranked.nullspace() @ self.ln.nullspace()
+        return self.ma.nullspace() @ self.ln.nullspace()
 
 
 class GlsProblem:
@@ -133,10 +124,6 @@ class GlsProblem:
         return self.A.shape[1]
 
     @property
-    def p(self):
-        return self.L.shape[0]
-
-    @property
     def q(self):
         return self.M.shape[0] if self.M is not None else self.m
 
@@ -171,13 +158,15 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     explicit product L @ P_null carries roundoff of size eps * ||L|| that a
     rank cutoff relative to its own (possibly tiny) top singular value would
     mistake for signal. The projector ``I - N pinv(L N) L`` is applied to
-    pinv(M A) as products, never formed.
+    pinv(M A) as products, never formed. ``tol`` ranks M A only: L N is
+    ranked at its product floor on every path, as a cutoff relative to its
+    own shape keeps roundoff when N(MA) and N(L) share a vector.
     """
-    ma = prob.factors.ma_ranked if tol is None else prob.factors.ma.ranked(tol)
+    ma = prob.factors.ma if tol is None else prob.factors.ma.ranked(tol)
     N = ma.nullspace()
-    pinv_ln = prob.factors.ln.pinv() if tol is None else pinv(prob.L @ N, tol)
+    ln = prob.factors.ln if tol is None else _ln_svd(prob.L, prob.factors.norm_l, N)
     X = ma.pinv()
-    X = X - N @ (pinv_ln @ (prob.L @ X))
+    X = X - N @ (ln.pinv() @ (prob.L @ X))
     if prob.M is not None:
         X = X @ prob.M
     return X
@@ -196,6 +185,17 @@ def _product_tolerance(shape, *factors):
         return None
     dim = max(*shape, *(d for f, _ in factors for d in f.shape))
     return RankTolerance("absolute", 8.0 * dim * EPS * scale)
+
+
+def _ln_svd(L, norm_l, N):
+    """The SVD of ``L N`` for an orthonormal N, ranked at the roundoff floor
+    of the product (rank 0 and identity singular vectors when p = 0 or N has
+    no columns). ``norm_l`` is the spectral norm of L."""
+    LN = L @ N
+    if LN.size == 0:
+        return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
+    # N has orthonormal columns, so its spectral norm is 1
+    return svd(LN, _product_tolerance(LN.shape, (L, norm_l), (N, 1.0)))
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
@@ -239,17 +239,11 @@ def _rel(num, den):
 
 @dataclass
 class MpeReport:
-    """Normalized residuals of the five generalized Moore-Penrose identities.
-
-    ``regularizer_symmetry`` is the residual of the historical fourth
-    identity ``(L'L X A)' = L'L X A``; it is informational only and takes no
-    part in pass/fail.
-    """
+    """Normalized residuals of the five generalized Moore-Penrose identities."""
 
     residuals: tuple
     passed: tuple
     tol: float
-    regularizer_symmetry: float
 
     @property
     def all_passed(self):
@@ -278,8 +272,8 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
         5.  X pinv(M) M = X
 
     Residuals are Frobenius norms normalized by the scale of the left-hand
-    side (0/0 counts as a pass). P A X is evaluated as M'(MA X), and the
-    informational L'L X A as L'(L XA), so neither P nor L'L is formed.
+    side (0/0 counts as a pass); these five, and nothing else, are computed.
+    P A X is evaluated as M'(MA X), so P is not formed.
     """
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
@@ -288,7 +282,7 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     norm = np.linalg.norm
 
     XA = X @ A
-    r1 = _rel(norm(X @ A @ X - X), norm(X))
+    r1 = _rel(norm(XA @ X - X), norm(X))
 
     MA = prob.MA
     MAX = MA @ X
@@ -304,16 +298,8 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     else:
         r5 = _rel(norm(X @ prob.factors.m.pinv().T @ prob.M - X), norm(X))
 
-    LLXA = prob.L.T @ (prob.L @ XA)
-    info = _rel(norm(LLXA.T - LLXA), norm(LLXA))
-
     residuals = (r1, r2, r3, r4, r5)
-    return MpeReport(
-        residuals=residuals,
-        passed=tuple(r <= tol for r in residuals),
-        tol=tol,
-        regularizer_symmetry=info,
-    )
+    return MpeReport(residuals=residuals, passed=tuple(r <= tol for r in residuals), tol=tol)
 
 
 @dataclass
@@ -359,7 +345,7 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     scale1 = float(np.linalg.norm(prob.MA.T @ mb))
     ok_normal = r1 <= tol * scale1
 
-    Z = prob.factors.ma_ranked.nullspace()
+    Z = prob.factors.ma.nullspace()
     gx = prob.G @ x
     g_norm_x = math.sqrt(max(float(x @ gx), 0.0))
     coupling = float(np.abs(Z.T @ gx).max()) if Z.size else 0.0

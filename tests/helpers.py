@@ -5,6 +5,13 @@ from scipy.linalg import orth, subspace_angles
 
 from glskit import BidiagState, GlsProblem, pinv, svd
 
+# Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
+# (size line 2), and an integer value beyond float64 (line 4)
+OVERSIZED_DIMENSION = (
+    "%%MatrixMarket matrix coordinate real general\n99999999999999999999 3 1\n1 1 1.0\n"
+)
+OVERFLOWING_INTEGER = f"%%MatrixMarket matrix array integer general\n2 1\n1\n{10**400}\n"
+
 
 def orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))

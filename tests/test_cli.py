@@ -18,7 +18,7 @@ from glskit import (
     write_vector,
 )
 from glskit.cli import _parse_gdag, main
-from helpers import random_matrix
+from helpers import OVERFLOWING_INTEGER, OVERSIZED_DIMENSION, random_gls_problem, random_matrix
 
 
 @pytest.fixture
@@ -172,6 +172,61 @@ def test_wpinv_command_and_matrix_out(problem_dir, tmp_path):
     assert np.linalg.norm(X @ b - x) <= 1e-10 * np.linalg.norm(x)
 
 
+def test_wpinv_gsvd_method_agrees_with_elden(problem_dir, tmp_path):
+    xs = {}
+    for method in ("elden", "gsvd"):
+        out = tmp_path / f"{method}.mtx"
+        code = main(
+            [
+                "wpinv",
+                "--A", str(problem_dir / "A.mtx"),
+                "--L", str(problem_dir / "L.mtx"),
+                "--b", str(problem_dir / "b.mtx"),
+                "--method", method,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        xs[method] = read_vector(out)
+    assert np.linalg.norm(xs["gsvd"] - xs["elden"]) <= 1e-9 * np.linalg.norm(xs["elden"])
+
+
+def test_solve_warns_when_inner_solver_caps(problem_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(
+        [
+            "solve",
+            "--A", str(problem_dir / "A.mtx"),
+            "--L", str(problem_dir / "L.mtx"),
+            "--b", str(problem_dir / "b.mtx"),
+            "--gdag", "lsqr:1e-300",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    assert "warning: the inner solver hit its iteration cap" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["inner_solver_capped"] is True
+
+
+@pytest.mark.parametrize(
+    "text", [OVERSIZED_DIMENSION, OVERFLOWING_INTEGER], ids=["dimension", "integer"]
+)
+def test_overflowing_matrix_file_exits_2(tmp_path, capsys, text):
+    a_path, b_path = tmp_path / "A.mtx", tmp_path / "b.mtx"
+    a_path.write_text(text)
+    write_vector(b_path, np.ones(2))
+    code = main(
+        ["solve", "--A", str(a_path), "--b", str(b_path), "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
+
+
+def test_gen_problem_without_matrix_source_exits_1(tmp_path, capsys):
+    assert main(["gen-problem", "--out-dir", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
+
+
 def test_gsvd_command_writes_factors(tmp_path):
     a_path, l_path = tmp_path / "A.mtx", tmp_path / "L.mtx"
     write_matrix_market(a_path, np.diag([2.0, 1.0]))
@@ -223,6 +278,33 @@ def test_check_mpe_pass_and_fail(problem_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_mpe_direct_formula_json_out(problem_dir, tmp_path):
+    json_path = tmp_path / "mpe.json"
+    code = main(
+        [
+            "check-mpe",
+            "--A", str(problem_dir / "A.mtx"),
+            "--L", str(problem_dir / "L.mtx"),
+            "--json-out", str(json_path),
+        ]
+    )
+    assert code == 0
+    identities = json.loads(json_path.read_text())["identities"]
+    assert len(identities) == 5 and all(i["passed"] for i in identities)
+
+
+def test_check_mpe_rank_tolerance_on_shared_null_pair(tmp_path, monkeypatch, capsys):
+    # WPINV_TOL_RANK ranks M A only; L N, whose roundoff direction a cutoff
+    # relative to its own shape would keep, stays at its product floor
+    prob = random_gls_problem(4, m=10, n=8, p=3, rank_a=5, shared_null=True)
+    a_path, l_path = tmp_path / "A.mtx", tmp_path / "L.mtx"
+    write_matrix_market(a_path, prob.A)
+    write_matrix_market(l_path, prob.L)
+    monkeypatch.setenv("WPINV_TOL_RANK", "1e-15")
+    assert main(["check-mpe", "--A", str(a_path), "--L", str(l_path)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
 
 
 def test_env_var_overrides_default_tolerance(problem_dir, tmp_path, monkeypatch):

@@ -82,6 +82,21 @@ def test_partition_planted_joint_null_space():
     check_factors(A, L, f)
 
 
+def test_leading_x_columns_lie_in_range_of_g():
+    # wpinv_via_gsvd skips the projector onto R(G) because the first r
+    # columns of X lie in R(G) by construction; a planted N(G) must see none
+    rng = np.random.default_rng(42)
+    e = rng.standard_normal(4)
+    e /= np.linalg.norm(e)
+    killer = np.eye(4) - np.outer(e, e)
+    A = rng.standard_normal((6, 4)) @ killer
+    L = rng.standard_normal((3, 4)) @ killer
+    f = gsvd_pair(A, L)
+    assert f.r == 3
+    lead = f.X[:, : f.r]
+    assert np.linalg.norm(e @ lead) <= 1e-12 * np.linalg.norm(lead)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_random_pairs_reconstruction(seed):
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from glskit import (
     write_matrix_market,
     write_vector,
 )
+from helpers import OVERFLOWING_INTEGER, OVERSIZED_DIMENSION
 
 
 def write(tmp_path, text, name="m.mtx"):
@@ -96,6 +97,8 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3),
         ("%%MatrixMarket matrix array real general\n2 1\n1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", 2),
+        (OVERSIZED_DIMENSION, 2),
+        (OVERFLOWING_INTEGER, 4),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, text, line):

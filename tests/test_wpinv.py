@@ -6,6 +6,7 @@ from scipy.linalg import subspace_angles
 
 from glskit import (
     GlsProblem,
+    RankTolerance,
     certify_solution,
     check_gls_criterion,
     check_gmpe,
@@ -140,6 +141,30 @@ def test_apply_gsvd_requires_identity_m():
         wpinv_apply(prob, method="nope")
 
 
+def test_apply_dispatches_to_gsvd_and_limit_routes():
+    prob = random_gls_problem(11, m=7, n=5, p=3, rank_a=4)
+    X_gsvd = wpinv_via_gsvd(gsvd_pair(prob.A, prob.L), prob.G)
+    np.testing.assert_array_equal(wpinv_apply(prob, "gsvd"), X_gsvd @ prob.b)
+    np.testing.assert_array_equal(
+        wpinv_apply(prob, "limit", delta=1e-4), wpinv_limit(prob, 1e-4) @ prob.b
+    )
+
+
+@pytest.mark.parametrize(
+    "tol", [RankTolerance(), RankTolerance(value=1e-15)], ids=["default", "1e-15"]
+)
+def test_explicit_rank_tolerance_keeps_ln_at_product_floor(tol):
+    # N(MA) and N(L) share a vector, so L N has a roundoff singular value
+    # (4.4e-16 on seed 4) above a cutoff relative to its own 3 x 3 shape;
+    # ranking L N at its product floor on both paths keeps X the same
+    for seed in range(160):
+        prob = random_gls_problem(seed, m=10, n=8, p=3, rank_a=5, shared_null=True)
+        X = wpinv_elden(prob, tol)
+        assert check_gmpe(prob, X).all_passed, seed
+        X_default = wpinv_elden(prob)
+        assert np.linalg.norm(X - X_default) <= 1e-12 * np.linalg.norm(X_default), seed
+
+
 def test_gmpe_passes_for_weighted_pseudoinverse():
     prob = random_gls_problem(17, m=6, n=4, p=3, rank_a=3)
     report = check_gmpe(prob, wpinv_elden(prob), tol=1e-9)
@@ -147,10 +172,6 @@ def test_gmpe_passes_for_weighted_pseudoinverse():
     parsed = report.as_dict()
     assert len(parsed["identities"]) == 5
     assert parsed["tol"] == 1e-9
-    # the historical regularizer-symmetry residual is reported for
-    # information but stays out of pass/fail and out of the JSON payload
-    assert report.regularizer_symmetry <= 1e-9
-    assert "regularizer_symmetry" not in report.to_json()
 
 
 def test_gmpe_detects_plain_pinv_when_l_matters():
