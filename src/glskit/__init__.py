@@ -40,6 +40,7 @@ from .wpinv import (
     wpinv_apply,
     wpinv_elden,
     wpinv_limit,
+    wpinv_matrix,
 )
 from .ggkb import (
     BidiagState,

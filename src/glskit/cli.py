@@ -22,7 +22,7 @@ from .gsvd import gsvd_pair, save_factors
 from .linalg import FactorizationError, IndefiniteMatrixError, RankTolerance, as_matrix
 from .mmio import MatrixMarketError, read_matrix_market, read_vector, write_matrix_market, write_vector
 from .problems import generate, random_sparse_matrix, save_problem
-from .wpinv import GlsProblem, check_gmpe, wpinv_apply, wpinv_elden
+from .wpinv import GlsProblem, check_gmpe, wpinv_elden, wpinv_matrix
 
 _NUMERIC_ERRORS = (
     ValueError,
@@ -125,11 +125,10 @@ def _cmd_solve(args):
 
 def _cmd_wpinv(args):
     prob = _load_problem_files(args)
-    tol = _rank_tolerance()
-    x = wpinv_apply(prob, method=args.method, delta=args.delta, tol=tol)
+    X = wpinv_matrix(prob, method=args.method, delta=args.delta, tol=_rank_tolerance())
+    x = X @ prob.b
     write_vector(args.out, x)
     if args.matrix_out:
-        X = wpinv_elden(prob, tol)
         write_matrix_market(args.matrix_out, X)
     print(f"wpinv: wrote solution of length {x.size} to {args.out}")
     return 0
@@ -210,7 +209,7 @@ def build_parser():
     wp.add_argument("--method", choices=["elden", "gsvd", "limit"], default="elden")
     wp.add_argument("--delta", type=float, default=1e-8)
     wp.add_argument("--out", required=True)
-    wp.add_argument("--matrix-out", help="also write the full weighted pseudoinverse")
+    wp.add_argument("--matrix-out", help="also write the matrix the chosen route applied to b")
     wp.set_defaults(handler=_cmd_wpinv)
 
     gs = sub.add_parser("gsvd", help="factor a pair {A, L} and export the factors")

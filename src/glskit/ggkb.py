@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
 
 from .linalg import EPS, as_matrix, cholesky_spd, lsqr, svd
 from .wpinv import GlsProblem
@@ -81,8 +81,7 @@ class CholeskyStrategy:
         self.hit_cap = False
 
     def apply(self, rhs):
-        y = solve_triangular(self.factor, rhs, lower=True)
-        return solve_triangular(self.factor.T, y, lower=False)
+        return cho_solve((self.factor, True), rhs, check_finite=False)
 
 
 class InnerLsqrStrategy:

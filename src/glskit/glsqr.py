@@ -63,6 +63,7 @@ class SolveReport:
     Histories have one entry per completed iteration. The residual-estimate
     history stores the normalized stopping quantity; the true-residual
     history (debug mode only) stores the directly evaluated counterpart.
+    ``alphas``, ``betas`` and ``beta1`` are read off ``state``.
     """
 
     x: np.ndarray
@@ -71,11 +72,12 @@ class SolveReport:
     residual_estimate_history: list
     true_residual_history: list | None
     x_norm_history: list
-    alphas: list
-    betas: list
     norm_estimate: OperatorNormEstimate
-    beta1: float
     state: BidiagState
+
+    alphas = property(lambda self: self.state.alphas)
+    betas = property(lambda self: self.state.betas)
+    beta1 = property(lambda self: self.state.betas[0])
 
 
 def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstimate:
@@ -236,8 +238,7 @@ def glsqr_solve(
     return SolveReport(
         x=x, iterations=k, stop_reason=stop_reason,
         residual_estimate_history=est_hist, true_residual_history=true_hist,
-        x_norm_history=xnorm_hist, alphas=list(state.alphas), betas=list(state.betas),
-        norm_estimate=norm, beta1=beta1, state=state,
+        x_norm_history=xnorm_hist, norm_estimate=norm, state=state,
     )
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "GlsCriterionReport",
     "wpinv_elden",
     "wpinv_limit",
+    "wpinv_matrix",
     "wpinv_apply",
     "check_gmpe",
     "check_gls_criterion",
@@ -37,11 +38,12 @@ class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
     Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
-    the direct route's cutoff), ``G``, ``M'`` (so U is thin for a wide M)
-    and ``L N``, N the basis of N(MA) that ``ma`` ranks, and the spectral
-    norms of A and L. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is factored
-    only for pinv(G). Other rank decisions of M A apply their own tolerance
-    through ``SvdFactors.ranked``; L N is always ranked at its product floor.
+    the direct route's cutoff), ``G``, ``M'`` (so U is thin for a wide M;
+    made only for identity 5 of ``check_gmpe``) and ``L N``, N the basis of
+    N(MA) that ``ma`` ranks. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is
+    factored only for pinv(G). Other rank decisions of M A apply their own
+    tolerance through ``SvdFactors.ranked``; L N is always ranked at its
+    product floor.
     """
 
     def __init__(self, A, M, MA, L, G):
@@ -49,14 +51,12 @@ class FactorStore:
 
     @cached_property
     def ma(self):
-        """The SVD of M A ranked at its data error eps*||M||*||A||, not at a
-        fraction of sigma_max(MA), which may itself be tiny (the default
-        cutoff when M = I)."""
+        """The SVD of M A ranked at its product floor (``_product_tolerance``
+        of M and A), not at a fraction of sigma_max(MA), which may itself be
+        tiny (the default cutoff when M = I)."""
         if self._M is None:
             return svd(self._MA)
-        norm_m = float(self.m.singular_values[0])
-        tol = _product_tolerance(self._MA.shape, (self._M, norm_m), (self._A, self.norm_a))
-        return svd(self._MA, tol)
+        return svd(self._MA, _product_tolerance(self._M, self._A))
 
     @cached_property
     def g(self):
@@ -67,17 +67,9 @@ class FactorStore:
         return svd(self._M.T)
 
     @cached_property
-    def norm_a(self):
-        return float(np.linalg.norm(self._A, 2))
-
-    @cached_property
-    def norm_l(self):
-        return float(np.linalg.norm(self._L, 2)) if self._L.size else 0.0
-
-    @cached_property
     def ln(self):
         """The SVD of ``L N``, N = ``ma.nullspace()``, ranked by ``_ln_svd``."""
-        return _ln_svd(self._L, self.norm_l, self.ma.nullspace())
+        return _ln_svd(self._L, self.ma.nullspace())
 
     @cached_property
     def nullspace_g(self):
@@ -164,7 +156,7 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     """
     ma = prob.factors.ma if tol is None else prob.factors.ma.ranked(tol)
     N = ma.nullspace()
-    ln = prob.factors.ln if tol is None else _ln_svd(prob.L, prob.factors.norm_l, N)
+    ln = prob.factors.ln if tol is None else _ln_svd(prob.L, N)
     X = ma.pinv()
     X = X - N @ (ln.pinv() @ (prob.L @ X))
     if prob.M is not None:
@@ -172,30 +164,29 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     return X
 
 
-def _product_tolerance(shape, *factors):
-    """Absolute rank cutoff at the roundoff floor of a matrix product.
-
-    ``factors`` are ``(matrix, spectral norm)`` pairs. The floor scales with
-    the factors' norms and dimensions, not with the product's own (possibly
-    tiny) top singular value; the margin factor covers error inherited from
-    upstream null-space computations.
+def _product_tolerance(*factors):
+    """Absolute rank cutoff ``8 dim eps prod ||F||_F`` at the roundoff floor
+    of the product of ``factors``, after ``||fl(AB) - AB||_F <= gamma_n
+    ||A||_F ||B||_F`` (Higham, Accuracy and Stability, 2nd ed., 3.5). It
+    scales with the factors, not with the product's own (possibly tiny) top
+    singular value; the margin 8 covers error inherited from upstream
+    null-space computations. None (the default cutoff) for a zero factor.
     """
-    scale = math.prod(norm for _, norm in factors)
-    if scale == 0.0 or 0 in shape:
+    scale = math.prod(float(np.linalg.norm(f)) for f in factors)
+    if scale == 0.0:
         return None
-    dim = max(*shape, *(d for f, _ in factors for d in f.shape))
+    dim = max(d for f in factors for d in f.shape)
     return RankTolerance("absolute", 8.0 * dim * EPS * scale)
 
 
-def _ln_svd(L, norm_l, N):
+def _ln_svd(L, N):
     """The SVD of ``L N`` for an orthonormal N, ranked at the roundoff floor
     of the product (rank 0 and identity singular vectors when p = 0 or N has
-    no columns). ``norm_l`` is the spectral norm of L."""
+    no columns)."""
     LN = L @ N
     if LN.size == 0:
         return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
-    # N has orthonormal columns, so its spectral norm is 1
-    return svd(LN, _product_tolerance(LN.shape, (L, norm_l), (N, 1.0)))
+    return svd(LN, _product_tolerance(L, N))
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
@@ -211,24 +202,28 @@ def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
     return core @ AtP
 
 
-def wpinv_apply(prob: GlsProblem, method="elden", delta=1e-8, tol=None) -> np.ndarray:
-    """Minimum 2-norm solution x = A_ML^+ b via the chosen route.
+def wpinv_matrix(prob: GlsProblem, method="elden", delta=1e-8, tol=None) -> np.ndarray:
+    """The matrix mapping b to the minimum 2-norm solution, by the chosen route.
 
-    ``method`` is one of "elden", "gsvd" (requires M = I) or "limit".
+    ``method`` is one of "elden", "gsvd" (requires M = I) or "limit"; the
+    last returns the delta approximation :func:`wpinv_limit`.
     """
-    if prob.b is None:
-        raise ValueError("problem has no right-hand side b")
     if method == "elden":
-        X = wpinv_elden(prob, tol)
-    elif method == "gsvd":
+        return wpinv_elden(prob, tol)
+    if method == "gsvd":
         if prob.M is not None:
             raise ValueError("the gsvd route requires M = I")
-        X = wpinv_via_gsvd(gsvd_pair(prob.A, prob.L, tol), prob.G)
-    elif method == "limit":
-        X = wpinv_limit(prob, delta, tol)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return X @ prob.b
+        return wpinv_via_gsvd(gsvd_pair(prob.A, prob.L, tol), prob.G)
+    if method == "limit":
+        return wpinv_limit(prob, delta, tol)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def wpinv_apply(prob: GlsProblem, method="elden", delta=1e-8, tol=None) -> np.ndarray:
+    """Minimum 2-norm solution x = A_ML^+ b via :func:`wpinv_matrix`."""
+    if prob.b is None:
+        raise ValueError("problem has no right-hand side b")
+    return wpinv_matrix(prob, method, delta, tol) @ prob.b
 
 
 def _rel(num, den):

@@ -172,6 +172,54 @@ def test_wpinv_command_and_matrix_out(problem_dir, tmp_path):
     assert np.linalg.norm(X @ b - x) <= 1e-10 * np.linalg.norm(x)
 
 
+def test_wpinv_matrix_out_forms_x_once(problem_dir, tmp_path, monkeypatch):
+    calls = []
+    original = glskit.wpinv.wpinv_elden
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(glskit.wpinv, "wpinv_elden", counted)
+    monkeypatch.setattr(glskit.cli, "wpinv_elden", counted)
+    code = main(
+        [
+            "wpinv",
+            "--A", str(problem_dir / "A.mtx"),
+            "--L", str(problem_dir / "L.mtx"),
+            "--b", str(problem_dir / "b.mtx"),
+            "--out", str(tmp_path / "x.mtx"),
+            "--matrix-out", str(tmp_path / "X.mtx"),
+        ]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_wpinv_matrix_out_writes_chosen_route(problem_dir, tmp_path):
+    x_path, X_path = tmp_path / "x.mtx", tmp_path / "X.mtx"
+    code = main(
+        [
+            "wpinv",
+            "--A", str(problem_dir / "A.mtx"),
+            "--L", str(problem_dir / "L.mtx"),
+            "--b", str(problem_dir / "b.mtx"),
+            "--method", "gsvd",
+            "--out", str(x_path),
+            "--matrix-out", str(X_path),
+        ]
+    )
+    assert code == 0
+    prob = glskit.GlsProblem(
+        read_matrix_market(problem_dir / "A.mtx"), None, read_matrix_market(problem_dir / "L.mtx")
+    )
+    expected = glskit.wpinv_via_gsvd(glskit.gsvd_pair(prob.A, prob.L), prob.G)
+    X = np.asarray(read_matrix_market(X_path))
+    np.testing.assert_array_equal(X, expected)
+    b = read_vector(problem_dir / "b.mtx")
+    np.testing.assert_array_equal(read_vector(x_path), X @ b)
+
+
 def test_wpinv_gsvd_method_agrees_with_elden(problem_dir, tmp_path):
     xs = {}
     for method in ("elden", "gsvd"):

@@ -334,6 +334,16 @@ def test_save_history_layout(tmp_path):
     assert float(first[1]) == report.residual_estimate_history[0]
 
 
+def test_report_coefficients_are_the_state_record():
+    gen = planted_problem(seed=9, m=14, n=16, rank=10)
+    report = glsqr_solve(gen.problem, tol=1e-12)
+    assert report.alphas is report.state.alphas
+    assert report.betas is report.state.betas
+    assert report.beta1 == report.state.betas[0]
+    with pytest.raises(AttributeError):
+        report.alphas = []
+
+
 def test_rejects_bad_tolerance():
     gen = planted_problem(seed=2, m=10, n=12, rank=8)
     with pytest.raises(ValueError):

@@ -328,6 +328,30 @@ def test_routes_and_checks_do_not_factor_g():
         assert "g" not in p.factors.__dict__
 
 
+def test_rank_floors_compute_no_spectral_norm(monkeypatch):
+    # the product floors of M A and L N scale with Frobenius norms, so no
+    # SVD is made only to size a cutoff; M' is factored for identity 5 alone.
+    # norm is patched, not svd: its internal SVD bypasses the public name
+    spectral = []
+    original = np.linalg.norm
+
+    def recording(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            spectral.append(np.shape(x))
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    rng = np.random.default_rng(64)
+    generate(random_matrix(rng, 12, 16, rank=8), "l1", "trig", seed=64)
+    prob = random_gls_problem(65, q=7, rank_a=4, rank_m=5, shared_null=True)
+    X = wpinv_elden(prob)
+    assert check_gls_criterion(prob, X @ prob.b, tol=1e-8)
+    assert "m" not in prob.factors.__dict__
+    assert check_gmpe(prob, X).all_passed
+    assert "m" in prob.factors.__dict__
+    assert spectral == []
+
+
 @pytest.mark.parametrize("q, rank_m", [(None, None), (7, 5)])
 def test_factorizations_do_not_grow_with_right_hand_sides(monkeypatch, q, rank_m):
     calls = []
