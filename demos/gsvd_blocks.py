@@ -21,10 +21,10 @@ def describe(A, L, label):
     pyth = np.linalg.norm(f.C_A.T @ f.C_A + f.S_L.T @ f.S_L - np.eye(f.r))
     print(f"  ||C'C + S'S - I|| = {pyth:.2e}")
     print(f"  operator norm sigma_max(C_A) = {gk.sigma_max_ca(f):.6f}")
-    part = gk.partition_x(f)
+    X4 = f.X[:, f.r :]
     G = A.T @ A + L.T @ L
-    if part.X4.size:
-        print(f"  ||G X4|| / ||G|| = {np.linalg.norm(G @ part.X4) / np.linalg.norm(G):.2e}")
+    if X4.size:
+        print(f"  ||G X4|| / ||G|| = {np.linalg.norm(G @ X4) / np.linalg.norm(G):.2e}")
     print()
 
 

@@ -24,9 +24,7 @@ from .linalg import (
 )
 from .gsvd import (
     GsvdFactors,
-    XPartition,
     gsvd_pair,
-    partition_x,
     save_factors,
     sigma_max_ca,
     wpinv_via_gsvd,

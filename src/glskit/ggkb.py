@@ -207,7 +207,6 @@ class BidiagState:
     betas: list
     v: Basis
     u: Basis
-    breakdown_ref: float
     reorthogonalize: bool = True
     inner_capped: bool = False
 
@@ -224,6 +223,12 @@ class BidiagState:
         return self.k if self.terminated else None
 
     @property
+    def breakdown_ref(self):
+        """The initial coefficient scale max(alpha_1, beta_1) that breakdown
+        thresholds are relative to."""
+        return max(self.alphas[0], self.betas[0])
+
+    @property
     def V(self):
         return self.v.cols
 
@@ -231,10 +236,8 @@ class BidiagState:
     def MU(self):
         return self.u.cols
 
-    def bidiagonal(self, k=None):
+    def bidiagonal(self, k):
         """The (k+1) x k lower-bidiagonal coefficient matrix B_k."""
-        if k is None:
-            k = min(len(self.alphas), len(self.betas) - 1)
         B = np.zeros((k + 1, k))
         B[:k] = np.diag(self.alphas[:k])
         B[1:] += np.diag(self.betas[1 : k + 1])
@@ -270,7 +273,7 @@ def _g_orthonormalize(state, prob, s):
 def _expand_v(state, prob, strategy, s, u, floor):
     """The V half of an expansion: G-orthonormalize s into alpha v, append u,
     latch the strategy's cap, then append alpha and v, or, if alpha is at or
-    below ``floor``, the terminating 0.0. Returns alpha."""
+    below ``floor``, the terminating 0.0."""
     gs, alpha = _g_orthonormalize(state, prob, s)
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
@@ -279,7 +282,6 @@ def _expand_v(state, prob, strategy, s, u, floor):
     else:
         state.alphas.append(alpha)
         state.v.append(s / alpha, gs / alpha)
-    return alpha
 
 
 def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
@@ -302,7 +304,7 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     state = BidiagState(
         alphas=[], betas=[beta1],
         v=Basis.empty(prob.n, limit), u=Basis.empty(prob.q, limit, euclidean=True),
-        breakdown_ref=max(beta1, 1.0), reorthogonalize=reorthogonalize,
+        reorthogonalize=reorthogonalize,
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
@@ -313,8 +315,7 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     u1 = mb / beta1
     s = strategy.apply(prob.MA.T @ u1)
     # as BREAKDOWN_REL * max(alpha1, beta1): the max is beta1 wherever the test can pass
-    alpha1 = _expand_v(state, prob, strategy, s, u1, BREAKDOWN_REL * beta1)
-    state.breakdown_ref = max(alpha1, beta1)
+    _expand_v(state, prob, strategy, s, u1, BREAKDOWN_REL * beta1)
     return state
 
 

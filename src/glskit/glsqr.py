@@ -139,8 +139,8 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _true_residual(prob, strategy, x):
-    q = strategy.apply(prob.MA.T @ (prob.MA @ x - prob.mult_M(prob.b)))
+def _true_residual(prob, G_pinv, x):
+    q = G_pinv @ (prob.MA.T @ (prob.MA @ x - prob.mult_M(prob.b)))
     return math.sqrt(max(float(q @ (prob.G @ q)), 0.0))
 
 
@@ -174,7 +174,8 @@ def glsqr_solve(
         not an error.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
-        (dense-cost, for validation).
+        (dense-cost, for validation). It applies the problem's own pinv(G),
+        never ``strategy``, so the run's iterates are those of a plain run.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -192,6 +193,7 @@ def glsqr_solve(
     rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
     est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
+    G_pinv = prob.factors.g.pinv() if debug else None
     k, est = 0, math.inf
 
     while not (state.terminated or est <= tol or k == max_iter):
@@ -226,7 +228,7 @@ def glsqr_solve(
         est_hist.append(est)
         xnorm_hist.append(float(np.linalg.norm(x)))
         if debug:
-            true_hist.append(_true_residual(prob, strategy, x) / denom)
+            true_hist.append(_true_residual(prob, G_pinv, x) / denom)
 
     if state.terminated:
         stop_reason = "ggkb_terminated"

@@ -20,9 +20,7 @@ from .linalg import FactorizationError, as_matrix, svd
 
 __all__ = [
     "GsvdFactors",
-    "XPartition",
     "gsvd_pair",
-    "partition_x",
     "sigma_max_ca",
     "wpinv_via_gsvd",
     "save_factors",
@@ -61,22 +59,15 @@ class GsvdFactors:
         return S
 
 
-@dataclass
-class XPartition:
-    X1: np.ndarray
-    X2: np.ndarray
-    X3: np.ndarray
-    X4: np.ndarray
-
-
-def _orthonormalize_columns(T):
-    """QR-orthonormalize near-orthonormal columns, keeping order and sign."""
+def _complete_basis(T):
+    """Orthonormal basis of R^p whose last k columns QR-orthonormalize the
+    p x k near-orthonormal T, keeping column order and sign."""
     Q, R = np.linalg.qr(T, mode="complete")
     k = T.shape[1]
     signs = np.sign(np.diag(R)[:k])
     signs[signs == 0] = 1.0
     Q[:, :k] *= signs
-    return Q[:, :k], Q[:, k:]
+    return np.hstack([Q[:, k:], Q[:, :k]])
 
 
 def gsvd_pair(A, L, tol=None):
@@ -96,7 +87,7 @@ def gsvd_pair(A, L, tol=None):
     L = as_matrix(L, "L")
     if A.shape[1] != L.shape[1]:
         raise ValueError("A and L must have the same number of columns")
-    m, n = A.shape
+    m = A.shape[0]
     p = L.shape[0]
 
     K = np.vstack([A, L])
@@ -119,60 +110,36 @@ def gsvd_pair(A, L, tol=None):
     q1 = int(np.count_nonzero(1.0 - c <= _CLUSTER_TOL))
     q3 = int(np.count_nonzero(c <= _CLUSTER_TOL))
     q2 = r - q1 - q3
-
+    k, nz = q1 + q2, r - q1
+    c[:q1] = 1.0
     C_A = np.zeros((m, r))
-    for i in range(q1):
-        C_A[i, i] = 1.0
-    for i in range(q1, q1 + q2):
-        C_A[i, i] = c[i]
+    C_A[np.arange(k), np.arange(k)] = c[:k]
 
     # Columns q1..r of Z_L @ Vhat are orthogonal with norms sqrt(1 - c_i^2);
-    # they become the trailing columns of U_L, preceded by a completion.
+    # normalized, they become the trailing columns of U_L after a completion.
+    # The sines of the q3 block are 1 by the block definition.
     T = Z[m:] @ Vhat
-    nz = r - q1
+    s = np.linalg.norm(T[:, q1:], axis=0)
+    U_L = _complete_basis(T[:, q1:] / s)
+    s[q2:] = 1.0
     S_L = np.zeros((p, r))
-    if nz > 0:
-        raw = T[:, q1:]
-        norms = np.linalg.norm(raw, axis=0)
-        block, completion = _orthonormalize_columns(raw / norms)
-        U_L = np.hstack([completion, block])
-        offset = p - nz
-        for j in range(nz):
-            idx = q1 + j
-            S_L[offset + j, idx] = 1.0 if idx >= r - q3 else norms[j]
-    else:
-        U_L = np.eye(p)
+    S_L[np.arange(p - nz, p), np.arange(q1, r)] = s
 
-    X_main = (W / sig) @ Vhat if r else np.zeros((n, 0))
-    X = np.hstack([X_main, N])
+    X = np.hstack([(W / sig) @ Vhat, N])
     X_inv = np.vstack([Vhat.T @ (sig[:, None] * W.T), N.T])
-
-    factors = GsvdFactors(
-        U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,
-        X_inv=X_inv,
-    )
 
     scale = np.linalg.norm(A) + np.linalg.norm(L)
     resid = max(
-        np.linalg.norm(A - Ua @ factors.sigma_a() @ X_inv),
-        np.linalg.norm(L - U_L @ factors.sigma_l() @ X_inv),
+        np.linalg.norm(A - (Ua[:, :k] * c[:k]) @ X_inv[:k]),
+        np.linalg.norm(L - (U_L[:, p - nz :] * s) @ X_inv[q1:r]),
     )
     if resid > 1e-10 * max(scale, 1e-300):
         raise FactorizationError(
             f"GSVD reconstruction residual {resid:.3e} exceeds tolerance", residual=resid
         )
-    return factors
-
-
-def partition_x(f: GsvdFactors) -> XPartition:
-    """Split X into the (q1, q2, q3, n - r) column blocks."""
-    q1, q2, q3 = f.q1, f.q2, f.q3
-    X = f.X
-    return XPartition(
-        X1=X[:, :q1],
-        X2=X[:, q1 : q1 + q2],
-        X3=X[:, q1 + q2 : q1 + q2 + q3],
-        X4=X[:, f.r :],
+    return GsvdFactors(
+        U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,
+        X_inv=X_inv,
     )
 
 
@@ -185,31 +152,25 @@ def sigma_max_ca(f: GsvdFactors) -> float:
 def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
     """Closed-form weighted pseudoinverse (M = I): proj_R(G) X pinv(Sigma_A) U_A.T.
 
-    Uses the partition identity ``X pinv(Sigma_A) = [X1, X2 inv(C_q2), 0]``,
-    so no singular values are inverted beyond the q2 block. The projector is
+    pinv(Sigma_A) keeps only the k = q1 + q2 nonzero cosines, so the product
+    is ``X[:, :k] diag(1/c) U_A[:, :k].T``; the q1 cosines are exactly 1, so
+    no singular values are inverted beyond the q2 block. The projector is
     the identity on these columns, so it is not applied: ``gsvd_pair`` builds
     them as ``W diag(1/sig) Vhat``, W an orthonormal basis of R(G). ``G``
     must be the Gram matrix ``A.T A + L.T L`` of the factored pair; its null
-    space is checked against the X4 block.
+    space is checked against the last n - r columns of X.
     """
     G = as_matrix(G, "G")
-    m, _, n = f.shape
+    n = f.X.shape[0]
     if G.shape != (n, n):
         raise ValueError(f"G must be {n} x {n}, got {G.shape}")
-    part = partition_x(f)
-    if part.X4.size:
+    X4 = f.X[:, f.r :]
+    if X4.size:
         gnorm = np.linalg.norm(G)
-        if gnorm and np.linalg.norm(G @ part.X4) > 1e-6 * gnorm * max(
-            np.linalg.norm(part.X4), 1.0
-        ):
+        if gnorm and np.linalg.norm(G @ X4) > 1e-6 * gnorm * max(np.linalg.norm(X4), 1.0):
             raise ValueError("G is inconsistent with the factored pair (X4 not in its null space)")
-
-    cq2 = np.diag(f.C_A)[f.q1 : f.q1 + f.q2]
-    XS = np.zeros((n, m))
-    XS[:, : f.q1] = part.X1
-    if f.q2:
-        XS[:, f.q1 : f.q1 + f.q2] = part.X2 / cq2[None, :]
-    return XS @ f.U_A.T
+    k = f.q1 + f.q2
+    return (f.X[:, :k] / np.diag(f.C_A)[:k]) @ f.U_A[:, :k].T
 
 
 def save_factors(f: GsvdFactors, directory):

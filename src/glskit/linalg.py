@@ -182,9 +182,9 @@ def cholesky_spd(G):
     """Lower-triangular C with ``C @ C.T == G`` for SPD ``G`` (LAPACK potrf).
 
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
-    ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`,
-    which callers use to fall back to a pseudoinverse path for PSD-singular
-    matrices.
+    ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`. No
+    caller falls back: the command line reports it as a numeric failure,
+    and a PSD-singular ``G`` needs a pseudoinverse strategy instead.
     """
     G = _require_symmetric(G, "G")
     try:

@@ -1,6 +1,7 @@
-"""The edge shapes of the GLS problem: empty regularizer, zero A, trivial
-N(MA), m < n with a singular weight, and b in N(M). The direct route and
-gLSQR must both return a certified minimum 2-norm solution."""
+"""The edge shapes of the GLS problem: empty regularizer, zero A (with and
+without a weight), zero L, zero M, trivial N(MA), m < n with a singular
+weight, and b in N(M). The direct route and gLSQR must both return a
+certified minimum 2-norm solution."""
 
 import numpy as np
 import pytest
@@ -43,12 +44,33 @@ def _b_in_null_space_of_m():
     return GlsProblem(prob.A, M, prob.L, b)
 
 
+def _zero_a_weighted():
+    # A = 0 under a rank-deficient weight: M A is a zero factor product
+    prob = random_gls_problem(75, m=7, n=5, p=3, q=6, rank_m=4)
+    return GlsProblem(np.zeros((7, 5)), prob.M, prob.L, prob.b)
+
+
+def _zero_l():
+    # L = 0 with p = 3 rows: L N is a zero factor product
+    prob = random_gls_problem(76, m=8, n=6, p=3, rank_a=4)
+    return GlsProblem(prob.A, None, np.zeros((3, 6)), prob.b)
+
+
+def _zero_m():
+    # M = 0: every x solves the data term and P = 0
+    prob = random_gls_problem(77, m=6, n=5, p=3, q=4)
+    return GlsProblem(prob.A, np.zeros((4, 6)), prob.L, prob.b)
+
+
 EDGE_SHAPES = {
     "p=0": _no_regularizer,
     "A=0": _zero_a,
     "full-column-rank MA": _full_column_rank_ma,
     "m<n, singular M, shared null": _wide_singular_m_shared_null,
     "b in N(M)": _b_in_null_space_of_m,
+    "A=0, weighted": _zero_a_weighted,
+    "L=0, p=3": _zero_l,
+    "M=0": _zero_m,
 }
 
 

@@ -251,11 +251,27 @@ class CountingStrategy(DensePinvStrategy):
 
 def test_solve_applies_pinv_g_once_per_expansion():
     prob = random_gls_problem(19, m=30, n=24, p=10, q=28, rank_m=20)
-    strategy = CountingStrategy(prob.G)
-    report = glsqr_solve(prob, strategy, tol=1e-300, max_iter=6)
-    assert report.stop_reason == "max_iter"
-    # one apply in ggkb_init, one per step: no norm pre-pass
-    assert strategy.applies == report.iterations + 1
+    for debug in (False, True):
+        strategy = CountingStrategy(prob.G)
+        report = glsqr_solve(prob, strategy, tol=1e-300, max_iter=6, debug=debug)
+        assert report.stop_reason == "max_iter"
+        # one apply in ggkb_init, one per step: no norm pre-pass, and the
+        # debug residual does not go through the strategy
+        assert strategy.applies == report.iterations + 1
+
+
+def test_debug_residual_does_not_steer_a_capped_inner_solve():
+    # an inner solver capped at 8 steps: its relative_noise and hit_cap
+    # move with every apply, so a debug residual through it would change
+    # the run's degeneracy cutoff
+    prob = random_gls_problem(0, m=30, n=24, p=10, cond=100.0)
+    plain, debug = (
+        glsqr_solve(prob, InnerLsqrStrategy(prob.G, tau=1e-10, max_iter=8), tol=1e-10, debug=d)
+        for d in (False, True)
+    )
+    assert plain.state.inner_capped
+    assert debug.iterations == plain.iterations
+    assert debug.x.tobytes() == plain.x.tobytes()
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():

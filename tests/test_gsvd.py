@@ -6,7 +6,6 @@ import pytest
 from glskit import (
     GlsProblem,
     gsvd_pair,
-    partition_x,
     pinv,
     sigma_max_ca,
     wpinv_elden,
@@ -59,12 +58,10 @@ def test_diagonal_pair_hand_values():
 
 def test_partition_widths():
     f = gsvd_pair(np.eye(2), np.zeros((1, 2)))
-    part = partition_x(f)
-    assert [part.X1.shape[1], part.X2.shape[1], part.X3.shape[1], part.X4.shape[1]] == [2, 0, 0, 0]
+    assert (f.q1, f.q2, f.q3, f.X.shape[1] - f.r) == (2, 0, 0, 0)
 
     f = gsvd_pair(np.diag([2.0, 1.0]), np.eye(2))
-    part = partition_x(f)
-    assert [b.shape[1] for b in (part.X1, part.X2, part.X3, part.X4)] == [0, 2, 0, 0]
+    assert (f.q1, f.q2, f.q3, f.X.shape[1] - f.r) == (0, 2, 0, 0)
 
 
 def test_partition_planted_joint_null_space():
@@ -75,10 +72,10 @@ def test_partition_planted_joint_null_space():
     A = rng.standard_normal((6, 4)) @ killer
     L = rng.standard_normal((3, 4)) @ killer
     f = gsvd_pair(A, L)
-    part = partition_x(f)
-    assert part.X4.shape[1] == 1
+    X4 = f.X[:, f.r :]
+    assert X4.shape[1] == 1
     G = A.T @ A + L.T @ L
-    assert np.linalg.norm(G @ part.X4) <= 1e-10 * np.linalg.norm(G)
+    assert np.linalg.norm(G @ X4) <= 1e-10 * np.linalg.norm(G)
     check_factors(A, L, f)
 
 

@@ -99,6 +99,15 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", 2),
         (OVERSIZED_DIMENSION, 2),
         (OVERFLOWING_INTEGER, 4),
+        ("", 1),
+        ("%%MatrixMarket matrix coordinate real general\n2 x 1\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n2 -2 1\n", 2),
+        ("%%MatrixMarket vector coordinate real general\n2 1\n1 1.0\n", 1),
+        ("%%MatrixMarket matrix dense real general\n1 1\n1.0\n", 1),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", 3),
+        ("%%MatrixMarket matrix coordinate real general\n% no size line\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n3.0\n", 5),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, text, line):
