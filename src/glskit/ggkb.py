@@ -19,9 +19,16 @@ strategy provides ``apply(rhs)``, pinv(G) rhs or an approximation of it;
 True once an inner iteration has ended unconverged (out of steps, or on a
 curvature breakdown).
 
-The bases V with G V, and M U~, live in one workspace per side (``Basis``)
-that ``ggkb_step`` extends in place. Reorthogonalization is two block
-classical Gram-Schmidt passes against that workspace (CGS2).
+The bases V and M U~ live in one workspace per side (``Basis``) that
+``ggkb_step`` extends in place. Reorthogonalization is two block classical
+Gram-Schmidt passes against a workspace (CGS2), in one of three modes:
+
+* ``"both"`` sides: V in the G-inner product, for which only this mode keeps
+  the images G V beside V;
+* the ``"data"`` side M U~ alone, Euclidean in R^q: one side is enough to
+  keep the computed bidiagonal accurate (Simon & Zha, SIAM J. Sci. Comput.
+  21(6), 2000; Barlow, Numer. Math. 124, 2013);
+* ``"none"``, the textbook recurrence.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "ggkb_step",
 ]
 
+REORTHOGONALIZE_MODES = ("both", "data", "none")
 BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
 # workspace columns before the first doubling
@@ -121,12 +129,14 @@ class InnerLsqrStrategy:
 
 @dataclass(eq=False)
 class Basis:
-    """Columns x_1..x_k and their images C x_j in one growable workspace.
+    """Columns x_1..x_k, and their images C x_j, in one growable workspace.
 
     ``X`` and ``CX`` are Fortran-ordered ``(dim, capacity)`` arrays whose
     leading ``k`` columns are in use; the capacity doubles when full, up to
-    ``limit`` and past it only if a run outlives its Krylov bound. A
-    Euclidean basis (C = I) keeps no images: ``CX`` is ``X`` itself.
+    ``limit`` and past it only if a run outlives its Krylov bound. A basis
+    without images keeps no second array: ``CX`` is ``X`` itself, the image
+    under C = I. That serves the Euclidean data side, and a V side that is
+    never projected.
     """
 
     X: np.ndarray
@@ -135,10 +145,10 @@ class Basis:
     k: int = 0
 
     @classmethod
-    def empty(cls, dim, limit, euclidean=False):
+    def empty(cls, dim, limit, images=True):
         cap = min(INITIAL_COLUMNS, limit)
         X = np.empty((dim, cap), order="F")
-        return cls(X, X if euclidean else np.empty_like(X), limit)
+        return cls(X, np.empty_like(X) if images else X, limit)
 
     @property
     def cols(self):
@@ -149,15 +159,15 @@ class Basis:
         return self.CX[:, : self.k]
 
     def append(self, x, cx=None):
-        """Add column x, and its image cx unless the basis is Euclidean."""
-        euclidean = self.CX is self.X
+        """Add column x, and its image cx if the basis keeps images."""
+        images = self.CX is not self.X
         cap = self.X.shape[1]
         if self.k == cap:
             grown = 2 * cap if cap >= self.limit else min(2 * cap, self.limit)
             self.X = _widened(self.X, grown)
-            self.CX = self.X if euclidean else _widened(self.CX, grown)
+            self.CX = _widened(self.CX, grown) if images else self.X
         self.X[:, self.k] = x
-        if not euclidean:
+        if images:
             self.CX[:, self.k] = cx
         self.k += 1
 
@@ -191,10 +201,13 @@ class BidiagState:
     positive and every termination stores a zero one, so ``terminated`` and
     ``k_t = k`` are read off a trailing zero in ``alphas`` (the Krylov spaces
     are exhausted and the current gLSQR iterate is exact). ``v`` holds the
-    columns v_i with G v_i, orthonormal in the G-inner product; ``u`` holds
-    the columns M u~_i in R^q, orthonormal in the Euclidean one, where the
-    u~_i are the P-orthonormal data-side vectors of the recurrence (see the
-    module docstring). Each lives in one workspace (see ``Basis``); ``V``
+    columns v_i, orthonormal in the G-inner product, and their images G v_i
+    only when ``reorthogonalize`` is ``"both"``, the one mode that projects
+    them (elsewhere they drift from orthonormality); ``u`` holds the columns
+    M u~_i in R^q, orthonormal in the Euclidean one, where the u~_i are the
+    P-orthonormal data-side vectors of the recurrence (see the module
+    docstring). ``reorthogonalize`` is the mode that ``ggkb_init`` was
+    given. Each side lives in one workspace (see ``Basis``); ``V``
     and ``MU`` are views of their leading columns, so the bidiagonal
     relations read ``MA V_k = MU_{k+1} B_k`` and
     ``pinv(G) (MA)' MU_{k+1} = V_k B_k' + alpha_{k+1} v_{k+1} e_{k+1}'``.
@@ -207,7 +220,7 @@ class BidiagState:
     betas: list
     v: Basis
     u: Basis
-    reorthogonalize: bool = True
+    reorthogonalize: str = "both"
     inner_capped: bool = False
 
     @property
@@ -255,14 +268,15 @@ def _radicand(value, scale, vec_sq):
 
 
 def _g_orthonormalize(state, prob, s):
-    """Reorthogonalize s in place against V (nothing to do while V is
-    empty); return G s and the G-seminorm of s."""
+    """Reorthogonalize s in place against V in ``"both"`` mode (nothing to
+    do while V is empty); return G s and the G-seminorm of s."""
     gs = prob.G @ s
-    if state.reorthogonalize:
+    projected = state.reorthogonalize == "both"
+    if projected:
         state.v.project_out(s, gs)
     value = float(s @ gs)
-    if value < 0.0:
-        # the maintained gs carries absolute drift from earlier scales; a
+    if value < 0.0 and projected:
+        # the projected gs carries absolute drift from earlier scales; a
         # fresh product restores the ||s||^2-proportional error the
         # negativity guard assumes
         gs = prob.G @ s
@@ -284,8 +298,12 @@ def _expand_v(state, prob, strategy, s, u, floor):
         state.v.append(s / alpha, gs / alpha)
 
 
-def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
+def ggkb_init(prob: GlsProblem, strategy, reorthogonalize="both") -> BidiagState:
     """First bidiagonalization vectors from b; may terminate immediately.
+
+    ``reorthogonalize`` is one of ``REORTHOGONALIZE_MODES``: ``"both"``
+    sides, the ``"data"`` side M U~ only, or ``"none"`` (see the module
+    docstring); any other value raises ``ValueError``.
 
     If M b vanishes (b in the null space of M) the state terminates with
     k_t = 0 and the downstream solution is zero. "Vanishes" means
@@ -294,6 +312,10 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     ``BREAKDOWN_REL beta_1`` terminates at k_t = 0 too; either way alpha_1
     is stored as 0.0.
     """
+    if reorthogonalize not in REORTHOGONALIZE_MODES:
+        raise ValueError(
+            f"reorthogonalize must be one of {REORTHOGONALIZE_MODES}, got {reorthogonalize!r}"
+        )
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     mb = prob.mult_M(prob.b)
@@ -303,7 +325,8 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize=True) -> BidiagState:
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
         alphas=[], betas=[beta1],
-        v=Basis.empty(prob.n, limit), u=Basis.empty(prob.q, limit, euclidean=True),
+        v=Basis.empty(prob.n, limit, images=reorthogonalize == "both"),
+        u=Basis.empty(prob.q, limit, images=False),
         reorthogonalize=reorthogonalize,
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
@@ -335,7 +358,7 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     v_last = state.V[:, -1]
 
     r = prob.MA @ v_last - alpha * state.MU[:, -1]
-    if state.reorthogonalize:
+    if state.reorthogonalize != "none":
         state.u.project_out(r)
     beta_next = math.sqrt(float(r @ r))
     # besides the absolute cutoff, a coefficient vanishing relative to its

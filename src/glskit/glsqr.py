@@ -185,7 +185,9 @@ def glsqr_solve(
         max_iter = 2 * min(prob.m, prob.n)
     max_iter = max(int(max_iter), 1)
 
-    state = ggkb_init(prob, strategy)
+    # one-sided reorthogonalization keeps B_k accurate; the data side is
+    # the cheap one, Euclidean and without images
+    state = ggkb_init(prob, strategy, reorthogonalize="data")
     beta1 = state.betas[0]
     x = np.zeros(prob.n)
     w = np.zeros(prob.n)

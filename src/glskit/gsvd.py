@@ -42,22 +42,6 @@ class GsvdFactors:
     q3: int
     X_inv: np.ndarray  # exact inverse assembled from the construction
 
-    @property
-    def shape(self):
-        return (self.U_A.shape[0], self.U_L.shape[0], self.X.shape[0])
-
-    def sigma_a(self):
-        m, _, n = self.shape
-        S = np.zeros((m, n))
-        S[:, : self.r] = self.C_A
-        return S
-
-    def sigma_l(self):
-        _, p, n = self.shape
-        S = np.zeros((p, n))
-        S[:, : self.r] = self.S_L
-        return S
-
 
 def _complete_basis(T):
     """Orthonormal basis of R^p whose last k columns QR-orthonormalize the

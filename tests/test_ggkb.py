@@ -22,7 +22,7 @@ from helpers import (
 )
 
 
-def run_ggkb(prob, strategy, steps, reorthogonalize=True):
+def run_ggkb(prob, strategy, steps, reorthogonalize="both"):
     state = ggkb_init(prob, strategy, reorthogonalize=reorthogonalize)
     for _ in range(steps):
         if state.terminated:
@@ -209,30 +209,54 @@ def test_orthogonality_drift_with_and_without_reorthogonalization():
     prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
     strategy = DensePinvStrategy(prob.G)
 
-    state = run_ggkb(prob, strategy, steps=50, reorthogonalize=True)
+    state = run_ggkb(prob, strategy, steps=50, reorthogonalize="both")
     V, U = state.V, state.MU
     assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-12
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
 
-    state = run_ggkb(prob, strategy, steps=50, reorthogonalize=False)
+    state = run_ggkb(prob, strategy, steps=50, reorthogonalize="none")
     V = state.V
     assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-8
 
 
-def test_orthonormality_holds_to_krylov_exhaustion():
+def exhaustion_problems():
     # rank-deficient A with singular P (rank 30 of 40): the last directions
     # emerge from heavy cancellation; without reorthogonalization the run
     # loses orthogonality completely and never terminates
     for seed in range(4):
-        prob = random_gls_problem(
+        yield random_gls_problem(
             400 + seed, m=40, n=30, p=30, q=36, rank_a=20, rank_m=30,
             shared_null=seed % 2 == 0, cond=100.0,
         )
+
+
+def test_orthonormality_holds_to_krylov_exhaustion():
+    for prob in exhaustion_problems():
         state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60)
         assert state.terminated and state.k_t == 20
         V, U = state.V, state.MU
         assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-12
         assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
+
+
+def test_data_side_reorthogonalization_reaches_krylov_exhaustion():
+    # projecting M U~ alone keeps the bidiagonal accurate: the run ends at
+    # the same step, and V, never projected, drifts from G-orthonormality
+    # by 1.4e-11 at most on these problems
+    for prob in exhaustion_problems():
+        state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60, reorthogonalize="data")
+        assert state.terminated and state.k_t == 20
+        assert state.v.CX is state.v.X  # no G V workspace
+        V, U = state.V, state.MU
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
+        assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mode", [True, False, "yes", "Both", None])
+def test_init_rejects_an_unknown_reorthogonalization_mode(mode):
+    prob = identity_problem()
+    with pytest.raises(ValueError, match="'both', 'data', 'none'"):
+        ggkb_init(prob, DensePinvStrategy(prob.G), reorthogonalize=mode)
 
 
 def test_step_updates_one_workspace_in_place():
@@ -248,7 +272,7 @@ def test_step_updates_one_workspace_in_place():
         assert np.shares_memory(state.MU, state.u.X)
 
 
-@pytest.mark.parametrize("reorthogonalize", [True, False])
+@pytest.mark.parametrize("reorthogonalize", ["both", "data", "none"])
 def test_workspace_growth_keeps_the_recurrence(monkeypatch, reorthogonalize):
     prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
     strategy = DensePinvStrategy(prob.G)

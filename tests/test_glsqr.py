@@ -13,6 +13,7 @@ from glskit import (
     glsqr_solve,
     operator_norm,
     save_history,
+    wpinv_apply,
     wpinv_elden,
 )
 from helpers import (
@@ -312,6 +313,21 @@ def test_exact_termination_certifies(seed):
     assert certify_solution(prob, report, tol=1e-8)
     x_ref = wpinv_elden(prob) @ prob.b
     assert np.linalg.norm(report.x - x_ref) <= 1e-8 * max(np.linalg.norm(x_ref), 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_data_side_solve_matches_the_direct_route(seed):
+    # V is not projected, and drifts from G-orthonormality (up to 3e-3 on
+    # these problems), yet the iterates stay those of the direct route
+    prob = random_gls_problem(seed, m=120, n=90, p=40, q=100, rank_a=70, rank_m=95)
+    x_ref = wpinv_apply(prob)
+    report = glsqr_solve(prob, DensePinvStrategy(prob.G))
+    assert report.state.reorthogonalize == "data"
+    assert report.state.v.CX is report.state.v.X  # no G V workspace
+    assert np.linalg.norm(report.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    report = glsqr_solve(prob, InnerLsqrStrategy(prob.G, tau=1e-10))
+    assert not report.state.inner_capped
+    assert certify_solution(prob, report)
 
 
 def test_inexact_inner_solver_caps_accuracy():

@@ -14,6 +14,14 @@ from glskit import (
 from helpers import projector_range, random_matrix
 
 
+def padded(block, n):
+    """Sigma_A or Sigma_L: the m x r or p x r diagonal block, zero-padded to
+    n columns."""
+    S = np.zeros((block.shape[0], n))
+    S[:, : block.shape[1]] = block
+    return S
+
+
 def check_factors(A, L, f, rtol=1e-10):
     A, L = np.atleast_2d(A), np.atleast_2d(L)
     assert f.q1 + f.q2 + f.q3 == f.r
@@ -21,8 +29,9 @@ def check_factors(A, L, f, rtol=1e-10):
     assert np.linalg.norm(f.U_L.T @ f.U_L - np.eye(f.U_L.shape[0])) <= 1e-12
     pyth = f.C_A.T @ f.C_A + f.S_L.T @ f.S_L - np.eye(f.r)
     assert np.linalg.norm(pyth) <= 1e-12
-    assert np.linalg.norm(A @ f.X - f.U_A @ f.sigma_a()) <= rtol * max(np.linalg.norm(A), 1e-30)
-    assert np.linalg.norm(L @ f.X - f.U_L @ f.sigma_l()) <= rtol * max(np.linalg.norm(L), 1e-30)
+    n = f.X.shape[0]
+    assert np.linalg.norm(A @ f.X - f.U_A @ padded(f.C_A, n)) <= rtol * max(np.linalg.norm(A), 1e-30)
+    assert np.linalg.norm(L @ f.X - f.U_L @ padded(f.S_L, n)) <= rtol * max(np.linalg.norm(L), 1e-30)
     assert np.linalg.norm(f.X @ f.X_inv - np.eye(f.X.shape[0])) <= 1e-10
     cq2 = np.diag(f.C_A)[f.q1 : f.q1 + f.q2]
     assert np.all((cq2 > 0.0) & (cq2 < 1.0))
