@@ -20,15 +20,12 @@ True once an inner iteration has ended unconverged (out of steps, or on a
 curvature breakdown).
 
 The bases V and M U~ live in one workspace per side (``Basis``) that
-``ggkb_step`` extends in place. Reorthogonalization is two block classical
-Gram-Schmidt passes against a workspace (CGS2), in one of three modes:
-
-* ``"both"`` sides: V in the G-inner product, for which only this mode keeps
-  the images G V beside V;
-* the ``"data"`` side M U~ alone, Euclidean in R^q: one side is enough to
-  keep the computed bidiagonal accurate (Simon & Zha, SIAM J. Sci. Comput.
-  21(6), 2000; Barlow, Numer. Math. 124, 2013);
-* ``"none"``, the textbook recurrence.
+``ggkb_step`` extends in place. Each step reorthogonalizes the data side
+M U~, Euclidean in R^q, by two block classical Gram-Schmidt passes against
+its workspace (CGS2). One side is enough to keep the computed bidiagonal
+accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6), 2000; Barlow, Numer.
+Math. 124, 2013), so V is never projected and drifts slowly from
+G-orthonormality.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "ggkb_step",
 ]
 
-REORTHOGONALIZE_MODES = ("both", "data", "none")
 BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
 # workspace columns before the first doubling
@@ -129,61 +125,44 @@ class InnerLsqrStrategy:
 
 @dataclass(eq=False)
 class Basis:
-    """Columns x_1..x_k, and their images C x_j, in one growable workspace.
+    """Columns x_1..x_k in one growable workspace.
 
-    ``X`` and ``CX`` are Fortran-ordered ``(dim, capacity)`` arrays whose
-    leading ``k`` columns are in use; the capacity doubles when full, up to
-    ``limit`` and past it only if a run outlives its Krylov bound. A basis
-    without images keeps no second array: ``CX`` is ``X`` itself, the image
-    under C = I. That serves the Euclidean data side, and a V side that is
-    never projected.
+    ``X`` is a Fortran-ordered ``(dim, capacity)`` array whose leading ``k``
+    columns are in use; the capacity doubles when full, up to ``limit`` and
+    past it only if a run outlives its Krylov bound.
     """
 
     X: np.ndarray
-    CX: np.ndarray
     limit: int
     k: int = 0
 
     @classmethod
-    def empty(cls, dim, limit, images=True):
+    def empty(cls, dim, limit):
         cap = min(INITIAL_COLUMNS, limit)
-        X = np.empty((dim, cap), order="F")
-        return cls(X, np.empty_like(X) if images else X, limit)
+        return cls(np.empty((dim, cap), order="F"), limit)
 
     @property
     def cols(self):
         return self.X[:, : self.k]
 
-    @property
-    def images(self):
-        return self.CX[:, : self.k]
-
-    def append(self, x, cx=None):
-        """Add column x, and its image cx if the basis keeps images."""
-        images = self.CX is not self.X
+    def append(self, x):
         cap = self.X.shape[1]
         if self.k == cap:
             grown = 2 * cap if cap >= self.limit else min(2 * cap, self.limit)
             self.X = _widened(self.X, grown)
-            self.CX = _widened(self.CX, grown) if images else self.X
         self.X[:, self.k] = x
-        if images:
-            self.CX[:, self.k] = cx
         self.k += 1
 
-    def project_out(self, x, cx=None):
-        """Remove from x its C-inner-product components along the basis.
+    def project_out(self, x):
+        """Remove from x its Euclidean components along the basis.
 
         Two classical Gram-Schmidt passes as matrix-vector products ("twice
         is enough"); one pass is not, when x emerges from heavy cancellation
-        near Krylov exhaustion. ``cx`` (C x) is updated alongside.
+        near Krylov exhaustion.
         """
-        X, CX = self.cols, self.images
+        X = self.cols
         for _ in range(2):
-            c = CX.T @ x
-            x -= X @ c
-            if cx is not None:
-                cx -= CX @ c
+            x -= X @ (X.T @ x)
 
 
 def _widened(a, cols):
@@ -201,13 +180,11 @@ class BidiagState:
     positive and every termination stores a zero one, so ``terminated`` and
     ``k_t = k`` are read off a trailing zero in ``alphas`` (the Krylov spaces
     are exhausted and the current gLSQR iterate is exact). ``v`` holds the
-    columns v_i, orthonormal in the G-inner product, and their images G v_i
-    only when ``reorthogonalize`` is ``"both"``, the one mode that projects
-    them (elsewhere they drift from orthonormality); ``u`` holds the columns
-    M u~_i in R^q, orthonormal in the Euclidean one, where the u~_i are the
-    P-orthonormal data-side vectors of the recurrence (see the module
-    docstring). ``reorthogonalize`` is the mode that ``ggkb_init`` was
-    given. Each side lives in one workspace (see ``Basis``); ``V``
+    columns v_i, G-orthonormal up to the drift of a side that is never
+    projected; ``u`` holds the columns M u~_i in R^q, kept orthonormal in
+    the Euclidean inner product by reorthogonalization, where the u~_i are
+    the P-orthonormal data-side vectors of the recurrence (see the module
+    docstring). Each side lives in one workspace (see ``Basis``); ``V``
     and ``MU`` are views of their leading columns, so the bidiagonal
     relations read ``MA V_k = MU_{k+1} B_k`` and
     ``pinv(G) (MA)' MU_{k+1} = V_k B_k' + alpha_{k+1} v_{k+1} e_{k+1}'``.
@@ -220,7 +197,6 @@ class BidiagState:
     betas: list
     v: Basis
     u: Basis
-    reorthogonalize: str = "both"
     inner_capped: bool = False
 
     @property
@@ -267,43 +243,23 @@ def _radicand(value, scale, vec_sq):
     return max(value, 0.0)
 
 
-def _g_orthonormalize(state, prob, s):
-    """Reorthogonalize s in place against V in ``"both"`` mode (nothing to
-    do while V is empty); return G s and the G-seminorm of s."""
-    gs = prob.G @ s
-    projected = state.reorthogonalize == "both"
-    if projected:
-        state.v.project_out(s, gs)
-    value = float(s @ gs)
-    if value < 0.0 and projected:
-        # the projected gs carries absolute drift from earlier scales; a
-        # fresh product restores the ||s||^2-proportional error the
-        # negativity guard assumes
-        gs = prob.G @ s
-        value = float(s @ gs)
-    return gs, math.sqrt(_radicand(value, prob.g_norm, float(s @ s)))
-
-
 def _expand_v(state, prob, strategy, s, u, floor):
-    """The V half of an expansion: G-orthonormalize s into alpha v, append u,
+    """The V half of an expansion: G-normalize s into alpha v, append u,
     latch the strategy's cap, then append alpha and v, or, if alpha is at or
     below ``floor``, the terminating 0.0."""
-    gs, alpha = _g_orthonormalize(state, prob, s)
+    radicand = _radicand(float(s @ (prob.G @ s)), prob.g_norm, float(s @ s))
+    alpha = math.sqrt(radicand)
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
     if alpha <= floor:
         state.alphas.append(0.0)
     else:
         state.alphas.append(alpha)
-        state.v.append(s / alpha, gs / alpha)
+        state.v.append(s / alpha)
 
 
-def ggkb_init(prob: GlsProblem, strategy, reorthogonalize="both") -> BidiagState:
+def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     """First bidiagonalization vectors from b; may terminate immediately.
-
-    ``reorthogonalize`` is one of ``REORTHOGONALIZE_MODES``: ``"both"``
-    sides, the ``"data"`` side M U~ only, or ``"none"`` (see the module
-    docstring); any other value raises ``ValueError``.
 
     If M b vanishes (b in the null space of M) the state terminates with
     k_t = 0 and the downstream solution is zero. "Vanishes" means
@@ -312,10 +268,6 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize="both") -> BidiagState
     ``BREAKDOWN_REL beta_1`` terminates at k_t = 0 too; either way alpha_1
     is stored as 0.0.
     """
-    if reorthogonalize not in REORTHOGONALIZE_MODES:
-        raise ValueError(
-            f"reorthogonalize must be one of {REORTHOGONALIZE_MODES}, got {reorthogonalize!r}"
-        )
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     mb = prob.mult_M(prob.b)
@@ -325,9 +277,8 @@ def ggkb_init(prob: GlsProblem, strategy, reorthogonalize="both") -> BidiagState
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
         alphas=[], betas=[beta1],
-        v=Basis.empty(prob.n, limit, images=reorthogonalize == "both"),
-        u=Basis.empty(prob.q, limit, images=False),
-        reorthogonalize=reorthogonalize,
+        v=Basis.empty(prob.n, limit),
+        u=Basis.empty(prob.q, limit),
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
@@ -358,8 +309,7 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     v_last = state.V[:, -1]
 
     r = prob.MA @ v_last - alpha * state.MU[:, -1]
-    if state.reorthogonalize != "none":
-        state.u.project_out(r)
+    state.u.project_out(r)
     beta_next = math.sqrt(float(r @ r))
     # besides the absolute cutoff, a coefficient vanishing relative to its
     # partner in the three-term identity (||MA v_i||^2 = alpha_i^2 +

@@ -171,7 +171,7 @@ def glsqr_solve(
         as it only grows with k, that can delay the stop, never advance it.
     max_iter : int, optional
         Iteration cap, default ``2 * min(m, n)``. Reaching it is a status,
-        not an error.
+        not an error; an explicit cap below 1 raises ``ValueError``.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
         (dense-cost, for validation). It applies the problem's own pinv(G),
@@ -179,15 +179,15 @@ def glsqr_solve(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter is None:
+        max_iter = max(2 * min(prob.m, prob.n), 1)
+    elif not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+    max_iter = int(max_iter)
     if strategy is None:
         strategy = DensePinvStrategy(prob.G)
-    if max_iter is None:
-        max_iter = 2 * min(prob.m, prob.n)
-    max_iter = max(int(max_iter), 1)
 
-    # one-sided reorthogonalization keeps B_k accurate; the data side is
-    # the cheap one, Euclidean and without images
-    state = ggkb_init(prob, strategy, reorthogonalize="data")
+    state = ggkb_init(prob, strategy)
     beta1 = state.betas[0]
     x = np.zeros(prob.n)
     w = np.zeros(prob.n)

@@ -131,6 +131,22 @@ def test_unknown_gdag_exits_1(problem_dir, tmp_path, capsys, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_iter_below_one_exits_1(problem_dir, tmp_path, capsys, value):
+    code = main(
+        [
+            "solve",
+            "--A", str(problem_dir / "A.mtx"),
+            "--b", str(problem_dir / "b.mtx"),
+            "--max-iter", value,
+            "--out-dir", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[0] == "error: max_iter must be at least 1"
+    assert not (tmp_path / "run").exists()
+
+
 def test_gdag_values_map_to_strategy_classes():
     assert _parse_gdag("dense") == ("dense", DensePinvStrategy, {})
     assert _parse_gdag("cholesky") == ("cholesky", CholeskyStrategy, {})

@@ -322,8 +322,6 @@ def test_data_side_solve_matches_the_direct_route(seed):
     prob = random_gls_problem(seed, m=120, n=90, p=40, q=100, rank_a=70, rank_m=95)
     x_ref = wpinv_apply(prob)
     report = glsqr_solve(prob, DensePinvStrategy(prob.G))
-    assert report.state.reorthogonalize == "data"
-    assert report.state.v.CX is report.state.v.X  # no G V workspace
     assert np.linalg.norm(report.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     report = glsqr_solve(prob, InnerLsqrStrategy(prob.G, tau=1e-10))
     assert not report.state.inner_capped
@@ -380,6 +378,13 @@ def test_rejects_bad_tolerance():
     gen = planted_problem(seed=2, m=10, n=12, rank=8)
     with pytest.raises(ValueError):
         glsqr_solve(gen.problem, tol=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_rejects_an_explicit_max_iter_below_one(max_iter):
+    gen = planted_problem(seed=2, m=10, n=12, rank=8)
+    with pytest.raises(ValueError, match="max_iter"):
+        glsqr_solve(gen.problem, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("seed", range(20))
