@@ -45,7 +45,6 @@ from .ggkb import (
     CholeskyStrategy,
     DensePinvStrategy,
     InnerLsqrStrategy,
-    NumericalBreakdownError,
     ggkb_init,
     ggkb_step,
 )

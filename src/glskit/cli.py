@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .ggkb import CholeskyStrategy, DensePinvStrategy, InnerLsqrStrategy, NumericalBreakdownError
+from .ggkb import CholeskyStrategy, DensePinvStrategy, InnerLsqrStrategy
 from .glsqr import certify_solution, glsqr_solve, save_history
 from .gsvd import gsvd_pair, save_factors
 from .linalg import FactorizationError, IndefiniteMatrixError, RankTolerance, as_matrix
@@ -24,12 +24,7 @@ from .mmio import MatrixMarketError, read_matrix_market, read_vector, write_matr
 from .problems import generate, random_sparse_matrix, save_problem
 from .wpinv import GlsProblem, check_gmpe, wpinv_elden, wpinv_matrix
 
-_NUMERIC_ERRORS = (
-    ValueError,
-    FactorizationError,
-    IndefiniteMatrixError,
-    NumericalBreakdownError,
-)
+_NUMERIC_ERRORS = (ValueError, FactorizationError, IndefiniteMatrixError)
 
 
 def _err(message):

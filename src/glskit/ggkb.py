@@ -8,21 +8,25 @@ matrix. M maps (R^m, P-seminorm) isometrically onto R(M) in R^q with the
 Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 
     beta_1 u_bar_1 = M b
-    s_bar = (MA)' u_bar_i,          alpha_i v_i = Gdag(s_bar) - beta_i v_{i-1}
+    s = Gdag((MA)' u_bar_i) - beta_i v_{i-1}
+    alpha_i = (||MA s||^2 + ||L s||^2)^(1/2),  v_i = s / alpha_i
     r = MA v_i - alpha_i u_bar_i,   beta_{i+1} = (r'r)^(1/2),  u_bar_{i+1} = r / beta_{i+1}
 
-Every step applies the pseudoinverse of G = A'PA + L'L once; how that
-application is carried out is pluggable (dense pseudoinverse, Cholesky
-solve, or an inner conjugate-gradient run with its own tolerance). A
-strategy provides ``apply(rhs)``, pinv(G) rhs or an approximation of it;
-``relative_noise``, the relative accuracy it delivers; and ``hit_cap``,
-True once an inner iteration has ended unconverged (out of steps, or on a
-curvature breakdown).
+alpha_i, the G-norm of s, is a sum of squares as G = (MA)'(MA) + L'L, and
+MA v_i = (MA s) / alpha_i is kept for the next r. So a step reads G only
+through one application of its pseudoinverse, and how that is carried out
+is pluggable (dense pseudoinverse, Cholesky solve, or an inner
+conjugate-gradient run with its own tolerance). A strategy provides
+``apply(rhs)``, pinv(G) rhs or an approximation of it; ``relative_noise``,
+the relative accuracy it delivers; and ``hit_cap``, True once an inner
+iteration has ended unconverged (out of steps, or on a curvature
+breakdown).
 
 The bases V and M U~ live in one workspace per side (``Basis``) that
 ``ggkb_step`` extends in place. Each step reorthogonalizes the data side
-M U~, Euclidean in R^q, by two block classical Gram-Schmidt passes against
-its workspace (CGS2). One side is enough to keep the computed bidiagonal
+M U~, Euclidean in R^q, by block classical Gram-Schmidt against its
+workspace, with a second pass where the first cancels heavily (see
+``Basis.project_out``). One side is enough to keep the computed bidiagonal
 accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6), 2000; Barlow, Numer.
 Math. 124, 2013), so V is never projected and drifts slowly from
 G-orthonormality.
@@ -40,7 +44,6 @@ from .linalg import EPS, as_matrix, cholesky_spd, lsqr, svd
 from .wpinv import GlsProblem
 
 __all__ = [
-    "NumericalBreakdownError",
     "DensePinvStrategy",
     "CholeskyStrategy",
     "InnerLsqrStrategy",
@@ -53,10 +56,6 @@ BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
 # workspace columns before the first doubling
 INITIAL_COLUMNS = 16
-
-
-class NumericalBreakdownError(RuntimeError):
-    """A seminorm radicand went negative beyond roundoff (G lost PSD)."""
 
 
 class DensePinvStrategy:
@@ -156,12 +155,16 @@ class Basis:
     def project_out(self, x):
         """Remove from x its Euclidean components along the basis.
 
-        Two classical Gram-Schmidt passes as matrix-vector products ("twice
-        is enough"); one pass is not, when x emerges from heavy cancellation
-        near Krylov exhaustion.
+        Classical Gram-Schmidt as matrix-vector products, with a second pass
+        only when the first leaves less than half of x's squared norm (Daniel,
+        Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): such cancellation, as
+        near Krylov exhaustion, leaves roundoff along the basis that is large
+        relative to the result.
         """
         X = self.cols
-        for _ in range(2):
+        before = float(x @ x)
+        x -= X @ (X.T @ x)
+        if float(x @ x) < 0.5 * before:
             x -= X @ (X.T @ x)
 
 
@@ -184,9 +187,10 @@ class BidiagState:
     projected; ``u`` holds the columns M u~_i in R^q, kept orthonormal in
     the Euclidean inner product by reorthogonalization, where the u~_i are
     the P-orthonormal data-side vectors of the recurrence (see the module
-    docstring). Each side lives in one workspace (see ``Basis``); ``V``
-    and ``MU`` are views of their leading columns, so the bidiagonal
-    relations read ``MA V_k = MU_{k+1} B_k`` and
+    docstring). ``ma_v`` is MA v_k, overwritten by each expansion. Each
+    side lives in one workspace (see ``Basis``); ``V`` and ``MU`` are views
+    of their leading columns, so the bidiagonal relations read
+    ``MA V_k = MU_{k+1} B_k`` and
     ``pinv(G) (MA)' MU_{k+1} = V_k B_k' + alpha_{k+1} v_{k+1} e_{k+1}'``.
     ``ggkb_step`` mutates the state and returns the same object, so a view
     taken earlier keeps its columns but stops sharing memory with the state
@@ -197,6 +201,7 @@ class BidiagState:
     betas: list
     v: Basis
     u: Basis
+    ma_v: np.ndarray
     inner_capped: bool = False
 
     @property
@@ -233,22 +238,13 @@ class BidiagState:
         return B
 
 
-def _radicand(value, scale, vec_sq):
-    """Clamp a roundoff-negative s'Gs to zero; fail if genuinely negative."""
-    guard = 1e-14 * scale * vec_sq
-    if value < -guard:
-        raise NumericalBreakdownError(
-            f"seminorm radicand {value:.3e} below -{guard:.3e}; G is not numerically PSD"
-        )
-    return max(value, 0.0)
-
-
 def _expand_v(state, prob, strategy, s, u, floor):
     """The V half of an expansion: G-normalize s into alpha v, append u,
-    latch the strategy's cap, then append alpha and v, or, if alpha is at or
-    below ``floor``, the terminating 0.0."""
-    radicand = _radicand(float(s @ (prob.G @ s)), prob.g_norm, float(s @ s))
-    alpha = math.sqrt(radicand)
+    latch the strategy's cap, then append alpha and v and keep MA v, or, if
+    alpha is at or below ``floor``, the terminating 0.0."""
+    ma_s = prob.MA @ s
+    l_s = prob.L @ s
+    alpha = math.sqrt(float(ma_s @ ma_s) + float(l_s @ l_s))
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
     if alpha <= floor:
@@ -256,6 +252,7 @@ def _expand_v(state, prob, strategy, s, u, floor):
     else:
         state.alphas.append(alpha)
         state.v.append(s / alpha)
+        np.divide(ma_s, alpha, out=state.ma_v)
 
 
 def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
@@ -279,6 +276,7 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
         alphas=[], betas=[beta1],
         v=Basis.empty(prob.n, limit),
         u=Basis.empty(prob.q, limit),
+        ma_v=np.zeros(prob.q),
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
@@ -308,7 +306,7 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     alpha = state.alphas[-1]
     v_last = state.V[:, -1]
 
-    r = prob.MA @ v_last - alpha * state.MU[:, -1]
+    r = state.ma_v - alpha * state.MU[:, -1]
     state.u.project_out(r)
     beta_next = math.sqrt(float(r @ r))
     # besides the absolute cutoff, a coefficient vanishing relative to its

@@ -140,8 +140,9 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
 
 
 def _true_residual(prob, G_pinv, x):
+    """||q||_G = (||MA q||^2 + ||L q||^2)^(1/2) of q = pinv(G) A'P (A x - b)."""
     q = G_pinv @ (prob.MA.T @ (prob.MA @ x - prob.mult_M(prob.b)))
-    return math.sqrt(max(float(q @ (prob.G @ q)), 0.0))
+    return math.hypot(np.linalg.norm(prob.MA @ q), np.linalg.norm(prob.L @ q))
 
 
 def glsqr_solve(

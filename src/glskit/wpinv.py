@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, pinv, svd
@@ -81,14 +82,17 @@ class GlsProblem:
     """Problem data (A, M, L, b) with the two derived matrices ``MA`` and ``G``.
 
     ``M=None`` means the identity weight (P = I); ``MA`` is then the same
-    array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix).
-    ``MA = M A`` is formed once and every product with A'P reads it, as
-    A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is symmetrized once at
-    construction. No other Gram matrix or projector is stored: P = M'M,
-    A'PA and L'L are applied as products where they are read. Instances are
-    treated as immutable. ``factors`` is the problem's :class:`FactorStore`:
-    every route and check derives its pseudoinverses and null spaces from
-    it, so each matrix is factored at most once per problem.
+    array as ``A``. ``L=None`` means no regularizer (a 0 x n matrix). ``A``
+    and ``M`` are stored dense; a scipy sparse ``L`` stays sparse, as a
+    canonical CSR array, and any other ``L`` is stored dense. ``MA = M A``
+    is formed once and every product with A'P reads it, as
+    A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is dense (L'L is formed in
+    L's kind) and symmetrized once at construction. No other Gram matrix or
+    projector is stored: P = M'M, A'PA and L'L are applied as products where
+    they are read. Instances are treated as immutable. ``factors`` is the
+    problem's :class:`FactorStore`: every route and check derives its
+    pseudoinverses and null spaces from it, so each matrix is factored at
+    most once per problem.
     """
 
     def __init__(self, A, M=None, L=None, b=None):
@@ -97,13 +101,19 @@ class GlsProblem:
         self.M = as_matrix(M, "M") if M is not None else None
         if self.M is not None and self.M.shape[1] != m:
             raise ValueError(f"M must have {m} columns, got {self.M.shape[1]}")
-        self.L = as_matrix(L, "L") if L is not None else np.zeros((0, n))
+        if sp.issparse(L):
+            self.L = sp.csr_array(L, dtype=np.float64, copy=True)
+            self.L.sum_duplicates()
+            as_vector(self.L.data, name="L")  # rejects NaN and Inf entries
+        else:
+            self.L = as_matrix(L if L is not None else np.zeros((0, n)), "L")
         if self.L.shape[1] != n:
             raise ValueError(f"L must have {n} columns, got {self.L.shape[1]}")
         self.b = as_vector(b, m, "b") if b is not None else None
 
         self.MA = self.A if self.M is None else self.M @ self.A
-        G = self.MA.T @ self.MA + self.L.T @ self.L
+        LtL = self.L.T @ self.L
+        G = self.MA.T @ self.MA + (LtL.toarray() if sp.issparse(LtL) else LtL)
         self.G = 0.5 * (G + G.T)
         self.factors = FactorStore(self.A, self.M, self.MA, self.L, self.G)
 
@@ -133,10 +143,6 @@ class GlsProblem:
     def mult_M(self, u):
         """M u, or u itself when M is None."""
         return u if self.M is None else self.M @ u
-
-    @cached_property
-    def g_norm(self):
-        return float(np.linalg.norm(self.G))
 
 
 def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
@@ -171,8 +177,9 @@ def _product_tolerance(*factors):
     scales with the factors, not with the product's own (possibly tiny) top
     singular value; the margin 8 covers error inherited from upstream
     null-space computations. None (the default cutoff) for a zero factor.
+    A sparse factor is canonical, so its stored entries give its norm.
     """
-    scale = math.prod(float(np.linalg.norm(f)) for f in factors)
+    scale = math.prod(float(np.linalg.norm(f.data if sp.issparse(f) else f)) for f in factors)
     if scale == 0.0:
         return None
     dim = max(d for f in factors for d in f.shape)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from glskit import (
     DensePinvStrategy,
@@ -326,6 +327,40 @@ def test_data_side_solve_matches_the_direct_route(seed):
     report = glsqr_solve(prob, InnerLsqrStrategy(prob.G, tau=1e-10))
     assert not report.state.inner_capped
     assert certify_solution(prob, report)
+
+
+def sparse_and_dense_l_problems():
+    yield planted_problem(seed=52).problem
+    # an L of full column rank keeps the generalized singular values apart;
+    # a cluster leaves the coefficients after its exhaustion to roundoff,
+    # where no two evaluations of L'L and L s agree to 1e-12
+    yield random_gls_problem(0, m=30, n=24, p=30, q=26)
+
+
+@pytest.mark.parametrize("prob", sparse_and_dense_l_problems(), ids=["generated", "weighted"])
+def test_a_sparse_l_matches_a_dense_one(prob):
+    L = scipy.sparse.csr_array(prob.L)
+    sparse = GlsProblem(prob.A, prob.M, L, prob.b)
+    dense = GlsProblem(prob.A, prob.M, L.toarray(), prob.b)
+    assert scipy.sparse.issparse(sparse.L) and sparse.L.format == "csr"
+    assert isinstance(dense.L, np.ndarray)
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    close(wpinv_elden(sparse) @ sparse.b, wpinv_elden(dense) @ dense.b)
+    r_sparse, r_dense = glsqr_solve(sparse), glsqr_solve(dense)
+    close(r_sparse.x, r_dense.x)
+    close(r_sparse.alphas, r_dense.alphas)
+    close(r_sparse.betas, r_dense.betas)
+
+    L = L.copy()
+    L.data[0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        GlsProblem(prob.A, prob.M, L, prob.b)
+    with pytest.raises(ValueError, match="columns"):
+        GlsProblem(prob.A, prob.M, scipy.sparse.csr_array(np.ones((2, prob.n + 1))), prob.b)
 
 
 def test_inexact_inner_solver_caps_accuracy():

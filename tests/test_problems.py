@@ -144,6 +144,6 @@ def test_save_and_load_roundtrip(tmp_path):
 
     loaded = load_problem(tmp_path)
     np.testing.assert_allclose(loaded.problem.A, gen.problem.A, atol=1e-15)
-    np.testing.assert_allclose(loaded.problem.L, gen.problem.L, atol=1e-15)
+    np.testing.assert_allclose(loaded.problem.L.toarray(), gen.problem.L.toarray(), atol=1e-15)
     np.testing.assert_allclose(loaded.problem.b, gen.problem.b, atol=1e-15)
     np.testing.assert_allclose(loaded.x_true, gen.x_true, atol=1e-15)
