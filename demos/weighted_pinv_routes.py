@@ -3,7 +3,7 @@
 The problem:  min ||L x||  subject to  ||M (A x - b)|| = min.
 The matrix mapping b to its minimum 2-norm solution is computed by
   * the direct formula (projector algebra on pinv(MA)),
-  * the GSVD closed form (M = I),
+  * the GSVD closed form of the pair {M A, L}, times M,
   * the regularized limit pinv(A'PA + delta G) A'P for shrinking delta,
 and certified through the five generalized Moore-Penrose identities.
 """
@@ -24,6 +24,13 @@ def main():
     X_gsvd = gk.wpinv_via_gsvd(gk.gsvd_pair(A, L), prob.G)
     print("direct vs gsvd closed form:",
           np.linalg.norm(X_direct - X_gsvd) / np.linalg.norm(X_direct))
+
+    # with a weight M the GSVD route factors {M A, L} and multiplies by M
+    M = np.random.default_rng(1).standard_normal((10, m))
+    weighted = gk.GlsProblem(A, M, L, prob.b)
+    X_w = gk.wpinv_elden(weighted)
+    print("weighted (M 10 x 8), direct vs gsvd route:",
+          np.linalg.norm(X_w - gk.wpinv_matrix(weighted, "gsvd")) / np.linalg.norm(X_w))
 
     print("\nregularized limit route, error vs delta (linear decay):")
     for delta in (1e-2, 1e-4, 1e-6):

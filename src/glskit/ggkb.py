@@ -22,14 +22,15 @@ the relative accuracy it delivers; and ``hit_cap``, True once an inner
 iteration has ended unconverged (out of steps, or on a curvature
 breakdown).
 
-The bases V and M U~ live in one workspace per side (``Basis``) that
-``ggkb_step`` extends in place. Each step reorthogonalizes the data side
-M U~, Euclidean in R^q, by block classical Gram-Schmidt against its
-workspace, with a second pass where the first cancels heavily (see
-``Basis.project_out``). One side is enough to keep the computed bidiagonal
-accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6), 2000; Barlow, Numer.
-Math. 124, 2013), so V is never projected and drifts slowly from
-G-orthonormality.
+``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
+later one. The data side M U~ lives in one workspace (``Basis``) that each
+expansion extends in place; each step reorthogonalizes it, Euclidean in
+R^q, by block classical Gram-Schmidt, with a second pass where the first
+cancels heavily (see ``Basis.project_out``). One side is enough to keep the
+computed bidiagonal accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6),
+2000; Barlow, Numer. Math. 124, 2013), so the v_i are never projected, and
+the recurrence, like the LSQR recurrence of gLSQR on top of it, reads only
+the latest one: no basis V is stored.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class InnerLsqrStrategy:
 
 @dataclass(eq=False)
 class Basis:
-    """Columns x_1..x_k in one growable workspace.
+    """Columns x_1..x_k in one growable workspace (the data side M U~).
 
     ``X`` is a Fortran-ordered ``(dim, capacity)`` array whose leading ``k``
     columns are in use; the capacity doubles when full, up to ``limit`` and
@@ -180,114 +181,97 @@ class BidiagState:
     """The bidiagonalization after k completed expansions, updated in place.
 
     ``alphas`` and ``betas`` always have equal length. A kept alpha is
-    positive and every termination stores a zero one, so ``terminated`` and
-    ``k_t = k`` are read off a trailing zero in ``alphas`` (the Krylov spaces
-    are exhausted and the current gLSQR iterate is exact). ``v`` holds the
-    columns v_i, G-orthonormal up to the drift of a side that is never
-    projected; ``u`` holds the columns M u~_i in R^q, kept orthonormal in
-    the Euclidean inner product by reorthogonalization, where the u~_i are
-    the P-orthonormal data-side vectors of the recurrence (see the module
-    docstring). ``ma_v`` is MA v_k, overwritten by each expansion. Each
-    side lives in one workspace (see ``Basis``); ``V`` and ``MU`` are views
-    of their leading columns, so the bidiagonal relations read
-    ``MA V_k = MU_{k+1} B_k`` and
-    ``pinv(G) (MA)' MU_{k+1} = V_k B_k' + alpha_{k+1} v_{k+1} e_{k+1}'``.
-    ``ggkb_step`` mutates the state and returns the same object, so a view
-    taken earlier keeps its columns but stops sharing memory with the state
-    once the workspace grows.
+    positive and every termination stores a zero one, so ``terminated`` is
+    read off a trailing zero in ``alphas`` (the Krylov spaces are exhausted
+    and the current gLSQR iterate is exact), and ``k`` counts the kept
+    alphas. A run that terminates in ``ggkb_init`` stores beta_1 = 0.0 as
+    well. ``u`` holds the columns M u~_i in R^q, kept orthonormal in the
+    Euclidean inner product by reorthogonalization, where the u~_i are the
+    P-orthonormal data-side vectors of the recurrence (see the module
+    docstring); ``MU`` is a view of its leading columns. The solution side
+    keeps only what the recurrence reads: ``v``, the latest v_k (zero before
+    the first expansion), which each expansion replaces with a fresh array,
+    and ``ma_v`` = MA v_k, overwritten in place. ``ggkb_step`` mutates the
+    state and returns the same object, so a view of ``MU`` taken earlier
+    keeps its columns but stops sharing memory with the state once the
+    workspace grows.
     """
 
     alphas: list
     betas: list
-    v: Basis
+    v: np.ndarray
     u: Basis
     ma_v: np.ndarray
     inner_capped: bool = False
 
     @property
     def k(self):
-        return self.v.k
+        return len(self.alphas) - self.terminated
 
     @property
     def terminated(self):
         return self.alphas[-1] == 0.0
 
     @property
-    def k_t(self):
-        return self.k if self.terminated else None
-
-    @property
-    def breakdown_ref(self):
-        """The initial coefficient scale max(alpha_1, beta_1) that breakdown
-        thresholds are relative to."""
-        return max(self.alphas[0], self.betas[0])
-
-    @property
-    def V(self):
-        return self.v.cols
-
-    @property
     def MU(self):
         return self.u.cols
 
-    def bidiagonal(self, k):
-        """The (k+1) x k lower-bidiagonal coefficient matrix B_k."""
-        B = np.zeros((k + 1, k))
-        B[:k] = np.diag(self.alphas[:k])
-        B[1:] += np.diag(self.betas[1 : k + 1])
-        return B
 
+def _expand(state, prob, strategy, r, beta_floor, threshold, relative):
+    """One expansion from r (projected in place): append beta and u, then
+    alpha and v, keeping MA v and latching the strategy's cap.
 
-def _expand_v(state, prob, strategy, s, u, floor):
-    """The V half of an expansion: G-normalize s into alpha v, append u,
-    latch the strategy's cap, then append alpha and v and keep MA v, or, if
-    alpha is at or below ``floor``, the terminating 0.0."""
+    The expansion terminates, with a zero beta and alpha, if beta is at or
+    below ``beta_floor``, or with a zero alpha if alpha is at or below
+    ``max(threshold, relative * beta)``.
+    """
+    state.u.project_out(r)
+    beta = math.sqrt(float(r @ r))
+    if beta <= beta_floor:
+        state.alphas.append(0.0)
+        state.betas.append(0.0)
+        return
+    u = r / beta
+    s = strategy.apply(prob.MA.T @ u) - beta * state.v
     ma_s = prob.MA @ s
     l_s = prob.L @ s
     alpha = math.sqrt(float(ma_s @ ma_s) + float(l_s @ l_s))
+    state.betas.append(beta)
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
-    if alpha <= floor:
+    if alpha <= max(threshold, relative * beta):
         state.alphas.append(0.0)
     else:
         state.alphas.append(alpha)
-        state.v.append(s / alpha)
+        state.v = s / alpha
         np.divide(ma_s, alpha, out=state.ma_v)
 
 
 def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
-    """First bidiagonalization vectors from b; may terminate immediately.
+    """The first expansion, from M b; may terminate immediately.
 
     If M b vanishes (b in the null space of M) the state terminates with
-    k_t = 0 and the downstream solution is zero. "Vanishes" means
+    k = 0 and the downstream solution is zero. "Vanishes" means
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
     is None), the roundoff floor of the product M b. An alpha_1 at or below
-    ``BREAKDOWN_REL beta_1`` terminates at k_t = 0 too; either way alpha_1
-    is stored as 0.0.
+    ``BREAKDOWN_REL beta_1`` terminates at k = 0 too. Either way the
+    terminating coefficients are stored as 0.0.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
-    mb = prob.mult_M(prob.b)
-    beta1 = math.sqrt(float(mb @ mb))
-
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
-        alphas=[], betas=[beta1],
-        v=Basis.empty(prob.n, limit),
+        alphas=[], betas=[],
+        v=np.zeros(prob.n),
         u=Basis.empty(prob.q, limit),
         ma_v=np.zeros(prob.q),
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
-    if beta1 <= BREAKDOWN_REL * init_scale:
-        state.alphas.append(0.0)
-        return state
-
-    u1 = mb / beta1
-    s = strategy.apply(prob.MA.T @ u1)
-    # as BREAKDOWN_REL * max(alpha1, beta1): the max is beta1 wherever the test can pass
-    _expand_v(state, prob, strategy, s, u1, BREAKDOWN_REL * beta1)
+    # a copy: mult_M returns b itself when M is None, and r is projected in place
+    r = prob.mult_M(prob.b).copy()
+    _expand(state, prob, strategy, r, BREAKDOWN_REL * init_scale, 0.0, BREAKDOWN_REL)
     return state
 
 
@@ -295,31 +279,19 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     """One expansion in place: appends beta_{k+1}, alpha_{k+1}; returns ``state``.
 
     Either coefficient falling to the breakdown threshold (relative to the
-    initial coefficient scale) terminates the process at k_t = k.
+    initial coefficient scale) terminates the process at the current k.
     """
     if state.terminated:
         raise ValueError("the bidiagonalization already terminated")
-    threshold = BREAKDOWN_REL * state.breakdown_ref
+    threshold = BREAKDOWN_REL * max(state.alphas[0], state.betas[0])
     # coefficients below the accuracy the strategy actually delivers are
     # indistinguishable from noise, so the degeneracy cutoff scales with it
     degenerate = max(DEGENERATE_REL, 4.0 * strategy.relative_noise)
     alpha = state.alphas[-1]
-    v_last = state.V[:, -1]
-
     r = state.ma_v - alpha * state.MU[:, -1]
-    state.u.project_out(r)
-    beta_next = math.sqrt(float(r @ r))
     # besides the absolute cutoff, a coefficient vanishing relative to its
     # partner in the three-term identity (||MA v_i||^2 = alpha_i^2 +
     # beta_{i+1}^2) marks a numerically degenerate rotation: the spaces are
     # exhausted and anything below the cancellation floor is roundoff
-    if beta_next <= max(threshold, degenerate * alpha):
-        state.alphas.append(0.0)
-        state.betas.append(0.0)
-        return state
-
-    u_next = r / beta_next
-    s = strategy.apply(prob.MA.T @ u_next) - beta_next * v_last
-    state.betas.append(beta_next)
-    _expand_v(state, prob, strategy, s, u_next, max(threshold, degenerate * beta_next))
+    _expand(state, prob, strategy, r, max(threshold, degenerate * alpha), threshold, degenerate)
     return state

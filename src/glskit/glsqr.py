@@ -63,7 +63,10 @@ class SolveReport:
     Histories have one entry per completed iteration. The residual-estimate
     history stores the normalized stopping quantity; the true-residual
     history (debug mode only) stores the directly evaluated counterpart.
-    ``alphas``, ``betas`` and ``beta1`` are read off ``state``.
+    ``alphas``, ``betas`` and ``beta1`` are read off ``state``, the final
+    :class:`BidiagState`, which keeps the coefficients and the data-side
+    basis but no basis of the solution side; ``beta1`` is 0.0 when M b
+    vanishes.
     """
 
     x: np.ndarray
@@ -84,14 +87,13 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     """Norm of the map v -> M A v from (R(G), G) to (R^q, 2-norm).
 
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
-    as the largest diagonal of C_A (M = I only); ``power`` runs a power
-    iteration on pinv(G) (MA)'(MA) in the G-inner product, seeded with
-    pinv(G) (MA)' M b, with pinv(G) from the problem's SVD of G.
+    as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
+    power iteration on pinv(G) (MA)'(MA) in the G-inner product, seeded with
+    pinv(G) (MA)' M b, with pinv(G) from the problem's SVD of G and
+    ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
     """
     if method == "gsvd":
-        if prob.M is not None:
-            raise ValueError("the gsvd norm estimate requires M = I")
-        value = sigma_max_ca(gsvd_pair(prob.A, prob.L))
+        value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
         return OperatorNormEstimate(value=value, source="gsvd_exact")
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
@@ -104,12 +106,12 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     iterations = 0
     converged = False
     for it in range(1, max_iters + 1):
-        gv = prob.G @ v
-        v_g = math.sqrt(max(float(v @ gv), 0.0))
+        ma_v = prob.MA @ v
+        v_g = math.hypot(np.linalg.norm(ma_v), np.linalg.norm(prob.L @ v))
         if v_g == 0.0:
             return OperatorNormEstimate(value=0.0, source="power_iteration", iterations=it)
         v = v / v_g
-        Av = prob.MA @ v
+        Av = ma_v / v_g
         new_estimate = math.sqrt(float(Av @ Av))
         iterations = it
         converged = abs(new_estimate - estimate) <= _POWER_REL_TOL * new_estimate
@@ -201,7 +203,7 @@ def glsqr_solve(
 
     while not (state.terminated or est <= tol or k == max_iter):
         k += 1
-        w = state.V[:, k - 1] - w_coef * w
+        w = state.v - w_coef * w
         state = ggkb_step(state, prob, strategy)
         if k & (k - 1) == 0:
             denom = max(_bidiagonal_norm(state, k) * beta1, _TINY)

@@ -6,6 +6,9 @@ where the diagonal blocks satisfy ``C_A.T @ C_A + S_L.T @ S_L = I_r`` and
 ``r = rank([A; L])``. Columns of X are grouped into four blocks: q1 columns
 where A dominates (unit generalized singular value), q2 mixed columns, q3
 columns where L dominates, and n - r columns spanning the common null space.
+
+For a weighted problem the pair is {M A, L}: A_ML^+ = (MA)_{I,L}^+ M, so the
+closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
 """
 
 from __future__ import annotations
@@ -128,13 +131,16 @@ def gsvd_pair(A, L, tol=None):
 
 
 def sigma_max_ca(f: GsvdFactors) -> float:
-    """Largest diagonal entry of C_A, the norm of v -> proj_R(P) A v."""
+    """Largest diagonal entry of C_A, the norm of v -> A v from (R(G), G),
+    G = A'A + L'L, to the 2-norm; for {M A, L} that of v -> M A v."""
     d = np.diag(f.C_A)
     return float(d.max()) if d.size else 0.0
 
 
 def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
-    """Closed-form weighted pseudoinverse (M = I): proj_R(G) X pinv(Sigma_A) U_A.T.
+    """Closed-form weighted pseudoinverse of the factored pair {A, L} with
+    identity weight: proj_R(G) X pinv(Sigma_A) U_A.T. For a weight M, factor
+    {M A, L} and multiply the result by M on the right.
 
     pinv(Sigma_A) keeps only the k = q1 + q2 nonzero cosines, so the product
     is ``X[:, :k] diag(1/c) U_A[:, :k].T``; the q1 cosines are exactly 1, so

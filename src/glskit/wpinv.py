@@ -212,15 +212,16 @@ def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
 def wpinv_matrix(prob: GlsProblem, method="elden", delta=1e-8, tol=None) -> np.ndarray:
     """The matrix mapping b to the minimum 2-norm solution, by the chosen route.
 
-    ``method`` is one of "elden", "gsvd" (requires M = I) or "limit"; the
-    last returns the delta approximation :func:`wpinv_limit`.
+    ``method`` is one of "elden", "gsvd" or "limit"; the last returns the
+    delta approximation :func:`wpinv_limit`. The GSVD route factors the pair
+    {MA, L}, as A_ML^+ = (MA)_{I,L}^+ M: the problem weighted by M is the
+    unweighted one for MA and M b.
     """
     if method == "elden":
         return wpinv_elden(prob, tol)
     if method == "gsvd":
-        if prob.M is not None:
-            raise ValueError("the gsvd route requires M = I")
-        return wpinv_via_gsvd(gsvd_pair(prob.A, prob.L, tol), prob.G)
+        X = wpinv_via_gsvd(gsvd_pair(prob.MA, prob.L, tol), prob.G)
+        return X if prob.M is None else X @ prob.M
     if method == "limit":
         return wpinv_limit(prob, delta, tol)
     raise ValueError(f"unknown method {method!r}")

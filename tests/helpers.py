@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import orth, subspace_angles
 
-from glskit import BidiagState, GlsProblem, pinv, svd
+from glskit import BidiagState, GlsProblem, ggkb_init, ggkb_step, pinv, svd
 
 # Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
 # (size line 2), and an integer value beyond float64 (line 4)
@@ -101,17 +101,42 @@ def prescribed_gsvd_pair(seed):
     return GlsProblem(A, None, L, rng.standard_normal(m))
 
 
-def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float:
-    """Largest principal angle between span{v_1..v_k} and the explicit
-    Krylov space span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}, built as
-    A'PA = (MA)'(MA) and A'P b = (MA)' M b.
+def run_ggkb(prob: GlsProblem, strategy, steps):
+    """``ggkb_init`` and up to ``steps`` further expansions, stopping at
+    termination. Returns the state and V_k, the n x k matrix of the v_i:
+    the state keeps only the latest, so a copy of ``state.v`` is collected
+    after each expansion that adds an alpha."""
+    state = ggkb_init(prob, strategy)
+    cols = [] if state.terminated else [state.v.copy()]
+    for _ in range(steps):
+        if state.terminated:
+            break
+        state = ggkb_step(state, prob, strategy)
+        if not state.terminated:
+            cols.append(state.v.copy())
+    return state, np.column_stack(cols) if cols else np.empty((prob.n, 0))
 
-    Test utility: the monomial basis is built with a dense pinv(G)
-    (independent of the strategy that generated the state) and
-    orthonormalized before the angle computation.
+
+def bidiagonal(state: BidiagState, k: int) -> np.ndarray:
+    """The (k+1) x k lower-bidiagonal coefficient matrix B_k of a state."""
+    B = np.zeros((k + 1, k))
+    B[:k] = np.diag(state.alphas[:k])
+    B[1:] += np.diag(state.betas[1 : k + 1])
+    return B
+
+
+def krylov_subspace_check(V, prob: GlsProblem, k: int) -> float:
+    """Largest principal angle between span{v_1..v_k}, the leading columns
+    of ``V`` (see :func:`run_ggkb`), and the explicit Krylov space
+    span{(pinv(G) A'PA)^i pinv(G) A'P b, i < k}, built as A'PA = (MA)'(MA)
+    and A'P b = (MA)' M b.
+
+    The monomial basis is built with a dense pinv(G) (independent of the
+    strategy that generated V) and orthonormalized before the angle
+    computation.
     """
-    if not 1 <= k <= state.k:
-        raise ValueError(f"k must be in 1..{state.k}, got {k}")
+    if not 1 <= k <= V.shape[1]:
+        raise ValueError(f"k must be in 1..{V.shape[1]}, got {k}")
     G_pinv = pinv(prob.G)
     t = G_pinv @ (prob.MA.T @ prob.mult_M(prob.b))
     cols = [t]
@@ -119,7 +144,7 @@ def krylov_subspace_check(state: BidiagState, prob: GlsProblem, k: int) -> float
         t = G_pinv @ (prob.MA.T @ (prob.MA @ t))
         cols.append(t)
     Q1 = orth(np.column_stack(cols))
-    Q2 = orth(state.V[:, :k])
+    Q2 = orth(V[:, :k])
     angles = subspace_angles(Q1, Q2)
     return float(angles.max()) if angles.size else 0.0
 

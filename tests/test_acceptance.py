@@ -25,7 +25,13 @@ from glskit import (
 )
 from glskit.cli import main as cli_main
 from glskit.ggkb import DensePinvStrategy
-from helpers import krylov_subspace_check, prescribed_gsvd_pair, random_gls_problem, random_matrix
+from helpers import (
+    krylov_subspace_check,
+    prescribed_gsvd_pair,
+    random_gls_problem,
+    random_matrix,
+    run_ggkb,
+)
 
 
 def test_criterion_1_exact_termination_on_generated_problems():
@@ -168,26 +174,16 @@ def test_criterion_6_ggkb_structural_invariants():
     # orthonormality drift <= 1e-10 over 50 reorthogonalized steps, Krylov
     # principal angles <= 1e-8 for k <= 6, termination within the rank bound.
     prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
-    strategy = DensePinvStrategy(prob.G)
-    state = ggkb_init(prob, strategy)
-    for _ in range(50):
-        if state.terminated:
-            break
-        state = ggkb_step(state, prob, strategy)
-    V, U = state.V, state.MU
+    state, V = run_ggkb(prob, DensePinvStrategy(prob.G), steps=50)
+    U = state.MU
     drift_v = float(np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max())
     drift_u = float(np.abs(U.T @ U - np.eye(U.shape[1])).max())
     assert drift_v <= 1e-10 and drift_u <= 1e-10
 
     small = random_gls_problem(56, m=14, n=10, p=6, cond=10.0)
-    sstrat = DensePinvStrategy(small.G)
-    sstate = ggkb_init(small, sstrat)
-    for _ in range(6):
-        if sstate.terminated:
-            break
-        sstate = ggkb_step(sstate, small, sstrat)
+    sstate, sV = run_ggkb(small, DensePinvStrategy(small.G), steps=6)
     worst_angle = max(
-        krylov_subspace_check(sstate, small, k) for k in range(1, min(6, sstate.k) + 1)
+        krylov_subspace_check(sV, small, k) for k in range(1, min(6, sstate.k) + 1)
     )
     assert worst_angle <= 1e-8
 
@@ -202,7 +198,7 @@ def test_criterion_6_ggkb_structural_invariants():
                 break
             st = ggkb_step(st, p2, DensePinvStrategy(p2.G))
         rank_bound = min(np.linalg.matrix_rank(p2.G), p2.m)  # M = I, so rank P = m
-        bound_ok = bound_ok and st.terminated and st.k_t <= rank_bound
+        bound_ok = bound_ok and st.terminated and st.k <= rank_bound
     assert bound_ok
     print(f"\n[criterion 6] PASS gGKB invariants: drift G {drift_v:.2e} / P {drift_u:.2e} "
           f"over 50 steps, Krylov angle {worst_angle:.2e}, termination within rank bound")

@@ -255,6 +255,30 @@ def test_wpinv_gsvd_method_agrees_with_elden(problem_dir, tmp_path):
     assert np.linalg.norm(xs["gsvd"] - xs["elden"]) <= 1e-9 * np.linalg.norm(xs["elden"])
 
 
+def test_wpinv_gsvd_method_takes_a_weight(problem_dir, tmp_path, capsys):
+    # a full-column-rank M (24 x 20): the GSVD route factors {MA, L}, and
+    # check-mpe certifies its matrix against the weighted problem
+    M = random_matrix(np.random.default_rng(4), 24, 20)
+    m_path, x_path, X_path = tmp_path / "M.mtx", tmp_path / "x.mtx", tmp_path / "X.mtx"
+    write_matrix_market(m_path, M)
+    files = [
+        "--A", str(problem_dir / "A.mtx"), "--M", str(m_path), "--L", str(problem_dir / "L.mtx"),
+    ]
+    args = ["wpinv", *files, "--b", str(problem_dir / "b.mtx"), "--method", "gsvd"]
+    assert main([*args, "--out", str(x_path), "--matrix-out", str(X_path)]) == 0
+    prob = glskit.GlsProblem(
+        read_matrix_market(problem_dir / "A.mtx"), M, read_matrix_market(problem_dir / "L.mtx"),
+        read_vector(problem_dir / "b.mtx"),
+    )
+    X = np.asarray(read_matrix_market(X_path))
+    X_e = glskit.wpinv_elden(prob)
+    assert np.linalg.norm(X - X_e) <= 1e-9 * np.linalg.norm(X_e)
+    np.testing.assert_array_equal(read_vector(x_path), X @ prob.b)
+    capsys.readouterr()
+    assert main(["check-mpe", *files, "--X", str(X_path)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+
+
 def test_solve_warns_when_inner_solver_caps(problem_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

@@ -14,21 +14,14 @@ from glskit import (
     glsqr_solve,
 )
 from helpers import (
+    bidiagonal,
     krylov_subspace_check,
     nullspace_basis,
     projector_range,
     random_gls_problem,
     random_matrix,
+    run_ggkb,
 )
-
-
-def run_ggkb(prob, strategy, steps):
-    state = ggkb_init(prob, strategy)
-    for _ in range(steps):
-        if state.terminated:
-            break
-        state = ggkb_step(state, prob, strategy)
-    return state
 
 
 def identity_problem(n=4, e=0):
@@ -101,14 +94,17 @@ def test_init_terminates_when_projected_b_vanishes():
     M = np.array([[1.0, 0.0, 0.0]])
     prob = GlsProblem(np.eye(3), M, np.eye(3), [0.0, 2.0, -1.0])
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
-    assert state.terminated and state.k_t == 0
+    assert state.terminated and state.k == 0
+    assert state.betas == state.alphas == [0.0]
 
-    # a computed null vector of a rank-deficient M: M b is roundoff, not 0
+    # a computed null vector of a rank-deficient M: M b is roundoff, not 0,
+    # yet beta_1 is stored as 0.0 like every terminating coefficient
     prob = random_gls_problem(74, m=8, n=6, p=3, q=7, rank_a=4, rank_m=5)
     prob = prob.with_b(nullspace_basis(prob.M)[:, 0])
     assert 0.0 < np.linalg.norm(prob.M @ prob.b) <= 1e-14
     state = ggkb_init(prob, DensePinvStrategy(prob.G))
-    assert state.terminated and state.k_t == 0
+    assert state.terminated and state.k == 0
+    assert state.betas == state.alphas == [0.0]
 
 
 def test_init_beta1_matches_direct_formula():
@@ -121,14 +117,14 @@ def test_init_beta1_matches_direct_formula():
 
 def test_identity_problem_terminates_immediately():
     prob = identity_problem()
-    state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
-    assert state.terminated and state.k_t == 1
-    np.testing.assert_allclose(state.V[:, 0], prob.b, atol=1e-14)
+    state, V = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
+    assert state.terminated and state.k == 1
+    np.testing.assert_allclose(V[:, 0], prob.b, atol=1e-14)
 
 
 def test_step_rejects_terminated_state():
     prob = identity_problem()
-    state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
+    state, _ = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
     with pytest.raises(ValueError):
         ggkb_step(state, prob, DensePinvStrategy(prob.G))
 
@@ -144,9 +140,8 @@ def full_rank_problem(seed=12, m=12, n=8):
 def test_full_rank_run_structure():
     prob = full_rank_problem()
     strategy = DensePinvStrategy(prob.G)
-    state = run_ggkb(prob, strategy, steps=20)
-    assert state.terminated and state.k_t is not None and state.k_t <= 8
-    V = state.V
+    state, V = run_ggkb(prob, strategy, steps=20)
+    assert state.terminated and state.k <= 8
     gram = V.T @ prob.G @ V
     assert np.abs(gram - np.eye(V.shape[1])).max() <= 1e-10
 
@@ -155,14 +150,11 @@ def test_matrix_form_relations_hold_each_step():
     singular_m = random_gls_problem(21, m=14, n=10, p=6, q=12, rank_m=10)
     for prob in (full_rank_problem(), singular_m):
         strategy = DensePinvStrategy(prob.G)
-        state = ggkb_init(prob, strategy)
-        while not state.terminated and state.k < 6:
-            state = ggkb_step(state, prob, strategy)
-            if state.terminated:
-                break
-            k = state.k - 1
-            B = state.bidiagonal(k)
-            V = state.V[:, :k]
+        state, V_all = run_ggkb(prob, strategy, steps=5)
+        assert V_all.shape[1] > 1
+        for k in range(1, V_all.shape[1]):
+            B = bidiagonal(state, k)
+            V = V_all[:, :k]
             U = state.MU[:, : k + 1]
 
             # M A maps V_k onto (M U~_{k+1}) B_k
@@ -172,14 +164,14 @@ def test_matrix_form_relations_hold_each_step():
             # the adjoint map returns V_k B_k' plus the next direction
             target = strategy.G_pinv @ prob.MA.T @ U
             expect = V @ B.T
-            expect[:, -1] += state.alphas[k] * state.V[:, k]
+            expect[:, -1] += state.alphas[k] * V_all[:, k]
             assert np.linalg.norm(target - expect) <= 1e-10 * max(np.linalg.norm(target), 1.0)
 
 
 def test_u_vectors_p_orthonormal():
     prob = random_gls_problem(21, m=14, n=10, p=6, q=12, rank_m=10)
     strategy = DensePinvStrategy(prob.G)
-    state = run_ggkb(prob, strategy, steps=30)
+    state, _ = run_ggkb(prob, strategy, steps=30)
     U = state.MU
     gram = U.T @ U
     assert np.abs(gram - np.eye(U.shape[1])).max() <= 1e-10
@@ -188,9 +180,9 @@ def test_u_vectors_p_orthonormal():
 def test_v_vectors_stay_in_range_g():
     prob = random_gls_problem(33, m=10, n=8, p=4, rank_a=5, shared_null=True)
     strategy = DensePinvStrategy(prob.G)
-    state = run_ggkb(prob, strategy, steps=30)
+    _, V = run_ggkb(prob, strategy, steps=30)
     PG = projector_range(prob.G)
-    for v in state.V.T:
+    for v in V.T:
         assert np.linalg.norm(v - PG @ v) <= 1e-10
 
 
@@ -198,16 +190,16 @@ def test_termination_bound_and_rank():
     for seed in range(6):
         prob = random_gls_problem(seed, m=9, n=7, p=3, rank_a=4, shared_null=seed % 2 == 0)
         strategy = DensePinvStrategy(prob.G)
-        state = run_ggkb(prob, strategy, steps=40)
+        state, _ = run_ggkb(prob, strategy, steps=40)
         assert state.terminated
         rank_g = np.linalg.matrix_rank(prob.G)
         rank_p = prob.m  # M = I, so P = I_m
-        assert state.k_t <= min(rank_g, rank_p)
+        assert state.k <= min(rank_g, rank_p)
 
 
 def test_data_side_stays_orthonormal_over_fifty_steps():
     prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
-    state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=50)
+    state, _ = run_ggkb(prob, DensePinvStrategy(prob.G), steps=50)
     U = state.MU
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
 
@@ -225,12 +217,12 @@ def exhaustion_problems():
 
 def test_data_side_reorthogonalization_reaches_krylov_exhaustion():
     # projecting M U~ alone keeps the bidiagonal accurate: the run ends at
-    # k_t = rank(A), and V, never projected, drifts from G-orthonormality
+    # k = rank(A), and V, never projected, drifts from G-orthonormality
     # by 1.4e-11 at most on these problems
     for prob in exhaustion_problems():
-        state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60)
-        assert state.terminated and state.k_t == 20
-        V, U = state.V, state.MU
+        state, V = run_ggkb(prob, DensePinvStrategy(prob.G), steps=60)
+        assert state.terminated and state.k == 20
+        U = state.MU
         assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
         assert np.abs(V.T @ prob.G @ V - np.eye(V.shape[1])).max() <= 1e-10
 
@@ -240,24 +232,23 @@ def test_step_updates_one_workspace_in_place():
     strategy = DensePinvStrategy(prob.G)
     state = ggkb_init(prob, strategy)
     for _ in range(5):
-        before = state.V
+        before = state.MU
         assert ggkb_step(state, prob, strategy) is state
         assert state.k == before.shape[1] + 1
-        assert np.shares_memory(state.V, before)
-        assert np.shares_memory(state.V, state.v.X)
+        assert np.shares_memory(state.MU, before)
         assert np.shares_memory(state.MU, state.u.X)
 
 
 def test_workspace_growth_keeps_the_recurrence(monkeypatch):
     prob = random_gls_problem(55, m=70, n=60, p=60, cond=30.0)
     strategy = DensePinvStrategy(prob.G)
-    grown = run_ggkb(prob, strategy, steps=50)
+    grown, V_grown = run_ggkb(prob, strategy, steps=50)
     assert grown.k == 51 > 2 * ggkb_module.INITIAL_COLUMNS
     monkeypatch.setattr(ggkb_module, "INITIAL_COLUMNS", 1000)
-    sized = run_ggkb(prob, strategy, steps=50)
-    assert sized.v.X.shape[1] == min(prob.m, prob.n) + 1
+    sized, V_sized = run_ggkb(prob, strategy, steps=50)
+    assert sized.u.X.shape[1] == min(prob.m, prob.n) + 1
     assert grown.alphas == sized.alphas and grown.betas == sized.betas
-    np.testing.assert_array_equal(grown.V, sized.V)
+    np.testing.assert_array_equal(V_grown, V_sized)
     np.testing.assert_array_equal(grown.MU, sized.MU)
 
 
@@ -271,13 +262,13 @@ def _mgs_project_out(basis, x):
 def test_block_cgs2_matches_column_mgs2(monkeypatch):
     prob = random_gls_problem(55, m=70, n=60, p=60, q=65, rank_m=55, cond=30.0)
     strategy = DensePinvStrategy(prob.G)
-    cgs = run_ggkb(prob, strategy, steps=50)
+    cgs, V_cgs = run_ggkb(prob, strategy, steps=50)
     monkeypatch.setattr(ggkb_module.Basis, "project_out", _mgs_project_out)
-    mgs = run_ggkb(prob, strategy, steps=50)
+    mgs, V_mgs = run_ggkb(prob, strategy, steps=50)
     assert cgs.k == mgs.k == 51
     np.testing.assert_allclose(cgs.alphas, mgs.alphas, rtol=1e-10)
     np.testing.assert_allclose(cgs.betas, mgs.betas, rtol=1e-10)
-    np.testing.assert_allclose(cgs.V, mgs.V, atol=1e-8 * np.abs(mgs.V).max())
+    np.testing.assert_allclose(V_cgs, V_mgs, atol=1e-8 * np.abs(V_mgs).max())
 
 
 def test_basis_doubles_up_to_its_limit_then_past_it():
@@ -340,7 +331,7 @@ def test_the_recurrence_never_reads_g(make):
     prob = full_rank_problem(seed=21)
     strategy = make(prob.G)
     prob.G = _Unreadable()
-    state = run_ggkb(prob, strategy, steps=3 * prob.n)
+    state, _ = run_ggkb(prob, strategy, steps=3 * prob.n)
     assert state.terminated
     report = glsqr_solve(prob, strategy)
     assert report.iterations >= 1
@@ -348,9 +339,9 @@ def test_the_recurrence_never_reads_g(make):
 
 def test_strategy_equivalence_alpha_beta_sequences():
     prob = random_gls_problem(66, m=45, n=40, p=40, cond=20.0)
-    dense_state = run_ggkb(prob, DensePinvStrategy(prob.G), steps=30)
-    chol_state = run_ggkb(prob, CholeskyStrategy(prob.G), steps=30)
-    lsqr_state = run_ggkb(prob, InnerLsqrStrategy(prob.G, tau=1e-12), steps=30)
+    dense_state, _ = run_ggkb(prob, DensePinvStrategy(prob.G), steps=30)
+    chol_state, _ = run_ggkb(prob, CholeskyStrategy(prob.G), steps=30)
+    lsqr_state, _ = run_ggkb(prob, InnerLsqrStrategy(prob.G, tau=1e-12), steps=30)
 
     a_d, b_d = np.array(dense_state.alphas), np.array(dense_state.betas)
     for other, tol in ((chol_state, 1e-10), (lsqr_state, 1e-8)):
@@ -363,15 +354,15 @@ def test_strategy_equivalence_alpha_beta_sequences():
 def test_krylov_subspace_angles():
     prob = full_rank_problem(seed=5)
     strategy = DensePinvStrategy(prob.G)
-    state = run_ggkb(prob, strategy, steps=6)
-    assert krylov_subspace_check(state, prob, 1) <= 1e-12
-    assert krylov_subspace_check(state, prob, 4) <= 1e-8
+    state, V = run_ggkb(prob, strategy, steps=6)
+    assert krylov_subspace_check(V, prob, 1) <= 1e-12
+    assert krylov_subspace_check(V, prob, 4) <= 1e-8
     with pytest.raises(ValueError):
-        krylov_subspace_check(state, prob, state.k + 1)
+        krylov_subspace_check(V, prob, state.k + 1)
 
 
 def test_inner_cap_latches_into_state():
     prob = full_rank_problem(seed=9)
     strategy = InnerLsqrStrategy(prob.G, tau=1e-14, max_iter=1)
-    state = run_ggkb(prob, strategy, steps=3)
+    state, _ = run_ggkb(prob, strategy, steps=3)
     assert state.inner_capped

@@ -1,11 +1,13 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 from glskit import (
+    CholeskyStrategy,
     DensePinvStrategy,
     GlsProblem,
     InnerLsqrStrategy,
@@ -18,10 +20,12 @@ from glskit import (
     wpinv_elden,
 )
 from helpers import (
+    bidiagonal,
     prescribed_gsvd_pair,
     projector_range,
     random_gls_problem,
     random_matrix,
+    run_ggkb,
     seminorm_p,
 )
 
@@ -151,9 +155,9 @@ def test_operator_norm_cases():
 
 def test_operator_norm_power_handles_general_m():
     prob = random_gls_problem(19, m=10, n=8, p=5, q=9, rank_m=7)
-    with pytest.raises(ValueError):
-        operator_norm(prob, method="gsvd")
+    exact = operator_norm(prob, method="gsvd")
     est = operator_norm(prob, method="power")
+    assert exact.source == "gsvd_exact"
     assert est.source == "power_iteration"
     # oracle: largest generalized singular value of the pair {sqrt(P) A-ish}
     # computed densely from the operator pinv(G) A'PA restricted to R(G)
@@ -161,6 +165,7 @@ def test_operator_norm_power_handles_general_m():
     T = np.linalg.pinv(prob.G) @ (MA.T @ MA)
     eigs = np.linalg.eigvals(T)
     expected = math.sqrt(max(abs(eigs)))
+    assert abs(exact.value - expected) <= 1e-10 * expected
     assert abs(est.value - expected) <= 1e-6 * expected
 
 
@@ -201,7 +206,7 @@ def test_subspace_optimality_and_membership():
         # membership in R(G)
         assert np.linalg.norm(x_k - PG @ x_k) <= 1e-10 * max(np.linalg.norm(x_k), 1.0)
         # optimality over span{V_k}: compare against the dense solve of B_k
-        B = partial.state.bidiagonal(min(k, len(partial.alphas) - 1))
+        B = bidiagonal(partial.state, min(k, len(partial.alphas) - 1))
         e1 = np.zeros(B.shape[0])
         e1[0] = beta1
         y, *_ = np.linalg.lstsq(B, e1, rcond=None)
@@ -228,12 +233,13 @@ def test_recursive_update_matches_explicit_solve():
     prob = gen.problem
     for k in (1, 3, 7, 15, 30):
         partial = iterate_prefix(prob, k)
+        _, V = run_ggkb(prob, DensePinvStrategy(prob.G), steps=k)
         kk = min(k, partial.iterations)
-        B = partial.state.bidiagonal(min(kk, len(partial.alphas) - 1))
+        B = bidiagonal(partial.state, min(kk, len(partial.alphas) - 1))
         e1 = np.zeros(B.shape[0])
         e1[0] = partial.beta1
         y, *_ = np.linalg.lstsq(B, e1, rcond=None)
-        explicit = partial.state.V[:, : B.shape[1]] @ y
+        explicit = V[:, : B.shape[1]] @ y
         assert np.linalg.norm(partial.x - explicit) <= 1e-10 * max(
             np.linalg.norm(explicit), 1.0
         )
@@ -327,6 +333,25 @@ def test_data_side_solve_matches_the_direct_route(seed):
     report = glsqr_solve(prob, InnerLsqrStrategy(prob.G, tau=1e-10))
     assert not report.state.inner_capped
     assert certify_solution(prob, report)
+
+
+def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
+    # 60 x 2000: a basis of the v_i would hold 2000 x 61 doubles (0.93 MiB);
+    # the solve keeps the latest v_i, w, x and the 60 x 61 data side
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    V, _ = np.linalg.qr(rng.standard_normal((2000, 60)))
+    A = (U * np.logspace(0.0, 3.0, 60)) @ V.T
+    prob = GlsProblem(A, None, np.eye(2000), rng.standard_normal(60))
+    strategy = CholeskyStrategy(prob.G)
+    tracemalloc.start()
+    try:
+        report = glsqr_solve(prob, strategy, tol=1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stop_reason == "ggkb_terminated" and report.state.k == 60
+    assert peak < 0.5 * 2**20
 
 
 def sparse_and_dense_l_problems():

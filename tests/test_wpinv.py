@@ -16,6 +16,7 @@ from glskit import (
     wpinv_apply,
     wpinv_elden,
     wpinv_limit,
+    wpinv_matrix,
     wpinv_via_gsvd,
 )
 from glskit.problems import generate
@@ -133,12 +134,30 @@ def test_apply_recovers_planted_solution():
     assert np.linalg.norm(x - gen.x_true) <= 1e-10 * np.linalg.norm(gen.x_true)
 
 
-def test_apply_gsvd_requires_identity_m():
+def test_apply_rejects_an_unknown_method():
     prob = random_gls_problem(5, q=6)
     with pytest.raises(ValueError):
-        wpinv_apply(prob, method="gsvd")
-    with pytest.raises(ValueError):
         wpinv_apply(prob, method="nope")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(m=10, n=8, p=3, q=6, rank_a=6),
+        dict(m=9, n=7, p=4, q=12),
+        dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
+        dict(m=10, n=8, p=3, q=11, rank_a=5, shared_null=True),
+    ],
+    ids=["q<m", "q>m", "rank-deficient M", "shared null"],
+)
+def test_gsvd_route_agrees_with_elden_for_every_m(config):
+    # the GSVD closed form of the pair {MA, L}, times M
+    for seed in range(20):
+        prob = random_gls_problem(seed, **config)
+        X_e = wpinv_elden(prob)
+        X_g = wpinv_matrix(prob, "gsvd")
+        assert X_g.shape == (prob.n, prob.m)
+        assert np.linalg.norm(X_g - X_e) <= 1e-9 * np.linalg.norm(X_e)
 
 
 def test_apply_dispatches_to_gsvd_and_limit_routes():
