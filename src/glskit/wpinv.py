@@ -40,11 +40,13 @@ class FactorStore:
 
     Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
     the direct route's cutoff), ``G``, ``M'`` (so U is thin for a wide M;
-    made only for identity 5 of ``check_gmpe``) and ``L N``, N the basis of
-    N(MA) that ``ma`` ranks. N(G) = N(MA) & N(L) = N N(L N), so ``G`` is
-    factored only for pinv(G). Other rank decisions of M A apply their own
-    tolerance through ``SvdFactors.ranked``; L N is always ranked at its
-    product floor.
+    made only for identity 5 of ``check_gmpe``, which reads its leading
+    left singular vectors as the projector onto R(M')) and ``L N``, N the
+    basis of N(MA) that ``ma`` ranks. N(G) = N(MA) & N(L) = N N(L N), so
+    ``G`` is factored only for pinv(G): the ``debug=True`` residual of
+    ``glsqr_solve`` and the power path of ``operator_norm``. Other rank
+    decisions of M A apply their own tolerance through
+    ``SvdFactors.ranked``; L N is always ranked at its product floor.
     """
 
     def __init__(self, A, M, MA, L, G):
@@ -276,7 +278,15 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
 
     Residuals are Frobenius norms normalized by the scale of the left-hand
     side (0/0 counts as a pass); these five, and nothing else, are computed.
-    P A X is evaluated as M'(MA X), so P is not formed.
+    P A X is evaluated as M'(MA X), so P is not formed, and neither is
+    pinv(G) or pinv(M): identity 5 reads pinv(M) M as U_r U_r', U_r the
+    leading ``rank`` left singular vectors of M'. Identity 4 is the larger
+    residual of two tests, ``S = G X A (I - N_G N_G')`` symmetric and
+    ``N_G' X = 0`` (N_G = ``prob.factors.nullspace_g``, and G X A is formed
+    as (MA)'(MA X A) + L'(L X A)). The split is exact: M A N_G = 0, so
+    identity 5 gives X A N_G = 0 and S = G X A; then pinv(G) (X A)' G = X A
+    holds iff G X A is symmetric and N_G' X A = 0, which by identity 1
+    (X = X A X) is N_G' X = 0.
     """
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
@@ -289,17 +299,23 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
 
     MA = prob.MA
     MAX = MA @ X
-    r2 = _rel(norm(MAX @ A - MA), norm(MA))
+    MAXA = MAX @ A
+    r2 = _rel(norm(MAXA - MA), norm(MA))
 
     PAX = MAX if prob.M is None else prob.M.T @ MAX
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
 
-    r4 = _rel(norm((prob.G @ X @ A @ prob.factors.g.pinv()).T - XA), norm(XA))
+    N_g = prob.factors.nullspace_g
+    GXA = MA.T @ MAXA + prob.L.T @ (prob.L @ XA)
+    S = GXA - (GXA @ N_g) @ N_g.T
+    r4 = max(_rel(norm(S - S.T), norm(S)), _rel(norm(N_g.T @ X), norm(X)))
 
     if prob.M is None:
         r5 = 0.0
     else:
-        r5 = _rel(norm(X @ prob.factors.m.pinv().T @ prob.M - X), norm(X))
+        mt = prob.factors.m
+        U_r = mt.U[:, : mt.rank]
+        r5 = _rel(norm(X - (X @ U_r) @ U_r.T), norm(X))
 
     residuals = (r1, r2, r3, r4, r5)
     return MpeReport(residuals=residuals, passed=tuple(r <= tol for r in residuals), tol=tol)

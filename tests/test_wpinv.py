@@ -19,7 +19,8 @@ from glskit import (
     wpinv_matrix,
     wpinv_via_gsvd,
 )
-from glskit.problems import generate
+from glskit.problems import generate, make_l1
+from glskit.wpinv import FactorStore
 from helpers import nullspace_basis, random_gls_problem, random_matrix
 
 
@@ -224,6 +225,78 @@ def test_gmpe_uniqueness_rejects_perturbations(seed):
     E *= 1e-3 * np.linalg.norm(X) / np.linalg.norm(E)
     report = check_gmpe(prob, X + E, tol=1e-6)
     assert not report.all_passed
+
+
+def c1_problem(seed, cond):
+    # M A has a genuine small singular value (near 1e-7 at cond=1e4), which
+    # G = (MA)'(MA) + L'L squares: a check through pinv(G) works at its square
+    return random_gls_problem(seed, m=6, n=9, p=2, q=4, rank_a=3, cond=cond)
+
+
+@pytest.mark.parametrize("seed", [44, 57, 65, 185])
+def test_gmpe_accepts_the_direct_route_on_weighted_rank_deficient_seeds(seed):
+    # identity 4 through pinv(G) rejected these (residuals up to 1.0e-7)
+    prob = random_gls_problem(seed, m=9, n=7, p=3, q=8, rank_a=4, rank_m=5)
+    assert check_gmpe(prob, wpinv_elden(prob)).all_passed
+
+
+def test_gmpe_accepts_the_direct_route_on_c1_at_cond_1e2():
+    # identity 4 through pinv(G) rejected 97 of these 200
+    for s in range(200):
+        prob = c1_problem(s, 1e2)
+        assert check_gmpe(prob, wpinv_elden(prob)).all_passed, s
+
+
+def test_gmpe_identity_4_rejects_at_most_27_direct_routes_on_c1_at_cond_1e3():
+    # through pinv(G) all 200 failed; the 27 left are the bound recorded in
+    # ROADMAP.md, and the other four identities pass on every seed
+    failed = 0
+    for s in range(200):
+        prob = c1_problem(s, 1e3)
+        passed = check_gmpe(prob, wpinv_elden(prob)).passed
+        assert passed[:3] + passed[4:] == (True,) * 4, s
+        failed += not passed[3]
+    assert failed <= 27
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
+def test_gmpe_identity_4_rejects_the_unregularized_pinv_on_c1(cond):
+    # pinv(MA) M satisfies identities 1, 2, 3 and 5; only identity 4 tells it
+    # from A_ML^+
+    for s in range(200):
+        prob = c1_problem(s, cond)
+        assert not check_gmpe(prob, pinv(prob.MA) @ prob.M).passed[3], s
+
+
+def test_gmpe_identity_4_range_test_rejects_a_null_space_shift():
+    # X + N_G E has the same G X A as X, so the symmetric test alone passes
+    # it; only N_G' X = 0 rejects it
+    for s in range(20):
+        prob = random_gls_problem(s, m=10, n=8, p=3, rank_a=5, shared_null=True)
+        X = wpinv_elden(prob)
+        N_g = prob.factors.nullspace_g
+        E = np.random.default_rng(s).standard_normal((N_g.shape[1], prob.m))
+        shifted = X + N_g @ (1e-3 * np.linalg.norm(X) * E / np.linalg.norm(E))
+        GXA = prob.G @ shifted @ prob.A
+        S = GXA - GXA @ N_g @ N_g.T
+        assert np.linalg.norm(S - S.T) <= 1e-12 * np.linalg.norm(S), s
+        assert not check_gmpe(prob, shifted, tol=1e-6).passed[3], s
+
+
+def test_check_gmpe_never_factors_g(monkeypatch):
+    def no_svd_of_g(self):
+        raise AssertionError("check_gmpe factored G")
+
+    monkeypatch.setattr(FactorStore, "g", property(no_svd_of_g))
+    base = random_gls_problem(66, m=8, n=6, p=3, rank_a=4)
+    problems = [
+        base,
+        random_gls_problem(67, q=7, rank_a=4, rank_m=5, shared_null=True),
+        GlsProblem(base.A, None, make_l1(base.n), base.b),
+        GlsProblem(base.A, None, None, base.b),
+    ]
+    for prob in problems:
+        assert check_gmpe(prob, wpinv_elden(prob)).all_passed
 
 
 def test_criterion_accepts_solution_and_flags_coset():
