@@ -281,12 +281,14 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     P A X is evaluated as M'(MA X), so P is not formed, and neither is
     pinv(G) or pinv(M): identity 5 reads pinv(M) M as U_r U_r', U_r the
     leading ``rank`` left singular vectors of M'. Identity 4 is the larger
-    residual of two tests, ``S = G X A (I - N_G N_G')`` symmetric and
-    ``N_G' X = 0`` (N_G = ``prob.factors.nullspace_g``, and G X A is formed
-    as (MA)'(MA X A) + L'(L X A)). The split is exact: M A N_G = 0, so
-    identity 5 gives X A N_G = 0 and S = G X A; then pinv(G) (X A)' G = X A
-    holds iff G X A is symmetric and N_G' X A = 0, which by identity 1
-    (X = X A X) is N_G' X = 0.
+    residual of two tests, ``T = L'L X A (I - N_G N_G')`` symmetric and
+    ``N_G' X = 0`` (N_G = ``prob.factors.nullspace_g``). The split is exact
+    given identities 1, 3 and 5: M A N_G = 0, so identity 5 gives
+    X A N_G = 0; G X A = A'(P A X)A + L'L X A, whose first term identity 3
+    makes symmetric; and pinv(G) (X A)' G = X A holds iff G X A is symmetric
+    and N_G' X A = 0, which by identity 1 (X = X A X) is N_G' X = 0. The
+    asymmetry of T is normalized by ||L||^2 ||X A||, so the residual does not
+    change when L is scaled, as A_ML^+ does not.
     """
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
@@ -305,10 +307,12 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     PAX = MAX if prob.M is None else prob.M.T @ MAX
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
 
+    L = prob.L
     N_g = prob.factors.nullspace_g
-    GXA = MA.T @ MAXA + prob.L.T @ (prob.L @ XA)
-    S = GXA - (GXA @ N_g) @ N_g.T
-    r4 = max(_rel(norm(S - S.T), norm(S)), _rel(norm(N_g.T @ X), norm(X)))
+    T = L.T @ (L @ XA)
+    T = T - (T @ N_g) @ N_g.T
+    l_norm = norm(L.data if sp.issparse(L) else L)
+    r4 = max(_rel(norm(T - T.T), l_norm**2 * norm(XA)), _rel(norm(N_g.T @ X), norm(X)))
 
     if prob.M is None:
         r5 = 0.0
