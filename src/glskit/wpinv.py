@@ -301,8 +301,7 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
 
     MA = prob.MA
     MAX = MA @ X
-    MAXA = MAX @ A
-    r2 = _rel(norm(MAXA - MA), norm(MA))
+    r2 = _rel(norm(MAX @ A - MA), norm(MA))
 
     PAX = MAX if prob.M is None else prob.M.T @ MAX
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
