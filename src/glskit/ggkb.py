@@ -39,9 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_solve
 
-from .linalg import EPS, as_matrix, cholesky_spd, lsqr, svd
+from .linalg import EPS, as_matrix, check_symmetric, cholesky_spd, lsqr, svd
 from .wpinv import GlsProblem
 
 __all__ = [
@@ -94,16 +95,20 @@ class InnerLsqrStrategy:
     Every caller hands it ``rhs = (MA)' u_bar``, in R(G), so CG from zero
     returns the minimum-norm solution. ``tau`` is the inner
     relative-residual tolerance, ``||G s - rhs|| <= tau ||rhs||``; it caps
-    the accuracy of everything built on top. ``G`` is kept as given (dense,
-    scipy sparse, or a callable for the product), since CG reads it only
-    through products; ``max_iter`` defaults to the ``4n`` cap of
-    :func:`lsqr`. An inner solve that ends unconverged, at the iteration cap
-    or on a curvature breakdown, latches ``hit_cap`` instead of raising.
+    the accuracy of everything built on top. CG reads ``G`` only through
+    products: a dense ``G`` through one triangle, by BLAS ``symv``, so it
+    must be symmetric (checked here once, to rtol 1e-10), while scipy sparse
+    and callable ``G`` are kept as given and applied as they are.
+    ``max_iter`` defaults to the ``4n`` cap of :func:`lsqr`. An inner solve
+    that ends unconverged, at the iteration cap or on a curvature breakdown,
+    latches ``hit_cap`` instead of raising.
     """
 
     def __init__(self, G, tau=1e-12, max_iter=None):
         if not tau > 0:
             raise ValueError("tau must be positive")
+        if not callable(G) and not sp.issparse(G):
+            check_symmetric(G)
         self.G = G
         self.tau = float(tau)
         self.max_iter = max_iter

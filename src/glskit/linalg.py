@@ -7,8 +7,11 @@ documents its cutoff. Pseudoinverses and null-space bases are read off one
 :class:`SvdFactors` (U thin, V square); no projector is formed here, its
 users apply the singular vectors as products. The one iterative kernel,
 :func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
-gradients and needs the operator only as a product, so it takes sparse
-matrices and callables as they are.
+gradients and needs the operator only as a product: a dense matrix is read
+through one triangle by BLAS ``symv``, while sparse matrices and callables
+are kept as given. With a dense matrix its loop allocates nothing per
+iteration: dot products go through BLAS ``ddot`` and the updates through
+one preallocated buffer.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.blas import ddot, dscal, dsymv
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -168,14 +173,16 @@ def pinv(A, tol=None):
     return svd(A, tol).pinv()
 
 
-def _require_symmetric(G, name, rtol=1e-10):
-    G = as_matrix(G, name)
+def check_symmetric(G):
+    """``G`` as a float64 array; ValueError unless it is square and
+    ``||G - G'|| <= 1e-10 ||G||`` (Frobenius)."""
+    G = as_matrix(G, "G")
     if G.shape[0] != G.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {G.shape}")
+        raise ValueError(f"G must be square, got shape {G.shape}")
     scale = np.linalg.norm(G)
-    if scale and np.linalg.norm(G - G.T) > rtol * scale:
-        raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (G + G.T)
+    if scale and np.linalg.norm(G - G.T) > 1e-10 * scale:
+        raise ValueError("G is not symmetric")
+    return G
 
 
 def cholesky_spd(G):
@@ -186,7 +193,8 @@ def cholesky_spd(G):
     caller falls back: the command line reports it as a numeric failure,
     and a PSD-singular ``G`` needs a pseudoinverse strategy instead.
     """
-    G = _require_symmetric(G, "G")
+    G = check_symmetric(G)
+    G = 0.5 * (G + G.T)
     try:
         C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -210,21 +218,50 @@ class LsqrResult:
     relative_residual: float
 
 
+def _symmetric_product(G, n):
+    """``v -> G v`` for :func:`lsqr`, G symmetric.
+
+    A dense G is read through one triangle by BLAS ``symv``, which wants a
+    Fortran-ordered operand: a C-ordered G passes as its transpose, equal
+    to G by symmetry, and any other layout is copied once here. The dense
+    product writes into one buffer, overwritten by the next call. Sparse
+    and callable G are applied as given.
+    """
+    if callable(G):
+        return lambda v: np.asarray(G(v), dtype=np.float64)
+    if scipy.sparse.issparse(G):
+        return lambda v: np.asarray(G @ v, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    if G.shape != (n, n):
+        raise ValueError(f"G must have shape ({n}, {n}), got {G.shape}")
+    a = G if G.flags.f_contiguous else G.T if G.flags.c_contiguous else np.asfortranarray(G)
+    gv = np.empty(n)
+    # positional (beta, y, offx, incx, offy, incy, lower, overwrite_y):
+    # keyword parsing in the f2py wrapper costs about 15% of the product at
+    # n = 220
+    return lambda v: dsymv(1.0, a, v, 0.0, gv, 0, 1, 0, 1, 0, 1)
+
+
 def lsqr(G, rhs, tau=1e-12, max_iter=None):
     """Conjugate gradients for ``G s = rhs``, G symmetric positive semidefinite.
 
     Precondition: ``rhs`` lies in R(G). ``G`` may be a dense array, a scipy
-    sparse matrix, or a callable implementing the matrix-vector product.
+    sparse matrix, or a callable implementing the matrix-vector product. A
+    dense G must be symmetric: BLAS ``symv`` reads one triangle of it and
+    never looks at the other.
     Iteration starts from zero, so the iterates stay in R(G) and the result
     is the minimum 2-norm solution. It stops once the recursive residual
-    satisfies ``||r_k|| <= tau ||rhs||``; the rate is set by cond(G)^(1/2)
-    (the Krylov space of G, not of G^2). Hitting ``max_iter``, or a
-    curvature ``d'Gd <= 0`` (G not positive definite on the search
-    direction), is reported through ``converged=False``, not an error.
+    satisfies ``||r_k|| <= tau ||rhs||``, for ``tau > 0``; the rate is set
+    by cond(G)^(1/2) (the Krylov space of G, not of G^2). Hitting
+    ``max_iter``, or a curvature ``d'Gd <= 0`` (G not positive definite on
+    the search direction), is reported through ``converged=False``, not an
+    error. ``rhs`` is not modified.
     """
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     rhs = as_vector(rhs, name="rhs")
-    matvec = G if callable(G) else (lambda v, _G=G: _G @ v)
     n = rhs.size
+    matvec = _symmetric_product(G, n)
     if max_iter is None:
         max_iter = 4 * n
 
@@ -234,6 +271,8 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
         return LsqrResult(x=x, iterations=0, converged=True, relative_residual=0.0)
     r = rhs.copy()
     d = rhs.copy()
+    # a * d, then a * gd: each update rounds the product, then the sum
+    step = np.empty(n)
     rr = beta1 * beta1
     stop = (tau * beta1) ** 2
 
@@ -241,18 +280,18 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
     converged = False
     while iterations < max_iter:
         iterations += 1
-        gd = np.asarray(matvec(d), dtype=np.float64)
-        curvature = float(d @ gd)
+        gd = matvec(d)
+        curvature = ddot(d, gd)
         if not curvature > 0.0:
             break
         a = rr / curvature
-        x += a * d
-        r -= a * gd
-        rr_old, rr = rr, float(r @ r)
+        x += np.multiply(d, a, out=step)
+        r -= np.multiply(gd, a, out=step)
+        rr_old, rr = rr, ddot(r, r)
         if rr <= stop:
             converged = True
             break
-        d *= rr / rr_old
+        dscal(rr / rr_old, d)  # in place, the rounding of d *= rr / rr_old
         d += r
 
     if converged:
@@ -260,6 +299,6 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
     else:
         # after stagnation the recursive residual under-reports; callers
         # that stop unconverged get the directly evaluated value
-        relres = float(np.linalg.norm(np.asarray(matvec(x)) - rhs)) / beta1
+        relres = float(np.linalg.norm(matvec(x) - rhs)) / beta1
 
     return LsqrResult(x=x, iterations=iterations, converged=converged, relative_residual=relres)

@@ -80,6 +80,25 @@ def test_inner_strategy_takes_g_as_a_product():
         assert capped.hit_cap
 
 
+def test_inner_strategy_rejects_an_asymmetric_dense_g():
+    # lsqr reads a dense G through one triangle, so the strategy checks
+    # symmetry once, to rtol 1e-10; sparse and callable G are kept as given
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((8, 8))
+    G = B @ B.T + np.eye(8)
+    skew = np.zeros((8, 8))
+    skew[0, 1] = np.linalg.norm(G)
+    with pytest.raises(ValueError, match="symmetric"):
+        InnerLsqrStrategy(G + 1e-8 * skew)
+    with pytest.raises(ValueError, match="symmetric"):
+        InnerLsqrStrategy(np.asfortranarray(G + 1e-8 * skew))
+    near = G + 1e-12 * skew
+    strategy = InnerLsqrStrategy(near)
+    assert strategy.G is near  # checked, not replaced by a symmetrized copy
+    for form in (scipy.sparse.csr_array(G + 1e-8 * skew), lambda v: (G + 1e-8 * skew) @ v):
+        InnerLsqrStrategy(form)
+
+
 def test_init_unit_setup():
     prob = identity_problem()
     state = ggkb_init(prob, DensePinvStrategy(prob.G))

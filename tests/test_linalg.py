@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from glskit import (
     IndefiniteMatrixError,
@@ -12,6 +13,7 @@ from glskit import (
     pinv,
     svd,
 )
+from glskit.problems import generate, random_sparse_matrix
 from helpers import nullspace_basis, orthogonal, projector_range, reconstruct, spd_matrix
 
 
@@ -222,6 +224,68 @@ def test_lsqr_solution_orthogonal_to_nullspace(seed):
     N = nullspace_basis(G)
     assert N.shape[1] == 5
     assert np.abs(N.T @ res.x).max() <= 1e-8 * np.linalg.norm(res.x)
+
+
+@pytest.mark.parametrize("tau", [-1e-10, 0.0, math.nan])
+def test_lsqr_rejects_a_tau_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match="tau"):
+        lsqr(np.diag([1.0, 2.0, 3.0]), np.ones(3), tau=tau)
+
+
+@pytest.fixture(scope="module")
+def generated_g():
+    # the G and a first gGKB right-hand side (MA)' b of a glsqr_inner-sized
+    # problem: 220 x 220, C-ordered and bitwise symmetric
+    prob = generate(random_sparse_matrix(165, 220, density=0.05, seed=1), "l1", "trig", 1).problem
+    return prob.G, prob.MA.T @ prob.b
+
+
+def g_forms(G):
+    """G stored C-ordered, F-ordered, as a strided view, sparse and as a product."""
+    wide = np.zeros((G.shape[0], 2 * G.shape[1]))
+    wide[:, ::2] = G
+    return {
+        "C": np.ascontiguousarray(G),
+        "F": np.asfortranarray(G),
+        "strided": wide[:, ::2],
+        "sparse": scipy.sparse.csr_array(G),
+        "callable": lambda v: G @ v,
+    }
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_lsqr_dense_layouts_match_sparse_and_callable_g(generated_g, layout):
+    # symv reads one triangle of a dense G, in whatever layout it comes;
+    # sparse and callable G keep their own product, so only rounding differs
+    G, rhs = generated_g
+    forms = g_forms(G)
+    rhs_before = rhs.copy()
+    dense = lsqr(forms[layout], rhs, tau=1e-12)
+    np.testing.assert_array_equal(rhs, rhs_before)
+    assert dense.converged
+    assert np.linalg.norm(G @ dense.x - rhs) <= 2e-12 * np.linalg.norm(rhs)
+    for name in ("sparse", "callable"):
+        other = lsqr(forms[name], rhs, tau=1e-12)
+        assert other.iterations == dense.iterations, name
+        assert np.linalg.norm(other.x - dense.x) <= 1e-12 * np.linalg.norm(dense.x), name
+
+
+@pytest.mark.parametrize("form", ["C", "F", "strided", "sparse", "callable"])
+def test_lsqr_cap_reports_the_evaluated_residual(generated_g, form):
+    # with tau out of reach CG runs its 4n cap into stagnation, where the
+    # recursive residual keeps falling far below what G x - rhs shows
+    G, rhs = generated_g
+    operator = g_forms(G)[form]
+    rhs_before = rhs.copy()
+    res = lsqr(operator, rhs, tau=1e-300)
+    np.testing.assert_array_equal(rhs, rhs_before)
+    assert (res.iterations, res.converged) == (4 * rhs.size, False)
+    direct = np.linalg.norm(G @ res.x - rhs) / np.linalg.norm(rhs)
+    assert 1e-16 < direct < 1e-13
+    assert 0.5 * direct <= res.relative_residual <= 2.0 * direct
+    early = lsqr(operator, rhs, tau=1e-300, max_iter=5)
+    direct = np.linalg.norm(G @ early.x - rhs) / np.linalg.norm(rhs)
+    assert early.relative_residual == pytest.approx(direct, rel=1e-12)
 
 
 def test_orthogonal_helper():
