@@ -2,12 +2,23 @@
 
 Coordinate files come back as scipy CSR arrays (duplicates summed, entries
 canonicalized), array files as dense ndarrays. Symmetric storage must be
-square and is expanded to general on read. The reader collects the data
-tokens in one pass and parses each column by one numpy call; a parse
-failure reports the offending line number. Writers emit floats as ``repr``.
+square and is expanded to general on read.
+
+A read checks the banner and the size line, then parses the rest of the file
+by one ``np.loadtxt`` call, so it holds its result and not a string per
+value. A body that numpy refuses, or whose count or indices the size line
+does not allow, goes to a line walker: it reads what numpy does not (comment
+lines inside the body, array rows of different lengths, integers beyond
+int64, spellings only Python accepts such as ``1_0.5``) and reports the first
+fault with its line number. Both cut lines as ``str.splitlines`` does.
+Writers emit floats as ``repr`` and stream their text to the file in chunks.
 """
 
 from __future__ import annotations
+
+import warnings
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +32,8 @@ __all__ = [
 ]
 
 _BANNER = "%%matrixmarket"
+_READ_CHARS = 1 << 16  # characters per read, completed to a whole line
+_WRITE_LINES = 4096  # lines per write
 
 
 class MatrixMarketError(ValueError):
@@ -28,6 +41,13 @@ class MatrixMarketError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def _lines(fh):
+    """The file's lines as ``str.splitlines`` cuts them. Each read ends at a
+    newline, so no line is cut between two reads."""
+    reads = (text + fh.readline() for text in iter(partial(fh.read, _READ_CHARS), ""))
+    return chain.from_iterable(map(str.splitlines, reads))
 
 
 def _size(path, line_no, tokens, fmt, symmetry):
@@ -52,6 +72,58 @@ def _size(path, line_no, tokens, fmt, symmetry):
     return m, n, m * n if symmetry == "general" else m * (m + 1) // 2
 
 
+def _head(path, lines):
+    """``(fmt, field, symmetry, size, line_no)`` from the banner and the size
+    line, which is line ``line_no``; comment and blank lines may precede it."""
+    banner = next(lines, None)
+    if banner is None:
+        raise MatrixMarketError(path, 1, "empty file")
+    header = banner.split()
+    if len(header) != 5 or header[0].lower() != _BANNER:
+        raise MatrixMarketError(path, 1, "malformed MatrixMarket header")
+    obj, fmt, field, symmetry = (t.lower() for t in header[1:])
+    if obj != "matrix":
+        raise MatrixMarketError(path, 1, f"unsupported object {obj!r}")
+    if fmt not in ("coordinate", "array"):
+        raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
+    if field not in ("real", "integer"):
+        raise MatrixMarketError(path, 1, f"unsupported field {field!r} (need real data)")
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
+    line_no = 1
+    for line_no, raw in enumerate(lines, 2):
+        parts = raw.split()
+        if parts and parts[0][0] != "%":
+            return fmt, field, symmetry, _size(path, line_no, parts, fmt, symmetry), line_no
+    raise MatrixMarketError(path, line_no, "missing size line")
+
+
+def _outside(rows, cols, m, n):
+    return (rows < 1) | (rows > m) | (cols < 1) | (cols > n)
+
+
+def _loadtxt(lines, coordinate, field, size):
+    """The body from one ``np.loadtxt`` call: ``(rows, cols, vals)`` with
+    1-based int64 indices, or the flat array values. None when numpy refuses
+    it, warns, or finds a count or an index the size line does not allow."""
+    m, n, count = size
+    value = np.int64 if field == "integer" else np.float64
+    dtype = [("i", np.int64), ("j", np.int64), ("v", value)] if coordinate else value
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.24 accepts '1.0' as an integer with a warning
+            warnings.simplefilter("error")
+            # comments=None: a '#' line is a fault, not a comment
+            body = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if coordinate else 2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if not coordinate:
+        return body.reshape(-1) if body.size == count else None
+    if len(body) != count or _outside(body["i"], body["j"], m, n).any():
+        return None
+    return body["i"], body["j"], body["v"]
+
+
 def _column(path, tokens, token_lines, integer, what):
     """The tokens as float64, parsed by one call. Integer tokens go through
     Python ints, so one above 2**63 - 1 reads as float(int(token)), and one
@@ -69,74 +141,66 @@ def _column(path, tokens, token_lines, integer, what):
         raise
 
 
-def read_matrix_market(path):
-    """Read one matrix; coordinate -> scipy CSR, array -> dense ndarray."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixMarketError(path, 1, "empty file")
-
-    header = lines[0].split()
-    if len(header) != 5 or header[0].lower() != _BANNER:
-        raise MatrixMarketError(path, 1, "malformed MatrixMarket header")
-    obj, fmt, field, symmetry = (t.lower() for t in header[1:])
-    if obj != "matrix":
-        raise MatrixMarketError(path, 1, f"unsupported object {obj!r}")
-    if fmt not in ("coordinate", "array"):
-        raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
-    if field not in ("real", "integer"):
-        raise MatrixMarketError(path, 1, f"unsupported field {field!r} (need real data)")
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
-    coordinate = fmt == "coordinate"
-    integer = field == "integer"
-
-    # the header starts with '%', so it is skipped with the comments; the two
-    # lists stay flat, as the GC rescans a live list of per-line objects
-    size = None
+def _walk(path, lines, line_no, coordinate, field, size):
+    """The body line by line from the line after the size line (line
+    ``line_no``), as ``_loadtxt`` returns it; the first fault raises with its
+    line. A line's width is checked as it is read, then the count, then each
+    column's values in turn, then the indices."""
+    m, n, count = size
     tokens, token_lines = [], []
-    for line_no, raw in enumerate(lines, 1):
+    for line_no, raw in enumerate(lines, line_no + 1):
         parts = raw.split()
         if not parts or parts[0][0] == "%":
             continue
-        if size is None:
-            size = _size(path, line_no, parts, fmt, symmetry)
-        elif coordinate and len(parts) != 3:
+        if coordinate and len(parts) != 3:
             raise MatrixMarketError(path, line_no, "coordinate entry needs 'i j value'")
-        else:
-            tokens += parts
-            token_lines += (line_no,) * len(parts)
-    if size is None:
-        raise MatrixMarketError(path, len(lines), "missing size line")
-    m, n, count = size
+        tokens += parts
+        token_lines += (line_no,) * len(parts)
     width, noun = (3, "entries") if coordinate else (1, "values")
     found = len(tokens) // width
     if found > count:
         raise MatrixMarketError(path, token_lines[width * count], f"more {noun} than declared")
     if found < count:
-        raise MatrixMarketError(path, len(lines), f"expected {count} {noun}, found {found}")
+        raise MatrixMarketError(path, line_no, f"expected {count} {noun}, found {found}")
 
-    value = f"bad {field} value"
+    integer, value = field == "integer", f"bad {field} value"
     if not coordinate:
-        values = _column(path, tokens, token_lines, integer, value)
-        if symmetry == "general":
-            return values.reshape((n, m)).T.copy()  # column-major payload
-        # the lower triangle, column by column: row by row of the upper one
-        cols, rows = np.triu_indices(n)
-        out = np.zeros((m, n))
-        out[rows, cols] = values
-        out[cols, rows] = values
-        return out
-
+        return _column(path, tokens, token_lines, integer, value)
     rows = _column(path, tokens[0::3], token_lines[0::3], True, "non-integer index")
     cols = _column(path, tokens[1::3], token_lines[1::3], True, "non-integer index")
     vals = _column(path, tokens[2::3], token_lines[2::3], integer, value)
-    outside = (rows < 1) | (rows > m) | (cols < 1) | (cols > n)
+    outside = _outside(rows, cols, m, n)
     if outside.any():
         k = 3 * int(outside.argmax())
         i, j = int(tokens[k]), int(tokens[k + 1])
         raise MatrixMarketError(path, token_lines[k], f"index ({i}, {j}) outside {m} x {n}")
-    rows, cols = rows.astype(np.int64) - 1, cols.astype(np.int64) - 1
+    return rows.astype(np.int64), cols.astype(np.int64), vals
+
+
+def read_matrix_market(path):
+    """Read one matrix; coordinate -> scipy CSR, array -> dense ndarray."""
+    with open(path, "r") as fh:
+        lines = _lines(fh)
+        fmt, field, symmetry, size, line_no = _head(path, lines)
+        coordinate = fmt == "coordinate"
+        body = _loadtxt(lines, coordinate, field, size)
+        if body is None:
+            fh.seek(0)
+            body = _walk(path, islice(_lines(fh), line_no, None), line_no, coordinate, field, size)
+    m, n, _ = size
+
+    if not coordinate:
+        if symmetry == "general":  # column-major payload
+            return np.ascontiguousarray(body.reshape((n, m)).T, dtype=np.float64)
+        # the lower triangle, column by column: row by row of the upper one
+        cols, rows = np.triu_indices(n)
+        out = np.zeros((m, n))
+        out[rows, cols] = body
+        out[cols, rows] = body
+        return out
+
+    rows, cols, vals = body
+    rows, cols, vals = rows - 1, cols - 1, vals.astype(np.float64, copy=False)
     if symmetry == "symmetric":
         off = rows != cols
         rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
@@ -147,33 +211,38 @@ def read_matrix_market(path):
     return mat
 
 
+def _write_lines(fh, line, *columns):
+    """Write ``line(*row)`` and a newline for each row of the columns,
+    ``_WRITE_LINES`` rows at a time."""
+    for start in range(0, len(columns[0]), _WRITE_LINES):
+        rows = (column[start : start + _WRITE_LINES].tolist() for column in columns)
+        fh.write("\n".join(map(line, *rows)) + "\n")
+
+
 def write_matrix_market(path, a):
-    """Write a matrix: scipy sparse -> coordinate format, dense -> array."""
+    """Write a matrix: scipy sparse -> coordinate format, dense -> array.
+    The text goes to the file ``_WRITE_LINES`` lines at a time."""
     if sp.issparse(a):
         coo = sp.coo_array(a)
         coo.sum_duplicates()
         coo.eliminate_zeros()
         order = np.lexsort((coo.col, coo.row))
+        entries = coo.row[order] + 1, coo.col[order] + 1, coo.data.astype(np.float64, copy=False)[order]
         m, n = coo.shape
-        lines = ["%%MatrixMarket matrix coordinate real general", f"{m} {n} {coo.nnz}"]
-        lines += map(
-            "{} {} {!r}".format,
-            (coo.row[order] + 1).tolist(),
-            (coo.col[order] + 1).tolist(),
-            coo.data[order].astype(np.float64).tolist(),
-        )
-    else:
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2:
-            raise ValueError("only 1-D or 2-D arrays can be written")
-        m, n = arr.shape
-        lines = ["%%MatrixMarket matrix array real general", f"{m} {n}"]
-        for column in arr.T:  # column-major; one column's floats live at a time
-            lines += map(repr, column.tolist())
+        with open(path, "w") as fh:
+            fh.write(f"%%MatrixMarket matrix coordinate real general\n{m} {n} {coo.nnz}\n")
+            _write_lines(fh, "{} {} {!r}".format, *entries)
+        return
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2:
+        raise ValueError("only 1-D or 2-D arrays can be written")
+    m, n = arr.shape
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
+        for column in arr.T:  # column-major
+            _write_lines(fh, repr, column)
 
 
 def read_vector(path):
