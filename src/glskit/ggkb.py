@@ -20,7 +20,11 @@ conjugate-gradient run with its own tolerance). A strategy provides
 ``apply(rhs)``, pinv(G) rhs or an approximation of it; ``relative_noise``,
 the relative accuracy it delivers; and ``hit_cap``, True once an inner
 iteration has ended unconverged (out of steps, or on a curvature
-breakdown).
+breakdown). A strategy may also provide ``bind(prob)``, which ``ggkb_init``
+calls once before the first apply: the inner strategy reads the problem's
+``L`` and ``MA`` there to precondition its CG by the banded Cholesky factor
+of ``L'L + cI``, which keeps its result the minimum-norm one (see
+``InnerLsqrStrategy``).
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
 later one. The data side M U~ lives in one workspace (``Basis``) that each
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky_banded
 
 from .linalg import EPS, as_matrix, check_symmetric, cholesky_spd, lsqr, svd
 from .wpinv import GlsProblem
@@ -101,8 +105,26 @@ class InnerLsqrStrategy:
     and callable ``G`` are kept as given and applied as they are.
     ``max_iter`` defaults to the ``4n`` cap of :func:`lsqr`. An inner solve
     that ends unconverged, at the iteration cap or on a curvature breakdown,
-    latches ``hit_cap`` instead of raising.
+    latches ``hit_cap`` instead of raising. ``inner_iterations`` counts the
+    CG iterations of every apply.
+
+    :meth:`bind`, which ``ggkb_init`` calls, preconditions CG from the
+    problem when its ``L`` is a scipy sparse stencil: with ``P = L'L + cI``,
+    the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue of
+    ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of P.
+    The stop test is the same, so ``tau`` keeps its meaning. The result
+    stays the minimum-norm solution without any projection: N(G) = N(MA) ∩
+    N(L), on which ``P z = c z``, so P^-1 maps R(G) into itself and the
+    iterates never leave it. A dense ``L``, ``p = 0``, a vanishing ``MA``
+    or a bandwidth of ``L'L`` above ``MAX_BANDWIDTH`` leaves CG
+    unpreconditioned.
     """
+
+    # half-bandwidth w of L'L at most this: the factor holds (w + 1) n
+    # entries and its solve costs about 4 (w + 1) n flops per CG iteration,
+    # a small share of the 2 n^2 of a dense product with G at the n where
+    # gLSQR is run (l1 and l2 stencils have w = 1 and 2)
+    MAX_BANDWIDTH = 8
 
     def __init__(self, G, tau=1e-12, max_iter=None):
         if not tau > 0:
@@ -112,7 +134,9 @@ class InnerLsqrStrategy:
         self.G = G
         self.tau = float(tau)
         self.max_iter = max_iter
+        self.precond = None
         self.hit_cap = False
+        self.inner_iterations = 0
         self._worst_achieved = 0.0
 
     @property
@@ -120,8 +144,30 @@ class InnerLsqrStrategy:
         # what the inner solver actually delivered, not just what was asked
         return max(self.tau, self._worst_achieved)
 
+    def bind(self, prob):
+        """Set ``precond`` from ``prob.L`` and ``prob.MA`` (see the class
+        docstring): the upper banded Cholesky factor of ``L'L + cI``, or None."""
+        self.precond = None
+        L, n = prob.L, prob.n
+        c = float(np.linalg.norm(prob.MA)) ** 2 / n
+        if not sp.issparse(L) or L.shape[0] == 0 or not c > 0.0:
+            return
+        upper = sp.triu(L.T @ L, format="coo")
+        w = int((upper.col - upper.row).max(initial=0))
+        if w > self.MAX_BANDWIDTH:
+            return
+        # LAPACK upper band storage: entry (i, j), i <= j, at row w + i - j
+        band = np.zeros((w + 1, n))
+        band[w + upper.row - upper.col, upper.col] = upper.data
+        band[w] += c
+        try:
+            self.precond = cholesky_banded(band, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass  # P not numerically positive definite: plain CG
+
     def apply(self, rhs):
-        result = lsqr(self.G, rhs, tau=self.tau, max_iter=self.max_iter)
+        result = lsqr(self.G, rhs, tau=self.tau, max_iter=self.max_iter, precond=self.precond)
+        self.inner_iterations += result.iterations
         if not result.converged:
             self.hit_cap = True
         self._worst_achieved = max(self._worst_achieved, result.relative_residual)
@@ -260,10 +306,14 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
     is None), the roundoff floor of the product M b. An alpha_1 at or below
     ``BREAKDOWN_REL beta_1`` terminates at k = 0 too. Either way the
-    terminating coefficients are stored as 0.0.
+    terminating coefficients are stored as 0.0. A strategy with a ``bind``
+    method gets ``bind(prob)`` first, before its first apply.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
+    bind = getattr(strategy, "bind", None)
+    if bind is not None:
+        bind(prob)
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(

@@ -11,7 +11,9 @@ gradients and needs the operator only as a product: a dense matrix is read
 through one triangle by BLAS ``symv``, while sparse matrices and callables
 are kept as given. With a dense matrix its loop allocates nothing per
 iteration: dot products go through BLAS ``ddot`` and the updates through
-one preallocated buffer.
+one preallocated buffer. It may be preconditioned by an upper banded
+Cholesky factor in LAPACK ``pbtrf`` layout, applied by ``dpbtrs`` into a
+preallocated buffer; the stop test stays on the unpreconditioned residual.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import ddot, dscal, dsymv
+from scipy.linalg.lapack import dpbtrs
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -242,7 +245,16 @@ def _symmetric_product(G, n):
     return lambda v: dsymv(1.0, a, v, 0.0, gv, 0, 1, 0, 1, 0, 1)
 
 
-def lsqr(G, rhs, tau=1e-12, max_iter=None):
+def _preconditioned(factor, r, z):
+    """``z = P^-1 r`` in place by LAPACK ``pbtrs``, P given by its upper
+    banded Cholesky ``factor``; returns ``r'z``."""
+    np.copyto(z, r)
+    # positional (lower, ldab, overwrite_b): z is solved in place
+    dpbtrs(factor, z, 0, factor.shape[0], 1)
+    return ddot(r, z)
+
+
+def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     """Conjugate gradients for ``G s = rhs``, G symmetric positive semidefinite.
 
     Precondition: ``rhs`` lies in R(G). ``G`` may be a dense array, a scipy
@@ -256,6 +268,16 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
     ``max_iter``, or a curvature ``d'Gd <= 0`` (G not positive definite on
     the search direction), is reported through ``converged=False``, not an
     error. ``rhs`` is not modified.
+
+    ``precond``, if given, is the upper Cholesky factor of an SPD matrix P
+    in LAPACK banded layout (``scipy.linalg.cholesky_banded``), and the
+    loop is preconditioned CG (Saad, *Iterative Methods for Sparse Linear
+    Systems*, 2nd ed., 2003, Alg. 9.1): the rate is then set by the
+    spectrum of P^-1 G. The stop test is unchanged, on the residual of
+    ``G s = rhs`` itself, so ``tau`` keeps its meaning. The iterates lie in
+    the span of ``(P^-1 G)^j P^-1 rhs``, which stays in R(G), and so keeps
+    the result minimum-norm, when P maps N(G) into itself (as ``P = L'L +
+    cI`` does for ``G = (MA)'MA + L'L``); for another P it may not.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -264,16 +286,24 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
     matvec = _symmetric_product(G, n)
     if max_iter is None:
         max_iter = 4 * n
+    if precond is not None and precond.shape[1:] != (n,):
+        raise ValueError(f"precond must have {n} columns, got shape {precond.shape}")
 
     x = np.zeros(n)
     beta1 = float(np.linalg.norm(rhs))
     if beta1 == 0.0:
         return LsqrResult(x=x, iterations=0, converged=True, relative_residual=0.0)
     r = rhs.copy()
-    d = rhs.copy()
+    rr = beta1 * beta1
+    if precond is None:
+        # z = P^-1 r is r itself, and z'r is r'r
+        z, rz = r, rr
+    else:
+        z = np.empty(n)
+        rz = _preconditioned(precond, r, z)
+    d = z.copy()
     # a * d, then a * gd: each update rounds the product, then the sum
     step = np.empty(n)
-    rr = beta1 * beta1
     stop = (tau * beta1) ** 2
 
     iterations = 0
@@ -284,15 +314,16 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None):
         curvature = ddot(d, gd)
         if not curvature > 0.0:
             break
-        a = rr / curvature
+        a = rz / curvature
         x += np.multiply(d, a, out=step)
         r -= np.multiply(gd, a, out=step)
-        rr_old, rr = rr, ddot(r, r)
+        rr = ddot(r, r)
         if rr <= stop:
             converged = True
             break
-        dscal(rr / rr_old, d)  # in place, the rounding of d *= rr / rr_old
-        d += r
+        rz_old, rz = rz, rr if precond is None else _preconditioned(precond, r, z)
+        dscal(rz / rz_old, d)  # in place, the rounding of d *= rz / rz_old
+        d += z
 
     if converged:
         relres = math.sqrt(rr) / beta1

@@ -1,7 +1,8 @@
 """Matrix Market files: coordinate and array formats, real or integer data.
 
 Coordinate files come back as scipy CSR arrays (duplicates summed, entries
-canonicalized), array files as dense ndarrays. Symmetric storage must be
+canonicalized, int32 index arrays whenever the shape and the entry count
+fit them), array files as dense ndarrays. Symmetric storage must be
 square and is expanded to general on read.
 
 A read checks the banner and the size line, then parses the rest of the file
@@ -200,7 +201,13 @@ def read_matrix_market(path):
         return out
 
     rows, cols, vals = body
-    rows, cols, vals = rows - 1, cols - 1, vals.astype(np.float64, copy=False)
+    # int32 indices whenever the shape fits, as scipy picks for a matrix it
+    # builds (the CSR conversion widens them itself if the entry count needs
+    # it): 12 bytes per entry, not 16
+    index = np.int32 if max(m, n) <= np.iinfo(np.int32).max else np.int64
+    rows, cols, vals = rows.astype(index), cols.astype(index), vals.astype(np.float64, copy=False)
+    rows -= 1
+    cols -= 1
     if symmetry == "symmetric":
         off = rows != cols
         rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))

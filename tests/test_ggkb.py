@@ -13,6 +13,7 @@ from glskit import (
     ggkb_step,
     glsqr_solve,
 )
+from glskit.problems import make_l1, make_l2
 from helpers import (
     bidiagonal,
     krylov_subspace_check,
@@ -339,21 +340,70 @@ class _Unreadable:
     __rmatmul__ = __mul__ = __rmul__ = __matmul__
 
 
+def inner(G):
+    return InnerLsqrStrategy(G, tau=1e-12)
+
+
 @pytest.mark.parametrize(
-    "make",
-    [DensePinvStrategy, CholeskyStrategy, lambda G: InnerLsqrStrategy(G, tau=1e-12)],
-    ids=["dense", "cholesky", "inner"],
+    "make, stencil",
+    [(DensePinvStrategy, False), (CholeskyStrategy, False), (inner, False), (inner, True)],
+    ids=["dense", "cholesky", "inner", "inner-banded"],
 )
-def test_the_recurrence_never_reads_g(make):
-    # the strategy is built from G; after that the recurrence and the
-    # solve read only MA, L and the strategy
+def test_the_recurrence_never_reads_g(make, stencil):
+    # the strategy is built from G; after that the recurrence, the solve and
+    # the inner strategy's bind read only MA, L and the strategy
     prob = full_rank_problem(seed=21)
+    if stencil:
+        prob = GlsProblem(prob.A, None, make_l1(prob.n), prob.b)
     strategy = make(prob.G)
     prob.G = _Unreadable()
     state, _ = run_ggkb(prob, strategy, steps=3 * prob.n)
     assert state.terminated
+    assert (getattr(strategy, "precond", None) is not None) == stencil
     report = glsqr_solve(prob, strategy)
     assert report.iterations >= 1
+
+
+def wide_stencil(n, offset):
+    """(n - offset) x n rows (..., 1, 0, ..., 0, -1, ...): L'L has
+    half-bandwidth ``offset``."""
+    ones = np.ones(n - offset)
+    return scipy.sparse.csr_array(
+        scipy.sparse.diags([ones, -ones], offsets=[0, offset], shape=(n - offset, n))
+    )
+
+
+@pytest.mark.parametrize(
+    "L, band, scale",
+    [
+        (make_l1(30), 1, 1.0),
+        (make_l2(30), 2, 1.0),
+        (wide_stencil(30, InnerLsqrStrategy.MAX_BANDWIDTH), InnerLsqrStrategy.MAX_BANDWIDTH, 1.0),
+        (wide_stencil(30, InnerLsqrStrategy.MAX_BANDWIDTH + 1), None, 1.0),
+        (make_l1(30).toarray(), None, 1.0),
+        (scipy.sparse.csr_array((0, 30)), None, 1.0),
+        # c = 0 leaves P = L'L, singular for a stencil
+        (make_l1(30), None, 0.0),
+    ],
+    ids=["l1", "l2", "widest", "too-wide", "dense", "p=0", "ma=0"],
+)
+def test_bind_factors_the_shifted_band_of_a_narrow_sparse_stencil(L, band, scale):
+    rng = np.random.default_rng(3)
+    A = scale * rng.standard_normal((20, 30))
+    prob = GlsProblem(A, None, L, rng.standard_normal(20))
+    strategy = InnerLsqrStrategy(prob.G)
+    ggkb_init(prob, strategy)
+    if band is None:
+        assert strategy.precond is None
+        return
+    # the upper factor R, R'R = L'L + c I, in LAPACK band storage
+    R = strategy.precond
+    assert R.shape == (band + 1, prob.n)
+    dense = np.zeros((prob.n, prob.n))
+    for k in range(band + 1):
+        dense += np.diag(R[band - k, k:], k)
+    P = (L.T @ L).toarray() + np.linalg.norm(prob.MA) ** 2 / prob.n * np.eye(prob.n)
+    assert np.linalg.norm(dense.T @ dense - P) <= 1e-13 * np.linalg.norm(P)
 
 
 def test_strategy_equivalence_alpha_beta_sequences():

@@ -12,9 +12,11 @@ from glskit import (
     GlsProblem,
     InnerLsqrStrategy,
     certify_solution,
+    check_gls_criterion,
     generate,
     glsqr_solve,
     operator_norm,
+    random_sparse_matrix,
     save_history,
     wpinv_apply,
     wpinv_elden,
@@ -386,6 +388,40 @@ def test_a_sparse_l_matches_a_dense_one(prob):
         GlsProblem(prob.A, prob.M, L, prob.b)
     with pytest.raises(ValueError, match="columns"):
         GlsProblem(prob.A, prob.M, scipy.sparse.csr_array(np.ones((2, prob.n + 1))), prob.b)
+
+
+def test_band_preconditioner_cuts_inner_iterations():
+    # one generated l1 problem built twice: its sparse L lets the inner
+    # strategy precondition CG by the band of L'L + cI, the dense copy not
+    prob = generate(random_sparse_matrix(90, 120, density=0.05, seed=1), "l1", "trig", 1).problem
+    runs = {}
+    for kind, L in (("sparse", prob.L), ("dense", prob.L.toarray())):
+        built = GlsProblem(prob.A, None, L, prob.b)
+        strategy = InnerLsqrStrategy(built.G, tau=1e-10)
+        report = glsqr_solve(built, strategy, tol=1e-10)
+        assert not report.state.inner_capped
+        assert (strategy.precond is not None) == (kind == "sparse")
+        runs[kind] = report.x, strategy.inner_iterations
+    (x_sparse, it_sparse), (x_dense, it_dense) = runs["sparse"], runs["dense"]
+    assert np.linalg.norm(x_sparse - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+    assert 0 < 3 * it_sparse <= it_dense
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_band_preconditioned_solve_of_a_singular_g_stays_in_its_range(seed):
+    # centered rows put the constants in N(A), and they span N(L) for the
+    # first-difference stencil, so N(G) is the constants. P = L'L + cI is
+    # c I on N(G), so PCG never leaves R(G): no projection off N(G) is made
+    A = random_sparse_matrix(60, 80, density=0.05, seed=seed).toarray()
+    prob = generate(A - A.mean(axis=1, keepdims=True), "l1", "trig", seed).problem
+    N_g = prob.factors.nullspace_g
+    assert N_g.shape[1] == 1
+    strategy = InnerLsqrStrategy(prob.G, tau=1e-13)
+    report = glsqr_solve(prob, strategy, tol=1e-12)
+    assert strategy.precond is not None
+    assert certify_solution(prob, report)
+    assert check_gls_criterion(prob, report.x).in_range_g
+    assert np.linalg.norm(N_g.T @ report.x) <= 1e-10 * np.linalg.norm(report.x)
 
 
 def test_inexact_inner_solver_caps_accuracy():

@@ -233,11 +233,25 @@ def test_lsqr_rejects_a_tau_that_is_not_positive(tau):
 
 
 @pytest.fixture(scope="module")
-def generated_g():
-    # the G and a first gGKB right-hand side (MA)' b of a glsqr_inner-sized
-    # problem: 220 x 220, C-ordered and bitwise symmetric
-    prob = generate(random_sparse_matrix(165, 220, density=0.05, seed=1), "l1", "trig", 1).problem
+def generated_problem():
+    # a glsqr_inner-sized problem: G is 220 x 220, C-ordered and bitwise
+    # symmetric, and positive definite; L is the l1 stencil
+    return generate(random_sparse_matrix(165, 220, density=0.05, seed=1), "l1", "trig", 1).problem
+
+
+@pytest.fixture(scope="module")
+def generated_g(generated_problem):
+    # G and a first gGKB right-hand side (MA)' b
+    prob = generated_problem
     return prob.G, prob.MA.T @ prob.b
+
+
+@pytest.fixture(scope="module")
+def band_factor(generated_problem):
+    # the upper banded Cholesky factor of L'L + cI that the inner strategy binds
+    strategy = InnerLsqrStrategy(generated_problem.G)
+    strategy.bind(generated_problem)
+    return strategy.precond
 
 
 def g_forms(G):
@@ -291,3 +305,39 @@ def test_lsqr_cap_reports_the_evaluated_residual(generated_g, form):
 def test_orthogonal_helper():
     Q = orthogonal(np.random.default_rng(0), 6)
     assert np.linalg.norm(Q.T @ Q - np.eye(6)) <= 1e-13
+
+
+@pytest.mark.parametrize("form", ["C", "sparse", "callable"])
+def test_preconditioned_lsqr_matches_plain_cg(generated_g, band_factor, form):
+    G, rhs = generated_g
+    operator = g_forms(G)[form]
+    rhs_before = rhs.copy()
+    plain = lsqr(operator, rhs, tau=1e-12)
+    pcg = lsqr(operator, rhs, tau=1e-12, precond=band_factor)
+    np.testing.assert_array_equal(rhs, rhs_before)
+    assert plain.converged and pcg.converged
+    assert 3 * pcg.iterations <= plain.iterations
+    assert np.linalg.norm(pcg.x - plain.x) <= 1e-10 * np.linalg.norm(plain.x)
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-10])
+def test_preconditioned_lsqr_stops_on_the_true_residual(generated_g, band_factor, tau):
+    # the stop test reads the residual of G s = rhs, not of P^-1 (G s - rhs)
+    G, rhs = generated_g
+    res = lsqr(G, rhs, tau=tau, precond=band_factor)
+    assert res.converged and res.relative_residual <= tau
+    direct = np.linalg.norm(G @ res.x - rhs) / np.linalg.norm(rhs)
+    assert 1e-3 * tau <= direct <= 2 * tau
+
+
+def test_preconditioned_lsqr_cap_reports_the_evaluated_residual(generated_g, band_factor):
+    G, rhs = generated_g
+    early = lsqr(G, rhs, tau=1e-300, max_iter=5, precond=band_factor)
+    assert (early.iterations, early.converged) == (5, False)
+    direct = np.linalg.norm(G @ early.x - rhs) / np.linalg.norm(rhs)
+    assert early.relative_residual == pytest.approx(direct, rel=1e-12)
+
+
+def test_lsqr_rejects_a_precond_of_another_size():
+    with pytest.raises(ValueError, match="precond"):
+        lsqr(np.eye(3), np.ones(3), precond=np.ones((2, 4)))

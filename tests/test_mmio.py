@@ -136,6 +136,26 @@ def test_sparse_roundtrip_identity_on_entries(tmp_path):
     assert (back != mat).nnz == 0
 
 
+def test_coordinate_reads_have_int32_indices(tmp_path):
+    # the index dtype scipy picks for a matrix of this size, on the numpy
+    # pass, the line walker and a symmetric expansion alike
+    rng = np.random.default_rng(5)
+    mat = sp.csr_array(rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.1))
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, mat)
+    head, size, body = path.read_text().split("\n", 2)
+    files = {
+        "plain": path,
+        "walked": write(tmp_path, f"{head}\n{size}\n% inside the body\n{body}", name="w.mtx"),
+        "symmetric": write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 1.0\n3 1 2.0\n", name="s.mtx"),
+    }
+    for name, f in files.items():
+        back = read_matrix_market(f)
+        assert back.indices.dtype == back.indptr.dtype == np.int32, name
+    assert (read_matrix_market(files["walked"]) != mat).nnz == 0
+
+
 def test_dense_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 3))
