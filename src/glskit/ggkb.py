@@ -14,17 +14,19 @@ Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 
 alpha_i, the G-norm of s, is a sum of squares as G = (MA)'(MA) + L'L, and
 MA v_i = (MA s) / alpha_i is kept for the next r. So a step reads G only
-through one application of its pseudoinverse, and how that is carried out
-is pluggable (dense pseudoinverse, Cholesky solve, or an inner
-conjugate-gradient run with its own tolerance). A strategy provides
-``apply(rhs)``, pinv(G) rhs or an approximation of it; ``relative_noise``,
-the relative accuracy it delivers; and ``hit_cap``, True once an inner
-iteration has ended unconverged (out of steps, or on a curvature
-breakdown). A strategy may also provide ``bind(prob)``, which ``ggkb_init``
-calls once before the first apply: the inner strategy reads the problem's
-``L`` and ``MA`` there to precondition its CG by the banded Cholesky factor
-of ``L'L + cI``, which keeps its result the minimum-norm one (see
-``InnerLsqrStrategy``).
+through one application of pinv(G) (MA)', and how that is carried out is
+pluggable. A strategy has four members:
+
+- ``bind(prob)``, which ``ggkb_init`` calls once, before the first apply:
+  the strategy takes from the problem what its applies read;
+- ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it;
+- ``relative_noise``, the relative accuracy the applies deliver;
+- ``hit_cap``, True once an inner iteration has ended unconverged (out of
+  steps, or on a curvature breakdown).
+
+The dense strategies apply the problem's ``W = pinv(G) (MA)'``, made from
+one QR of the stacked operator (``FactorStore.kn``); the inner one forms
+(MA)' u and runs conjugate gradients on G.
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
 later one. The data side M U~ lives in one workspace (``Basis``) that each
@@ -44,9 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, cholesky_banded
+from scipy.linalg import cholesky_banded
 
-from .linalg import EPS, as_matrix, check_symmetric, cholesky_spd, lsqr, svd
+# cholesky_spd is not called here; it stays importable because the
+# benchmark's tracer (glsbench/spans.py) hooks glskit.ggkb.cholesky_spd
+from .linalg import IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr  # noqa: F401
 from .wpinv import GlsProblem
 
 __all__ = [
@@ -65,41 +69,66 @@ INITIAL_COLUMNS = 16
 
 
 class DensePinvStrategy:
-    """Apply pinv(G) through an explicitly formed dense pseudoinverse."""
+    """Apply pinv(G) (MA)' as one n x q product with the problem's W.
+
+    ``G`` is read only for its shape, which ``bind(prob)`` checks against
+    ``prob.n``; ``bind`` then takes ``W`` and ``relative_noise`` from the QR
+    of ``[MA; L; N_G']`` that the problem's factor store holds
+    (``prob.factors.kn``), made once per problem. ``apply(u)`` is ``W u``.
+    ``hit_cap`` is always False.
+    """
+
+    hit_cap = False
 
     def __init__(self, G):
-        f = svd(as_matrix(G, "G"))
-        self.G_pinv = f.pinv()
-        r = f.rank
-        kappa = f.singular_values[0] / f.singular_values[r - 1] if r else 1.0
-        self.relative_noise = max(1e-12, 4.0 * EPS * kappa)
-        self.hit_cap = False
+        self.shape = np.shape(G)
 
-    def apply(self, rhs):
-        return self.G_pinv @ rhs
+    def bind(self, prob):
+        if self.shape != (prob.n, prob.n):
+            raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
+        factor = prob.factors.kn
+        self.W = factor.W
+        self.relative_noise = factor.relative_noise
+
+    def apply(self, u):
+        return self.W @ u
 
 
-class CholeskyStrategy:
-    """Solve G s = rhs through a cached Cholesky factor (G must be SPD)."""
+class CholeskyStrategy(DensePinvStrategy):
+    """The dense strategy for a nonsingular G only.
 
-    def __init__(self, G):
-        self.factor = cholesky_spd(G)
-        d = np.diag(self.factor)
-        # pivot spread as a cheap condition estimate for the solve noise
-        self.relative_noise = max(1e-12, 16.0 * EPS * float((d.max() / d.min()) ** 2))
-        self.hit_cap = False
+    The R of the QR of ``K_N = [MA; L; N_G']`` is the Cholesky factor of
+    ``G + N_G N_G'``, so ``bind(prob)`` refuses, with
+    :class:`IndefiniteMatrixError`, a G with a nonempty null space N_G or a
+    pivot ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
+    ``linalg.cholesky_spd``; otherwise it binds as :class:`DensePinvStrategy`
+    does. ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
+    strategy's.
+    """
 
-    def apply(self, rhs):
-        return cho_solve((self.factor, True), rhs, check_finite=False)
+    def bind(self, prob):
+        super().bind(prob)
+        null = prob.factors.nullspace_g.shape[1]
+        if null:
+            raise IndefiniteMatrixError(f"G is singular: its null space has dimension {null}")
+        factor = prob.factors.kn
+        small = np.flatnonzero(factor.pivots <= 1e-14 * factor.diagonal_max)
+        if small.size:
+            j = int(small[0])
+            pivot = float(factor.pivots[j])
+            raise IndefiniteMatrixError(
+                f"nonpositive pivot {pivot:.3e} at column {j}", pivot=pivot, index=j
+            )
 
 
 class InnerLsqrStrategy:
-    """Approximate pinv(G) rhs by inner conjugate gradients on G s = rhs.
+    """Approximate pinv(G) (MA)' u by inner conjugate gradients on G s = rhs.
 
-    Every caller hands it ``rhs = (MA)' u_bar``, in R(G), so CG from zero
-    returns the minimum-norm solution. ``tau`` is the inner
-    relative-residual tolerance, ``||G s - rhs|| <= tau ||rhs||``; it caps
-    the accuracy of everything built on top. CG reads ``G`` only through
+    ``apply(u)`` forms ``rhs = (MA)' u``, in R(G), so CG from zero returns
+    the minimum-norm solution. ``tau`` is the inner relative-residual
+    tolerance, ``||G s - rhs|| <= tau ||rhs||``; it caps the accuracy of
+    everything built on top, and ``relative_noise`` is the larger of ``tau``
+    and the worst residual an apply delivered. CG reads ``G`` only through
     products: a dense ``G`` through one triangle, by BLAS ``symv``, so it
     must be symmetric (checked here once, to rtol 1e-10), while scipy sparse
     and callable ``G`` are kept as given and applied as they are.
@@ -108,7 +137,7 @@ class InnerLsqrStrategy:
     latches ``hit_cap`` instead of raising. ``inner_iterations`` counts the
     CG iterations of every apply.
 
-    :meth:`bind`, which ``ggkb_init`` calls, preconditions CG from the
+    :meth:`bind` takes the problem's ``MA`` and preconditions CG from the
     problem when its ``L`` is a scipy sparse stencil: with ``P = L'L + cI``,
     the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue of
     ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of P.
@@ -145,8 +174,10 @@ class InnerLsqrStrategy:
         return max(self.tau, self._worst_achieved)
 
     def bind(self, prob):
-        """Set ``precond`` from ``prob.L`` and ``prob.MA`` (see the class
-        docstring): the upper banded Cholesky factor of ``L'L + cI``, or None."""
+        """Take ``prob.MA``, and set ``precond`` from ``prob.L`` and
+        ``prob.MA`` (see the class docstring): the upper banded Cholesky
+        factor of ``L'L + cI``, or None."""
+        self.MA = prob.MA
         self.precond = None
         L, n = prob.L, prob.n
         c = float(np.linalg.norm(prob.MA)) ** 2 / n
@@ -165,8 +196,10 @@ class InnerLsqrStrategy:
         except np.linalg.LinAlgError:
             pass  # P not numerically positive definite: plain CG
 
-    def apply(self, rhs):
-        result = lsqr(self.G, rhs, tau=self.tau, max_iter=self.max_iter, precond=self.precond)
+    def apply(self, u):
+        result = lsqr(
+            self.G, self.MA.T @ u, tau=self.tau, max_iter=self.max_iter, precond=self.precond
+        )
         self.inner_iterations += result.iterations
         if not result.converged:
             self.hit_cap = True
@@ -283,7 +316,7 @@ def _expand(state, prob, strategy, r, beta_floor, threshold, relative):
         state.betas.append(0.0)
         return
     u = r / beta
-    s = strategy.apply(prob.MA.T @ u) - beta * state.v
+    s = strategy.apply(u) - beta * state.v
     ma_s = prob.MA @ s
     l_s = prob.L @ s
     alpha = math.sqrt(float(ma_s @ ma_s) + float(l_s @ l_s))
@@ -306,14 +339,12 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
     is None), the roundoff floor of the product M b. An alpha_1 at or below
     ``BREAKDOWN_REL beta_1`` terminates at k = 0 too. Either way the
-    terminating coefficients are stored as 0.0. A strategy with a ``bind``
-    method gets ``bind(prob)`` first, before its first apply.
+    terminating coefficients are stored as 0.0. The strategy gets
+    ``bind(prob)`` first, before its first apply.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
-    bind = getattr(strategy, "bind", None)
-    if bind is not None:
-        bind(prob)
+    strategy.bind(prob)
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(

@@ -88,9 +88,9 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
 
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
-    power iteration on pinv(G) (MA)'(MA) in the G-inner product, seeded with
-    pinv(G) (MA)' M b, with pinv(G) from the problem's SVD of G and
-    ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
+    power iteration on W MA in the G-inner product, seeded with W M b, with
+    W = pinv(G) (MA)' from the problem's QR of ``[MA; L; N_G']``
+    (``prob.factors.kn``) and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
@@ -98,9 +98,9 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
 
-    G_pinv = prob.factors.g.pinv()
+    W = prob.factors.kn.W
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
-    v = G_pinv @ (prob.MA.T @ prob.mult_M(seed))
+    v = W @ prob.mult_M(seed)
 
     estimate = 0.0
     iterations = 0
@@ -118,7 +118,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
         estimate = new_estimate
         if converged:
             break
-        v = G_pinv @ (prob.MA.T @ Av)
+        v = W @ Av
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
@@ -141,9 +141,10 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _true_residual(prob, G_pinv, x):
-    """||q||_G = (||MA q||^2 + ||L q||^2)^(1/2) of q = pinv(G) A'P (A x - b)."""
-    q = G_pinv @ (prob.MA.T @ (prob.MA @ x - prob.mult_M(prob.b)))
+def _true_residual(prob, W, x):
+    """||q||_G = (||MA q||^2 + ||L q||^2)^(1/2) of q = pinv(G) A'P (A x - b),
+    evaluated as W (MA x - M b) with W = pinv(G) (MA)'."""
+    q = W @ (prob.MA @ x - prob.mult_M(prob.b))
     return math.hypot(np.linalg.norm(prob.MA @ q), np.linalg.norm(prob.L @ q))
 
 
@@ -177,8 +178,10 @@ def glsqr_solve(
         not an error; an explicit cap below 1 raises ``ValueError``.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
-        (dense-cost, for validation). It applies the problem's own pinv(G),
-        never ``strategy``, so the run's iterates are those of a plain run.
+        (dense-cost, for validation). It applies the problem's own
+        ``W = pinv(G) (MA)'`` (``prob.factors.kn``, the factor the dense
+        strategies bind), never ``strategy``, so the run's iterates are
+        those of a plain run.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -198,7 +201,7 @@ def glsqr_solve(
     rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
     est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
-    G_pinv = prob.factors.g.pinv() if debug else None
+    W = prob.factors.kn.W if debug else None
     k, est = 0, math.inf
 
     while not (state.terminated or est <= tol or k == max_iter):
@@ -233,7 +236,7 @@ def glsqr_solve(
         est_hist.append(est)
         xnorm_hist.append(float(np.linalg.norm(x)))
         if debug:
-            true_hist.append(_true_residual(prob, G_pinv, x) / denom)
+            true_hist.append(_true_residual(prob, W, x) / denom)
 
     if state.terminated:
         stop_reason = "ggkb_terminated"

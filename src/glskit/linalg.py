@@ -193,8 +193,9 @@ def cholesky_spd(G):
 
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
     ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`. No
-    caller falls back: the command line reports it as a numeric failure,
-    and a PSD-singular ``G`` needs a pseudoinverse strategy instead.
+    package code calls it: ``CholeskyStrategy`` applies the same pivot rule
+    to the R of the problem's QR of ``[MA; L; N_G']``, which is the
+    Cholesky factor of ``G`` when G is nonsingular.
     """
     G = check_symmetric(G)
     G = 0.5 * (G + G.T)

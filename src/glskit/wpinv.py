@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrcon
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, pinv, svd
@@ -39,18 +41,18 @@ class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
     Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
-    the direct route's cutoff), ``G``, ``M'`` (so U is thin for a wide M;
-    made only for identity 5 of ``check_gmpe``, which reads its leading
-    left singular vectors as the projector onto R(M')) and ``L N``, N the
-    basis of N(MA) that ``ma`` ranks. N(G) = N(MA) & N(L) = N N(L N), so
-    ``G`` is factored only for pinv(G): the ``debug=True`` residual of
-    ``glsqr_solve`` and the power path of ``operator_norm``. Other rank
-    decisions of M A apply their own tolerance through
-    ``SvdFactors.ranked``; L N is always ranked at its product floor.
+    the direct route's cutoff), ``M'`` (so U is thin for a wide M; made only
+    for identity 5 of ``check_gmpe``, which reads its leading left singular
+    vectors as the projector onto R(M')) and ``L N``, N the basis of N(MA)
+    that ``ma`` ranks, so N(G) = N(MA) & N(L) = N N(L N); and one QR of
+    ``K_N = [MA; L; N_G']`` (``kn``), the only source of pinv(G). The
+    formed ``G`` is never factored. Other rank decisions of M A apply their
+    own tolerance through ``SvdFactors.ranked``; L N is always ranked at its
+    product floor.
     """
 
-    def __init__(self, A, M, MA, L, G):
-        self._A, self._M, self._MA, self._L, self._G = A, M, MA, L, G
+    def __init__(self, A, M, MA, L):
+        self._A, self._M, self._MA, self._L = A, M, MA, L
 
     @cached_property
     def ma(self):
@@ -60,10 +62,6 @@ class FactorStore:
         if self._M is None:
             return svd(self._MA)
         return svd(self._MA, _product_tolerance(self._M, self._A))
-
-    @cached_property
-    def g(self):
-        return svd(self._G)
 
     @cached_property
     def m(self):
@@ -78,6 +76,63 @@ class FactorStore:
     def nullspace_g(self):
         """Orthonormal basis of N(G) = N(MA) & N(L)."""
         return self.ma.nullspace() @ self.ln.nullspace()
+
+    @cached_property
+    def kn(self):
+        """pinv(G) (MA)' from one QR of ``K_N = [MA; L; N_G']``, a
+        :class:`KnFactor`. K_N is stacked in place in one Fortran-ordered
+        array (a sparse L densified there) that the QR overwrites; Q is
+        dropped once W is formed."""
+        MA, L, N_g = self._MA, self._L, self.nullspace_g
+        q, n = MA.shape
+        p = L.shape[0]
+        K = np.empty((q + p + N_g.shape[1], n), order="F")
+        K[:q] = MA
+        if sp.issparse(L):
+            K[q : q + p] = 0.0
+            entries = L.tocoo()
+            K[q + entries.row, entries.col] = entries.data
+        else:
+            K[q : q + p] = L
+        K[q + p :] = N_g.T
+        diagonal_max = float(np.einsum("ij,ij->j", K, K).max(initial=0.0))
+        Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
+        W = scipy.linalg.solve_triangular(R, Q[:q].T, check_finite=False)
+        if N_g.size:
+            W -= N_g @ (N_g.T @ W)
+        W.flags.writeable = False
+        rcond, _ = dtrcon(R)
+        return KnFactor(
+            W=W,
+            relative_noise=max(1e-12, 4.0 * EPS / rcond),
+            pivots=R.diagonal() ** 2,
+            diagonal_max=diagonal_max,
+        )
+
+
+@dataclass(frozen=True)
+class KnFactor:
+    """What is kept of the QR ``K_N = Q R`` of ``K_N = [MA; L; N_G']``.
+
+    ``K_N'K_N = G + N_G N_G'`` has full column rank, and equals G on R(G),
+    where ``(MA)'u`` lies; so pinv(G) (MA)' u is pinv(K_N) [u; 0; 0], and a
+    QR of the stacked operator works at cond(K_N), not at the cond(K_N)^2
+    of any factorization of the formed G (Bjorck, *Numerical Methods for
+    Least Squares Problems*, 1996, 2.2).
+
+    ``W = R^-1 Q_1'``, Q_1 the first q rows of Q, is pinv(G) (MA)', an
+    n x q matrix restricted once to R(G) (read-only: every copy of the
+    problem shares it). ``relative_noise`` is ``max(1e-12, 4 eps / rcond)``,
+    with ``rcond`` LAPACK ``dtrcon``'s 1-norm reciprocal condition estimate
+    of R. ``pivots`` are the ``r_jj^2``, the Cholesky pivots of ``G + N_G
+    N_G'``, and ``diagonal_max`` its largest diagonal entry, the largest
+    squared column norm of K_N.
+    """
+
+    W: np.ndarray
+    relative_noise: float
+    pivots: np.ndarray
+    diagonal_max: float
 
 
 class GlsProblem:
@@ -117,7 +172,7 @@ class GlsProblem:
         LtL = self.L.T @ self.L
         G = self.MA.T @ self.MA + (LtL.toarray() if sp.issparse(LtL) else LtL)
         self.G = 0.5 * (G + G.T)
-        self.factors = FactorStore(self.A, self.M, self.MA, self.L, self.G)
+        self.factors = FactorStore(self.A, self.M, self.MA, self.L)
 
     @property
     def m(self):

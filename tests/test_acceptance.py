@@ -192,11 +192,12 @@ def test_criterion_6_ggkb_structural_invariants():
         p2 = random_gls_problem(
             300 + seed, m=10, n=8, p=5, rank_a=5, shared_null=seed % 2 == 0
         )
-        st = ggkb_init(p2, DensePinvStrategy(p2.G))
+        strategy = DensePinvStrategy(p2.G)
+        st = ggkb_init(p2, strategy)
         for _ in range(40):
             if st.terminated:
                 break
-            st = ggkb_step(st, p2, DensePinvStrategy(p2.G))
+            st = ggkb_step(st, p2, strategy)
         rank_bound = min(np.linalg.matrix_rank(p2.G), p2.m)  # M = I, so rank P = m
         bound_ok = bound_ok and st.terminated and st.k <= rank_bound
     assert bound_ok

@@ -115,6 +115,21 @@ def test_solve_deterministic_outputs(problem_dir, tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_cholesky_refuses_a_singular_g_before_writing(tmp_path, capsys):
+    # A is 22 x 30 and there is no L, so G = A'A is singular: the strategy
+    # refuses when the solve binds it, before any output is written
+    prob = tmp_path / "prob"
+    main(["gen-problem", "--n", "30", "--L", "l1", "--seed", "3", "--out-dir", str(prob)])
+    assert read_matrix_market(prob / "A.mtx").shape == (22, 30)
+    args = ["solve", "--A", str(prob / "A.mtx"), "--b", str(prob / "b.mtx")]
+    capsys.readouterr()
+    assert main(args + ["--gdag", "cholesky", "--out-dir", str(tmp_path / "chol")]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
+    assert not (tmp_path / "chol" / "x.mtx").exists()
+    assert main(args + ["--gdag", "dense", "--out-dir", str(tmp_path / "dense")]) == 0
+    assert json.loads((tmp_path / "dense" / "summary.json").read_text())["certified"] is True
+
+
 @pytest.mark.parametrize("value", ["unknown", "dense:1e-6", "lsqrx", "lsqr:"])
 def test_unknown_gdag_exits_1(problem_dir, tmp_path, capsys, value):
     code = main(

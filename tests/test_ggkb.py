@@ -12,6 +12,7 @@ from glskit import (
     ggkb_init,
     ggkb_step,
     glsqr_solve,
+    pinv,
 )
 from glskit.problems import make_l1, make_l2
 from helpers import (
@@ -31,36 +32,41 @@ def identity_problem(n=4, e=0):
     return GlsProblem(np.eye(n), None, np.zeros((1, n)), b)
 
 
+def bound(strategy, prob):
+    strategy.bind(prob)
+    return strategy
+
+
 def test_strategies_dispatch_and_validate():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     G = B @ B.T + np.eye(6)
     with pytest.raises(ValueError):
         InnerLsqrStrategy(G, tau=0.0)
-    # cholesky refuses PSD-singular G
-    C = rng.standard_normal((6, 3))
-    with pytest.raises(IndefiniteMatrixError):
-        CholeskyStrategy(C @ C.T)
+    # cholesky refuses, when bound, a PSD-singular G (G = C'C of rank 3) and
+    # a G whose pivot is at the floor 1e-14 max(diag(G))
+    C = rng.standard_normal((3, 6))
+    for prob in (GlsProblem(C, None, None, np.ones(3)), GlsProblem(np.diag([1.0, 1e-8]))):
+        with pytest.raises(IndefiniteMatrixError):
+            CholeskyStrategy(prob.G).bind(prob)
 
 
 def test_dense_strategy_satisfies_moore_penrose():
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((7, 4))
-    G = B @ B.T  # PSD singular
-    Gp = DensePinvStrategy(G).G_pinv
-    scale = np.linalg.norm(G)
-    assert np.linalg.norm(G @ Gp @ G - G) <= 1e-10 * scale
-    assert np.linalg.norm(Gp @ G @ Gp - Gp) <= 1e-10 * np.linalg.norm(Gp)
+    # G PSD singular: W = pinv(G) (MA)', from the QR of [MA; L; N_G'],
+    # matches the pseudoinverse of the formed G
+    prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
+    W = bound(DensePinvStrategy(prob.G), prob).W
+    expected = pinv(prob.G) @ prob.MA.T
+    assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_strategies_agree_on_spd_solve():
     rng = np.random.default_rng(2)
-    B = rng.standard_normal((8, 8))
-    G = B @ B.T + np.eye(8)
-    rhs = rng.standard_normal(8)
-    dense = DensePinvStrategy(G).apply(rhs)
-    chol = CholeskyStrategy(G).apply(rhs)
-    inner = InnerLsqrStrategy(G, tau=1e-14).apply(rhs)
+    prob = GlsProblem(rng.standard_normal((8, 8)), None, np.eye(8), rng.standard_normal(8))
+    u = rng.standard_normal(8)
+    dense = bound(DensePinvStrategy(prob.G), prob).apply(u)
+    chol = bound(CholeskyStrategy(prob.G), prob).apply(u)
+    inner = bound(InnerLsqrStrategy(prob.G, tau=1e-14), prob).apply(u)
     assert np.linalg.norm(dense - chol) <= 1e-12 * np.linalg.norm(dense)
     assert np.linalg.norm(dense - inner) <= 1e-10 * np.linalg.norm(dense)
 
@@ -69,15 +75,15 @@ def test_inner_strategy_takes_g_as_a_product():
     # CG reads G only through products, so sparse and callable G give the
     # dense result, and max_iter caps all three alike
     rng = np.random.default_rng(3)
-    B = rng.standard_normal((8, 8))
-    G = B @ B.T + np.eye(8)
-    rhs = rng.standard_normal(8)
-    dense = InnerLsqrStrategy(G, tau=1e-14).apply(rhs)
+    prob = GlsProblem(rng.standard_normal((8, 8)), None, np.eye(8), rng.standard_normal(8))
+    G = prob.G
+    u = rng.standard_normal(8)
+    dense = bound(InnerLsqrStrategy(G, tau=1e-14), prob).apply(u)
     for form in (scipy.sparse.csr_array(G), lambda v: G @ v):
-        x = InnerLsqrStrategy(form, tau=1e-14).apply(rhs)
+        x = bound(InnerLsqrStrategy(form, tau=1e-14), prob).apply(u)
         np.testing.assert_allclose(x, dense, rtol=1e-12)
-        capped = InnerLsqrStrategy(form, tau=1e-14, max_iter=2)
-        capped.apply(rhs)
+        capped = bound(InnerLsqrStrategy(form, tau=1e-14, max_iter=2), prob)
+        capped.apply(u)
         assert capped.hit_cap
 
 
@@ -182,7 +188,7 @@ def test_matrix_form_relations_hold_each_step():
             assert np.linalg.norm(lhs - U @ B) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
 
             # the adjoint map returns V_k B_k' plus the next direction
-            target = strategy.G_pinv @ prob.MA.T @ U
+            target = pinv(prob.G) @ prob.MA.T @ U
             expect = V @ B.T
             expect[:, -1] += state.alphas[k] * V_all[:, k]
             assert np.linalg.norm(target - expect) <= 1e-10 * max(np.linalg.norm(target), 1.0)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from glskit import (
@@ -250,13 +251,13 @@ def test_recursive_update_matches_explicit_solve():
 
 
 class CountingStrategy(DensePinvStrategy):
-    """Dense pinv(G) that counts its applications."""
+    """The dense strategy, its ``bind`` inherited, counting its applications."""
 
     applies = 0
 
-    def apply(self, rhs):
+    def apply(self, u):
         self.applies += 1
-        return super().apply(rhs)
+        return super().apply(u)
 
 
 def test_solve_applies_pinv_g_once_per_expansion():
@@ -282,6 +283,54 @@ def test_debug_residual_does_not_steer_a_capped_inner_solve():
     assert plain.state.inner_capped
     assert debug.iterations == plain.iterations
     assert debug.x.tobytes() == plain.x.tobytes()
+
+
+def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
+    # the debug residual reads the problem's QR of [MA; L; N_G'], the factor
+    # the dense strategy binds, and factors nothing of its own
+    calls = []
+
+    def counting(name, factorize):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return factorize(*args, **kwargs)
+
+        return counted
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("svd", "qr", "cholesky"):
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
+    made = {}
+    for debug in (False, True):
+        calls.clear()
+        glsqr_solve(random_gls_problem(0, m=30, n=24, p=10), debug=debug)
+        made[debug] = sorted(calls)
+    assert made[False] and made[True] == made[False]
+
+
+# seeded problem families, each with the number of seeds 0-199 whose dense
+# solve must land within 1e-8 of the direct route; with the SVD of the formed
+# G, C1 (cond(G) near 1e14, cond([MA; L]) near 1e7) landed none, C2 70
+FAMILIES = {
+    "C1": (dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4), 195),
+    "C2": (dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3), 200),
+    "W": (dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5), 200),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dense_solve_lands_on_the_direct_route_across_a_family(family):
+    # judged by the gap to wpinv_apply, not by the certificate alone
+    kwargs, need = FAMILIES[family]
+    within = 0
+    for seed in range(200):
+        prob = random_gls_problem(seed, **kwargs)
+        report = glsqr_solve(prob, tol=1e-12)
+        assert certify_solution(prob, report), seed
+        x_ref = wpinv_apply(prob)
+        within += bool(np.linalg.norm(report.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref))
+    assert within >= need
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():
@@ -346,6 +395,9 @@ def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
     A = (U * np.logspace(0.0, 3.0, 60)) @ V.T
     prob = GlsProblem(A, None, np.eye(2000), rng.standard_normal(60))
     strategy = CholeskyStrategy(prob.G)
+    # bound first: the problem's QR of [MA; L; N_G'] is set-up, and the
+    # traced solve is the recurrence alone
+    strategy.bind(prob)
     tracemalloc.start()
     try:
         report = glsqr_solve(prob, strategy, tol=1e-300)
@@ -504,13 +556,15 @@ def test_no_silent_garbage_under_bad_conditioning(seed):
     strategies = [
         DensePinvStrategy(prob.G),
         InnerLsqrStrategy(prob.G, tau=1e-12, max_iter=8 * prob.n),
+        CholeskyStrategy(prob.G),
     ]
-    try:
-        strategies.append(CholeskyStrategy(prob.G))
-    except IndefiniteMatrixError:
-        pass
     for strategy in strategies:
-        report = glsqr_solve(prob, strategy, tol=1e-11, max_iter=400)
+        try:
+            report = glsqr_solve(prob, strategy, tol=1e-11, max_iter=400)
+        except IndefiniteMatrixError:
+            # only the Cholesky option refuses, and only a singular G
+            assert isinstance(strategy, CholeskyStrategy)
+            continue
         err = np.linalg.norm(report.x - x_ref) / scale
         if err > 1e-6:
             assert not certify_solution(prob, report, tol=1e-8)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from glskit import (
+    GlsProblem,
     IndefiniteMatrixError,
     InnerLsqrStrategy,
     RankTolerance,
@@ -209,6 +210,7 @@ def test_lsqr_curvature_breakdown_is_reported():
     e3 = np.array([0.0, 0.0, 1.0])
     assert not lsqr(G, e3).converged
     strategy = InnerLsqrStrategy(G)
+    strategy.bind(GlsProblem(np.eye(3)))  # MA = I, so apply hands CG e3 itself
     strategy.apply(e3)
     assert strategy.hit_cap
 

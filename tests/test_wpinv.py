@@ -298,10 +298,11 @@ def test_gmpe_identity_4_range_test_rejects_a_null_space_shift():
 
 
 def test_check_gmpe_never_factors_g(monkeypatch):
-    def no_svd_of_g(self):
-        raise AssertionError("check_gmpe factored G")
+    # the QR of [MA; L; N_G'] is the problem's only source of pinv(G)
+    def no_pinv_of_g(self):
+        raise AssertionError("check_gmpe built pinv(G)")
 
-    monkeypatch.setattr(FactorStore, "g", property(no_svd_of_g))
+    monkeypatch.setattr(FactorStore, "kn", property(no_pinv_of_g))
     base = random_gls_problem(66, m=8, n=6, p=3, rank_a=4)
     problems = [
         base,
