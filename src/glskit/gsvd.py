@@ -7,6 +7,13 @@ where the diagonal blocks satisfy ``C_A.T @ C_A + S_L.T @ S_L = I_r`` and
 where A dominates (unit generalized singular value), q2 mixed columns, q3
 columns where L dominates, and n - r columns spanning the common null space.
 
+The construction is the classical one (Paige & Saunders, SIAM J. Numer.
+Anal. 18(3), 1981): one QR of the stacked pair and one SVD of the rows of
+its Q that belong to A. An SVD of R, never of the stack, is added only when
+the QR cannot certify full column rank. The first r columns of X are
+``R^-1 Vhat``, or ``W diag(1/sig) Vhat`` on R's SVD; both lie in R(G),
+G = A'A + L'L.
+
 For a weighted problem the pair is {M A, L}: A_ML^+ = (MA)_{I,L}^+ M, so the
 closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
 """
@@ -14,12 +21,16 @@ closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dtrtri
 
-from .linalg import FactorizationError, as_matrix, svd
+from .linalg import FactorizationError, RankTolerance, as_matrix, svd
 
 __all__ = [
     "GsvdFactors",
@@ -58,14 +69,29 @@ def _complete_basis(T):
 
 
 def gsvd_pair(A, L, tol=None):
-    """GSVD of the pair {A, L} via the stacked SVD and a CS-style split.
+    """GSVD of the pair {A, L} via one QR of the stack and a CS-style split.
 
-    The stacked matrix ``K = [A; L]`` is factored ``K = Z diag(sig) W.T``;
-    the orthonormal block Z is split at row m and the SVD of its top part
-    delivers U_A together with the cosine values. Sines are recovered as the
-    column norms of ``Z_L @ Vhat``, whose normalized columns (placed last,
-    after an orthonormal completion) form U_L. ``X = [W diag(1/sig) Vhat, N]``
-    with N an orthonormal basis of the null space of K.
+    The stack ``K = [L; A]`` is factored ``K = Q R`` (economic QR, in place
+    in one Fortran-ordered array; L goes first because the cosines that are
+    exactly 0, those of the q3 block, then carry less roundoff: about half
+    of the ``[A; L]`` order's on the C1 family of the tests, and none crosses
+    the 1e-12 snap). When ``1 / ||R^-1||_F``, a lower bound on sigma_min(K),
+    exceeds the rank cutoff that ``tol`` (default :class:`RankTolerance`)
+    gives at K's shape with ``||K||_F`` for sigma_max, K has full column
+    rank, ``Z = Q`` and ``K = Z R``. Otherwise (a wide stack, a common null
+    space, or sigma_min near the cutoff) R's SVD ``R = U_R diag(sig) V_R'``
+    is ranked at that cutoff with its own sigma_max, so r is the rank of K
+    that the SVD of K would give; then ``Z = Q U_R[:, :r]``,
+    ``K = Z diag(sig) W'`` with ``W = V_R[:, :r]``, and ``N = V_R[:, r:]``
+    is an orthonormal basis of the null space of K.
+
+    Z has orthonormal columns; the SVD of its A rows ``Z_A`` delivers U_A
+    together with the cosine values. Sines are recovered as the column
+    norms of ``Z_L @ Vhat``, whose normalized columns (placed last, after an
+    orthonormal completion) form U_L. ``X = R^-1 Vhat`` or
+    ``[W diag(1/sig) Vhat, N]``, and X_inv is assembled alongside. Q is
+    dropped once Z_A and Z_L Vhat are taken, and every other intermediate
+    before the reconstruction is checked.
 
     Cosines within 1e-12 of 1 (0) are snapped into the q1 (q3) block so the
     factors carry the exact block structure.
@@ -74,20 +100,42 @@ def gsvd_pair(A, L, tol=None):
     L = as_matrix(L, "L")
     if A.shape[1] != L.shape[1]:
         raise ValueError("A and L must have the same number of columns")
-    m = A.shape[0]
-    p = L.shape[0]
+    if (A.shape[0] + L.shape[0]) * A.shape[1] == 0:
+        raise ValueError("gsvd_pair requires a nonempty stack [A; L]")
+    f = _factor(A, L, tol if tol is not None else RankTolerance())
+    _check_reconstruction(A, L, f)
+    return f
 
-    K = np.vstack([A, L])
-    kf = svd(K, tol)
-    r = kf.rank
-    Z = kf.U[:, :r]
-    sig = kf.singular_values[:r]
-    W = kf.V[:, :r]
-    N = kf.V[:, r:]
 
-    Za = Z[:m]
+def _stacked_basis(A, L, tol):
+    """``(Z, B, B_pinv, N)`` with ``[L; A] = Z B``, Z orthonormal with r =
+    rank columns, ``B_pinv B`` the projector onto R(G) and N an orthonormal
+    basis of N(G): ``(Q, R, R^-1, [])`` when the QR certifies full column
+    rank, else ``(Q U_R, diag(sig) W', W diag(1/sig), N)`` from R's SVD."""
+    (m, n), p = A.shape, L.shape[0]
+    K = np.empty((p + m, n), order="F")
+    K[:p] = L
+    K[p:] = A
+    Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
+    sigma_bound = math.hypot(np.linalg.norm(A), np.linalg.norm(L))
+    R_inv = _certified_inverse(R, tol.cutoff(K.shape, sigma_bound))
+    if R_inv is not None:
+        return Q, R, R_inv, np.zeros((n, 0))
+    rf = svd(R)
+    sig = rf.singular_values
+    r = int(np.count_nonzero(sig > tol.cutoff(K.shape, float(sig[0]))))
+    sig, W = sig[:r], rf.V[:, :r]
+    return Q @ rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:]
+
+
+def _factor(A, L, tol):
+    """The factors of :func:`gsvd_pair`, unchecked; every intermediate is
+    freed on return."""
+    (m, n), p = A.shape, L.shape[0]
+    Z, B, B_pinv, N = _stacked_basis(A, L, tol)
+    r = Z.shape[1]
     try:
-        Ua, c_part, Vhat_t = np.linalg.svd(Za, full_matrices=True)
+        Ua, c_part, Vhat_t = np.linalg.svd(Z[p:], full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD of the stacked split failed: {exc}") from exc
     Vhat = Vhat_t.T
@@ -105,29 +153,65 @@ def gsvd_pair(A, L, tol=None):
     # Columns q1..r of Z_L @ Vhat are orthogonal with norms sqrt(1 - c_i^2);
     # normalized, they become the trailing columns of U_L after a completion.
     # The sines of the q3 block are 1 by the block definition.
-    T = Z[m:] @ Vhat
-    s = np.linalg.norm(T[:, q1:], axis=0)
-    U_L = _complete_basis(T[:, q1:] / s)
+    T = Z[:p] @ Vhat[:, q1:]
+    del Z
+    s = np.linalg.norm(T, axis=0)
+    T /= s
+    U_L = _complete_basis(T)
     s[q2:] = 1.0
     S_L = np.zeros((p, r))
     S_L[np.arange(p - nz, p), np.arange(q1, r)] = s
 
-    X = np.hstack([(W / sig) @ Vhat, N])
-    X_inv = np.vstack([Vhat.T @ (sig[:, None] * W.T), N.T])
-
-    scale = np.linalg.norm(A) + np.linalg.norm(L)
-    resid = max(
-        np.linalg.norm(A - (Ua[:, :k] * c[:k]) @ X_inv[:k]),
-        np.linalg.norm(L - (U_L[:, p - nz :] * s) @ X_inv[q1:r]),
-    )
-    if resid > 1e-10 * max(scale, 1e-300):
-        raise FactorizationError(
-            f"GSVD reconstruction residual {resid:.3e} exceeds tolerance", residual=resid
-        )
+    # the first r columns of X are B_pinv Vhat, the first r rows of X_inv
+    # Vhat' B; the rest are N and N'
+    X = np.empty((n, n))
+    np.matmul(B_pinv, Vhat, out=X[:, :r])
+    X[:, r:] = N
+    X_inv = np.empty((n, n))
+    np.matmul(Vhat.T, B, out=X_inv[:r])
+    X_inv[r:] = N.T
     return GsvdFactors(
         U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,
         X_inv=X_inv,
     )
+
+
+def _check_reconstruction(A, L, f):
+    """FactorizationError unless ``A = U_A C_A X_inv[:r]`` and ``L = U_L S_L
+    X_inv[:r]`` hold to 1e-10 of ``||A|| + ||L||``, read on the nonzero
+    blocks only."""
+    p = L.shape[0]
+    k, nz = f.q1 + f.q2, f.r - f.q1
+    c = f.C_A[np.arange(k), np.arange(k)]
+    s = f.S_L[np.arange(p - nz, p), np.arange(f.q1, f.r)]
+    E_A = (f.U_A[:, :k] * c) @ f.X_inv[:k]
+    E_A -= A
+    E_L = (f.U_L[:, p - nz :] * s) @ f.X_inv[f.q1 : f.r]
+    E_L -= L
+    resid = max(np.linalg.norm(E_A), np.linalg.norm(E_L))
+    scale = np.linalg.norm(A) + np.linalg.norm(L)
+    if resid > 1e-10 * max(scale, 1e-300):
+        raise FactorizationError(
+            f"GSVD reconstruction residual {resid:.3e} exceeds tolerance", residual=resid
+        )
+
+
+def _certified_inverse(R, cutoff):
+    """R^-1 (LAPACK ``trtri``) if it certifies full column rank, else None.
+
+    ``1 / ||R^-1||_F <= sigma_min(R)``, so full rank holds when that bound
+    exceeds ``cutoff``. A wide R, a singular one (``trtri`` reports a zero
+    pivot) or a nearly singular one (an inverse too large, or overflowed)
+    fails without an exception or a warning.
+    """
+    if R.shape[0] < R.shape[1]:
+        return None
+    R_inv, info = dtrtri(R)
+    # BLAS dnrm2 scales its sum of squares: a huge inverse has a finite
+    # norm, an overflowed one an inf or NaN norm, and neither warns
+    if info != 0 or not float(dnrm2(R_inv.ravel(order="K"))) * cutoff < 1.0:
+        return None
+    return R_inv
 
 
 def sigma_max_ca(f: GsvdFactors) -> float:
@@ -146,9 +230,11 @@ def wpinv_via_gsvd(f: GsvdFactors, G) -> np.ndarray:
     is ``X[:, :k] diag(1/c) U_A[:, :k].T``; the q1 cosines are exactly 1, so
     no singular values are inverted beyond the q2 block. The projector is
     the identity on these columns, so it is not applied: ``gsvd_pair`` builds
-    them as ``W diag(1/sig) Vhat``, W an orthonormal basis of R(G). ``G``
-    must be the Gram matrix ``A.T A + L.T L`` of the factored pair; its null
-    space is checked against the last n - r columns of X.
+    them as ``R^-1 Vhat`` when K = [L; A] = QR has full column rank, so that
+    R(G) is all of R^n, and otherwise as ``W diag(1/sig) Vhat``, W an
+    orthonormal basis of R(G). ``G`` must be the Gram matrix
+    ``A.T A + L.T L`` of the factored pair; its null space is checked
+    against the last n - r columns of X.
     """
     G = as_matrix(G, "G")
     n = f.X.shape[0]

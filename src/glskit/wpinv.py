@@ -41,9 +41,9 @@ class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
     Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
-    the direct route's cutoff), ``M'`` (so U is thin for a wide M; made only
-    for identity 5 of ``check_gmpe``, which reads its leading left singular
-    vectors as the projector onto R(M')) and ``L N``, N the basis of N(MA)
+    the direct route's cutoff), ``M`` (V square; made only for identity 5 of
+    ``check_gmpe``, which reads N(M) off its trailing right singular
+    vectors) and ``L N``, N the basis of N(MA)
     that ``ma`` ranks, so N(G) = N(MA) & N(L) = N N(L N); and one QR of
     ``K_N = [MA; L; N_G']`` (``kn``), the only source of pinv(G). The
     formed ``G`` is never factored. Other rank decisions of M A apply their
@@ -65,7 +65,7 @@ class FactorStore:
 
     @cached_property
     def m(self):
-        return svd(self._M.T)
+        return svd(self._M)
 
     @cached_property
     def ln(self):
@@ -334,16 +334,20 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     Residuals are Frobenius norms normalized by the scale of the left-hand
     side (0/0 counts as a pass); these five, and nothing else, are computed.
     P A X is evaluated as M'(MA X), so P is not formed, and neither is
-    pinv(G) or pinv(M): identity 5 reads pinv(M) M as U_r U_r', U_r the
-    leading ``rank`` left singular vectors of M'. Identity 4 is the larger
-    residual of two tests, ``T = L'L X A (I - N_G N_G')`` symmetric and
-    ``N_G' X = 0`` (N_G = ``prob.factors.nullspace_g``). The split is exact
+    pinv(G) or pinv(M): ``I - pinv(M) M = N_M N_M'``, N_M an orthonormal
+    basis of N(M) (``prob.factors.m.nullspace()``), so identity 5 is
+    ``||X N_M|| / ||X||``. Identity 4 is the larger residual of two tests,
+    ``T = L'L X A (I - N_G N_G')`` symmetric and ``N_G' X = 0``
+    (N_G = ``prob.factors.nullspace_g``). The split is exact
     given identities 1, 3 and 5: M A N_G = 0, so identity 5 gives
     X A N_G = 0; G X A = A'(P A X)A + L'L X A, whose first term identity 3
     makes symmetric; and pinv(G) (X A)' G = X A holds iff G X A is symmetric
     and N_G' X A = 0, which by identity 1 (X = X A X) is N_G' X = 0. The
-    asymmetry of T is normalized by ||L||^2 ||X A||, so the residual does not
-    change when L is scaled, as A_ML^+ does not.
+    asymmetry of T is normalized by ``||L||^2 ||X|| ||A||``, the scale of the
+    roundoff in the product L'L X A (see ``_product_tolerance``), not by
+    ``||L||^2 ||X A||``, which X A's cancellation can make small; the
+    residual still does not change when L or A is scaled, as A_ML^+ does
+    not.
     """
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
@@ -351,12 +355,24 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     A = prob.A
     norm = np.linalg.norm
 
+    # Peak memory: identity 5 comes first, so the SVD of M (made on first
+    # use) is done before any n x n product exists; each residual is formed
+    # in the array of its product; X A is dropped once T is formed, and T's
+    # projection is skipped when N(G) is trivial.
+    x_norm = norm(X)
+    r5 = 0.0 if prob.M is None else _rel(norm(X @ prob.factors.m.nullspace()), x_norm)
+
     XA = X @ A
-    r1 = _rel(norm(XA @ X - X), norm(X))
+    E = XA @ X
+    E -= X
+    r1 = _rel(norm(E), x_norm)
 
     MA = prob.MA
     MAX = MA @ X
-    r2 = _rel(norm(MAX @ A - MA), norm(MA))
+    E = MAX @ A
+    E -= MA
+    r2 = _rel(norm(E), norm(MA))
+    del E
 
     PAX = MAX if prob.M is None else prob.M.T @ MAX
     r3 = _rel(norm(PAX.T - PAX), norm(PAX))
@@ -364,16 +380,11 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     L = prob.L
     N_g = prob.factors.nullspace_g
     T = L.T @ (L @ XA)
-    T = T - (T @ N_g) @ N_g.T
+    del XA
+    if N_g.size:
+        T -= (T @ N_g) @ N_g.T
     l_norm = norm(L.data if sp.issparse(L) else L)
-    r4 = max(_rel(norm(T - T.T), l_norm**2 * norm(XA)), _rel(norm(N_g.T @ X), norm(X)))
-
-    if prob.M is None:
-        r5 = 0.0
-    else:
-        mt = prob.factors.m
-        U_r = mt.U[:, : mt.rank]
-        r5 = _rel(norm(X - (X @ U_r) @ U_r.T), norm(X))
+    r4 = max(_rel(norm(T - T.T), l_norm**2 * x_norm * norm(A)), _rel(norm(N_g.T @ X), x_norm))
 
     residuals = (r1, r2, r3, r4, r5)
     return MpeReport(residuals=residuals, passed=tuple(r <= tol for r in residuals), tol=tol)

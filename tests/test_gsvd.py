@@ -1,17 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from glskit import (
     GlsProblem,
+    RankTolerance,
     gsvd_pair,
     pinv,
     sigma_max_ca,
     wpinv_elden,
+    wpinv_matrix,
     wpinv_via_gsvd,
 )
-from helpers import projector_range, random_matrix
+from helpers import matrix_with_spectrum, projector_range, random_gls_problem, random_matrix
 
 
 def padded(block, n):
@@ -37,6 +41,15 @@ def check_factors(A, L, f, rtol=1e-10):
     assert np.all((cq2 > 0.0) & (cq2 < 1.0))
     sq2 = [f.S_L[:, j].max() for j in range(f.q1, f.q1 + f.q2)]
     assert all(0.0 < s < 1.0 for s in sq2)
+
+
+def planted_joint_null_pair(seed, m=6, p=3, n=4):
+    """{A, L} sharing one planted null vector, so rank([A; L]) = n - 1."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n)
+    e /= np.linalg.norm(e)
+    killer = np.eye(n) - np.outer(e, e)
+    return rng.standard_normal((m, n)) @ killer, rng.standard_normal((p, n)) @ killer
 
 
 def test_l_zero_forces_unit_block():
@@ -74,12 +87,7 @@ def test_partition_widths():
 
 
 def test_partition_planted_joint_null_space():
-    rng = np.random.default_rng(42)
-    e = rng.standard_normal(4)
-    e /= np.linalg.norm(e)
-    killer = np.eye(4) - np.outer(e, e)
-    A = rng.standard_normal((6, 4)) @ killer
-    L = rng.standard_normal((3, 4)) @ killer
+    A, L = planted_joint_null_pair(42)
     f = gsvd_pair(A, L)
     X4 = f.X[:, f.r :]
     assert X4.shape[1] == 1
@@ -225,3 +233,117 @@ def test_orthonormal_completion_block_structure():
     lead = f.S_L[: 6 - (f.r - f.q1), :]
     assert np.linalg.norm(lead) == 0.0
     check_factors(A, L, f)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(name, shape of the factored matrix) of every numpy and scipy svd and
+    qr call, in call order; a test clears it before the call it counts."""
+    calls = []
+
+    def counting(name, factorize):
+        def counted(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return factorize(a, *args, **kwargs)
+
+        return counted
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
+def test_full_column_rank_pair_makes_one_qr_and_one_svd(factorizations):
+    # the QR of [L; A] certifies full rank, so only the rows of Q that
+    # belong to A are factored by SVD; the last QR completes U_L
+    rng = np.random.default_rng(5)
+    m, p, n = 7, 6, 9
+    A, L = random_matrix(rng, m, n, rank=5), random_matrix(rng, p, n)
+    factorizations.clear()
+    f = gsvd_pair(A, L)
+    assert f.r == n
+    assert factorizations == [("qr", (p + m, n)), ("svd", (m, n)), ("qr", (p, n - f.q1))]
+    check_factors(A, L, f)
+
+
+@pytest.mark.parametrize(
+    "shape, seed", [((3, 2, 8), 0), ((1, 3, 5), 1), ((6, 3, 4), 7), ((5, 2, 4), 1)]
+)
+def test_wide_stack_and_joint_null_space_take_the_svd_of_r(shape, seed, factorizations):
+    m, p, n = shape
+    if m + p < n:
+        rng = np.random.default_rng(seed)
+        A, L = random_matrix(rng, m, n), random_matrix(rng, p, n)
+        r = m + p
+    else:
+        A, L = planted_joint_null_pair(seed, m, p, n)
+        r = n - 1
+    factorizations.clear()
+    f = gsvd_pair(A, L)
+    assert f.r == r
+    svds = [shape for name, shape in factorizations if name == "svd"]
+    assert svds == [(min(m + p, n), n), (m, r)]
+    check_factors(A, L, f)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-200])
+def test_a_singular_r_fails_the_certificate_quietly(scale, factorizations):
+    # a shared zero (or 1e-200) column gives R a zero (tiny) last pivot:
+    # trtri reports it (or returns an inverse whose norm overflows), and the
+    # pair goes to R's SVD without an exception or a warning
+    rng = np.random.default_rng(3)
+    A, L = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
+    A[:, -1] *= scale
+    L[:, -1] *= scale
+    factorizations.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = gsvd_pair(A, L)
+    assert f.r == 3
+    assert sum(name == "svd" for name, _ in factorizations) == 2
+    check_factors(A, L, f)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0, 100.0])
+def test_rank_at_an_absolute_cutoff_matches_the_svd_of_the_stack(factor, factorizations):
+    # sigma_min(K) = 1e-13 under two more small values, so the cutoff
+    # crosses one, two or three of them; up to 0.9 sigma_min the QR
+    # certifies full rank (1 / ||R^-1||_F is 0.95 sigma_min) and R's SVD is
+    # skipped
+    rng = np.random.default_rng(8)
+    m, p, n = 6, 4, 6
+    K = matrix_with_spectrum(rng, m + p, n, [1.0, 0.5, 0.2, 5e-12, 3e-13, 1e-13])
+    A, L = K[:m], K[m:]
+    s = np.linalg.svd(K, compute_uv=False)
+    cutoff = factor * s[-1]
+    factorizations.clear()
+    f = gsvd_pair(A, L, RankTolerance("absolute", cutoff))
+    assert f.r == np.count_nonzero(s > cutoff)
+    svds = sum(name == "svd" for name, _ in factorizations)
+    assert svds == (1 if factor < 1.0 else 2)
+
+
+# seeded problem families (see test_glsqr.FAMILIES), each with the relative
+# gap to wpinv_elden that the GSVD route must meet and the number of seeds
+# 0-199 that must meet it; through the SVD of the stack, C1 had one seed at
+# 1.06e-8. No seed may be off by more than 1e-6: a q3 cosine (exactly 0)
+# whose roundoff crosses the 1e-12 snap is inverted, as with the QR of
+# [A; L] on C1 seed 132, at a gap of 1e8
+GSVD_FAMILIES = {
+    "C1": (dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4), 1e-8, 199),
+    "C2": (dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3), 1e-10, 200),
+    "W": (dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5), 1e-10, 200),
+}
+
+
+@pytest.mark.parametrize("family", GSVD_FAMILIES)
+def test_gsvd_route_agrees_with_elden_across_a_family(family):
+    kwargs, gap, need = GSVD_FAMILIES[family]
+    gaps = []
+    for seed in range(200):
+        prob = random_gls_problem(seed, **kwargs)
+        X = wpinv_elden(prob)
+        gaps.append(np.linalg.norm(wpinv_matrix(prob, "gsvd") - X) / np.linalg.norm(X))
+    assert sum(g <= gap for g in gaps) >= need
+    assert max(gaps) <= 1e-6
