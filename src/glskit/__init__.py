@@ -15,8 +15,10 @@ from .linalg import (
     FactorizationError,
     IndefiniteMatrixError,
     LsqrResult,
+    QrFactors,
     RankTolerance,
     SvdFactors,
+    certified_qr,
     cholesky_spd,
     lsqr,
     pinv,

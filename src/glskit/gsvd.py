@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dtrtri
 
-from .linalg import FactorizationError, RankTolerance, as_matrix, svd
+from .linalg import FactorizationError, RankTolerance, _certified_inverse, as_matrix, svd
 
 __all__ = [
     "GsvdFactors",
@@ -194,24 +192,6 @@ def _check_reconstruction(A, L, f):
         raise FactorizationError(
             f"GSVD reconstruction residual {resid:.3e} exceeds tolerance", residual=resid
         )
-
-
-def _certified_inverse(R, cutoff):
-    """R^-1 (LAPACK ``trtri``) if it certifies full column rank, else None.
-
-    ``1 / ||R^-1||_F <= sigma_min(R)``, so full rank holds when that bound
-    exceeds ``cutoff``. A wide R, a singular one (``trtri`` reports a zero
-    pivot) or a nearly singular one (an inverse too large, or overflowed)
-    fails without an exception or a warning.
-    """
-    if R.shape[0] < R.shape[1]:
-        return None
-    R_inv, info = dtrtri(R)
-    # BLAS dnrm2 scales its sum of squares: a huge inverse has a finite
-    # norm, an overflowed one an inf or NaN norm, and neither warns
-    if info != 0 or not float(dnrm2(R_inv.ravel(order="K"))) * cutoff < 1.0:
-        return None
-    return R_inv
 
 
 def sigma_max_ca(f: GsvdFactors) -> float:

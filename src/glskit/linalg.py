@@ -4,8 +4,10 @@ All routines operate on float64 numpy arrays (scipy sparse inputs are
 densified on entry). Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
 documents its cutoff. Pseudoinverses and null-space bases are read off one
-:class:`SvdFactors` (U thin, V square); no projector is formed here, its
-users apply the singular vectors as products. The one iterative kernel,
+:class:`QrFactors` when a QR of the matrix's tall side certifies full rank
+(:func:`certified_qr`), else off one :class:`SvdFactors` (U thin, V
+square); no projector is formed here, its users apply the factors as
+products. The one iterative kernel,
 :func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
 gradients and needs the operator only as a product: a dense matrix is read
 through one triangle by BLAS ``symv``, while sparse matrices and callables
@@ -24,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import ddot, dscal, dsymv
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.blas import ddot, dnrm2, dscal, dsymv
+from scipy.linalg.lapack import dorgqr, dpbtrs, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -35,10 +37,12 @@ __all__ = [
     "IndefiniteMatrixError",
     "RankTolerance",
     "SvdFactors",
+    "QrFactors",
     "LsqrResult",
     "as_matrix",
     "as_vector",
     "svd",
+    "certified_qr",
     "pinv",
     "cholesky_spd",
     "lsqr",
@@ -147,6 +151,10 @@ class SvdFactors:
         """Orthonormal basis of the null space of A, an n x (n - rank) view of V."""
         return self.V[:, self.rank :]
 
+    def range_basis(self):
+        """Orthonormal basis of the range of A, an m x rank view of U."""
+        return self.U[:, : self.rank]
+
 
 def svd(A, tol=None):
     """SVD with an explicit numerical-rank decision.
@@ -166,6 +174,120 @@ def svd(A, tol=None):
     for factor in (U, s, Vt):
         factor.flags.writeable = False
     return SvdFactors(U=U, singular_values=s, V=Vt.T, rank=s.size).ranked(tol)
+
+
+def _certified_inverse(R, cutoff):
+    """R^-1 (LAPACK ``trtri``) if it certifies full column rank, else None.
+
+    ``1 / ||R^-1||_F <= sigma_min(R)``, so full rank holds when that bound
+    exceeds ``cutoff``. A wide R, a singular one (``trtri`` reports a zero
+    pivot) or a nearly singular one (an inverse too large, or overflowed)
+    fails without an exception or a warning.
+    """
+    if R.shape[0] < R.shape[1]:
+        return None
+    R_inv, info = dtrtri(R)
+    if info != 0 or not _certifies(R_inv, cutoff):
+        return None
+    return R_inv
+
+
+def _certifies(R_inv, cutoff):
+    """Whether ``1 / ||R^-1||_F`` exceeds ``cutoff``."""
+    # BLAS dnrm2 scales its sum of squares: a huge inverse has a finite
+    # norm, an overflowed one an inf or NaN norm, and neither warns
+    return float(dnrm2(R_inv.ravel(order="K"))) * cutoff < 1.0
+
+
+@dataclass(frozen=True)
+class QrFactors:
+    """A full-rank A from one QR of its tall side, ``r = min(m, n)``.
+
+    A wide A (m < n) is factored as ``A' = Q R`` with Q n x n orthogonal,
+    any other A as ``A = Q R`` with Q m x n. Only ``R_inv = R^-1`` (r x r)
+    is kept, and it certified full rank: ``1 / ||R^-1||_F``, a lower bound
+    on sigma_min(A), exceeded the rank cutoff computed with ``||A||_F``,
+    an upper bound on sigma_max(A), so an SVD ranks A at r too (Bjorck,
+    *Numerical Methods for Least Squares Problems*, 1996, 1.3 and 2.2).
+    Then N(A) is ``Q[:, r:]`` (empty unless A is wide), R(A) is R^m for a
+    wide A and R(Q) otherwise, and pinv(A) is ``Q[:, :r] R^-T`` or
+    ``R^-1 Q'``. It reads like :class:`SvdFactors`; ``source`` is A, which
+    :meth:`ranked` factors by SVD when the certificate does not clear its
+    cutoff, or None for a factor that is never re-ranked. The arrays are
+    read-only.
+    """
+
+    Q: np.ndarray
+    R_inv: np.ndarray
+    source: np.ndarray | None
+
+    @property
+    def rank(self):
+        return self.R_inv.shape[0]
+
+    @property
+    def wide(self):
+        return self.Q.shape[1] > self.rank
+
+    def ranked(self, tol=None):
+        """These factors if the certificate clears the cutoff of ``tol``
+        (None: the default :class:`RankTolerance`), else the SVD of A
+        ranked by ``tol``."""
+        if self.source is None:
+            raise ValueError("these factors kept no reference to their matrix")
+        tol = tol if tol is not None else RankTolerance()
+        if _certifies(self.R_inv, tol.cutoff(self.source.shape, np.linalg.norm(self.source))):
+            return self
+        return svd(self.source, tol)
+
+    def pinv(self):
+        """Moore-Penrose pseudoinverse, ``Q[:, :r] R^-T`` or ``R^-1 Q'``."""
+        if self.wide:
+            return self.Q[:, : self.rank] @ self.R_inv.T
+        return self.R_inv @ self.Q.T
+
+    def nullspace(self):
+        """Orthonormal basis of the null space of A, an n x (n - r) view of Q
+        (of ``R_inv`` when it has no columns)."""
+        return self.Q[:, self.rank :] if self.wide else self.R_inv[:, :0]
+
+    def range_basis(self):
+        """Orthonormal basis of the range of A: I_m when A is wide, else Q."""
+        return np.eye(self.rank) if self.wide else self.Q
+
+
+def certified_qr(A, tol=None, keep_source=True):
+    """:class:`QrFactors` of A, or None when its QR cannot certify full rank.
+
+    A (or A' when A is wide) is copied into a fresh Fortran-ordered array,
+    which ``scipy.linalg.qr(mode="raw")`` overwrites with its reflectors;
+    for a wide A the array is square, with room for the full Q. The cutoff
+    is the one ``tol`` (default :class:`RankTolerance`) gives at A's shape
+    with ``||A||_F`` for sigma_max. Q is formed from the reflectors (LAPACK
+    ``orgqr``, at the workspace size it reports optimal) only once the
+    certificate holds; otherwise every array of the QR is freed on return,
+    before the caller's fallback runs. ``keep_source=False`` keeps no
+    reference to A, for a product that is not stored and never re-ranked.
+    """
+    m, n = A.shape
+    if A.size == 0:
+        return None
+    r, rows = min(m, n), max(m, n)
+    wide = m < n
+    K = np.empty((rows, rows if wide else r), order="F")
+    K[:, :r] = A.T if wide else A
+    (_, tau), R = scipy.linalg.qr(K[:, :r], mode="raw", overwrite_a=True, check_finite=False)
+    tol = tol if tol is not None else RankTolerance()
+    R_inv = _certified_inverse(R, tol.cutoff(A.shape, np.linalg.norm(A)))
+    if R_inv is None:
+        return None
+    lwork = int(dorgqr(K, tau, lwork=-1)[1][0])
+    Q, _, info = dorgqr(K, tau, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise FactorizationError(f"orgqr failed with info {info}")
+    for factor in (Q, R_inv):
+        factor.flags.writeable = False
+    return QrFactors(Q=Q, R_inv=R_inv, source=A if keep_source else None)
 
 
 def pinv(A, tol=None):

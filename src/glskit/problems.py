@@ -7,7 +7,8 @@ Problems are built (with M = I) by planting the solution directly:
            w = f - N_G N_G' f,   N_G an orthonormal basis of N(G),
        then apply the direct route's projector, with its factors, to it,
            x_true = w - N pinv(L N) L w,   N an orthonormal basis of N(A);
-    3. perturb the data orthogonally to R(A): b = A x_true + z.
+    3. perturb the data orthogonally to R(A): b = A x_true + z, with z
+       exactly 0 when A has full row rank.
 
 The construction is validated through the solution criterion before the
 problem is returned, so x_true is certified rather than assumed.
@@ -98,7 +99,11 @@ def regularizer(kind, n):
 
 @dataclass
 class GeneratedProblem:
-    """A GLS problem together with its planted minimum 2-norm solution."""
+    """A GLS problem together with its planted minimum 2-norm solution.
+
+    ``b = A x_true + z``, the noise ``z`` orthogonal to R(A); it is exactly
+    0 when A has full row rank, since R(A) is then all of R^m.
+    """
 
     problem: GlsProblem
     x_true: np.ndarray
@@ -115,7 +120,11 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
 
     The plant is the direct route's projector applied to the sampled
     function in R(G), so it is the minimum 2-norm solution even for singular
-    G. Raises ``ValueError`` if it fails its own criterion at ``criterion_tol``.
+    G. The noise ``z`` is drawn from ``seed`` and projected off R(A), read
+    from the problem's factor of A; it is exactly 0, and none is drawn,
+    when A has full row rank, which a certified QR of A' proves without an
+    SVD. Raises ``ValueError`` if it fails its own criterion at
+    ``criterion_tol``.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
@@ -125,13 +134,16 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     f = sample_function(func, n)
     N_g = base.factors.nullspace_g
     w = f - N_g @ (N_g.T @ f)
-    N = base.factors.ma.nullspace()
+    ma = base.factors.ma
+    N = ma.nullspace()
     x_true = w - N @ (base.factors.ln.pinv() @ (base.L @ w))
 
-    z = rng.standard_normal(m)
-    ma = base.factors.ma
-    U_r = ma.U[:, : ma.rank]
-    z = z - U_r @ (U_r.T @ z)
+    if ma.rank == m:  # R(A) is all of R^m: no nonzero z is orthogonal to it
+        z = np.zeros(m)
+    else:
+        U_r = ma.range_basis()
+        z = rng.standard_normal(m)
+        z -= U_r @ (U_r.T @ z)
     b = A @ x_true + z
 
     prob = base.with_b(b)

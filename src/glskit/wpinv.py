@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dtrcon
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
-from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, pinv, svd
+from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, certified_qr, pinv, svd
 
 __all__ = [
     "GlsProblem",
@@ -40,15 +40,20 @@ __all__ = [
 class FactorStore:
     """The factorizations of one problem's fixed matrices, made on first use.
 
-    Holds at most one SVD each of ``M A`` (the problem's ``MA``, ranked at
-    the direct route's cutoff), ``M`` (V square; made only for identity 5 of
-    ``check_gmpe``, which reads N(M) off its trailing right singular
-    vectors) and ``L N``, N the basis of N(MA)
-    that ``ma`` ranks, so N(G) = N(MA) & N(L) = N N(L N); and one QR of
-    ``K_N = [MA; L; N_G']`` (``kn``), the only source of pinv(G). The
-    formed ``G`` is never factored. Other rank decisions of M A apply their
-    own tolerance through ``SvdFactors.ranked``; L N is always ranked at its
-    product floor.
+    Holds at most one factor each of ``M A`` (the problem's ``MA``, ranked
+    at the direct route's cutoff), ``M`` (an SVD, V square; made only for
+    identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
+    singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
+    so N(G) = N(MA) & N(L) = N N(L N); and one QR of ``K_N = [MA; L;
+    N_G']`` (``kn``), the only source of pinv(G). ``M A`` and ``L N`` start
+    with a QR of their tall side (``L N`` only when it is tall): when it
+    certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`
+    and no SVD is made; so a wide ``M A`` of full row rank has N(MA) =
+    ``Q[:, q:]`` and R(MA) = R^q. Otherwise the QR's arrays are freed and
+    the factor is the :class:`~glskit.linalg.SvdFactors` of ``linalg.svd``
+    at the same tolerance. The formed ``G`` is never factored. Other rank
+    decisions of M A apply their own tolerance through ``ranked``; L N is
+    always ranked at its product floor.
     """
 
     def __init__(self, A, M, MA, L):
@@ -56,12 +61,12 @@ class FactorStore:
 
     @cached_property
     def ma(self):
-        """The SVD of M A ranked at its product floor (``_product_tolerance``
-        of M and A), not at a fraction of sigma_max(MA), which may itself be
-        tiny (the default cutoff when M = I)."""
-        if self._M is None:
-            return svd(self._MA)
-        return svd(self._MA, _product_tolerance(self._M, self._A))
+        """The factor of M A, ranked at the default cutoff when M = I and
+        otherwise at its product floor (``_product_tolerance`` of M and A),
+        not at a fraction of sigma_max(MA), which may itself be tiny."""
+        tol = None if self._M is None else _product_tolerance(self._M, self._A)
+        f = certified_qr(self._MA, tol)
+        return f if f is not None else svd(self._MA, tol)
 
     @cached_property
     def m(self):
@@ -69,8 +74,8 @@ class FactorStore:
 
     @cached_property
     def ln(self):
-        """The SVD of ``L N``, N = ``ma.nullspace()``, ranked by ``_ln_svd``."""
-        return _ln_svd(self._L, self.ma.nullspace())
+        """The factor of ``L N``, N = ``ma.nullspace()``, made by ``_ln_factor``."""
+        return _ln_factor(self._L, self.ma.nullspace())
 
     @cached_property
     def nullspace_g(self):
@@ -219,7 +224,7 @@ def wpinv_elden(prob: GlsProblem, tol=None) -> np.ndarray:
     """
     ma = prob.factors.ma if tol is None else prob.factors.ma.ranked(tol)
     N = ma.nullspace()
-    ln = prob.factors.ln if tol is None else _ln_svd(prob.L, N)
+    ln = prob.factors.ln if ma is prob.factors.ma else _ln_factor(prob.L, N)
     X = ma.pinv()
     X = X - N @ (ln.pinv() @ (prob.L @ X))
     if prob.M is not None:
@@ -243,14 +248,17 @@ def _product_tolerance(*factors):
     return RankTolerance("absolute", 8.0 * dim * EPS * scale)
 
 
-def _ln_svd(L, N):
-    """The SVD of ``L N`` for an orthonormal N, ranked at the roundoff floor
-    of the product (rank 0 and identity singular vectors when p = 0 or N has
-    no columns)."""
+def _ln_factor(L, N):
+    """The factor of ``L N`` for an orthonormal N, ranked at the roundoff
+    floor of the product; a QR is tried only when L N is tall, and a
+    certified one keeps no reference to the product (rank 0 and identity
+    singular vectors when p = 0 or N has no columns)."""
     LN = L @ N
     if LN.size == 0:
         return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
-    return svd(LN, _product_tolerance(L, N))
+    tol = _product_tolerance(L, N)
+    f = certified_qr(LN, tol, keep_source=False) if LN.shape[0] > LN.shape[1] else None
+    return f if f is not None else svd(LN, tol)
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:
@@ -416,9 +424,9 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
 
     x solves the problem iff ``A'P(Ax - b) = (MA)'(MA x - M b) = 0`` and x is
     G-orthogonal to the null space of A'PA. That null space is read from the
-    SVD of ``M A``:
-    ``(MA)'(MA) = A'PA``, so it is exact and does not square the condition
-    number. Range membership ``x in R(G)``, tested as
+    factor of ``M A`` (``prob.factors.ma``): ``(MA)'(MA) = A'PA``, so it is
+    exact and does not square the condition number. Range membership
+    ``x in R(G)``, tested as
     ``||N_G' x|| <= tol ||x||`` with N_G = ``prob.factors.nullspace_g``, is
     reported separately (solutions form a coset of N(G); the one inside R(G)
     is the minimum 2-norm solution).

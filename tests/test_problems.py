@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from glskit import (
+    DensePinvStrategy,
+    certify_solution,
     generate,
     glsqr_solve,
     load_problem,
@@ -147,3 +150,30 @@ def test_save_and_load_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.problem.L.toarray(), gen.problem.L.toarray(), atol=1e-15)
     np.testing.assert_allclose(loaded.problem.b, gen.problem.b, atol=1e-15)
     np.testing.assert_allclose(loaded.x_true, gen.x_true, atol=1e-15)
+
+
+def test_a_full_row_rank_problem_is_generated_solved_and_certified_without_an_svd(monkeypatch):
+    # the certified QR of A' gives N(A) and proves R(A) = R^45, so z is
+    # exactly 0 and no U is formed; L N is tall and certified too, so the
+    # three factorizations are the QRs of A', L N and K_N = [A; L]
+    A = random_sparse_matrix(45, 60, density=0.05, seed=4)  # draws by SVD itself
+    calls = []
+
+    def counting(name, factorize):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return factorize(*args, **kwargs)
+
+        return counted
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("svd", "qr"):
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
+    gen = generate(A, "l1", "trig", seed=4)
+    report = glsqr_solve(gen.problem, DensePinvStrategy(gen.problem.G), tol=1e-10)
+    assert certify_solution(gen.problem, report)
+    assert calls.count("numpy.linalg.svd") == 0
+    assert calls == ["scipy.linalg.qr"] * 3
+    np.testing.assert_array_equal(gen.z, np.zeros(45))
+    assert np.linalg.norm(report.x - gen.x_true) <= 1e-6 * np.linalg.norm(gen.x_true)

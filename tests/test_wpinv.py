@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from scipy.linalg import subspace_angles
 
 from glskit import (
     GlsProblem,
+    QrFactors,
     RankTolerance,
+    SvdFactors,
+    certified_qr,
     certify_solution,
     check_gls_criterion,
     check_gmpe,
     glsqr_solve,
     gsvd_pair,
     pinv,
+    svd,
     wpinv_apply,
     wpinv_elden,
     wpinv_limit,
@@ -20,8 +25,8 @@ from glskit import (
     wpinv_via_gsvd,
 )
 from glskit.problems import generate, make_l1
-from glskit.wpinv import FactorStore
-from helpers import nullspace_basis, random_gls_problem, random_matrix
+from glskit.wpinv import FactorStore, _product_tolerance
+from helpers import matrix_with_spectrum, nullspace_basis, random_gls_problem, random_matrix
 
 
 def hand_problem(b=2.0):
@@ -498,3 +503,112 @@ def test_shapes_validated():
         GlsProblem(np.eye(3), L=np.eye(2))
     with pytest.raises(ValueError):
         GlsProblem(np.eye(3), b=np.ones(2))
+
+
+# rank-deficient families (see test_glsqr.FAMILIES): M A fails the QR's
+# certificate, and L N is wide (C1, C2) or square (W), so it is not tried
+SVD_FAMILIES = {
+    "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
+    "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
+    "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
+}
+
+
+@pytest.mark.parametrize("family", SVD_FAMILIES)
+def test_rank_deficient_factors_are_the_svds_array_for_array(family):
+    for seed in range(200):
+        prob = random_gls_problem(seed, **SVD_FAMILIES[family])
+        ma = svd(prob.MA, _product_tolerance(prob.M, prob.A))
+        N = ma.nullspace()
+        ln = svd(prob.L @ N, _product_tolerance(prob.L, N))
+        for got, want in ((prob.factors.ma, ma), (prob.factors.ln, ln)):
+            assert isinstance(got, SvdFactors), seed
+            assert got.rank == want.rank, seed
+            for name in ("U", "singular_values", "V"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _assert_factors_agree(got, want):
+    assert got.rank == want.rank
+    N, Z = got.nullspace(), want.nullspace()
+    assert N.shape == Z.shape
+    assert np.linalg.norm(N @ N.T - Z @ Z.T) <= 1e-12
+    X, Y = got.pinv(), want.pinv()
+    assert np.linalg.norm(X - Y) <= 1e-12 * np.linalg.norm(Y)
+
+
+# full-rank shapes: M A wide, tall, and wide behind a weight; L N is tall
+# whenever N(MA) is not trivial
+FULL_RANK_SHAPES = {
+    "wide": dict(m=6, n=9, p=4),
+    "tall": dict(m=9, n=6, p=3),
+    "weighted": dict(m=8, n=10, p=5, q=6),
+}
+
+
+@pytest.mark.parametrize("shape", FULL_RANK_SHAPES)
+def test_full_rank_factors_are_certified_and_match_the_svd(shape):
+    for seed in range(200):
+        prob = random_gls_problem(seed, **FULL_RANK_SHAPES[shape])
+        tol = None if prob.M is None else _product_tolerance(prob.M, prob.A)
+        ma = prob.factors.ma
+        assert isinstance(ma, QrFactors), seed
+        assert ma.rank == min(prob.MA.shape)
+        _assert_factors_agree(ma, svd(prob.MA, tol))
+        certified = [ma]
+        N = ma.nullspace()
+        if N.shape[1]:
+            ln = prob.factors.ln
+            assert isinstance(ln, QrFactors), seed
+            _assert_factors_agree(ln, svd(prob.L @ N, _product_tolerance(prob.L, N)))
+            with pytest.raises(ValueError):
+                ln.ranked()  # the product L N is not kept
+            certified.append(ln)
+        for f in certified:
+            assert not f.Q.flags.writeable and not f.R_inv.flags.writeable
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0, 100.0])
+def test_an_absolute_cutoff_ranks_ma_as_its_svd_does(factor):
+    # sigma_min(A) = 1e-7 under two more small values, so the cutoff
+    # crosses one, two or three of them; up to 0.9 sigma_min the QR's
+    # certificate clears it (1 / ||R^-1||_F is 0.95 sigma_min) and no SVD
+    # is made
+    rng = np.random.default_rng(8)
+    A = matrix_with_spectrum(rng, 6, 9, [1.0, 0.5, 0.2, 5e-6, 3e-7, 1e-7])
+    L = random_matrix(rng, 4, 9)
+    prob = GlsProblem(A, None, L)
+    s = np.linalg.svd(A, compute_uv=False)
+    tol = RankTolerance("absolute", factor * s[-1])
+    assert isinstance(prob.factors.ma, QrFactors)
+    ma = prob.factors.ma.ranked(tol)
+    assert ma.rank == np.count_nonzero(s > tol.value)
+    assert (ma is prob.factors.ma) == (factor < 1.0)
+    # the direct route at the SVD's rank: dropping sigma = 1e-7 moves X by
+    # its whole norm, while QR and SVD agree to about eps cond(A)^2
+    ref = svd(A, tol)
+    N = ref.nullspace()
+    X_ref = ref.pinv() - N @ (pinv(L @ N) @ (L @ ref.pinv()))
+    X = wpinv_elden(prob, tol)
+    assert np.linalg.norm(X - X_ref) <= 1e-6 * np.linalg.norm(X_ref)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (7, 4)], ids=["wide", "tall"])
+@pytest.mark.parametrize("scale", [0.0, 1e-200])
+def test_a_singular_r_fails_the_qr_certificate_quietly(shape, scale):
+    # a zero (or 1e-200) row of a wide A, or column of a tall one, gives R
+    # a zero (tiny) pivot: trtri reports it (or returns an inverse whose
+    # norm is far too large), and M A goes to the SVD without an exception
+    # or a warning
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal(shape)
+    if shape[0] < shape[1]:
+        A[-1] *= scale
+    else:
+        A[:, -1] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certified_qr(A) is None
+        ma = GlsProblem(A, None, rng.standard_normal((5, shape[1]))).factors.ma
+    assert isinstance(ma, SvdFactors)
+    assert ma.rank == min(shape) - 1
