@@ -25,8 +25,8 @@ pluggable. A strategy has four members:
   steps, or on a curvature breakdown).
 
 The dense strategies apply the problem's ``W = pinv(G) (MA)'``, made from
-one QR of the stacked operator (``FactorStore.kn``); the inner one forms
-(MA)' u and runs conjugate gradients on G.
+one QR of the stacked operator ``[MA; L]`` (``FactorStore.gdag``); the
+inner one forms (MA)' u and runs conjugate gradients on G.
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
 later one. The data side M U~ lives in one workspace (``Basis``) that each
@@ -72,9 +72,9 @@ class DensePinvStrategy:
     """Apply pinv(G) (MA)' as one n x q product with the problem's W.
 
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
-    ``prob.n``; ``bind`` then takes ``W`` and ``relative_noise`` from the QR
-    of ``[MA; L; N_G']`` that the problem's factor store holds
-    (``prob.factors.kn``), made once per problem. ``apply(u)`` is ``W u``.
+    ``prob.n``; ``bind`` then takes ``W`` and ``relative_noise`` from the
+    factor of ``[MA; L]`` that the problem's factor store holds
+    (``prob.factors.gdag``), made once per problem. ``apply(u)`` is ``W u``.
     ``hit_cap`` is always False.
     """
 
@@ -86,7 +86,7 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
-        factor = prob.factors.kn
+        factor = prob.factors.gdag
         self.W = factor.W
         self.relative_noise = factor.relative_noise
 
@@ -97,9 +97,9 @@ class DensePinvStrategy:
 class CholeskyStrategy(DensePinvStrategy):
     """The dense strategy for a nonsingular G only.
 
-    The R of the QR of ``K_N = [MA; L; N_G']`` is the Cholesky factor of
-    ``G + N_G N_G'``, so ``bind(prob)`` refuses, with
-    :class:`IndefiniteMatrixError`, a G with a nonempty null space N_G or a
+    The R of a QR of ``K = [MA; L]`` is the Cholesky factor of G = K'K, so
+    ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
+    QR (``prob.factors.gdag``) does not certify K of full column rank, or a
     pivot ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
     ``linalg.cholesky_spd``; otherwise it binds as :class:`DensePinvStrategy`
     does. ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
@@ -108,10 +108,9 @@ class CholeskyStrategy(DensePinvStrategy):
 
     def bind(self, prob):
         super().bind(prob)
-        null = prob.factors.nullspace_g.shape[1]
-        if null:
-            raise IndefiniteMatrixError(f"G is singular: its null space has dimension {null}")
-        factor = prob.factors.kn
+        factor = prob.factors.gdag
+        if factor.pivots is None:
+            raise IndefiniteMatrixError("G is singular: the QR of [MA; L] cannot certify it")
         small = np.flatnonzero(factor.pivots <= 1e-14 * factor.diagonal_max)
         if small.size:
             j = int(small[0])

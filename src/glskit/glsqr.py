@@ -89,8 +89,8 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
     power iteration on W MA in the G-inner product, seeded with W M b, with
-    W = pinv(G) (MA)' from the problem's QR of ``[MA; L; N_G']``
-    (``prob.factors.kn``) and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
+    W = pinv(G) (MA)' from the problem's factor of ``[MA; L]``
+    (``prob.factors.gdag``) and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
@@ -98,7 +98,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
 
-    W = prob.factors.kn.W
+    W = prob.factors.gdag.W
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
     v = W @ prob.mult_M(seed)
 
@@ -179,7 +179,7 @@ def glsqr_solve(
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
         (dense-cost, for validation). It applies the problem's own
-        ``W = pinv(G) (MA)'`` (``prob.factors.kn``, the factor the dense
+        ``W = pinv(G) (MA)'`` (``prob.factors.gdag``, the factor the dense
         strategies bind), never ``strategy``, so the run's iterates are
         those of a plain run.
     """
@@ -201,7 +201,7 @@ def glsqr_solve(
     rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
     est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
-    W = prob.factors.kn.W if debug else None
+    W = prob.factors.gdag.W if debug else None
     k, est = 0, math.inf
 
     while not (state.terminated or est <= tol or k == max_iter):

@@ -8,11 +8,11 @@ where A dominates (unit generalized singular value), q2 mixed columns, q3
 columns where L dominates, and n - r columns spanning the common null space.
 
 The construction is the classical one (Paige & Saunders, SIAM J. Numer.
-Anal. 18(3), 1981): one QR of the stacked pair and one SVD of the rows of
-its Q that belong to A. An SVD of R, never of the stack, is added only when
-the QR cannot certify full column rank. The first r columns of X are
-``R^-1 Vhat``, or ``W diag(1/sig) Vhat`` on R's SVD; both lie in R(G),
-G = A'A + L'L.
+Anal. 18(3), 1981): one QR of the stacked pair (``linalg.stacked_factor``)
+and one SVD of the rows of its Q that belong to A. An SVD of R, never of
+the stack, is added only when the QR cannot certify full column rank. The
+first r columns of X are ``R^-1 Vhat``, or ``W diag(1/sig) Vhat`` on R's
+SVD; both lie in R(G), G = A'A + L'L.
 
 For a weighted problem the pair is {M A, L}: A_ML^+ = (MA)_{I,L}^+ M, so the
 closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
@@ -21,14 +21,12 @@ closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import FactorizationError, RankTolerance, _certified_inverse, as_matrix, svd
+from .linalg import FactorizationError, RankTolerance, as_matrix, stacked_factor
 
 __all__ = [
     "GsvdFactors",
@@ -69,27 +67,22 @@ def _complete_basis(T):
 def gsvd_pair(A, L, tol=None):
     """GSVD of the pair {A, L} via one QR of the stack and a CS-style split.
 
-    The stack ``K = [L; A]`` is factored ``K = Q R`` (economic QR, in place
-    in one Fortran-ordered array; L goes first because the cosines that are
-    exactly 0, those of the q3 block, then carry less roundoff: about half
-    of the ``[A; L]`` order's on the C1 family of the tests, and none crosses
-    the 1e-12 snap). When ``1 / ||R^-1||_F``, a lower bound on sigma_min(K),
-    exceeds the rank cutoff that ``tol`` (default :class:`RankTolerance`)
-    gives at K's shape with ``||K||_F`` for sigma_max, K has full column
-    rank, ``Z = Q`` and ``K = Z R``. Otherwise (a wide stack, a common null
-    space, or sigma_min near the cutoff) R's SVD ``R = U_R diag(sig) V_R'``
-    is ranked at that cutoff with its own sigma_max, so r is the rank of K
-    that the SVD of K would give; then ``Z = Q U_R[:, :r]``,
-    ``K = Z diag(sig) W'`` with ``W = V_R[:, :r]``, and ``N = V_R[:, r:]``
-    is an orthonormal basis of the null space of K.
+    The stack ``K = [L; A]`` is factored ``K = Z B`` by
+    :func:`~glskit.linalg.stacked_factor` at ``tol`` (L goes first because
+    the cosines that are exactly 0, those of the q3 block, then carry less
+    roundoff: about half of the ``[A; L]`` order's on the C1 family of the
+    tests, and none crosses the 1e-12 snap): ``Z = Q``, ``B = R`` when the
+    QR certifies full column rank, else ``Z = Q U_R[:, :r]``, ``B = diag(sig)
+    W'`` from R's SVD, r the rank of K that the SVD of K would give, and N
+    an orthonormal basis of the null space of K.
 
     Z has orthonormal columns; the SVD of its A rows ``Z_A`` delivers U_A
     together with the cosine values. Sines are recovered as the column
     norms of ``Z_L @ Vhat``, whose normalized columns (placed last, after an
-    orthonormal completion) form U_L. ``X = R^-1 Vhat`` or
-    ``[W diag(1/sig) Vhat, N]``, and X_inv is assembled alongside. Q is
-    dropped once Z_A and Z_L Vhat are taken, and every other intermediate
-    before the reconstruction is checked.
+    orthonormal completion) form U_L. ``X = [B_pinv Vhat, N]`` (``R^-1
+    Vhat`` when certified), and X_inv is assembled alongside. Q is dropped
+    once Z_A and Z_L Vhat are taken, and every other intermediate before
+    the reconstruction is checked.
 
     Cosines within 1e-12 of 1 (0) are snapped into the q1 (q3) block so the
     factors carry the exact block structure.
@@ -105,32 +98,11 @@ def gsvd_pair(A, L, tol=None):
     return f
 
 
-def _stacked_basis(A, L, tol):
-    """``(Z, B, B_pinv, N)`` with ``[L; A] = Z B``, Z orthonormal with r =
-    rank columns, ``B_pinv B`` the projector onto R(G) and N an orthonormal
-    basis of N(G): ``(Q, R, R^-1, [])`` when the QR certifies full column
-    rank, else ``(Q U_R, diag(sig) W', W diag(1/sig), N)`` from R's SVD."""
-    (m, n), p = A.shape, L.shape[0]
-    K = np.empty((p + m, n), order="F")
-    K[:p] = L
-    K[p:] = A
-    Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
-    sigma_bound = math.hypot(np.linalg.norm(A), np.linalg.norm(L))
-    R_inv = _certified_inverse(R, tol.cutoff(K.shape, sigma_bound))
-    if R_inv is not None:
-        return Q, R, R_inv, np.zeros((n, 0))
-    rf = svd(R)
-    sig = rf.singular_values
-    r = int(np.count_nonzero(sig > tol.cutoff(K.shape, float(sig[0]))))
-    sig, W = sig[:r], rf.V[:, :r]
-    return Q @ rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:]
-
-
 def _factor(A, L, tol):
     """The factors of :func:`gsvd_pair`, unchecked; every intermediate is
     freed on return."""
     (m, n), p = A.shape, L.shape[0]
-    Z, B, B_pinv, N = _stacked_basis(A, L, tol)
+    Z, B, B_pinv, N, *_ = stacked_factor((L, A), tol)
     r = Z.shape[1]
     try:
         Ua, c_part, Vhat_t = np.linalg.svd(Z[p:], full_matrices=True)

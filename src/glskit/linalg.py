@@ -43,6 +43,7 @@ __all__ = [
     "as_vector",
     "svd",
     "certified_qr",
+    "stacked_factor",
     "pinv",
     "cholesky_spd",
     "lsqr",
@@ -290,6 +291,46 @@ def certified_qr(A, tol=None, keep_source=True):
     return QrFactors(Q=Q, R_inv=R_inv, source=A if keep_source else None)
 
 
+def stacked_factor(blocks, tol=None):
+    """``(Z, B, B_pinv, N, certified, gram_diagonal)`` with ``K = Z B``, K
+    the stack of ``blocks`` (dense, or scipy sparse with no duplicate
+    entries; n columns each) in their order: Z has r = rank K orthonormal
+    columns, B is r x n with pseudoinverse ``B_pinv``, N is an orthonormal
+    basis of N(K) and ``gram_diagonal`` is diag(K'K). K is stacked in one
+    Fortran-ordered array that the economic QR ``K = Q R``
+    (``scipy.linalg.qr``) overwrites. When ``1 / ||R^-1||_F``, a lower
+    bound on sigma_min(K), exceeds the rank cutoff that ``tol`` (default
+    :class:`RankTolerance`) gives at K's shape with ``||K||_F`` for
+    sigma_max, the QR has ``certified`` full column rank: ``(Q, R, R^-1,
+    [])``. Otherwise (a wide stack, a null space, or sigma_min near the
+    cutoff) R's SVD ``R = U_R diag(sig) V_R'`` is ranked at that cutoff
+    with its own sigma_max, so r is the rank the SVD of K would give:
+    ``(Q U_R[:, :r], diag(sig) W', W diag(1/sig), V_R[:, r:])`` with ``W =
+    V_R[:, :r]``.
+    """
+    n = blocks[0].shape[1]
+    K = np.zeros((sum(block.shape[0] for block in blocks), n), order="F")
+    top = 0
+    for block in blocks:
+        if scipy.sparse.issparse(block):
+            entries = block.tocoo()
+            K[top + entries.row, entries.col] = entries.data
+        else:
+            K[top : top + block.shape[0]] = block
+        top += block.shape[0]
+    gram_diagonal = np.einsum("ij,ij->j", K, K)
+    Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
+    tol = tol if tol is not None else RankTolerance()
+    R_inv = _certified_inverse(R, tol.cutoff(K.shape, math.sqrt(gram_diagonal.sum())))
+    if R_inv is not None:
+        return Q, R, R_inv, np.zeros((n, 0)), True, gram_diagonal
+    rf = svd(R)
+    sig = rf.singular_values
+    r = int(np.count_nonzero(sig > tol.cutoff(K.shape, float(sig[0]))))
+    sig, W = sig[:r], rf.V[:, :r]
+    return Q @ rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:], False, gram_diagonal
+
+
 def pinv(A, tol=None):
     """Moore-Penrose pseudoinverse with singular values <= cutoff zeroed."""
     A = as_matrix(A, "A")
@@ -316,8 +357,9 @@ def cholesky_spd(G):
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
     ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`. No
     package code calls it: ``CholeskyStrategy`` applies the same pivot rule
-    to the R of the problem's QR of ``[MA; L; N_G']``, which is the
-    Cholesky factor of ``G`` when G is nonsingular.
+    to the R of the problem's QR of ``[MA; L]`` (:func:`stacked_factor`),
+    which is the Cholesky factor of ``G = (MA)'MA + L'L`` when that QR
+    certifies full column rank.
     """
     G = check_symmetric(G)
     G = 0.5 * (G + G.T)

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtrcon
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
-from .linalg import EPS, RankTolerance, SvdFactors, as_matrix, as_vector, certified_qr, pinv, svd
+from .linalg import (
+    EPS, RankTolerance, SvdFactors, as_matrix, as_vector, certified_qr, pinv, stacked_factor, svd,
+)
 
 __all__ = [
     "GlsProblem",
@@ -44,8 +44,8 @@ class FactorStore:
     at the direct route's cutoff), ``M`` (an SVD, V square; made only for
     identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
     singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
-    so N(G) = N(MA) & N(L) = N N(L N); and one QR of ``K_N = [MA; L;
-    N_G']`` (``kn``), the only source of pinv(G). ``M A`` and ``L N`` start
+    so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[MA; L]``
+    (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` start
     with a QR of their tall side (``L N`` only when it is tall): when it
     certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`
     and no SVD is made; so a wide ``M A`` of full row rank has N(MA) =
@@ -83,60 +83,38 @@ class FactorStore:
         return self.ma.nullspace() @ self.ln.nullspace()
 
     @cached_property
-    def kn(self):
-        """pinv(G) (MA)' from one QR of ``K_N = [MA; L; N_G']``, a
-        :class:`KnFactor`. K_N is stacked in place in one Fortran-ordered
-        array (a sparse L densified there) that the QR overwrites; Q is
-        dropped once W is formed."""
-        MA, L, N_g = self._MA, self._L, self.nullspace_g
-        q, n = MA.shape
-        p = L.shape[0]
-        K = np.empty((q + p + N_g.shape[1], n), order="F")
-        K[:q] = MA
-        if sp.issparse(L):
-            K[q : q + p] = 0.0
-            entries = L.tocoo()
-            K[q + entries.row, entries.col] = entries.data
-        else:
-            K[q : q + p] = L
-        K[q + p :] = N_g.T
-        diagonal_max = float(np.einsum("ij,ij->j", K, K).max(initial=0.0))
-        Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
-        W = scipy.linalg.solve_triangular(R, Q[:q].T, check_finite=False)
-        if N_g.size:
-            W -= N_g @ (N_g.T @ W)
+    def gdag(self):
+        """pinv(G) (MA)' from :func:`~glskit.linalg.stacked_factor` of
+        ``(MA, L)``, a :class:`GdagFactor`; Q is dropped once W is formed."""
+        Z, B, B_pinv, _, certified, gram_diagonal = stacked_factor((self._MA, self._L))
+        W = B_pinv @ Z[: self._MA.shape[0]].T
         W.flags.writeable = False
-        rcond, _ = dtrcon(R)
-        return KnFactor(
+        return GdagFactor(
             W=W,
-            relative_noise=max(1e-12, 4.0 * EPS / rcond),
-            pivots=R.diagonal() ** 2,
-            diagonal_max=diagonal_max,
+            relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(B) * np.linalg.norm(B_pinv)),
+            pivots=B.diagonal() ** 2 if certified else None,
+            diagonal_max=float(gram_diagonal.max(initial=0.0)),
         )
 
 
 @dataclass(frozen=True)
-class KnFactor:
-    """What is kept of the QR ``K_N = Q R`` of ``K_N = [MA; L; N_G']``.
+class GdagFactor:
+    """What is kept of ``K = Z B``, ``K = [MA; L]`` (``linalg.stacked_factor``).
 
-    ``K_N'K_N = G + N_G N_G'`` has full column rank, and equals G on R(G),
-    where ``(MA)'u`` lies; so pinv(G) (MA)' u is pinv(K_N) [u; 0; 0], and a
-    QR of the stacked operator works at cond(K_N), not at the cond(K_N)^2
-    of any factorization of the formed G (Bjorck, *Numerical Methods for
-    Least Squares Problems*, 1996, 2.2).
-
-    ``W = R^-1 Q_1'``, Q_1 the first q rows of Q, is pinv(G) (MA)', an
-    n x q matrix restricted once to R(G) (read-only: every copy of the
-    problem shares it). ``relative_noise`` is ``max(1e-12, 4 eps / rcond)``,
-    with ``rcond`` LAPACK ``dtrcon``'s 1-norm reciprocal condition estimate
-    of R. ``pivots`` are the ``r_jj^2``, the Cholesky pivots of ``G + N_G
-    N_G'``, and ``diagonal_max`` its largest diagonal entry, the largest
-    squared column norm of K_N.
+    G = K'K = B'B and (MA)' = B' Z_1', Z_1 the first q rows of Z, so ``W =
+    B_pinv Z_1'`` is pinv(G) (MA)', n x q with columns in R(B') = R(G)
+    (read-only: every copy of the problem shares it), at cond(K), not at the
+    cond(K)^2 of a factorization of the formed G (Bjorck, *Numerical Methods
+    for Least Squares Problems*, 1996, 2.2). ``relative_noise`` is
+    ``max(1e-12, 4 eps ||B||_F ||B_pinv||_F)``. ``pivots`` are the
+    ``r_jj^2``, the Cholesky pivots of G, when the QR certified full column
+    rank, else None; ``diagonal_max`` is max(diag(G)), the largest squared
+    column norm of K.
     """
 
     W: np.ndarray
     relative_noise: float
-    pivots: np.ndarray
+    pivots: np.ndarray | None
     diagonal_max: float
 
 

@@ -43,17 +43,23 @@ def test_strategies_dispatch_and_validate():
     G = B @ B.T + np.eye(6)
     with pytest.raises(ValueError):
         InnerLsqrStrategy(G, tau=0.0)
-    # cholesky refuses, when bound, a PSD-singular G (G = C'C of rank 3) and
-    # a G whose pivot is at the floor 1e-14 max(diag(G))
+    # cholesky refuses, when bound, a PSD-singular G (G = C'C of rank 3), a G
+    # whose pivot is at the floor 1e-14 max(diag(G)), and a G singular
+    # through a null space that MA and a nonempty L share
     C = rng.standard_normal((3, 6))
-    for prob in (GlsProblem(C, None, None, np.ones(3)), GlsProblem(np.diag([1.0, 1e-8]))):
+    problems = (
+        GlsProblem(C, None, None, np.ones(3)),
+        GlsProblem(np.diag([1.0, 1e-8])),
+        random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True),
+    )
+    for prob in problems:
         with pytest.raises(IndefiniteMatrixError):
             CholeskyStrategy(prob.G).bind(prob)
 
 
 def test_dense_strategy_satisfies_moore_penrose():
-    # G PSD singular: W = pinv(G) (MA)', from the QR of [MA; L; N_G'],
-    # matches the pseudoinverse of the formed G
+    # G PSD singular: W = pinv(G) (MA)', from the QR of [MA; L] and the SVD
+    # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
     W = bound(DensePinvStrategy(prob.G), prob).W
     expected = pinv(prob.G) @ prob.MA.T

@@ -285,9 +285,9 @@ def test_debug_residual_does_not_steer_a_capped_inner_solve():
     assert debug.x.tobytes() == plain.x.tobytes()
 
 
-def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
-    # the debug residual reads the problem's QR of [MA; L; N_G'], the factor
-    # the dense strategy binds, and factors nothing of its own
+def counted_factorizations(monkeypatch, names):
+    """A list to which every later call of numpy's or scipy's ``names``
+    (in ``linalg``) appends its label, such as ``"scipy.linalg.qr"``."""
     calls = []
 
     def counting(name, factorize):
@@ -298,9 +298,16 @@ def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
         return counted
 
     for owner in (np.linalg, scipy.linalg):
-        for name in ("svd", "qr", "cholesky"):
+        for name in names:
             label = f"{owner.__name__}.{name}"
             monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
+    return calls
+
+
+def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
+    # the debug residual reads the problem's factor of [MA; L], the one the
+    # dense strategy binds, and factors nothing of its own
+    calls = counted_factorizations(monkeypatch, ("svd", "qr", "cholesky"))
     made = {}
     for debug in (False, True):
         calls.clear()
@@ -386,17 +393,32 @@ def test_data_side_solve_matches_the_direct_route(seed):
     assert certify_solution(prob, report)
 
 
-def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
-    # 60 x 2000: a basis of the v_i would hold 2000 x 61 doubles (0.93 MiB);
-    # the solve keeps the latest v_i, w, x and the 60 x 61 data side
+def wide_problem_with_identity_l():
+    """60 x 2000 A of cond 1e3 and L = I: N(A) has dimension 1940, G is SPD."""
     rng = np.random.default_rng(0)
     U, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     V, _ = np.linalg.qr(rng.standard_normal((2000, 60)))
     A = (U * np.logspace(0.0, 3.0, 60)) @ V.T
-    prob = GlsProblem(A, None, np.eye(2000), rng.standard_normal(60))
+    return GlsProblem(A, None, np.eye(2000), rng.standard_normal(60))
+
+
+def test_a_dense_bind_factors_only_the_stack(monkeypatch):
+    # one QR of [MA; L] certifies G nonsingular and gives W; the factors of
+    # MA and L N, and the null space of G, are not made for it
+    prob = wide_problem_with_identity_l()
+    calls = counted_factorizations(monkeypatch, ("svd", "qr"))
+    CholeskyStrategy(prob.G).bind(prob)
+    assert calls == ["scipy.linalg.qr"]
+    assert not {"ma", "ln", "nullspace_g"} & set(vars(prob.factors))
+
+
+def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
+    # 60 x 2000: a basis of the v_i would hold 2000 x 61 doubles (0.93 MiB);
+    # the solve keeps the latest v_i, w, x and the 60 x 61 data side
+    prob = wide_problem_with_identity_l()
     strategy = CholeskyStrategy(prob.G)
-    # bound first: the problem's QR of [MA; L; N_G'] is set-up, and the
-    # traced solve is the recurrence alone
+    # bound first: the problem's QR of [MA; L] is set-up, and the traced
+    # solve is the recurrence alone
     strategy.bind(prob)
     tracemalloc.start()
     try:

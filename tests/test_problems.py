@@ -155,7 +155,7 @@ def test_save_and_load_roundtrip(tmp_path):
 def test_a_full_row_rank_problem_is_generated_solved_and_certified_without_an_svd(monkeypatch):
     # the certified QR of A' gives N(A) and proves R(A) = R^45, so z is
     # exactly 0 and no U is formed; L N is tall and certified too, so the
-    # three factorizations are the QRs of A', L N and K_N = [A; L]
+    # three factorizations are the QRs of A', L N and the stack [A; L]
     A = random_sparse_matrix(45, 60, density=0.05, seed=4)  # draws by SVD itself
     calls = []
 
