@@ -102,7 +102,9 @@ def _factor(A, L, tol):
     """The factors of :func:`gsvd_pair`, unchecked; every intermediate is
     freed on return."""
     (m, n), p = A.shape, L.shape[0]
-    Z, B, B_pinv, N, *_ = stacked_factor((L, A), tol)
+    Q, U, B, B_pinv, N, _ = stacked_factor((L, A), tol)
+    Z = Q if U is None else Q @ U
+    del Q
     r = Z.shape[1]
     try:
         Ua, c_part, Vhat_t = np.linalg.svd(Z[p:], full_matrices=True)

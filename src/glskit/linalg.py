@@ -6,8 +6,9 @@ densified on entry). Rank decisions are made explicit through
 documents its cutoff. Pseudoinverses and null-space bases are read off one
 :class:`QrFactors` when a QR of the matrix's tall side certifies full rank
 (:func:`certified_qr`), else off one :class:`SvdFactors` (U thin, V
-square); no projector is formed here, its users apply the factors as
-products. The one iterative kernel,
+square); a QR keeps its Householder reflectors and forms only the columns
+of Q that are read. No projector is formed here, its users apply the
+factors as products. The one iterative kernel,
 :func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
 gradients and needs the operator only as a product: a dense matrix is read
 through one triangle by BLAS ``symv``, while sparse matrices and callables
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import ddot, dnrm2, dscal, dsymv
-from scipy.linalg.lapack import dorgqr, dpbtrs, dtrtri
+from scipy.linalg.lapack import dormqr, dpbtrs, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -152,6 +154,10 @@ class SvdFactors:
         """Orthonormal basis of the null space of A, an n x (n - rank) view of V."""
         return self.V[:, self.rank :]
 
+    def nullspace_norm(self, y):
+        """``||N' y||``, N = :meth:`nullspace`."""
+        return float(np.linalg.norm(self.nullspace().T @ y))
+
     def range_basis(self):
         """Orthonormal basis of the range of A, an m x rank view of U."""
         return self.U[:, : self.rank]
@@ -202,33 +208,38 @@ def _certifies(R_inv, cutoff):
 
 @dataclass(frozen=True)
 class QrFactors:
-    """A full-rank A from one QR of its tall side, ``r = min(m, n)``.
+    """A full-rank A from one Householder QR of its tall side, ``r = min(m, n)``.
 
     A wide A (m < n) is factored as ``A' = Q R`` with Q n x n orthogonal,
-    any other A as ``A = Q R`` with Q m x n. Only ``R_inv = R^-1`` (r x r)
-    is kept, and it certified full rank: ``1 / ||R^-1||_F``, a lower bound
-    on sigma_min(A), exceeded the rank cutoff computed with ``||A||_F``,
-    an upper bound on sigma_max(A), so an SVD ranks A at r too (Bjorck,
-    *Numerical Methods for Least Squares Problems*, 1996, 1.3 and 2.2).
-    Then N(A) is ``Q[:, r:]`` (empty unless A is wide), R(A) is R^m for a
-    wide A and R(Q) otherwise, and pinv(A) is ``Q[:, :r] R^-T`` or
-    ``R^-1 Q'``. It reads like :class:`SvdFactors`; ``source`` is A, which
-    :meth:`ranked` factors by SVD when the certificate does not clear its
-    cutoff, or None for a factor that is never re-ranked. The arrays are
-    read-only.
+    any other A as ``A = Q R`` with Q m x m. Q is kept as LAPACK ``geqrf``
+    leaves it, its Householder vectors (``reflectors``, rows x r) and
+    ``tau``, and is never formed whole: the columns a caller reads are
+    formed by applying the reflectors to a matrix (LAPACK ``ormqr``), not
+    by ``orgqr`` (Bjorck, *Numerical Methods for Least Squares Problems*,
+    1996, 2.4; Golub and Van Loan, *Matrix Computations*, 4th ed., 5.1.6).
+    Of R only ``R_inv = R^-1`` (r x r) is kept, and it certified full rank:
+    ``1 / ||R^-1||_F``, a lower bound on sigma_min(A), exceeded the rank
+    cutoff computed with ``||A||_F``, an upper bound on sigma_max(A), so an
+    SVD ranks A at r too (Bjorck, 1.3 and 2.2). Then N(A) is ``Q[:, r:]``
+    (empty unless A is wide), formed on first read and cached;
+    :meth:`nullspace_norm` reads ``||N' y||`` off ``Q' y`` with no basis
+    formed; R(A) is R^m for a wide A and ``Q[:, :r]`` otherwise; pinv(A)
+    is ``Q[:, :r] R^-T`` (formed as ``Q [R^-T; 0]``) or ``R^-1 Q[:, :r]'``.
+    It reads like :class:`SvdFactors`; ``source`` is A,
+    which :meth:`ranked` factors by SVD when the certificate does not clear
+    its cutoff, or None for a factor that is never re-ranked. The arrays
+    are read-only.
     """
 
-    Q: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     R_inv: np.ndarray
+    wide: bool
     source: np.ndarray | None
 
     @property
     def rank(self):
         return self.R_inv.shape[0]
-
-    @property
-    def wide(self):
-        return self.Q.shape[1] > self.rank
 
     def ranked(self, tol=None):
         """These factors if the certificate clears the cutoff of ``tol``
@@ -241,72 +252,109 @@ class QrFactors:
             return self
         return svd(self.source, tol)
 
+    def _q_times(self, C, trans="N"):
+        """``Q C`` (``trans="T"``: ``Q' C``) by LAPACK ``ormqr``, in the
+        array of C, a fresh Fortran-ordered matrix with as many rows as Q."""
+        # one column gets the minimum workspace, so the reflectors are
+        # applied one at a time: forming their blocks costs more than that
+        args = ("L", trans, self.reflectors, self.tau, C)
+        # the workspace query too is told it may overwrite C, or f2py copies it
+        lwork = 1 if C.shape[1] == 1 else int(dormqr(*args, -1, overwrite_c=1)[1][0])
+        QC, _, info = dormqr(*args, lwork, overwrite_c=1)
+        if info != 0:
+            raise FactorizationError(f"ormqr failed with info {info}")
+        return QC
+
+    def _zeros(self, columns):
+        return np.zeros((self.reflectors.shape[0], columns), order="F")
+
+    def _q_columns(self, first, count):
+        """``Q[:, first:first + count]``, formed from the reflectors."""
+        C = self._zeros(count)
+        C[np.arange(first, first + count), np.arange(count)] = 1.0
+        return self._q_times(C)
+
     def pinv(self):
-        """Moore-Penrose pseudoinverse, ``Q[:, :r] R^-T`` or ``R^-1 Q'``."""
-        if self.wide:
-            return self.Q[:, : self.rank] @ self.R_inv.T
-        return self.R_inv @ self.Q.T
+        """Moore-Penrose pseudoinverse: ``Q[:, :r] R^-T``, formed as ``Q
+        [R^-T; 0]``, when A is wide, else ``R^-1 Q[:, :r]'`` with the thin
+        Q formed for the call."""
+        r = self.rank
+        if not self.wide:
+            return self.R_inv @ self._q_columns(0, r).T
+        C = self._zeros(r)
+        C[:r] = self.R_inv.T
+        return self._q_times(C)
 
     def nullspace(self):
-        """Orthonormal basis of the null space of A, an n x (n - r) view of Q
-        (of ``R_inv`` when it has no columns)."""
-        return self.Q[:, self.rank :] if self.wide else self.R_inv[:, :0]
+        """Orthonormal basis of the null space of A: ``Q[:, r:]``, n x (n - r)
+        and cached, when A is wide, else ``R_inv[:, :0]``."""
+        return self._nullspace if self.wide else self.R_inv[:, :0]
+
+    @cached_property
+    def _nullspace(self):
+        rows, r = self.reflectors.shape
+        N = self._q_columns(r, rows - r)
+        N.flags.writeable = False
+        return N
+
+    def nullspace_norm(self, y):
+        """``||N' y||``, N = :meth:`nullspace`: the norm of the trailing
+        n - r entries of ``Q' y``, so no basis is formed."""
+        if not self.wide:
+            return 0.0
+        Qty = self._q_times(np.array(y, dtype=np.float64).reshape(-1, 1), "T")
+        return float(np.linalg.norm(Qty[self.rank :]))
 
     def range_basis(self):
-        """Orthonormal basis of the range of A: I_m when A is wide, else Q."""
-        return np.eye(self.rank) if self.wide else self.Q
+        """Orthonormal basis of the range of A: I_m when A is wide, else
+        ``Q[:, :r]``, formed on each call."""
+        return np.eye(self.rank) if self.wide else self._q_columns(0, self.rank)
 
 
 def certified_qr(A, tol=None, keep_source=True):
     """:class:`QrFactors` of A, or None when its QR cannot certify full rank.
 
-    A (or A' when A is wide) is copied into a fresh Fortran-ordered array,
-    which ``scipy.linalg.qr(mode="raw")`` overwrites with its reflectors;
-    for a wide A the array is square, with room for the full Q. The cutoff
-    is the one ``tol`` (default :class:`RankTolerance`) gives at A's shape
-    with ``||A||_F`` for sigma_max. Q is formed from the reflectors (LAPACK
-    ``orgqr``, at the workspace size it reports optimal) only once the
-    certificate holds; otherwise every array of the QR is freed on return,
-    before the caller's fallback runs. ``keep_source=False`` keeps no
-    reference to A, for a product that is not stored and never re-ranked.
+    A' (when A is wide) or A is copied into a fresh Fortran-ordered array,
+    rows x r, which ``scipy.linalg.qr(mode="raw")`` overwrites with its
+    reflectors. The cutoff is the one ``tol`` (default
+    :class:`RankTolerance`) gives at A's shape with ``||A||_F`` for
+    sigma_max. No column of Q is formed here; when the certificate fails,
+    every array of the QR is freed on return, before the caller's fallback
+    runs. ``keep_source=False`` keeps no reference to A, for a product that
+    is not stored and never re-ranked.
     """
     m, n = A.shape
     if A.size == 0:
         return None
-    r, rows = min(m, n), max(m, n)
     wide = m < n
-    K = np.empty((rows, rows if wide else r), order="F")
-    K[:, :r] = A.T if wide else A
-    (_, tau), R = scipy.linalg.qr(K[:, :r], mode="raw", overwrite_a=True, check_finite=False)
+    K = np.array(A.T if wide else A, order="F")
+    (reflectors, tau), R = scipy.linalg.qr(K, mode="raw", overwrite_a=True, check_finite=False)
     tol = tol if tol is not None else RankTolerance()
     R_inv = _certified_inverse(R, tol.cutoff(A.shape, np.linalg.norm(A)))
     if R_inv is None:
         return None
-    lwork = int(dorgqr(K, tau, lwork=-1)[1][0])
-    Q, _, info = dorgqr(K, tau, lwork=lwork, overwrite_a=1)
-    if info != 0:
-        raise FactorizationError(f"orgqr failed with info {info}")
-    for factor in (Q, R_inv):
+    for factor in (reflectors, tau, R_inv):
         factor.flags.writeable = False
-    return QrFactors(Q=Q, R_inv=R_inv, source=A if keep_source else None)
+    return QrFactors(reflectors, tau, R_inv, wide, source=A if keep_source else None)
 
 
 def stacked_factor(blocks, tol=None):
-    """``(Z, B, B_pinv, N, certified, gram_diagonal)`` with ``K = Z B``, K
-    the stack of ``blocks`` (dense, or scipy sparse with no duplicate
-    entries; n columns each) in their order: Z has r = rank K orthonormal
-    columns, B is r x n with pseudoinverse ``B_pinv``, N is an orthonormal
-    basis of N(K) and ``gram_diagonal`` is diag(K'K). K is stacked in one
-    Fortran-ordered array that the economic QR ``K = Q R``
-    (``scipy.linalg.qr``) overwrites. When ``1 / ||R^-1||_F``, a lower
-    bound on sigma_min(K), exceeds the rank cutoff that ``tol`` (default
-    :class:`RankTolerance`) gives at K's shape with ``||K||_F`` for
-    sigma_max, the QR has ``certified`` full column rank: ``(Q, R, R^-1,
+    """``(Q, U, B, B_pinv, N, gram_diagonal)`` with ``K = Z B``, ``Z = Q U``
+    (Q itself when ``U`` is None), K the stack of ``blocks`` (dense, or
+    scipy sparse with no duplicate entries; n columns each) in their order:
+    Z has r = rank K orthonormal columns, B is r x n with pseudoinverse
+    ``B_pinv``, N is an orthonormal basis of N(K) and ``gram_diagonal`` is
+    diag(K'K). K is stacked in one Fortran-ordered array that the economic
+    QR ``K = Q R`` (``scipy.linalg.qr``) overwrites. When ``1 / ||R^-1||_F``,
+    a lower bound on sigma_min(K), exceeds the rank cutoff that ``tol``
+    (default :class:`RankTolerance`) gives at K's shape with ``||K||_F`` for
+    sigma_max, the QR has certified full column rank: ``(Q, None, R, R^-1,
     [])``. Otherwise (a wide stack, a null space, or sigma_min near the
     cutoff) R's SVD ``R = U_R diag(sig) V_R'`` is ranked at that cutoff
     with its own sigma_max, so r is the rank the SVD of K would give:
-    ``(Q U_R[:, :r], diag(sig) W', W diag(1/sig), V_R[:, r:])`` with ``W =
-    V_R[:, :r]``.
+    ``(Q, U_R[:, :r], diag(sig) W', W diag(1/sig), V_R[:, r:])`` with ``W =
+    V_R[:, :r]``. Z is left to the caller, who forms only the rows of ``Q
+    U`` it reads.
     """
     n = blocks[0].shape[1]
     K = np.zeros((sum(block.shape[0] for block in blocks), n), order="F")
@@ -323,12 +371,12 @@ def stacked_factor(blocks, tol=None):
     tol = tol if tol is not None else RankTolerance()
     R_inv = _certified_inverse(R, tol.cutoff(K.shape, math.sqrt(gram_diagonal.sum())))
     if R_inv is not None:
-        return Q, R, R_inv, np.zeros((n, 0)), True, gram_diagonal
+        return Q, None, R, R_inv, np.zeros((n, 0)), gram_diagonal
     rf = svd(R)
     sig = rf.singular_values
     r = int(np.count_nonzero(sig > tol.cutoff(K.shape, float(sig[0]))))
     sig, W = sig[:r], rf.V[:, :r]
-    return Q @ rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:], False, gram_diagonal
+    return Q, rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:], gram_diagonal
 
 
 def pinv(A, tol=None):

@@ -47,13 +47,16 @@ class FactorStore:
     so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[MA; L]``
     (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` start
     with a QR of their tall side (``L N`` only when it is tall): when it
-    certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`
-    and no SVD is made; so a wide ``M A`` of full row rank has N(MA) =
-    ``Q[:, q:]`` and R(MA) = R^q. Otherwise the QR's arrays are freed and
-    the factor is the :class:`~glskit.linalg.SvdFactors` of ``linalg.svd``
-    at the same tolerance. The formed ``G`` is never factored. Other rank
-    decisions of M A apply their own tolerance through ``ranked``; L N is
-    always ranked at its product floor.
+    certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`,
+    which keeps its reflectors and forms only the columns of Q that are
+    read, and no SVD is made; so a wide ``M A`` of full row rank has N(MA)
+    = ``Q[:, q:]``, formed on first read, and R(MA) = R^q. Otherwise the
+    QR's arrays are freed and the factor is the
+    :class:`~glskit.linalg.SvdFactors` of ``linalg.svd`` at the same
+    tolerance. The formed ``G`` is never factored. ``nullspace_g`` reads
+    the certified ``gdag`` when it is cached, and then neither ``ma`` nor
+    ``ln``. Other rank decisions of M A apply their own tolerance through
+    ``ranked``; L N is always ranked at its product floor.
     """
 
     def __init__(self, A, M, MA, L):
@@ -79,20 +82,28 @@ class FactorStore:
 
     @cached_property
     def nullspace_g(self):
-        """Orthonormal basis of N(G) = N(MA) & N(L)."""
+        """Orthonormal basis of N(G) = N(MA) & N(L): n x 0, read from
+        neither ``ma`` nor ``ln``, when ``gdag`` is cached and its QR
+        certified ``[MA; L]`` of full column rank, so G nonsingular; else
+        ``N N(L N)``, N = N(MA)."""
+        gdag = vars(self).get("gdag")
+        if gdag is not None and gdag.pivots is not None:
+            return np.zeros((self._MA.shape[1], 0))
         return self.ma.nullspace() @ self.ln.nullspace()
 
     @cached_property
     def gdag(self):
         """pinv(G) (MA)' from :func:`~glskit.linalg.stacked_factor` of
-        ``(MA, L)``, a :class:`GdagFactor`; Q is dropped once W is formed."""
-        Z, B, B_pinv, _, certified, gram_diagonal = stacked_factor((self._MA, self._L))
-        W = B_pinv @ Z[: self._MA.shape[0]].T
+        ``(MA, L)``, a :class:`GdagFactor`; of ``Z = Q U`` only the q rows
+        of MA are formed, and Q is dropped once W is."""
+        Q, U, B, B_pinv, _, gram_diagonal = stacked_factor((self._MA, self._L))
+        Z_1 = Q[: self._MA.shape[0]]
+        W = B_pinv @ (Z_1 if U is None else Z_1 @ U).T
         W.flags.writeable = False
         return GdagFactor(
             W=W,
             relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(B) * np.linalg.norm(B_pinv)),
-            pivots=B.diagonal() ** 2 if certified else None,
+            pivots=B.diagonal() ** 2 if U is None else None,
             diagonal_max=float(gram_diagonal.max(initial=0.0)),
         )
 
@@ -318,11 +329,16 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
         5.  X pinv(M) M = X
 
     Residuals are Frobenius norms normalized by the scale of the left-hand
-    side (0/0 counts as a pass); these five, and nothing else, are computed.
+    side, or for identities 1 and 4 by the roundoff floor of its product
+    (0/0 counts as a pass); these five, and nothing else, are computed.
     P A X is evaluated as M'(MA X), so P is not formed, and neither is
     pinv(G) or pinv(M): ``I - pinv(M) M = N_M N_M'``, N_M an orthonormal
     basis of N(M) (``prob.factors.m.nullspace()``), so identity 5 is
-    ``||X N_M|| / ||X||``. Identity 4 is the larger residual of two tests,
+    ``||X N_M|| / ||X||``. Identity 1 is normalized by ``||X||^2 ||A||``,
+    the roundoff floor of the product X A X, not by ``||X||``; it is still
+    unchanged when A is scaled, and a scaled candidate ``c X`` that it
+    weakens to ``|c^2 - c| / (c^2 ||X|| ||A||)`` is rejected by identity 2,
+    whose residual is ``|c - 1|``. Identity 4 is the larger residual of two tests,
     ``T = L'L X A (I - N_G N_G')`` symmetric and ``N_G' X = 0``
     (N_G = ``prob.factors.nullspace_g``). The split is exact
     given identities 1, 3 and 5: M A N_G = 0, so identity 5 gives
@@ -351,7 +367,8 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     XA = X @ A
     E = XA @ X
     E -= X
-    r1 = _rel(norm(E), x_norm)
+    a_norm = norm(A)
+    r1 = _rel(norm(E), x_norm**2 * a_norm)
 
     MA = prob.MA
     MAX = MA @ X
@@ -370,7 +387,7 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     if N_g.size:
         T -= (T @ N_g) @ N_g.T
     l_norm = norm(L.data if sp.issparse(L) else L)
-    r4 = max(_rel(norm(T - T.T), l_norm**2 * x_norm * norm(A)), _rel(norm(N_g.T @ X), x_norm))
+    r4 = max(_rel(norm(T - T.T), l_norm**2 * x_norm * a_norm), _rel(norm(N_g.T @ X), x_norm))
 
     residuals = (r1, r2, r3, r4, r5)
     return MpeReport(residuals=residuals, passed=tuple(r <= tol for r in residuals), tol=tol)
@@ -403,7 +420,11 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     x solves the problem iff ``A'P(Ax - b) = (MA)'(MA x - M b) = 0`` and x is
     G-orthogonal to the null space of A'PA. That null space is read from the
     factor of ``M A`` (``prob.factors.ma``): ``(MA)'(MA) = A'PA``, so it is
-    exact and does not square the condition number. Range membership
+    exact and does not square the condition number. The coupling is the
+    2-norm ``||N' G x||`` (``nullspace_norm``, which a QR factor reads off
+    ``Q' G x`` without forming N), tested against ``tol ||x||_G``; it does
+    not depend on the basis N, and exceeds the basis-dependent largest
+    entry of ``N' G x`` by at most ``sqrt(n - rank)``. Range membership
     ``x in R(G)``, tested as
     ``||N_G' x|| <= tol ||x||`` with N_G = ``prob.factors.nullspace_g``, is
     reported separately (solutions form a coset of N(G); the one inside R(G)
@@ -419,10 +440,9 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     scale1 = float(np.linalg.norm(prob.MA.T @ mb))
     ok_normal = r1 <= tol * scale1
 
-    Z = prob.factors.ma.nullspace()
     gx = prob.G @ x
     g_norm_x = math.sqrt(max(float(x @ gx), 0.0))
-    coupling = float(np.abs(Z.T @ gx).max()) if Z.size else 0.0
+    coupling = prob.factors.ma.nullspace_norm(gx)
     ok_null = coupling <= tol * g_norm_x
 
     nx = float(np.linalg.norm(x))

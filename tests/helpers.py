@@ -1,8 +1,11 @@
 """Shared constructors for seeded test problems, and test oracles."""
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
 from scipy.linalg import orth, subspace_angles
 
+import glskit.linalg
 from glskit import BidiagState, GlsProblem, ggkb_init, ggkb_step, pinv, svd
 
 # Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
@@ -173,3 +176,35 @@ def reconstruct(f) -> np.ndarray:
     k = f.singular_values.size
     S[:k, :k] = np.diag(f.singular_values)
     return f.U @ S @ f.V.T
+
+
+def _counting(calls, label, fn):
+    def counted(*args, **kwargs):
+        calls.append(label)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def counted_factorizations(monkeypatch, names):
+    """A list to which every later call of numpy's or scipy's ``names``
+    (in ``linalg``) appends its label, such as ``"scipy.linalg.qr"``."""
+    calls = []
+    for owner in (np.linalg, scipy.linalg):
+        for name in names:
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, _counting(calls, label, getattr(owner, name)))
+    return calls
+
+
+def counted_orgqr(monkeypatch):
+    """A list to which every later call of LAPACK ``dorgqr``, the routine
+    that forms Q from Householder reflectors, appends ``"dorgqr"``: through
+    ``scipy.linalg.lapack`` or the name ``glskit.linalg`` would import it
+    by. ``scipy.linalg.qr`` calls it through its own lookup, so count that
+    with :func:`counted_factorizations`."""
+    calls = []
+    counted = _counting(calls, "dorgqr", scipy.linalg.lapack.dorgqr)
+    monkeypatch.setattr(scipy.linalg.lapack, "dorgqr", counted)
+    monkeypatch.setattr(glskit.linalg, "dorgqr", counted, raising=False)
+    return calls

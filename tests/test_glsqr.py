@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 
 from glskit import (
@@ -24,6 +23,8 @@ from glskit import (
 )
 from helpers import (
     bidiagonal,
+    counted_factorizations,
+    counted_orgqr,
     prescribed_gsvd_pair,
     projector_range,
     random_gls_problem,
@@ -285,25 +286,6 @@ def test_debug_residual_does_not_steer_a_capped_inner_solve():
     assert debug.x.tobytes() == plain.x.tobytes()
 
 
-def counted_factorizations(monkeypatch, names):
-    """A list to which every later call of numpy's or scipy's ``names``
-    (in ``linalg``) appends its label, such as ``"scipy.linalg.qr"``."""
-    calls = []
-
-    def counting(name, factorize):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return factorize(*args, **kwargs)
-
-        return counted
-
-    for owner in (np.linalg, scipy.linalg):
-        for name in names:
-            label = f"{owner.__name__}.{name}"
-            monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
-    return calls
-
-
 def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
     # the debug residual reads the problem's factor of [MA; L], the one the
     # dense strategy binds, and factors nothing of its own
@@ -410,6 +392,23 @@ def test_a_dense_bind_factors_only_the_stack(monkeypatch):
     CholeskyStrategy(prob.G).bind(prob)
     assert calls == ["scipy.linalg.qr"]
     assert not {"ma", "ln", "nullspace_g"} & set(vars(prob.factors))
+
+
+def test_certification_after_a_dense_bind_factors_only_ma(monkeypatch):
+    # the bind's certified QR of [MA; L] proves N(G) empty, so neither L N
+    # nor N(MA) is factored or formed: the coupling test applies the
+    # reflectors of MA's one QR to G x
+    prob = wide_problem_with_identity_l()
+    report = glsqr_solve(prob, DensePinvStrategy(prob.G))
+    calls = counted_factorizations(monkeypatch, ("svd", "qr"))
+    orgqr = counted_orgqr(monkeypatch)
+    assert certify_solution(prob, report)
+    assert calls == ["scipy.linalg.qr"]
+    assert orgqr == []
+    assert "ln" not in vars(prob.factors)
+    assert prob.factors.nullspace_g.shape == (2000, 0)
+    held = [*vars(prob.factors).values(), *vars(prob.factors.ma).values()]
+    assert not any(np.shape(array) == (2000, 1940) for array in held)
 
 
 def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from glskit import (
     DensePinvStrategy,
@@ -18,8 +17,11 @@ from glskit import (
     save_problem,
     wpinv_elden,
 )
+from glskit.linalg import QrFactors
 from glskit.wpinv import check_gls_criterion
-from helpers import nullspace_basis, projector_range, random_matrix
+from helpers import (
+    counted_factorizations, counted_orgqr, nullspace_basis, projector_range, random_matrix,
+)
 
 
 def test_l1_stencil():
@@ -157,19 +159,7 @@ def test_a_full_row_rank_problem_is_generated_solved_and_certified_without_an_sv
     # exactly 0 and no U is formed; L N is tall and certified too, so the
     # three factorizations are the QRs of A', L N and the stack [A; L]
     A = random_sparse_matrix(45, 60, density=0.05, seed=4)  # draws by SVD itself
-    calls = []
-
-    def counting(name, factorize):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return factorize(*args, **kwargs)
-
-        return counted
-
-    for owner in (np.linalg, scipy.linalg):
-        for name in ("svd", "qr"):
-            label = f"{owner.__name__}.{name}"
-            monkeypatch.setattr(owner, name, counting(label, getattr(owner, name)))
+    calls = counted_factorizations(monkeypatch, ("svd", "qr"))
     gen = generate(A, "l1", "trig", seed=4)
     report = glsqr_solve(gen.problem, DensePinvStrategy(gen.problem.G), tol=1e-10)
     assert certify_solution(gen.problem, report)
@@ -177,3 +167,15 @@ def test_a_full_row_rank_problem_is_generated_solved_and_certified_without_an_sv
     assert calls == ["scipy.linalg.qr"] * 3
     np.testing.assert_array_equal(gen.z, np.zeros(45))
     assert np.linalg.norm(report.x - gen.x_true) <= 1e-6 * np.linalg.norm(gen.x_true)
+
+
+def test_generate_forms_no_whole_q_for_a_wide_a(monkeypatch):
+    # A' and the tall L N keep their reflectors: N(A) = Q[:, 45:] and
+    # pinv(L N) are formed by applying them, and Q is never formed whole
+    A = random_sparse_matrix(45, 60, density=0.05, seed=4)
+    orgqr = counted_orgqr(monkeypatch)
+    gen = generate(A, "l1", "trig", seed=4)
+    assert orgqr == []
+    ma, ln = gen.problem.factors.ma, gen.problem.factors.ln
+    assert isinstance(ma, QrFactors) and ma.wide and ma.rank == 45
+    assert isinstance(ln, QrFactors) and not ln.wide

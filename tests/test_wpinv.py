@@ -565,7 +565,8 @@ def test_full_rank_factors_are_certified_and_match_the_svd(shape):
                 ln.ranked()  # the product L N is not kept
             certified.append(ln)
         for f in certified:
-            assert not f.Q.flags.writeable and not f.R_inv.flags.writeable
+            for array in (f.reflectors, f.tau, f.R_inv, f.nullspace()):
+                assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0, 100.0])
@@ -612,3 +613,33 @@ def test_a_singular_r_fails_the_qr_certificate_quietly(shape, scale):
         ma = GlsProblem(A, None, rng.standard_normal((5, shape[1]))).factors.ma
     assert isinstance(ma, SvdFactors)
     assert ma.rank == min(shape) - 1
+
+
+@pytest.mark.parametrize("family", [*SVD_FAMILIES, *FULL_RANK_SHAPES])
+def test_nullspace_norm_reads_the_explicit_basis(family):
+    # both factor kinds on every family: ||N' y|| from Q' y (QR, with no
+    # basis formed) or from V (SVD) equals the norm through the basis
+    shape = {**SVD_FAMILIES, **FULL_RANK_SHAPES}[family]
+    kinds = set()
+    for seed in range(200):
+        prob = random_gls_problem(seed, **shape)
+        tol = None if prob.M is None else _product_tolerance(prob.M, prob.A)
+        factors = [prob.factors.ma, svd(prob.MA, tol), prob.factors.ln]
+        for f in factors:
+            kinds.add(type(f))
+            for y in np.random.default_rng(seed).standard_normal((2, f.nullspace().shape[0])):
+                want = np.linalg.norm(f.nullspace().T @ y)
+                assert abs(f.nullspace_norm(y) - want) <= 1e-12 * want, seed
+    assert kinds == ({SvdFactors} if family in SVD_FAMILIES else {SvdFactors, QrFactors})
+
+
+@pytest.mark.parametrize("family", SVD_FAMILIES)
+def test_gmpe_rejects_a_scaled_direct_route(family):
+    # identity 1 is measured against its product floor ||X||^2 ||A||, which
+    # for X = c X* weakens it by a factor ||X*|| ||A||, largest on C1 at
+    # cond 1e4; 2 X* and X* / 2 still fail the five identities together
+    for seed in range(200):
+        prob = random_gls_problem(seed, **SVD_FAMILIES[family])
+        X = wpinv_elden(prob)
+        for c in (2.0, 0.5):
+            assert not check_gmpe(prob, c * X).all_passed, (seed, c)
