@@ -25,7 +25,7 @@ pluggable. A strategy has four members:
   steps, or on a curvature breakdown).
 
 The dense strategies apply the problem's ``W = pinv(G) (MA)'``, made from
-one QR of the stacked operator ``[MA; L]`` (``FactorStore.gdag``); the
+one QR of the stacked operator ``[L; MA]`` (``FactorStore.gdag``); the
 inner one forms (MA)' u and runs conjugate gradients on G.
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
@@ -73,7 +73,7 @@ class DensePinvStrategy:
 
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
     ``prob.n``; ``bind`` then takes ``W`` and ``relative_noise`` from the
-    factor of ``[MA; L]`` that the problem's factor store holds
+    factor of ``[L; MA]`` that the problem's factor store holds
     (``prob.factors.gdag``), made once per problem. ``apply(u)`` is ``W u``.
     ``hit_cap`` is always False.
     """
@@ -97,9 +97,10 @@ class DensePinvStrategy:
 class CholeskyStrategy(DensePinvStrategy):
     """The dense strategy for a nonsingular G only.
 
-    The R of a QR of ``K = [MA; L]`` is the Cholesky factor of G = K'K, so
+    The R of a QR of ``K = [L; MA]`` is the Cholesky factor of G = K'K, so
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
-    QR (``prob.factors.gdag``) does not certify K of full column rank, or a
+    factor (``prob.factors.gdag``) does not certify K of full column rank
+    (a wide K is never certified), or a
     pivot ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
     ``linalg.cholesky_spd``; otherwise it binds as :class:`DensePinvStrategy`
     does. ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
@@ -110,7 +111,7 @@ class CholeskyStrategy(DensePinvStrategy):
         super().bind(prob)
         factor = prob.factors.gdag
         if factor.pivots is None:
-            raise IndefiniteMatrixError("G is singular: the QR of [MA; L] cannot certify it")
+            raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
         small = np.flatnonzero(factor.pivots <= 1e-14 * factor.diagonal_max)
         if small.size:
             j = int(small[0])

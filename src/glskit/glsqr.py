@@ -89,7 +89,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
     power iteration on W MA in the G-inner product, seeded with W M b, with
-    W = pinv(G) (MA)' from the problem's factor of ``[MA; L]``
+    W = pinv(G) (MA)' from the problem's factor of ``[L; MA]``
     (``prob.factors.gdag``) and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
     """
     if method == "gsvd":

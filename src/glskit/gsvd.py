@@ -8,11 +8,15 @@ where A dominates (unit generalized singular value), q2 mixed columns, q3
 columns where L dominates, and n - r columns spanning the common null space.
 
 The construction is the classical one (Paige & Saunders, SIAM J. Numer.
-Anal. 18(3), 1981): one QR of the stacked pair (``linalg.stacked_factor``)
-and one SVD of the rows of its Q that belong to A. An SVD of R, never of
-the stack, is added only when the QR cannot certify full column rank. The
-first r columns of X are ``R^-1 Vhat``, or ``W diag(1/sig) Vhat`` on R's
-SVD; both lie in R(G), G = A'A + L'L.
+Anal. 18(3), 1981): one QR of the stacked pair ``[L; A]``
+(``linalg.stacked_factor``, which folds A's rows into a triangle of L, L
+itself when it is upper trapezoidal and else the R of a QR of L) and one
+SVD of the rows of its Q that belong to A. Of Q only the rows of its first
+n columns are formed, those of A and those of L. An SVD of R is added only
+when the QR cannot certify full column rank; only a wide stack, which has
+a null space by its shape, is factored by an SVD of its own instead of the
+QR. The first r columns of X are ``R^-1 Vhat``, or ``W diag(1/sig) Vhat``
+on an SVD; both lie in R(G), G = A'A + L'L.
 
 For a weighted problem the pair is {M A, L}: A_ML^+ = (MA)_{I,L}^+ M, so the
 closed form of :func:`wpinv_via_gsvd`, applied after M, covers every M.
@@ -67,22 +71,24 @@ def _complete_basis(T):
 def gsvd_pair(A, L, tol=None):
     """GSVD of the pair {A, L} via one QR of the stack and a CS-style split.
 
-    The stack ``K = [L; A]`` is factored ``K = Z B`` by
+    The stack ``K = [L; A]`` is factored ``K = Z F`` by
     :func:`~glskit.linalg.stacked_factor` at ``tol`` (L goes first because
     the cosines that are exactly 0, those of the q3 block, then carry less
     roundoff: about half of the ``[A; L]`` order's on the C1 family of the
-    tests, and none crosses the 1e-12 snap): ``Z = Q``, ``B = R`` when the
-    QR certifies full column rank, else ``Z = Q U_R[:, :r]``, ``B = diag(sig)
-    W'`` from R's SVD, r the rank of K that the SVD of K would give, and N
-    an orthonormal basis of the null space of K.
+    tests, and none crosses the 1e-12 snap): ``Z = Q[:, :n]``, ``F = R``
+    when the QR certifies full column rank, else ``Z = Q[:, :n] U_R[:,
+    :r]``, ``F = diag(sig) W'`` from R's SVD (K's own, with Z = ``U_R[:,
+    :r]``, when K is wide), r the rank of K that the SVD of K would give,
+    and N an orthonormal basis of the null space of K. Z is formed as its
+    rows, ``Z_L`` and ``Z_A``.
 
-    Z has orthonormal columns; the SVD of its A rows ``Z_A`` delivers U_A
-    together with the cosine values. Sines are recovered as the column
-    norms of ``Z_L @ Vhat``, whose normalized columns (placed last, after an
-    orthonormal completion) form U_L. ``X = [B_pinv Vhat, N]`` (``R^-1
-    Vhat`` when certified), and X_inv is assembled alongside. Q is dropped
-    once Z_A and Z_L Vhat are taken, and every other intermediate before
-    the reconstruction is checked.
+    Z has orthonormal columns; the SVD of ``Z_A`` delivers U_A together
+    with the cosine values. Sines are recovered as the column norms of
+    ``Z_L @ Vhat``, whose normalized columns (placed last, after an
+    orthonormal completion) form U_L. ``X = [F_pinv Vhat, N]`` (``R^-1
+    Vhat`` when certified), and X_inv is assembled alongside. Z's rows are
+    dropped once Z_L Vhat is taken, and every other intermediate before the
+    reconstruction is checked.
 
     Cosines within 1e-12 of 1 (0) are snapped into the q1 (q3) block so the
     factors carry the exact block structure.
@@ -102,12 +108,12 @@ def _factor(A, L, tol):
     """The factors of :func:`gsvd_pair`, unchecked; every intermediate is
     freed on return."""
     (m, n), p = A.shape, L.shape[0]
-    Q, U, B, B_pinv, N, _ = stacked_factor((L, A), tol)
-    Z = Q if U is None else Q @ U
-    del Q
-    r = Z.shape[1]
+    K = stacked_factor(L, A, tol, l_rows=True)
+    Z_A, Z_L, F, F_pinv, N = K.Z_B, K.Z_L, K.F, K.F_pinv, K.N
+    del K
+    r = Z_A.shape[1]
     try:
-        Ua, c_part, Vhat_t = np.linalg.svd(Z[p:], full_matrices=True)
+        Ua, c_part, Vhat_t = np.linalg.svd(Z_A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD of the stacked split failed: {exc}") from exc
     Vhat = Vhat_t.T
@@ -125,8 +131,8 @@ def _factor(A, L, tol):
     # Columns q1..r of Z_L @ Vhat are orthogonal with norms sqrt(1 - c_i^2);
     # normalized, they become the trailing columns of U_L after a completion.
     # The sines of the q3 block are 1 by the block definition.
-    T = Z[:p] @ Vhat[:, q1:]
-    del Z
+    T = Z_L @ Vhat[:, q1:]
+    del Z_A, Z_L
     s = np.linalg.norm(T, axis=0)
     T /= s
     U_L = _complete_basis(T)
@@ -134,13 +140,13 @@ def _factor(A, L, tol):
     S_L = np.zeros((p, r))
     S_L[np.arange(p - nz, p), np.arange(q1, r)] = s
 
-    # the first r columns of X are B_pinv Vhat, the first r rows of X_inv
-    # Vhat' B; the rest are N and N'
+    # the first r columns of X are F_pinv Vhat, the first r rows of X_inv
+    # Vhat' F; the rest are N and N'
     X = np.empty((n, n))
-    np.matmul(B_pinv, Vhat, out=X[:, :r])
+    np.matmul(F_pinv, Vhat, out=X[:, :r])
     X[:, r:] = N
     X_inv = np.empty((n, n))
-    np.matmul(Vhat.T, B, out=X_inv[:r])
+    np.matmul(Vhat.T, F, out=X_inv[:r])
     X_inv[r:] = N.T
     return GsvdFactors(
         U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,

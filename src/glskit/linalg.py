@@ -1,14 +1,18 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-All routines operate on float64 numpy arrays (scipy sparse inputs are
-densified on entry). Rank decisions are made explicit through
+All routines operate on float64 numpy arrays. A scipy sparse matrix is
+densified on entry by :func:`as_matrix`; :func:`stacked_factor` reads a
+sparse top block's entries where it stages them, and :func:`lsqr` applies
+a sparse operator as given. Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
 documents its cutoff. Pseudoinverses and null-space bases are read off one
 :class:`QrFactors` when a QR of the matrix's tall side certifies full rank
 (:func:`certified_qr`), else off one :class:`SvdFactors` (U thin, V
 square); a QR keeps its Householder reflectors and forms only the columns
-of Q that are read. No projector is formed here, its users apply the
-factors as products. The one iterative kernel,
+of Q that are read. A stack ``[L; B]`` is factored around a triangle of L,
+into which B's rows are folded (:func:`stacked_factor`), and only the rows
+of its Q that a caller reads are formed. No projector is formed here, its
+users apply the factors as products. The one iterative kernel,
 :func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
 gradients and needs the operator only as a product: a dense matrix is read
 through one triangle by BLAS ``symv``, while sparse matrices and callables
@@ -29,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import ddot, dnrm2, dscal, dsymv
-from scipy.linalg.lapack import dormqr, dpbtrs, dtrtri
+from scipy.linalg.lapack import dormqr, dpbtrs, dtpmqrt, dtpqrt, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -40,6 +44,7 @@ __all__ = [
     "RankTolerance",
     "SvdFactors",
     "QrFactors",
+    "StackedFactors",
     "LsqrResult",
     "as_matrix",
     "as_vector",
@@ -187,12 +192,10 @@ def _certified_inverse(R, cutoff):
     """R^-1 (LAPACK ``trtri``) if it certifies full column rank, else None.
 
     ``1 / ||R^-1||_F <= sigma_min(R)``, so full rank holds when that bound
-    exceeds ``cutoff``. A wide R, a singular one (``trtri`` reports a zero
+    exceeds ``cutoff``, R square. A singular R (``trtri`` reports a zero
     pivot) or a nearly singular one (an inverse too large, or overflowed)
     fails without an exception or a warning.
     """
-    if R.shape[0] < R.shape[1]:
-        return None
     R_inv, info = dtrtri(R)
     if info != 0 or not _certifies(R_inv, cutoff):
         return None
@@ -204,6 +207,21 @@ def _certifies(R_inv, cutoff):
     # BLAS dnrm2 scales its sum of squares: a huge inverse has a finite
     # norm, an overflowed one an inf or NaN norm, and neither warns
     return float(dnrm2(R_inv.ravel(order="K"))) * cutoff < 1.0
+
+
+def _apply_reflectors(reflectors, tau, C, trans="N"):
+    """``Q C`` (``trans="T"``: ``Q' C``) by LAPACK ``ormqr``, Q given by the
+    Householder ``reflectors`` and ``tau`` of a raw QR, in the array of C, a
+    fresh Fortran-ordered matrix with as many rows as Q."""
+    # one column gets the minimum workspace, so the reflectors are
+    # applied one at a time: forming their blocks costs more than that
+    args = ("L", trans, reflectors[:, : tau.size], tau, C)
+    # the workspace query too is told it may overwrite C, or f2py copies it
+    lwork = 1 if C.shape[1] == 1 else int(dormqr(*args, -1, overwrite_c=1)[1][0])
+    QC, _, info = dormqr(*args, lwork, overwrite_c=1)
+    if info != 0:
+        raise FactorizationError(f"ormqr failed with info {info}")
+    return QC
 
 
 @dataclass(frozen=True)
@@ -252,19 +270,6 @@ class QrFactors:
             return self
         return svd(self.source, tol)
 
-    def _q_times(self, C, trans="N"):
-        """``Q C`` (``trans="T"``: ``Q' C``) by LAPACK ``ormqr``, in the
-        array of C, a fresh Fortran-ordered matrix with as many rows as Q."""
-        # one column gets the minimum workspace, so the reflectors are
-        # applied one at a time: forming their blocks costs more than that
-        args = ("L", trans, self.reflectors, self.tau, C)
-        # the workspace query too is told it may overwrite C, or f2py copies it
-        lwork = 1 if C.shape[1] == 1 else int(dormqr(*args, -1, overwrite_c=1)[1][0])
-        QC, _, info = dormqr(*args, lwork, overwrite_c=1)
-        if info != 0:
-            raise FactorizationError(f"ormqr failed with info {info}")
-        return QC
-
     def _zeros(self, columns):
         return np.zeros((self.reflectors.shape[0], columns), order="F")
 
@@ -272,7 +277,7 @@ class QrFactors:
         """``Q[:, first:first + count]``, formed from the reflectors."""
         C = self._zeros(count)
         C[np.arange(first, first + count), np.arange(count)] = 1.0
-        return self._q_times(C)
+        return _apply_reflectors(self.reflectors, self.tau, C)
 
     def pinv(self):
         """Moore-Penrose pseudoinverse: ``Q[:, :r] R^-T``, formed as ``Q
@@ -283,7 +288,7 @@ class QrFactors:
             return self.R_inv @ self._q_columns(0, r).T
         C = self._zeros(r)
         C[:r] = self.R_inv.T
-        return self._q_times(C)
+        return _apply_reflectors(self.reflectors, self.tau, C)
 
     def nullspace(self):
         """Orthonormal basis of the null space of A: ``Q[:, r:]``, n x (n - r)
@@ -302,7 +307,8 @@ class QrFactors:
         n - r entries of ``Q' y``, so no basis is formed."""
         if not self.wide:
             return 0.0
-        Qty = self._q_times(np.array(y, dtype=np.float64).reshape(-1, 1), "T")
+        y = np.array(y, dtype=np.float64).reshape(-1, 1)
+        Qty = _apply_reflectors(self.reflectors, self.tau, y, "T")
         return float(np.linalg.norm(Qty[self.rank :]))
 
     def range_basis(self):
@@ -311,10 +317,22 @@ class QrFactors:
         return np.eye(self.rank) if self.wide else self._q_columns(0, self.rank)
 
 
+def _staged(block, rows):
+    """A fresh zeroed Fortran-ordered ``rows x n`` array whose leading rows
+    hold ``block`` (dense, or scipy sparse with no duplicate entries)."""
+    staged = np.zeros((rows, block.shape[1]), order="F")
+    if scipy.sparse.issparse(block):
+        entries = block.tocoo()
+        staged[entries.row, entries.col] = entries.data
+    else:
+        staged[: block.shape[0]] = block
+    return staged
+
+
 def certified_qr(A, tol=None, keep_source=True):
     """:class:`QrFactors` of A, or None when its QR cannot certify full rank.
 
-    A' (when A is wide) or A is copied into a fresh Fortran-ordered array,
+    A' (when A is wide) or A is staged in a fresh Fortran-ordered array,
     rows x r, which ``scipy.linalg.qr(mode="raw")`` overwrites with its
     reflectors. The cutoff is the one ``tol`` (default
     :class:`RankTolerance`) gives at A's shape with ``||A||_F`` for
@@ -327,7 +345,7 @@ def certified_qr(A, tol=None, keep_source=True):
     if A.size == 0:
         return None
     wide = m < n
-    K = np.array(A.T if wide else A, order="F")
+    K = _staged(A.T if wide else A, max(m, n))
     (reflectors, tau), R = scipy.linalg.qr(K, mode="raw", overwrite_a=True, check_finite=False)
     tol = tol if tol is not None else RankTolerance()
     R_inv = _certified_inverse(R, tol.cutoff(A.shape, np.linalg.norm(A)))
@@ -338,45 +356,149 @@ def certified_qr(A, tol=None, keep_source=True):
     return QrFactors(reflectors, tau, R_inv, wide, source=A if keep_source else None)
 
 
-def stacked_factor(blocks, tol=None):
-    """``(Q, U, B, B_pinv, N, gram_diagonal)`` with ``K = Z B``, ``Z = Q U``
-    (Q itself when ``U`` is None), K the stack of ``blocks`` (dense, or
-    scipy sparse with no duplicate entries; n columns each) in their order:
-    Z has r = rank K orthonormal columns, B is r x n with pseudoinverse
-    ``B_pinv``, N is an orthonormal basis of N(K) and ``gram_diagonal`` is
-    diag(K'K). K is stacked in one Fortran-ordered array that the economic
-    QR ``K = Q R`` (``scipy.linalg.qr``) overwrites. When ``1 / ||R^-1||_F``,
-    a lower bound on sigma_min(K), exceeds the rank cutoff that ``tol``
-    (default :class:`RankTolerance`) gives at K's shape with ``||K||_F`` for
-    sigma_max, the QR has certified full column rank: ``(Q, None, R, R^-1,
-    [])``. Otherwise (a wide stack, a null space, or sigma_min near the
-    cutoff) R's SVD ``R = U_R diag(sig) V_R'`` is ranked at that cutoff
-    with its own sigma_max, so r is the rank the SVD of K would give:
-    ``(Q, U_R[:, :r], diag(sig) W', W diag(1/sig), V_R[:, r:])`` with ``W =
-    V_R[:, :r]``. Z is left to the caller, who forms only the rows of ``Q
-    U`` it reads.
+@dataclass(frozen=True)
+class StackedFactors:
+    """``K = Z F`` for the stack ``K = [L; B]`` (:func:`stacked_factor`).
+
+    Z has r = rank K orthonormal columns and is kept only as its rows:
+    ``Z_B`` (q x r), those of B, and ``Z_L`` (p x r), those of L, or None
+    when the caller did not ask for them. F is r x n with pseudoinverse
+    ``F_pinv``, ``N`` an orthonormal basis of N(K) and ``gram_diagonal``
+    diag(K'K). When ``certified``, the QR ``K = Q [R; 0]`` proved full
+    column rank: Z is ``Q[:, :n]``, F is R and ``F_pinv`` R^-1, both upper
+    triangular. Otherwise an SVD ``U_R diag(sig) V_R'`` of R (of K itself
+    when K is wide) ranked K: Z is ``Q[:, :n] U_R[:, :r]`` (``U_R[:, :r]``),
+    F ``diag(sig) W'`` and ``F_pinv`` ``W diag(1/sig)``, ``W = V_R[:, :r]``,
+    and N is ``V_R[:, r:]``.
     """
-    n = blocks[0].shape[1]
-    K = np.zeros((sum(block.shape[0] for block in blocks), n), order="F")
-    top = 0
-    for block in blocks:
-        if scipy.sparse.issparse(block):
-            entries = block.tocoo()
-            K[top + entries.row, entries.col] = entries.data
-        else:
-            K[top : top + block.shape[0]] = block
-        top += block.shape[0]
-    gram_diagonal = np.einsum("ij,ij->j", K, K)
-    Q, R = scipy.linalg.qr(K, mode="economic", overwrite_a=True, check_finite=False)
-    tol = tol if tol is not None else RankTolerance()
-    R_inv = _certified_inverse(R, tol.cutoff(K.shape, math.sqrt(gram_diagonal.sum())))
-    if R_inv is not None:
-        return Q, None, R, R_inv, np.zeros((n, 0)), gram_diagonal
-    rf = svd(R)
+
+    Z_L: np.ndarray | None
+    Z_B: np.ndarray
+    F: np.ndarray
+    F_pinv: np.ndarray
+    N: np.ndarray
+    gram_diagonal: np.ndarray
+    certified: bool
+
+
+# reflectors per block of LAPACK tpqrt and tpmqrt
+_FOLD_BLOCK = 32
+
+
+def _column_sumsq(block):
+    """The squared column norms of a dense or scipy sparse block."""
+    if scipy.sparse.issparse(block):
+        entries = block.tocoo()
+        return np.bincount(entries.col, weights=entries.data**2, minlength=block.shape[1])
+    return np.einsum("ij,ij->j", block, block)
+
+
+def _upper_trapezoidal(block):
+    """Whether ``block`` has no nonzero entry below its diagonal."""
+    if scipy.sparse.issparse(block):
+        entries = block.tocoo()
+        return not np.any((entries.row > entries.col) & (entries.data != 0))
+    return not np.tril(block, -1).any()
+
+
+def _fold_rows(V, T, top_rows):
+    """The rows of ``Q[:, :n]``, Q from LAPACK ``tpqrt`` (reflectors ``V``,
+    q x n, and block factors ``T``), as (its first ``top_rows`` triangle
+    rows, its q rows of B).
+
+    ``Q [I_n; 0]`` is formed by ``tpmqrt``, one reflector block at a time
+    from the last: block j leaves the columns before its first one as they
+    are, so it is applied to the columns from there on only, and the
+    triangle's rows it reaches are its own, which no earlier block touches.
+    """
+    q, n = V.shape
+    bottom = np.zeros((q, n), order="F")
+    if q == 0:  # Q is the identity, and tpmqrt refuses an empty B
+        return np.eye(top_rows, n, order="F"), bottom
+    top = np.zeros((top_rows, n), order="F")
+    for j0 in reversed(range(0, n, _FOLD_BLOCK)):
+        j1 = min(j0 + _FOLD_BLOCK, n)
+        # a column range of a Fortran array is contiguous, so tpmqrt
+        # overwrites those columns of bottom in place
+        slab, _, info = dtpmqrt(
+            0, V[:, j0:j1], T[: j1 - j0, j0:j1], np.eye(j1 - j0, n - j0, order="F"),
+            bottom[:, j0:], overwrite_a=1, overwrite_b=1,
+        )
+        if info != 0:
+            raise FactorizationError(f"tpmqrt failed with info {info}")
+        kept = max(min(j1, top_rows) - j0, 0)
+        top[j0 : j0 + kept, j0:] = slab[:kept]
+    return top, bottom
+
+
+def _ranked(rf, shape, tol):
+    """``(U_r, diag(sig) W', W diag(1/sig), V[:, r:])``, ``W = V[:, :r]``,
+    from the SVD ``rf``, r its rank at the cutoff of ``tol`` at ``shape``."""
     sig = rf.singular_values
-    r = int(np.count_nonzero(sig > tol.cutoff(K.shape, float(sig[0]))))
+    r = int(np.count_nonzero(sig > tol.cutoff(shape, float(sig[0]))))
     sig, W = sig[:r], rf.V[:, :r]
-    return Q, rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:], gram_diagonal
+    return rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:]
+
+
+def stacked_factor(L, B, tol=None, l_rows=False):
+    """:class:`StackedFactors` of ``K = [L; B]``, L p x n (dense, or scipy
+    sparse with no duplicate entries) and B q x n dense.
+
+    The QR of K starts from a triangle R0 of L and folds B's rows into it
+    (Elden, *BIT* 17, 1977). R0 is L itself, padded with zero rows, when L
+    is upper trapezoidal with at most n rows, as a difference stencil or
+    the identity is; otherwise it is the R of one raw QR of L, ``L = Q_L
+    [R0; 0]`` (``scipy.linalg.qr``). LAPACK ``tpqrt`` then folds B into R0,
+    ``[R0; B] = Q [R; 0]``, at O(q n^2) flops, not the O((p + q) n^2) of a
+    QR of the staged stack (Demmel, Grigori, Hoemmen and Langou, *SIAM J.
+    Sci. Comput.* 34(1), 2012). Q is never formed whole: ``tpmqrt`` forms
+    the rows of ``Q[:, :n]`` that belong to B, and with ``l_rows`` those
+    of L, applying ``Q_L`` to them when L was factored.
+
+    When ``1 / ||R^-1||_F``, a lower bound on sigma_min(K), exceeds the
+    rank cutoff that ``tol`` (default :class:`RankTolerance`) gives at K's
+    shape with ``||K||_F`` (from the blocks' column norms) for sigma_max,
+    the QR has certified full column rank. Otherwise (a null space, or
+    sigma_min near the cutoff) R's SVD is ranked at that cutoff with its
+    own sigma_max, so r is the rank the SVD of K would give. A wide K (p +
+    q < n) has a null space by its shape: it is staged and its own SVD
+    ranks it, with no QR.
+    """
+    (p, n), q = L.shape, B.shape[0]
+    gram_diagonal = _column_sumsq(L) + _column_sumsq(B)
+    tol = tol if tol is not None else RankTolerance()
+    if p + q < n:
+        # a wide stack has a null space, so no certificate can pass: the
+        # SVD of K ranks it at once, as R's would after a QR whose n x n R
+        # costs O(n^3) to factor
+        K = _staged(L, p + q)
+        K[p:] = B
+        U, F, F_pinv, N = _ranked(svd(K), K.shape, tol)
+        Z_L = U[:p] if l_rows else None
+        return StackedFactors(Z_L, U[p:], F, F_pinv, N, gram_diagonal, certified=False)
+    Q_L = None
+    if p <= n and _upper_trapezoidal(L):
+        R0 = _staged(L, n)
+    else:
+        Q_L, R_L = scipy.linalg.qr(_staged(L, p), mode="raw", overwrite_a=True, check_finite=False)
+        R0 = _staged(R_L, n)
+    R, V, T, info = dtpqrt(
+        0, min(_FOLD_BLOCK, n), R0, np.array(B, order="F"), overwrite_a=1, overwrite_b=1
+    )
+    if info != 0:
+        raise FactorizationError(f"tpqrt failed with info {info}")
+    R_inv = _certified_inverse(R, tol.cutoff((p + q, n), math.sqrt(gram_diagonal.sum())))
+    top, Z_B = _fold_rows(V, T, min(p, n) if l_rows else 0)
+    del V, T
+    if R_inv is not None:
+        F, F_pinv, N, U = R, R_inv, np.zeros((n, 0)), None
+    else:
+        U, F, F_pinv, N = _ranked(svd(R), (p + q, n), tol)
+        top, Z_B = top @ U, Z_B @ U
+    Z_L = None
+    if l_rows:
+        Z_L = top if Q_L is None else _apply_reflectors(*Q_L, _staged(top, p))
+    return StackedFactors(Z_L, Z_B, F, F_pinv, N, gram_diagonal, certified=U is None)
 
 
 def pinv(A, tol=None):
@@ -405,7 +527,7 @@ def cholesky_spd(G):
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
     ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`. No
     package code calls it: ``CholeskyStrategy`` applies the same pivot rule
-    to the R of the problem's QR of ``[MA; L]`` (:func:`stacked_factor`),
+    to the R of the problem's QR of ``[L; MA]`` (:func:`stacked_factor`),
     which is the Cholesky factor of ``G = (MA)'MA + L'L`` when that QR
     certifies full column rank.
     """

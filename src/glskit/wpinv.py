@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmm
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
@@ -44,7 +45,7 @@ class FactorStore:
     at the direct route's cutoff), ``M`` (an SVD, V square; made only for
     identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
     singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
-    so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[MA; L]``
+    so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[L; MA]``
     (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` start
     with a QR of their tall side (``L N`` only when it is tall): when it
     certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`,
@@ -84,7 +85,7 @@ class FactorStore:
     def nullspace_g(self):
         """Orthonormal basis of N(G) = N(MA) & N(L): n x 0, read from
         neither ``ma`` nor ``ln``, when ``gdag`` is cached and its QR
-        certified ``[MA; L]`` of full column rank, so G nonsingular; else
+        certified ``[L; MA]`` of full column rank, so G nonsingular; else
         ``N N(L N)``, N = N(MA)."""
         gdag = vars(self).get("gdag")
         if gdag is not None and gdag.pivots is not None:
@@ -93,34 +94,37 @@ class FactorStore:
 
     @cached_property
     def gdag(self):
-        """pinv(G) (MA)' from :func:`~glskit.linalg.stacked_factor` of
-        ``(MA, L)``, a :class:`GdagFactor`; of ``Z = Q U`` only the q rows
-        of MA are formed, and Q is dropped once W is."""
-        Q, U, B, B_pinv, _, gram_diagonal = stacked_factor((self._MA, self._L))
-        Z_1 = Q[: self._MA.shape[0]]
-        W = B_pinv @ (Z_1 if U is None else Z_1 @ U).T
+        """pinv(G) (MA)' from :func:`~glskit.linalg.stacked_factor` of ``[L;
+        MA]``, a :class:`GdagFactor`; of Z only the q rows of MA are formed,
+        and they are dropped once W is: ``W' = Z_1 R^-T`` is one BLAS
+        ``trmm`` when the QR certified the stack."""
+        s = stacked_factor(self._L, self._MA)
+        if s.certified:
+            W = dtrmm(1.0, s.F_pinv, s.Z_B, side=1, trans_a=1, overwrite_b=1).T
+        else:
+            W = s.F_pinv @ s.Z_B.T
         W.flags.writeable = False
         return GdagFactor(
             W=W,
-            relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(B) * np.linalg.norm(B_pinv)),
-            pivots=B.diagonal() ** 2 if U is None else None,
-            diagonal_max=float(gram_diagonal.max(initial=0.0)),
+            relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(s.F) * np.linalg.norm(s.F_pinv)),
+            pivots=s.F.diagonal() ** 2 if s.certified else None,
+            diagonal_max=float(s.gram_diagonal.max(initial=0.0)),
         )
 
 
 @dataclass(frozen=True)
 class GdagFactor:
-    """What is kept of ``K = Z B``, ``K = [MA; L]`` (``linalg.stacked_factor``).
+    """What is kept of ``K = Z F``, ``K = [L; MA]`` (``linalg.stacked_factor``).
 
-    G = K'K = B'B and (MA)' = B' Z_1', Z_1 the first q rows of Z, so ``W =
-    B_pinv Z_1'`` is pinv(G) (MA)', n x q with columns in R(B') = R(G)
-    (read-only: every copy of the problem shares it), at cond(K), not at the
-    cond(K)^2 of a factorization of the formed G (Bjorck, *Numerical Methods
-    for Least Squares Problems*, 1996, 2.2). ``relative_noise`` is
-    ``max(1e-12, 4 eps ||B||_F ||B_pinv||_F)``. ``pivots`` are the
-    ``r_jj^2``, the Cholesky pivots of G, when the QR certified full column
-    rank, else None; ``diagonal_max`` is max(diag(G)), the largest squared
-    column norm of K.
+    G = K'K = F'F and (MA)' = F' Z_1', Z_1 the q rows of Z that belong to
+    MA, so ``W = F_pinv Z_1'`` is pinv(G) (MA)', n x q with columns in
+    R(F') = R(G) (read-only: every copy of the problem shares it), at
+    cond(K), not at the cond(K)^2 of a factorization of the formed G
+    (Bjorck, *Numerical Methods for Least Squares Problems*, 1996, 2.2).
+    ``relative_noise`` is ``max(1e-12, 4 eps ||F||_F ||F_pinv||_F)``.
+    ``pivots`` are the ``r_jj^2``, the Cholesky pivots of G, when the QR
+    certified full column rank, else None; ``diagonal_max`` is
+    max(diag(G)), the largest squared column norm of K.
     """
 
     W: np.ndarray
@@ -137,8 +141,10 @@ class GlsProblem:
     and ``M`` are stored dense; a scipy sparse ``L`` stays sparse, as a
     canonical CSR array, and any other ``L`` is stored dense. ``MA = M A``
     is formed once and every product with A'P reads it, as
-    A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is dense (L'L is formed in
-    L's kind) and symmetrized once at construction. No other Gram matrix or
+    A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is dense and symmetric as
+    formed, with no n x n temporary for a sparse L: (MA)'(MA) by one BLAS
+    syrk call, then L'L added in place, a sparse one on its entries, which
+    are then symmetrized with their mirrors. No other Gram matrix or
     projector is stored: P = M'M, A'PA and L'L are applied as products where
     they are read. Instances are treated as immutable. ``factors`` is the
     problem's :class:`FactorStore`: every route and check derives its
@@ -163,9 +169,19 @@ class GlsProblem:
         self.b = as_vector(b, m, "b") if b is not None else None
 
         self.MA = self.A if self.M is None else self.M @ self.A
-        LtL = self.L.T @ self.L
-        G = self.MA.T @ self.MA + (LtL.toarray() if sp.issparse(LtL) else LtL)
-        self.G = 0.5 * (G + G.T)
+        # numpy forms an array's product with its own transpose by one BLAS
+        # syrk call, which fills one triangle and mirrors it
+        self.G = self.MA.T @ self.MA
+        if sp.issparse(self.L):
+            LtL = (self.L.T @ self.L).tocoo()
+            self.G[LtL.row, LtL.col] += LtL.data
+            # symmetrize the entries L'L reached, and their mirrors, as
+            # 0.5 (G + G') would: the rest of G is the symmetric (MA)'MA
+            rows = np.concatenate([LtL.row, LtL.col])
+            cols = np.concatenate([LtL.col, LtL.row])
+            self.G[rows, cols] = 0.5 * (self.G[rows, cols] + self.G[cols, rows])
+        else:
+            self.G += self.L.T @ self.L
         self.factors = FactorStore(self.A, self.M, self.MA, self.L)
 
     @property

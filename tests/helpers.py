@@ -3,10 +3,12 @@
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse
 from scipy.linalg import orth, subspace_angles
 
 import glskit.linalg
-from glskit import BidiagState, GlsProblem, ggkb_init, ggkb_step, pinv, svd
+from glskit import BidiagState, GlsProblem, RankTolerance, ggkb_init, ggkb_step, pinv, svd
+from glskit.problems import make_l1, make_l2
 
 # Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
 # (size line 2), and an integer value beyond float64 (line 4)
@@ -178,6 +180,67 @@ def reconstruct(f) -> np.ndarray:
     return f.U @ S @ f.V.T
 
 
+STACKED_KINDS = ("l1", "l2", "identity", "dense", "subdiagonal", "tall", "p0", "wide", "shared_null")
+
+
+def stacked_pair(kind, seed=0, q=5, n=12):
+    """Seeded ``(L, B)``, B q x n dense, whose stack ``[L; B]`` takes the
+    path ``kind`` names through ``linalg.stacked_factor``: the sparse
+    stencils and identity (each its own triangle); a dense L that is not
+    triangular, a stencil with one subdiagonal entry and a tall L (p > n),
+    which are factored first; p = 0; and a wide stack and a null space
+    shared by L and B, which take the SVD of R. Only the last two are
+    rank deficient."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((q, n))
+    if kind in ("l1", "subdiagonal"):
+        L = make_l1(n)
+        if kind == "subdiagonal":
+            L = L.tolil()
+            L[3, 1] = 0.5
+            L = scipy.sparse.csr_array(L)
+    elif kind == "l2":
+        L = make_l2(n)
+    elif kind == "identity":
+        L = scipy.sparse.csr_array(scipy.sparse.eye(n))
+    elif kind in ("dense", "wide"):
+        L = rng.standard_normal((7 if kind == "dense" else n - q - 3, n))
+    elif kind == "tall":
+        L = rng.standard_normal((n + 3, n))
+    elif kind == "p0":
+        L, B = np.zeros((0, n)), rng.standard_normal((n + 4, n))
+    elif kind == "shared_null":
+        e = rng.standard_normal(n)
+        e /= np.linalg.norm(e)
+        L = rng.standard_normal((n - 2, n))
+        L -= np.outer(L @ e, e)
+        B -= np.outer(B @ e, e)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return L, B
+
+
+def stacked_oracle(L, B, tol=None):
+    """``(Z, F, F_pinv, N, certified)`` with ``K = Z F`` for ``K = [L; B]``,
+    by ``scipy.linalg.qr`` of the explicitly staged K: its economic Q and R
+    when ``1 / ||R^-1||_F`` clears the rank cutoff that ``tol`` (default
+    ``RankTolerance()``) gives at K's shape with ``||K||_F``, else R's SVD
+    ranked at that cutoff with its own sigma_max."""
+    L = L.toarray() if scipy.sparse.issparse(L) else np.asarray(L, dtype=np.float64)
+    K = np.vstack([L, B])
+    n = K.shape[1]
+    tol = tol if tol is not None else RankTolerance()
+    Q, R = scipy.linalg.qr(K, mode="economic")
+    if R.shape[0] == n and np.all(np.diag(R)):
+        with np.errstate(all="ignore"):
+            R_inv = scipy.linalg.solve_triangular(R, np.eye(n))
+        if np.linalg.norm(R_inv) * tol.cutoff(K.shape, np.linalg.norm(K)) < 1.0:
+            return Q, R, R_inv, np.zeros((n, 0)), True
+    U, sig, Vt = np.linalg.svd(R)
+    r = int(np.count_nonzero(sig > tol.cutoff(K.shape, sig[0])))
+    return Q @ U[:, :r], sig[:r, None] * Vt[:r], Vt[:r].T / sig[:r], Vt[r:].T, False
+
+
 def _counting(calls, label, fn):
     def counted(*args, **kwargs):
         calls.append(label)
@@ -186,25 +249,34 @@ def _counting(calls, label, fn):
     return counted
 
 
+def _count_lapack(monkeypatch, calls, name):
+    """Append ``name`` to ``calls`` at every later call of that LAPACK
+    routine, through ``scipy.linalg.lapack`` or the name ``glskit.linalg``
+    would import it by."""
+    counted = _counting(calls, name, getattr(scipy.linalg.lapack, name))
+    monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    monkeypatch.setattr(glskit.linalg, name, counted, raising=False)
+
+
 def counted_factorizations(monkeypatch, names):
     """A list to which every later call of numpy's or scipy's ``names``
-    (in ``linalg``) appends its label, such as ``"scipy.linalg.qr"``."""
+    (in ``linalg``) appends its label, such as ``"scipy.linalg.qr"``, and
+    every call of LAPACK ``dtpqrt``, the QR that folds a block of rows into
+    a triangle (``linalg.stacked_factor``), appends ``"dtpqrt"``."""
     calls = []
     for owner in (np.linalg, scipy.linalg):
         for name in names:
             label = f"{owner.__name__}.{name}"
             monkeypatch.setattr(owner, name, _counting(calls, label, getattr(owner, name)))
+    _count_lapack(monkeypatch, calls, "dtpqrt")
     return calls
 
 
 def counted_orgqr(monkeypatch):
     """A list to which every later call of LAPACK ``dorgqr``, the routine
-    that forms Q from Householder reflectors, appends ``"dorgqr"``: through
-    ``scipy.linalg.lapack`` or the name ``glskit.linalg`` would import it
-    by. ``scipy.linalg.qr`` calls it through its own lookup, so count that
+    that forms Q from Householder reflectors, appends ``"dorgqr"``.
+    ``scipy.linalg.qr`` calls it through its own lookup, so count that
     with :func:`counted_factorizations`."""
     calls = []
-    counted = _counting(calls, "dorgqr", scipy.linalg.lapack.dorgqr)
-    monkeypatch.setattr(scipy.linalg.lapack, "dorgqr", counted)
-    monkeypatch.setattr(glskit.linalg, "dorgqr", counted, raising=False)
+    _count_lapack(monkeypatch, calls, "dorgqr")
     return calls

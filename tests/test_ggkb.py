@@ -58,7 +58,7 @@ def test_strategies_dispatch_and_validate():
 
 
 def test_dense_strategy_satisfies_moore_penrose():
-    # G PSD singular: W = pinv(G) (MA)', from the QR of [MA; L] and the SVD
+    # G PSD singular: W = pinv(G) (MA)', from the QR of [L; MA] and the SVD
     # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
     W = bound(DensePinvStrategy(prob.G), prob).W

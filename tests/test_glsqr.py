@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import glskit.linalg
 from glskit import (
     CholeskyStrategy,
     DensePinvStrategy,
@@ -287,7 +288,7 @@ def test_debug_residual_does_not_steer_a_capped_inner_solve():
 
 
 def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
-    # the debug residual reads the problem's factor of [MA; L], the one the
+    # the debug residual reads the problem's factor of [L; MA], the one the
     # dense strategy binds, and factors nothing of its own
     calls = counted_factorizations(monkeypatch, ("svd", "qr", "cholesky"))
     made = {}
@@ -385,17 +386,27 @@ def wide_problem_with_identity_l():
 
 
 def test_a_dense_bind_factors_only_the_stack(monkeypatch):
-    # one QR of [MA; L] certifies G nonsingular and gives W; the factors of
-    # MA and L N, and the null space of G, are not made for it
+    # one QR of [L; MA] certifies G nonsingular and gives W: L = I is its
+    # own triangle, so the QR folds MA's 60 rows into it and hands no
+    # factorization a larger block; the factors of MA and L N, and the null
+    # space of G, are not made for it
     prob = wide_problem_with_identity_l()
     calls = counted_factorizations(monkeypatch, ("svd", "qr"))
+    fold, rows_below = glskit.linalg.dtpqrt, []
+
+    def recording(l, nb, a, b, **kwargs):
+        rows_below.append(b.shape[0])
+        return fold(l, nb, a, b, **kwargs)
+
+    monkeypatch.setattr(glskit.linalg, "dtpqrt", recording)
     CholeskyStrategy(prob.G).bind(prob)
-    assert calls == ["scipy.linalg.qr"]
+    assert calls == ["dtpqrt"]
+    assert rows_below == [60]
     assert not {"ma", "ln", "nullspace_g"} & set(vars(prob.factors))
 
 
 def test_certification_after_a_dense_bind_factors_only_ma(monkeypatch):
-    # the bind's certified QR of [MA; L] proves N(G) empty, so neither L N
+    # the bind's certified QR of [L; MA] proves N(G) empty, so neither L N
     # nor N(MA) is factored or formed: the coupling test applies the
     # reflectors of MA's one QR to G x
     prob = wide_problem_with_identity_l()
@@ -416,7 +427,7 @@ def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
     # the solve keeps the latest v_i, w, x and the 60 x 61 data side
     prob = wide_problem_with_identity_l()
     strategy = CholeskyStrategy(prob.G)
-    # bound first: the problem's QR of [MA; L] is set-up, and the traced
+    # bound first: the problem's QR of [L; MA] is set-up, and the traced
     # solve is the recurrence alone
     strategy.bind(prob)
     tracemalloc.start()

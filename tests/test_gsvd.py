@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
+import scipy.sparse
 
+import glskit.linalg
 from glskit import (
     GlsProblem,
     RankTolerance,
@@ -15,7 +18,15 @@ from glskit import (
     wpinv_matrix,
     wpinv_via_gsvd,
 )
-from helpers import matrix_with_spectrum, projector_range, random_gls_problem, random_matrix
+from helpers import (
+    STACKED_KINDS,
+    matrix_with_spectrum,
+    projector_range,
+    random_gls_problem,
+    random_matrix,
+    stacked_oracle,
+    stacked_pair,
+)
 
 
 def padded(block, n):
@@ -238,32 +249,42 @@ def test_orthonormal_completion_block_structure():
 @pytest.fixture
 def factorizations(monkeypatch):
     """(name, shape of the factored matrix) of every numpy and scipy svd and
-    qr call, in call order; a test clears it before the call it counts."""
+    qr call, in call order, and ("tpqrt", shape of the rows folded into the
+    triangle) of every LAPACK ``dtpqrt`` call, through ``scipy.linalg.lapack``
+    or the name ``glskit.linalg`` imports it by; a test clears it before the
+    call it counts."""
     calls = []
 
-    def counting(name, factorize):
-        def counted(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
-            return factorize(a, *args, **kwargs)
+    def counting(name, factorize, matrix=0):
+        def counted(*args, **kwargs):
+            calls.append((name, np.shape(args[matrix])))
+            return factorize(*args, **kwargs)
 
         return counted
 
     for owner in (np.linalg, scipy.linalg):
         for name in ("svd", "qr"):
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    fold = counting("tpqrt", scipy.linalg.lapack.dtpqrt, matrix=3)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtpqrt", fold)
+    monkeypatch.setattr(glskit.linalg, "dtpqrt", fold)
     return calls
 
 
 def test_full_column_rank_pair_makes_one_qr_and_one_svd(factorizations):
     # the QR of [L; A] certifies full rank, so only the rows of Q that
-    # belong to A are factored by SVD; the last QR completes U_L
+    # belong to A are factored by SVD; the last QR completes U_L. L is not
+    # triangular, so the stack's QR is one QR of L and the fold of A's rows
+    # into its R
     rng = np.random.default_rng(5)
     m, p, n = 7, 6, 9
     A, L = random_matrix(rng, m, n, rank=5), random_matrix(rng, p, n)
     factorizations.clear()
     f = gsvd_pair(A, L)
     assert f.r == n
-    assert factorizations == [("qr", (p + m, n)), ("svd", (m, n)), ("qr", (p, n - f.q1))]
+    assert factorizations == [
+        ("qr", (p, n)), ("tpqrt", (m, n)), ("svd", (m, n)), ("qr", (p, n - f.q1))
+    ]
     check_factors(A, L, f)
 
 
@@ -271,6 +292,9 @@ def test_full_column_rank_pair_makes_one_qr_and_one_svd(factorizations):
     "shape, seed", [((3, 2, 8), 0), ((1, 3, 5), 1), ((6, 3, 4), 7), ((5, 2, 4), 1)]
 )
 def test_wide_stack_and_joint_null_space_take_the_svd_of_r(shape, seed, factorizations):
+    # a joint null space fails the QR's certificate and takes the SVD of
+    # its n x n R; a wide stack, which has a null space by its shape, is
+    # ranked by the SVD of the (m + p) x n stack itself, with no QR
     m, p, n = shape
     if m + p < n:
         rng = np.random.default_rng(seed)
@@ -284,6 +308,8 @@ def test_wide_stack_and_joint_null_space_take_the_svd_of_r(shape, seed, factoriz
     assert f.r == r
     svds = [shape for name, shape in factorizations if name == "svd"]
     assert svds == [(min(m + p, n), n), (m, r)]
+    if m + p < n:
+        assert factorizations[0] == ("svd", (m + p, n))
     check_factors(A, L, f)
 
 
@@ -347,3 +373,15 @@ def test_gsvd_route_agrees_with_elden_across_a_family(family):
         gaps.append(np.linalg.norm(wpinv_matrix(prob, "gsvd") - X) / np.linalg.norm(X))
     assert sum(g <= gap for g in gaps) >= need
     assert max(gaps) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", [*STACKED_KINDS, "m0", "a0"])
+def test_gsvd_factors_on_every_path_of_the_stacked_factor(kind):
+    # each path of linalg.stacked_factor (L its own triangle, L factored
+    # first, p = 0, R's SVD), and A with no rows or no nonzero entry
+    L, A = stacked_pair("dense" if kind in ("m0", "a0") else kind)
+    A = {"m0": A[:0], "a0": 0.0 * A}.get(kind, A)
+    L = L.toarray() if scipy.sparse.issparse(L) else L
+    f = gsvd_pair(A, L)
+    assert f.r == stacked_oracle(L, A)[1].shape[0]
+    check_factors(A, L, f)

@@ -14,8 +14,27 @@ from glskit import (
     pinv,
     svd,
 )
+from glskit.linalg import EPS, stacked_factor
 from glskit.problems import generate, random_sparse_matrix
-from helpers import nullspace_basis, orthogonal, projector_range, reconstruct, spd_matrix
+from helpers import (
+    STACKED_KINDS,
+    counted_factorizations,
+    nullspace_basis,
+    orthogonal,
+    projector_range,
+    random_gls_problem,
+    reconstruct,
+    spd_matrix,
+    stacked_oracle,
+    stacked_pair,
+)
+
+# the seeded problem families C1, C2 and W (random_gls_problem's keywords)
+FAMILIES = {
+    "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
+    "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
+    "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
+}
 
 
 def test_svd_identity():
@@ -343,3 +362,58 @@ def test_preconditioned_lsqr_cap_reports_the_evaluated_residual(generated_g, ban
 def test_lsqr_rejects_a_precond_of_another_size():
     with pytest.raises(ValueError, match="precond"):
         lsqr(np.eye(3), np.ones(3), precond=np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("kind", STACKED_KINDS)
+def test_stacked_factor_matches_the_qr_of_the_staged_stack(kind):
+    L, B = stacked_pair(kind)
+    s = stacked_factor(L, B, l_rows=True)
+    Z_o, F_o, F_pinv_o, N_o, certified_o = stacked_oracle(L, B)
+    assert s.certified == certified_o == (kind not in ("wide", "shared_null"))
+    K = np.vstack([L.toarray() if scipy.sparse.issparse(L) else L, B])
+    k_norm = np.linalg.norm(K)
+    # R'R = G, and [Z_L; Z_B] has orthonormal columns with K = Z F
+    G = GlsProblem(B, None, L).G
+    assert np.linalg.norm(s.F.T @ s.F - G) <= 1e-14 * k_norm**2
+    Z = np.vstack([s.Z_L, s.Z_B])
+    assert Z.shape[1] == Z_o.shape[1]
+    assert np.linalg.norm(Z.T @ Z - np.eye(Z.shape[1])) <= 1e-14 * Z.size
+    assert np.linalg.norm(Z @ s.F - K) <= 1e-14 * k_norm
+    # W = F_pinv Z_B' = pinv(G) B', and N(K), do not depend on the basis
+    W, W_o = s.F_pinv @ s.Z_B.T, F_pinv_o @ Z_o[L.shape[0] :].T
+    assert np.linalg.norm(W - W_o) <= 1e-12 * np.linalg.norm(W_o)
+    assert np.linalg.norm(s.N @ s.N.T - N_o @ N_o.T) <= 1e-12
+    np.testing.assert_allclose(s.gram_diagonal, np.einsum("ij,ij->j", K, K), rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", STACKED_KINDS)
+def test_stacked_factor_factors_l_only_when_it_is_not_its_own_triangle(monkeypatch, kind):
+    # a wide stack makes no QR, the SVD of the stack ranks it; a shared
+    # null space adds the SVD of R
+    L, B = stacked_pair(kind)
+    calls = counted_factorizations(monkeypatch, ("qr", "svd"))
+    stacked_factor(L, B)
+    if kind == "wide":
+        assert calls == ["numpy.linalg.svd"]
+    elif kind in ("l1", "l2", "identity", "p0"):
+        assert calls == ["dtpqrt"]
+    else:
+        svd_of_r = ["numpy.linalg.svd"] if kind == "shared_null" else []
+        assert calls == ["scipy.linalg.qr", "dtpqrt", *svd_of_r]
+
+
+@pytest.mark.parametrize("family", ["C1", "C2", "W"])
+def test_gdag_w_matches_the_oracle_across_a_family(family):
+    # W = pinv(G) (MA)' is determined by the problem, so two backward stable
+    # factorizations of the stack differ by about eps cond(K) (Wedin's
+    # bound on pinv(K)); C1's cond(K) of about 1e7 puts that above 1e-12
+    kwargs = FAMILIES[family]
+    ratios = []
+    for seed in range(200):
+        prob = random_gls_problem(seed, **kwargs)
+        Z_o, F_o, F_pinv_o, _, _ = stacked_oracle(prob.L, prob.MA)
+        W_o = F_pinv_o @ Z_o[prob.L.shape[0] :].T
+        sig = np.linalg.svd(F_o, compute_uv=False)
+        gap = np.linalg.norm(prob.factors.gdag.W - W_o) / np.linalg.norm(W_o)
+        ratios.append(gap / max(1e-12, EPS * sig[0] / sig[-1]))
+    assert max(ratios) <= 1.0

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import subspace_angles
 
 from glskit import (
@@ -24,7 +25,7 @@ from glskit import (
     wpinv_matrix,
     wpinv_via_gsvd,
 )
-from glskit.problems import generate, make_l1
+from glskit.problems import generate, make_l1, make_l2
 from glskit.wpinv import FactorStore, _product_tolerance
 from helpers import matrix_with_spectrum, nullspace_basis, random_gls_problem, random_matrix
 
@@ -306,7 +307,7 @@ def test_gmpe_identity_4_range_test_rejects_a_null_space_shift():
 
 
 def test_check_gmpe_never_factors_g(monkeypatch):
-    # the factor of the stack [MA; L] is the problem's only source of pinv(G)
+    # the factor of the stack [L; MA] is the problem's only source of pinv(G)
     def no_pinv_of_g(self):
         raise AssertionError("check_gmpe built pinv(G)")
 
@@ -643,3 +644,35 @@ def test_gmpe_rejects_a_scaled_direct_route(family):
         X = wpinv_elden(prob)
         for c in (2.0, 0.5):
             assert not check_gmpe(prob, c * X).all_passed, (seed, c)
+
+
+@pytest.mark.parametrize(
+    "m, n, kind, q",
+    [
+        (450, 600, "l1", None),  # the benchmark's glsqr_dense shape
+        (165, 220, "l1", None),  # glsqr_inner
+        (300, 400, "l1", None),  # direct_multi_rhs, problem (a)
+        (300, 400, "l1", 290),  # direct_multi_rhs, problem (b)
+        (375, 500, "l2", None),  # cli_cholesky
+        (20, 30, "sparse", 25),
+        (20, 30, "dense", None),
+    ],
+)
+def test_g_is_symmetric_as_formed_and_equals_the_symmetrized_sum(m, n, kind, q):
+    # G is symmetric as formed, with no n x n temporary for a sparse L, and
+    # bitwise the 0.5 (G + G') of the plain sum (MA)'MA + L'L
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, n))
+    M = rng.standard_normal((q, m)) if q is not None else None
+    if kind == "sparse":
+        L = scipy.sparse.random(n - 5, n, density=0.2, format="csr", random_state=m)
+    elif kind == "dense":
+        L = rng.standard_normal((n - 5, n))
+    else:
+        L = make_l1(n) if kind == "l1" else make_l2(n)
+    prob = GlsProblem(A, M, L)
+    MA = A if M is None else M @ A
+    LtL = L.T @ L
+    G = MA.T @ MA + (LtL.toarray() if scipy.sparse.issparse(LtL) else LtL)
+    np.testing.assert_array_equal(prob.G, 0.5 * (G + G.T))
+    np.testing.assert_array_equal(prob.G, prob.G.T)
