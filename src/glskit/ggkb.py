@@ -19,14 +19,27 @@ pluggable. A strategy has four members:
 
 - ``bind(prob)``, which ``ggkb_init`` calls once, before the first apply:
   the strategy takes from the problem what its applies read;
-- ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it;
+- ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it,
+  in the strategy's coordinates;
 - ``relative_noise``, the relative accuracy the applies deliver;
 - ``hit_cap``, True once an inner iteration has ended unconverged (out of
-  steps, or on a curvature breakdown).
+  steps, or on a curvature breakdown);
 
-The dense strategies apply the problem's ``W = pinv(G) (MA)'``, made from
-one QR of the stacked operator ``[L; MA]`` (``FactorStore.gdag``); the
-inner one forms (MA)' u and runs conjugate gradients on G.
+and may bind a fifth, ``coordinates``, a linear map from coordinates s^ to
+x-space that is isometric from the 2-norm to the G-norm on R(G). It has
+``dim``, the dimension of s^; ``image(s^)``, which returns MA s and
+||s||_G; and ``to_x(S)``, which maps a block of coordinate columns to
+x-space. The recurrence above then runs on the coordinates: the s and v_i
+it keeps are s^ and v^_i. A strategy without one runs in x-space itself
+(:class:`IdentityCoordinates`), with the arithmetic above.
+
+The dense strategies bind the coordinates s^ = F s of the problem's factor
+``[L; MA] = Z F`` (``FactorStore.gdag``, a ``GdagFactor``, is the map), in
+which ||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the
+coordinates Z_B' u, Z_B the rows of Z that belong to MA: gGKB is there the
+plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
+1982), two products with Z_B a step. The inner one forms (MA)' u and runs
+conjugate gradients on G, in x-space.
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
 later one. The data side M U~ lives in one workspace (``Basis``) that each
@@ -57,6 +70,7 @@ __all__ = [
     "DensePinvStrategy",
     "CholeskyStrategy",
     "InnerLsqrStrategy",
+    "IdentityCoordinates",
     "BidiagState",
     "ggkb_init",
     "ggkb_step",
@@ -69,13 +83,16 @@ INITIAL_COLUMNS = 16
 
 
 class DensePinvStrategy:
-    """Apply pinv(G) (MA)' as one n x q product with the problem's W.
+    """Apply pinv(G) (MA)' in the coordinates of the factor of ``[L; MA]``.
 
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
-    ``prob.n``; ``bind`` then takes ``W`` and ``relative_noise`` from the
-    factor of ``[L; MA]`` that the problem's factor store holds
-    (``prob.factors.gdag``), made once per problem. ``apply(u)`` is ``W u``.
-    ``hit_cap`` is always False.
+    ``prob.n``; ``bind`` then binds as ``coordinates`` the factor ``K = [L;
+    MA] = Z F`` that the problem's factor store holds (``prob.factors.gdag``,
+    a :class:`~glskit.wpinv.GdagFactor`, made once per problem), whose
+    coordinates are ``s^ = F s``, and takes its ``relative_noise``.
+    ``apply(u)`` is ``Z_B' u``, the coordinates of pinv(G) (MA)' u: one
+    product with the q x r ``Z_B``. ``W``, pinv(G) (MA)' in x-space, is the
+    factor's, formed on first read. ``hit_cap`` is always False.
     """
 
     hit_cap = False
@@ -86,12 +103,15 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
-        factor = prob.factors.gdag
-        self.W = factor.W
-        self.relative_noise = factor.relative_noise
+        self.coordinates = prob.factors.gdag
+        self.relative_noise = self.coordinates.relative_noise
+
+    @property
+    def W(self):
+        return self.coordinates.W
 
     def apply(self, u):
-        return self.W @ u
+        return self.coordinates.Z_B.T @ u
 
 
 class CholeskyStrategy(DensePinvStrategy):
@@ -109,7 +129,7 @@ class CholeskyStrategy(DensePinvStrategy):
 
     def bind(self, prob):
         super().bind(prob)
-        factor = prob.factors.gdag
+        factor = self.coordinates
         if factor.pivots is None:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
         small = np.flatnonzero(factor.pivots <= 1e-14 * factor.diagonal_max)
@@ -207,6 +227,26 @@ class InnerLsqrStrategy:
         return result.x
 
 
+class IdentityCoordinates:
+    """The coordinates of a strategy that binds none: x-space itself.
+
+    :meth:`image` returns MA s and ``||s||_G = (||MA s||^2 +
+    ||L s||^2)^(1/2)`` from the problem, and :meth:`to_x` its argument.
+    """
+
+    def __init__(self, prob):
+        self.MA, self.L = prob.MA, prob.L
+        self.dim = prob.n
+
+    def image(self, s):
+        ma_s = self.MA @ s
+        l_s = self.L @ s
+        return ma_s, math.sqrt(float(ma_s @ ma_s) + float(l_s @ l_s))
+
+    def to_x(self, S):
+        return S
+
+
 @dataclass(eq=False)
 class Basis:
     """Columns x_1..x_k in one growable workspace (the data side M U~).
@@ -273,19 +313,22 @@ class BidiagState:
     Euclidean inner product by reorthogonalization, where the u~_i are the
     P-orthonormal data-side vectors of the recurrence (see the module
     docstring); ``MU`` is a view of its leading columns. The solution side
-    keeps only what the recurrence reads: ``v``, the latest v_k (zero before
-    the first expansion), which each expansion replaces with a fresh array,
-    and ``ma_v`` = MA v_k, overwritten in place. ``ggkb_step`` mutates the
-    state and returns the same object, so a view of ``MU`` taken earlier
-    keeps its columns but stops sharing memory with the state once the
-    workspace grows.
+    keeps only what the recurrence reads, in the strategy's
+    ``coordinates``: ``v_hat``, the coordinates of the latest v_k (zero
+    before the first expansion), which each expansion replaces with a fresh
+    array, and ``ma_v`` = MA v_k, overwritten in place. ``v``, v_k itself,
+    is formed from ``v_hat`` on each read. ``ggkb_step`` mutates the state
+    and returns the same object, so a view of ``MU`` taken earlier keeps its
+    columns but stops sharing memory with the state once the workspace
+    grows.
     """
 
     alphas: list
     betas: list
-    v: np.ndarray
+    v_hat: np.ndarray
     u: Basis
     ma_v: np.ndarray
+    coordinates: object
     inner_capped: bool = False
 
     @property
@@ -300,10 +343,15 @@ class BidiagState:
     def MU(self):
         return self.u.cols
 
+    @property
+    def v(self):
+        return self.coordinates.to_x(np.array(self.v_hat[:, None], order="F"))[:, 0]
 
-def _expand(state, prob, strategy, r, beta_floor, threshold, relative):
+
+def _expand(state, strategy, r, beta_floor, threshold, relative):
     """One expansion from r (projected in place): append beta and u, then
-    alpha and v, keeping MA v and latching the strategy's cap.
+    alpha and the coordinates of v, keeping MA v and latching the
+    strategy's cap.
 
     The expansion terminates, with a zero beta and alpha, if beta is at or
     below ``beta_floor``, or with a zero alpha if alpha is at or below
@@ -316,10 +364,8 @@ def _expand(state, prob, strategy, r, beta_floor, threshold, relative):
         state.betas.append(0.0)
         return
     u = r / beta
-    s = strategy.apply(u) - beta * state.v
-    ma_s = prob.MA @ s
-    l_s = prob.L @ s
-    alpha = math.sqrt(float(ma_s @ ma_s) + float(l_s @ l_s))
+    s = strategy.apply(u) - beta * state.v_hat
+    ma_s, alpha = state.coordinates.image(s)
     state.betas.append(beta)
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
@@ -327,7 +373,7 @@ def _expand(state, prob, strategy, r, beta_floor, threshold, relative):
         state.alphas.append(0.0)
     else:
         state.alphas.append(alpha)
-        state.v = s / alpha
+        state.v_hat = s / alpha
         np.divide(ma_s, alpha, out=state.ma_v)
 
 
@@ -340,24 +386,28 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     is None), the roundoff floor of the product M b. An alpha_1 at or below
     ``BREAKDOWN_REL beta_1`` terminates at k = 0 too. Either way the
     terminating coefficients are stored as 0.0. The strategy gets
-    ``bind(prob)`` first, before its first apply.
+    ``bind(prob)`` first, before its first apply; the state's coordinates
+    are then the strategy's ``coordinates``, or :class:`IdentityCoordinates`
+    when it has none.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     strategy.bind(prob)
+    coordinates = getattr(strategy, "coordinates", None) or IdentityCoordinates(prob)
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
         alphas=[], betas=[],
-        v=np.zeros(prob.n),
+        v_hat=np.zeros(coordinates.dim),
         u=Basis.empty(prob.q, limit),
         ma_v=np.zeros(prob.q),
+        coordinates=coordinates,
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))
     # a copy: mult_M returns b itself when M is None, and r is projected in place
     r = prob.mult_M(prob.b).copy()
-    _expand(state, prob, strategy, r, BREAKDOWN_REL * init_scale, 0.0, BREAKDOWN_REL)
+    _expand(state, strategy, r, BREAKDOWN_REL * init_scale, 0.0, BREAKDOWN_REL)
     return state
 
 
@@ -379,5 +429,5 @@ def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     # partner in the three-term identity (||MA v_i||^2 = alpha_i^2 +
     # beta_{i+1}^2) marks a numerically degenerate rotation: the spaces are
     # exhausted and anything below the cancellation floor is roundoff
-    _expand(state, prob, strategy, r, max(threshold, degenerate * alpha), threshold, degenerate)
+    _expand(state, strategy, r, max(threshold, degenerate * alpha), threshold, degenerate)
     return state

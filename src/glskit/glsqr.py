@@ -129,6 +129,12 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     )
 
 
+# iterates mapped to x-space per block: at most BLOCK_COLUMNS of them, and
+# at most BLOCK_DOUBLES entries (256 KiB) of coordinates
+BLOCK_COLUMNS = 32
+BLOCK_DOUBLES = 2**15
+
+
 def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     """sigma_max(B_k) from the tridiagonal B_k'B_k; B_k is a leading block of
     B_{k+1}, so it never decreases with k nor exceeds the operator norm.
@@ -141,11 +147,19 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _true_residual(prob, W, x):
-    """||q||_G = (||MA q||^2 + ||L q||^2)^(1/2) of q = pinv(G) A'P (A x - b),
-    evaluated as W (MA x - M b) with W = pinv(G) (MA)'."""
-    q = W @ (prob.MA @ x - prob.mult_M(prob.b))
-    return math.hypot(np.linalg.norm(prob.MA @ q), np.linalg.norm(prob.L @ q))
+def _true_residual(prob, Z_B, ma_x):
+    """||q||_G of q = pinv(G) A'P (A x - b), given MA x: with ``pinv(G)
+    (MA)' = F_pinv Z_B'`` (``prob.factors.gdag``) and ||F_pinv y||_G = ||y||
+    for y in R(F), it is ``||Z_B' (MA x - M b)||``."""
+    return float(np.linalg.norm(Z_B.T @ (ma_x - prob.mult_M(prob.b))))
+
+
+def _mapped(coordinates, block, xnorm_hist):
+    """Map the iterates in ``block``'s columns to x-space, append their
+    norms to ``xnorm_hist`` and return the last one."""
+    X = coordinates.to_x(block)
+    xnorm_hist.extend(float(np.linalg.norm(X[:, j])) for j in range(X.shape[1]))
+    return X[:, -1].copy()
 
 
 def glsqr_solve(
@@ -178,10 +192,16 @@ def glsqr_solve(
         not an error; an explicit cap below 1 raises ``ValueError``.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
-        (dense-cost, for validation). It applies the problem's own
-        ``W = pinv(G) (MA)'`` (``prob.factors.gdag``, the factor the dense
-        strategies bind), never ``strategy``, so the run's iterates are
-        those of a plain run.
+        (dense-cost, for validation). It reads the problem's own factor of
+        ``[L; MA]`` (``prob.factors.gdag``, the one the dense strategies
+        bind), never ``strategy``, so the run's iterates are those of a
+        plain run.
+
+    The recurrence runs in the coordinates the strategy binds (see
+    :mod:`glskit.ggkb`): x_k and w_k are carried as coordinates, and every
+    ``BLOCK_COLUMNS`` iterates (fewer when a block would hold more than
+    ``BLOCK_DOUBLES`` entries) are mapped to x-space at once, which gives
+    ``x_norm_history`` and, from the last block, x.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -195,18 +215,23 @@ def glsqr_solve(
 
     state = ggkb_init(prob, strategy)
     beta1 = state.betas[0]
+    coordinates = state.coordinates
+    dim = coordinates.dim
+    x_hat = np.zeros(dim)
+    w = np.zeros(dim)
     x = np.zeros(prob.n)
-    w = np.zeros(prob.n)
+    block = np.empty((dim, max(1, min(BLOCK_COLUMNS, BLOCK_DOUBLES // max(dim, 1)))), order="F")
+    j = 0
     # w_k = v_k - (theta_{k-1} / rho_{k-1}) w_{k-1}, with w_1 = v_1
     rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
     est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
-    W = prob.factors.gdag.W if debug else None
+    Z_B = prob.factors.gdag.Z_B if debug else None
     k, est = 0, math.inf
 
     while not (state.terminated or est <= tol or k == max_iter):
         k += 1
-        w = state.v - w_coef * w
+        w = state.v_hat - w_coef * w
         state = ggkb_step(state, prob, strategy)
         if k & (k - 1) == 0:
             denom = max(_bidiagonal_norm(state, k) * beta1, _TINY)
@@ -225,7 +250,7 @@ def glsqr_solve(
         else:
             c, s = rho_bar / rho, beta_next / rho
             phi = c * phi_bar
-            x = x + (phi / rho) * w
+            x_hat = x_hat + (phi / rho) * w
             # alpha_{k+1} beta_{k+1} |phi_k| / rho_k is the G-seminorm of the
             # transformed residual, alpha_{k+1} beta_{k+1} |e_k' y_k|: back
             # substitution in the Givens QR of B_k gives e_k' y_k = phi_k / rho_k
@@ -234,9 +259,16 @@ def glsqr_solve(
             rho_bar, phi_bar = -c * alpha_next, s * phi_bar
 
         est_hist.append(est)
-        xnorm_hist.append(float(np.linalg.norm(x)))
+        block[:, j] = x_hat
+        j += 1
+        if j == block.shape[1]:
+            x = _mapped(coordinates, block, xnorm_hist)
+            j = 0
         if debug:
-            true_hist.append(_true_residual(prob, W, x) / denom)
+            ma_x = coordinates.image(x_hat)[0]
+            true_hist.append(_true_residual(prob, Z_B, ma_x) / denom)
+    if j:
+        x = _mapped(coordinates, block[:, :j], xnorm_hist)
 
     if state.terminated:
         stop_reason = "ggkb_terminated"

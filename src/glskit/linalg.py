@@ -147,7 +147,7 @@ class SvdFactors:
         ``tol`` (None: the default :class:`RankTolerance`)."""
         tol = tol if tol is not None else RankTolerance()
         s = self.singular_values
-        cutoff = tol.cutoff((self.U.shape[0], self.V.shape[0]), float(s[0]))
+        cutoff = tol.cutoff((self.U.shape[0], self.V.shape[0]), float(s.max(initial=0.0)))
         return replace(self, rank=int(np.count_nonzero(s > cutoff)))
 
     def pinv(self):
@@ -171,18 +171,20 @@ class SvdFactors:
 def svd(A, tol=None):
     """SVD with an explicit numerical-rank decision.
 
-    Only a wide A gets full factors, to keep V square. The factors are
-    read-only, because callers may share them. Raises
-    :class:`FactorizationError` if the underlying iteration fails to
-    converge.
+    Only a wide A gets full factors, to keep V square. An empty A has rank
+    0, no singular values and V = I. The factors are read-only, because
+    callers may share them. Raises :class:`FactorizationError` if the
+    underlying iteration fails to converge.
     """
     A = as_matrix(A, "A")
+    m, n = A.shape
     if A.size == 0:
-        raise ValueError("svd requires a nonempty matrix")
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge: {exc}") from exc
+        U, s, Vt = np.eye(m, min(m, n)), np.zeros(0), np.eye(n)
+    else:
+        try:
+            U, s, Vt = np.linalg.svd(A, full_matrices=m < n)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"SVD did not converge: {exc}") from exc
     for factor in (U, s, Vt):
         factor.flags.writeable = False
     return SvdFactors(U=U, singular_values=s, V=Vt.T, rank=s.size).ranked(tol)
@@ -435,7 +437,7 @@ def _ranked(rf, shape, tol):
     """``(U_r, diag(sig) W', W diag(1/sig), V[:, r:])``, ``W = V[:, :r]``,
     from the SVD ``rf``, r its rank at the cutoff of ``tol`` at ``shape``."""
     sig = rf.singular_values
-    r = int(np.count_nonzero(sig > tol.cutoff(shape, float(sig[0]))))
+    r = int(np.count_nonzero(sig > tol.cutoff(shape, float(sig.max(initial=0.0)))))
     sig, W = sig[:r], rf.V[:, :r]
     return rf.U[:, :r], sig[:, None] * W.T, W / sig, rf.V[:, r:]
 
@@ -462,7 +464,8 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     sigma_min near the cutoff) R's SVD is ranked at that cutoff with its
     own sigma_max, so r is the rank the SVD of K would give. A wide K (p +
     q < n) has a null space by its shape: it is staged and its own SVD
-    ranks it, with no QR.
+    ranks it, with no QR; a K with no rows has r = 0, so Z_B is 0 x 0,
+    F_pinv n x 0 and N = I.
     """
     (p, n), q = L.shape, B.shape[0]
     gram_diagonal = _column_sumsq(L) + _column_sumsq(B)

@@ -94,18 +94,15 @@ class FactorStore:
 
     @cached_property
     def gdag(self):
-        """pinv(G) (MA)' from :func:`~glskit.linalg.stacked_factor` of ``[L;
-        MA]``, a :class:`GdagFactor`; of Z only the q rows of MA are formed,
-        and they are dropped once W is: ``W' = Z_1 R^-T`` is one BLAS
-        ``trmm`` when the QR certified the stack."""
+        """The factor of pinv(G) (MA)', a :class:`GdagFactor`, from
+        :func:`~glskit.linalg.stacked_factor` of ``[L; MA]``: of Z only the
+        q rows of MA are formed, and W is not."""
         s = stacked_factor(self._L, self._MA)
-        if s.certified:
-            W = dtrmm(1.0, s.F_pinv, s.Z_B, side=1, trans_a=1, overwrite_b=1).T
-        else:
-            W = s.F_pinv @ s.Z_B.T
-        W.flags.writeable = False
+        for factor in (s.Z_B, s.F_pinv):
+            factor.flags.writeable = False
         return GdagFactor(
-            W=W,
+            Z_B=s.Z_B,
+            F_pinv=s.F_pinv,
             relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(s.F) * np.linalg.norm(s.F_pinv)),
             pivots=s.F.diagonal() ** 2 if s.certified else None,
             diagonal_max=float(s.gram_diagonal.max(initial=0.0)),
@@ -116,21 +113,57 @@ class FactorStore:
 class GdagFactor:
     """What is kept of ``K = Z F``, ``K = [L; MA]`` (``linalg.stacked_factor``).
 
-    G = K'K = F'F and (MA)' = F' Z_1', Z_1 the q rows of Z that belong to
-    MA, so ``W = F_pinv Z_1'`` is pinv(G) (MA)', n x q with columns in
-    R(F') = R(G) (read-only: every copy of the problem shares it), at
-    cond(K), not at the cond(K)^2 of a factorization of the formed G
-    (Bjorck, *Numerical Methods for Least Squares Problems*, 1996, 2.2).
-    ``relative_noise`` is ``max(1e-12, 4 eps ||F||_F ||F_pinv||_F)``.
-    ``pivots`` are the ``r_jj^2``, the Cholesky pivots of G, when the QR
-    certified full column rank, else None; ``diagonal_max`` is
-    max(diag(G)), the largest squared column norm of K.
+    G = K'K = F'F and (MA)' = F' Z_B', Z_B (q x r) the rows of Z that
+    belong to MA, so pinv(G) (MA)' = F_pinv Z_B', with columns in R(F') =
+    R(G), at cond(K), not at the cond(K)^2 of a factorization of the formed
+    G (Bjorck, *Numerical Methods for Least Squares Problems*, 1996, 2.2).
+    In the coordinates ``s^ = F s`` of R(G), ``s = F_pinv s^``, the
+    G-norm of s is the 2-norm of s^ and MA s is ``Z_B s^``: gGKB there is
+    the plain Golub-Kahan process of Z_B. The factor is the map of these
+    coordinates that gGKB reads (``dim``, :meth:`image`, :meth:`to_x`; see
+    :mod:`glskit.ggkb`); ``W = F_pinv Z_B'`` (n x q) is formed only when
+    read. ``Z_B`` and ``F_pinv`` are read-only, as every copy of the
+    problem shares them. ``relative_noise`` is ``max(1e-12, 4 eps ||F||_F
+    ||F_pinv||_F)``. ``pivots`` are the ``r_jj^2``, the Cholesky pivots of
+    G, when the QR certified full column rank (F = R and ``F_pinv`` = R^-1,
+    upper triangular), else None; ``diagonal_max`` is max(diag(G)), the
+    largest squared column norm of K.
     """
 
-    W: np.ndarray
+    Z_B: np.ndarray
+    F_pinv: np.ndarray
     relative_noise: float
     pivots: np.ndarray | None
     diagonal_max: float
+
+    @property
+    def dim(self):
+        """r, the dimension of the coordinates."""
+        return self.Z_B.shape[1]
+
+    def image(self, s):
+        """``(MA s, ||s||_G)`` for the coordinates s^ = ``s``: ``Z_B s^`` and
+        ``||s^||``."""
+        return self.Z_B @ s, math.sqrt(float(s @ s))
+
+    def to_x(self, S):
+        """``F_pinv S`` for a Fortran-ordered r x k block S of coordinates,
+        which it may overwrite: one BLAS ``trmm`` when certified, else one
+        product."""
+        if self.pivots is None:
+            return self.F_pinv @ S
+        return dtrmm(1.0, self.F_pinv, S, overwrite_b=1)
+
+    @cached_property
+    def W(self):
+        """pinv(G) (MA)' = ``F_pinv Z_B'``, n x q and read-only, formed on
+        first read: ``W' = Z_B R^-T`` by one BLAS ``trmm`` when certified."""
+        if self.pivots is None:
+            W = self.F_pinv @ self.Z_B.T
+        else:
+            W = dtrmm(1.0, self.F_pinv, self.Z_B, side=1, trans_a=1).T
+        W.flags.writeable = False
+        return W
 
 
 class GlsProblem:

@@ -1,12 +1,12 @@
 """The edge shapes of the GLS problem: empty regularizer, zero A (with and
 without a weight), zero L, zero M, trivial N(MA), m < n with a singular
-weight, and b in N(M). The direct route and gLSQR must both return a
-certified minimum 2-norm solution."""
+weight, b in N(M), and no rows at all. The direct route and gLSQR must both
+return a certified minimum 2-norm solution."""
 
 import numpy as np
 import pytest
 
-from glskit import GlsProblem, check_gls_criterion, glsqr_solve, wpinv_apply
+from glskit import GlsProblem, certify_solution, check_gls_criterion, glsqr_solve, wpinv_apply
 from helpers import random_gls_problem
 
 
@@ -62,6 +62,12 @@ def _zero_m():
     return GlsProblem(prob.A, np.zeros((4, 6)), prob.L, prob.b)
 
 
+def _no_rows():
+    # m = 0 and p = 0: the stack [L; MA] has no rows, every x solves the
+    # problem and the minimum 2-norm solution is 0
+    return GlsProblem(np.zeros((0, 4)), None, None, np.zeros(0))
+
+
 EDGE_SHAPES = {
     "p=0": _no_regularizer,
     "A=0": _zero_a,
@@ -71,6 +77,7 @@ EDGE_SHAPES = {
     "A=0, weighted": _zero_a_weighted,
     "L=0, p=3": _zero_l,
     "M=0": _zero_m,
+    "no rows": _no_rows,
 }
 
 
@@ -84,3 +91,13 @@ def test_both_routes_certify_on_edge_shapes(name):
         assert report and report.in_range_g
     scale = max(np.linalg.norm(x_direct), 1.0)
     assert np.linalg.norm(x_iter - x_direct) <= 1e-8 * scale
+
+
+def test_a_stack_with_no_rows_binds_coordinates_of_dimension_0():
+    prob = _no_rows()
+    gdag = prob.factors.gdag
+    assert gdag.Z_B.shape == (0, 0) and gdag.F_pinv.shape == (4, 0)
+    report = glsqr_solve(prob)
+    assert report.stop_reason == "ggkb_terminated" and report.iterations == 0
+    assert report.x.shape == (4,) and not report.x.any()
+    assert certify_solution(prob, report)

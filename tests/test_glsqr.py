@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 
 import glskit.linalg
+import glskit.wpinv
 from glskit import (
     CholeskyStrategy,
     DensePinvStrategy,
@@ -287,6 +288,49 @@ def test_debug_residual_does_not_steer_a_capped_inner_solve():
     assert debug.x.tobytes() == plain.x.tobytes()
 
 
+def test_a_debug_dense_solve_writes_the_plain_x():
+    # the debug residual reads MA x off the coordinates, so the iterates,
+    # and the blocks that map them to x-space, are those of a plain run
+    prob = planted_problem(seed=44, m=70, n=80, rank=60).problem
+    plain, debug = (glsqr_solve(prob, tol=1e-12, debug=d) for d in (False, True))
+    assert debug.iterations == plain.iterations > 32
+    assert debug.x.tobytes() == plain.x.tobytes()
+    assert debug.x_norm_history == plain.x_norm_history
+
+
+def test_x_norm_history_is_the_norm_of_each_iterate():
+    # the norms come from blocks of 32 iterates mapped to x-space at once;
+    # each matches the x of a run stopped at that iterate, mapped on its own
+    prob = planted_problem(seed=44, m=90, n=100, rank=80).problem
+    full = glsqr_solve(prob, tol=1e-300, max_iter=70)
+    assert full.iterations == 70
+    for k in range(1, full.iterations + 1):
+        x_norm = np.linalg.norm(iterate_prefix(prob, k).x)
+        assert abs(full.x_norm_history[k - 1] - x_norm) <= 1e-12 * x_norm
+
+
+def test_a_dense_solve_and_its_certificate_form_no_w(monkeypatch):
+    # the benchmark's glsqr_dense shape: the solve runs in the coordinates
+    # of the certified factor of [L; MA] and maps its iterates back by one
+    # trmm with R^-1 per block of 32, so W = pinv(G) (MA)', n x q, is never
+    # formed, by a trmm or otherwise
+    seed = 1
+    A = random_sparse_matrix(450, 600, density=0.05, seed=seed)
+    prob = generate(A, "l1", "trig", seed).problem
+    trmm, blocks = glskit.wpinv.dtrmm, []
+
+    def recording(alpha, a, b, **kwargs):
+        blocks.append(b.shape)
+        return trmm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(glskit.wpinv, "dtrmm", recording)
+    report = glsqr_solve(prob, DensePinvStrategy(prob.G), tol=1e-10)
+    assert certify_solution(prob, report)
+    assert "W" not in vars(prob.factors.gdag)
+    k = report.iterations
+    assert blocks == [(600, 32)] * (k // 32) + [(600, k % 32)] * (k % 32 > 0)
+
+
 def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
     # the debug residual reads the problem's factor of [L; MA], the one the
     # dense strategy binds, and factors nothing of its own
@@ -299,28 +343,25 @@ def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
     assert made[False] and made[True] == made[False]
 
 
-# seeded problem families, each with the number of seeds 0-199 whose dense
-# solve must land within 1e-8 of the direct route; with the SVD of the formed
-# G, C1 (cond(G) near 1e14, cond([MA; L]) near 1e7) landed none, C2 70
+# seeded problem families on which the dense solve of every seed 0-199 must
+# land within 1e-8 of the direct route; with the SVD of the formed G, C1
+# (cond(G) near 1e14, cond([MA; L]) near 1e7) landed none, C2 70
 FAMILIES = {
-    "C1": (dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4), 195),
-    "C2": (dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3), 200),
-    "W": (dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5), 200),
+    "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
+    "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
+    "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
 }
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_dense_solve_lands_on_the_direct_route_across_a_family(family):
     # judged by the gap to wpinv_apply, not by the certificate alone
-    kwargs, need = FAMILIES[family]
-    within = 0
     for seed in range(200):
-        prob = random_gls_problem(seed, **kwargs)
+        prob = random_gls_problem(seed, **FAMILIES[family])
         report = glsqr_solve(prob, tol=1e-12)
         assert certify_solution(prob, report), seed
         x_ref = wpinv_apply(prob)
-        within += bool(np.linalg.norm(report.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref))
-    assert within >= need
+        assert np.linalg.norm(report.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref), seed
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():
@@ -424,7 +465,8 @@ def test_certification_after_a_dense_bind_factors_only_ma(monkeypatch):
 
 def test_a_solve_to_exhaustion_keeps_no_solution_side_basis():
     # 60 x 2000: a basis of the v_i would hold 2000 x 61 doubles (0.93 MiB);
-    # the solve keeps the latest v_i, w, x and the 60 x 61 data side
+    # the solve keeps the latest v_i, w, x, the 60 x 61 data side and a
+    # block of at most 2^15 doubles of iterates to map to x-space
     prob = wide_problem_with_identity_l()
     strategy = CholeskyStrategy(prob.G)
     # bound first: the problem's QR of [L; MA] is set-up, and the traced
