@@ -160,13 +160,16 @@ class InnerLsqrStrategy:
     :meth:`bind` takes the problem's ``MA`` and preconditions CG from the
     problem when its ``L`` is a scipy sparse stencil: with ``P = L'L + cI``,
     the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue of
-    ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of P.
-    The stop test is the same, so ``tau`` keeps its meaning. The result
-    stays the minimum-norm solution without any projection: N(G) = N(MA) ∩
-    N(L), on which ``P z = c z``, so P^-1 maps R(G) into itself and the
-    iterates never leave it. A dense ``L``, ``p = 0``, a vanishing ``MA``
-    or a bandwidth of ``L'L`` above ``MAX_BANDWIDTH`` leaves CG
-    unpreconditioned.
+    ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of P,
+    kept in LAPACK ``pbtrf`` layout as ``precond``. :func:`lsqr` solves
+    with P in O(n) per iteration: by ``pttrs`` on the factor's LDL' form
+    when P is tridiagonal (the l1 stencil) or diagonal (a sparse identity
+    ``L``), else by ``pbtrs`` (the l2 stencil). The stop test is the same,
+    so ``tau`` keeps its meaning. The result stays the minimum-norm
+    solution without any projection: N(G) = N(MA) ∩ N(L), on which ``P z =
+    c z``, so P^-1 maps R(G) into itself and the iterates never leave it.
+    A dense ``L``, ``p = 0``, a vanishing ``MA`` or a bandwidth of ``L'L``
+    above ``MAX_BANDWIDTH`` leaves CG unpreconditioned.
     """
 
     # half-bandwidth w of L'L at most this: the factor holds (w + 1) n

@@ -17,10 +17,13 @@ users apply the factors as products. The one iterative kernel,
 gradients and needs the operator only as a product: a dense matrix is read
 through one triangle by BLAS ``symv``, while sparse matrices and callables
 are kept as given. With a dense matrix its loop allocates nothing per
-iteration: dot products go through BLAS ``ddot`` and the updates through
-one preallocated buffer. It may be preconditioned by an upper banded
-Cholesky factor in LAPACK ``pbtrf`` layout, applied by ``dpbtrs`` into a
-preallocated buffer; the stop test stays on the unpreconditioned residual.
+iteration: dot products go through BLAS ``ddot``, and each update of the
+iterate, the residual and (preconditioned) the direction is one in-place
+BLAS ``daxpy``. It may be preconditioned by an upper banded Cholesky factor
+in LAPACK ``pbtrf`` layout, solved in place in a preallocated buffer: by
+LAPACK ``pttrs`` on its LDL' form when the band is tridiagonal or
+diagonal, else by ``pbtrs``. The stop test stays on the unpreconditioned
+residual.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import ddot, dnrm2, dscal, dsymv
-from scipy.linalg.lapack import dormqr, dpbtrs, dtpmqrt, dtpqrt, dtrtri
+from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal, dsymv
+from scipy.linalg.lapack import dormqr, dpbtrs, dpttrs, dtpmqrt, dtpqrt, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -583,13 +586,43 @@ def _symmetric_product(G, n):
     return lambda v: dsymv(1.0, a, v, 0.0, gv, 0, 1, 0, 1, 0, 1)
 
 
-def _preconditioned(factor, r, z):
-    """``z = P^-1 r`` in place by LAPACK ``pbtrs``, P given by its upper
-    banded Cholesky ``factor``; returns ``r'z``."""
-    np.copyto(z, r)
-    # positional (lower, ldab, overwrite_b): z is solved in place
-    dpbtrs(factor, z, 0, factor.shape[0], 1)
-    return ddot(r, z)
+def _preconditioned(factor):
+    """``(r, z) -> r'z`` after ``z = P^-1 r``, solved in place, P given by
+    its upper banded Cholesky ``factor``.
+
+    A tridiagonal P (half-bandwidth w <= 1) is converted once to its LDL'
+    form, ``d_i = r_ii^2`` and ``e_i = r_{i,i+1} / r_ii`` (e = 0 when w =
+    0), and solved by LAPACK ``pttrs`` (Golub and Van Loan, *Matrix
+    Computations*, 4th ed., 4.3.6); a wider band by ``pbtrs``, whose two
+    banded triangular solves cost about twice as much at w = 1. Both are
+    O(n).
+    """
+    w = factor.shape[0] - 1
+    if w > 1:
+
+        def solve(r, z):
+            np.copyto(z, r)
+            # positional (lower, ldab, overwrite_b): z is solved in place
+            dpbtrs(factor, z, 0, w + 1, 1)
+            return ddot(r, z)
+
+        return solve
+    n = factor.shape[1]
+    diagonal = factor[w]
+    d = diagonal * diagonal
+    # the f2py wrapper wants e of length max(n - 1, 1): at n = 1 it
+    # refuses an empty one
+    e = np.zeros(max(n - 1, 1))
+    if w:
+        e[: n - 1] = factor[0, 1:] / diagonal[:-1]
+
+    def solve(r, z):
+        np.copyto(z, r)
+        # positional (overwrite_b): z is solved in place
+        dpttrs(d, e, z, 1)
+        return ddot(r, z)
+
+    return solve
 
 
 def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
@@ -607,15 +640,23 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     the search direction), is reported through ``converged=False``, not an
     error. ``rhs`` is not modified.
 
+    Besides its product with G, an iteration makes two BLAS ``ddot`` and
+    updates x and r by one in-place BLAS ``daxpy`` each; with a dense G it
+    allocates nothing.
+
     ``precond``, if given, is the upper Cholesky factor of an SPD matrix P
     in LAPACK banded layout (``scipy.linalg.cholesky_banded``), and the
     loop is preconditioned CG (Saad, *Iterative Methods for Sparse Linear
     Systems*, 2nd ed., 2003, Alg. 9.1): the rate is then set by the
-    spectrum of P^-1 G. The stop test is unchanged, on the residual of
-    ``G s = rhs`` itself, so ``tau`` keeps its meaning. The iterates lie in
-    the span of ``(P^-1 G)^j P^-1 rhs``, which stays in R(G), and so keeps
-    the result minimum-norm, when P maps N(G) into itself (as ``P = L'L +
-    cI`` does for ``G = (MA)'MA + L'L``); for another P it may not.
+    spectrum of P^-1 G. Each iteration adds one O(n) solve with P (see
+    :func:`_preconditioned`: LDL' by ``pttrs`` at half-bandwidth <= 1,
+    else ``pbtrs``), and the new direction ``z + (r'z / r'z_old) d`` is
+    one ``daxpy`` into z's buffer, which then trades places with d's. The
+    stop test is unchanged, on the residual of ``G s = rhs`` itself, so
+    ``tau`` keeps its meaning. The iterates lie in the span of ``(P^-1
+    G)^j P^-1 rhs``, which stays in R(G), and so keeps the result
+    minimum-norm, when P maps N(G) into itself (as ``P = L'L + cI`` does
+    for ``G = (MA)'MA + L'L``); for another P it may not.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -637,11 +678,10 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
         # z = P^-1 r is r itself, and z'r is r'r
         z, rz = r, rr
     else:
+        solve = _preconditioned(precond)
         z = np.empty(n)
-        rz = _preconditioned(precond, r, z)
+        rz = solve(r, z)
     d = z.copy()
-    # a * d, then a * gd: each update rounds the product, then the sum
-    step = np.empty(n)
     stop = (tau * beta1) ** 2
 
     iterations = 0
@@ -653,15 +693,24 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
         if not curvature > 0.0:
             break
         a = rz / curvature
-        x += np.multiply(d, a, out=step)
-        r -= np.multiply(gd, a, out=step)
+        # positional (n, a): y += a x in place, one pass each
+        daxpy(d, x, n, a)
+        daxpy(gd, r, n, -a)
         rr = ddot(r, r)
         if rr <= stop:
             converged = True
             break
-        rz_old, rz = rz, rr if precond is None else _preconditioned(precond, r, z)
-        dscal(rz / rz_old, d)  # in place, the rounding of d *= rz / rz_old
-        d += z
+        rz_old = rz
+        if precond is None:
+            rz = rr
+            dscal(rz / rz_old, d)  # in place, the rounding of d *= rz / rz_old
+            d += z
+        else:
+            rz = solve(r, z)
+            # the new direction z + (rz / rz_old) d is formed in z's
+            # buffer; the old direction's becomes the next solve's z
+            daxpy(d, z, n, rz / rz_old)
+            d, z = z, d
 
     if converged:
         relres = math.sqrt(rr) / beta1

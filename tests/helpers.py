@@ -280,3 +280,30 @@ def counted_orgqr(monkeypatch):
     calls = []
     _count_lapack(monkeypatch, calls, "dorgqr")
     return calls
+
+
+def reference_pcg(G, rhs, factor, tau, max_iter):
+    """Preconditioned CG (Saad, *Iterative Methods for Sparse Linear
+    Systems*, 2nd ed., Alg. 9.1) in plain numpy, the oracle for
+    ``linalg.lsqr``: the same start, stop test and curvature break, with
+    ``z = P^-1 r`` solved by ``scipy.linalg.cho_solve_banded`` from P's
+    upper banded Cholesky ``factor``. Returns ``(x, iterations)``."""
+    x = np.zeros(rhs.size)
+    r = rhs.copy()
+    z = scipy.linalg.cho_solve_banded((factor, False), r)
+    d, rz = z.copy(), r @ z
+    stop = (tau * np.linalg.norm(rhs)) ** 2
+    for k in range(1, max_iter + 1):
+        gd = G @ d
+        curvature = d @ gd
+        if not curvature > 0.0:
+            break
+        a = rz / curvature
+        x = x + a * d
+        r = r - a * gd
+        if r @ r <= stop:
+            break
+        z = scipy.linalg.cho_solve_banded((factor, False), r)
+        rz_old, rz = rz, r @ z
+        d = z + (rz / rz_old) * d
+    return x, k
