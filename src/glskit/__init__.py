@@ -18,10 +18,10 @@ from .linalg import (
     QrFactors,
     RankTolerance,
     SvdFactors,
-    certified_qr,
     cholesky_spd,
     lsqr,
     pinv,
+    ranked_factor,
     svd,
 )
 from .gsvd import (

@@ -5,18 +5,19 @@ densified on entry by :func:`as_matrix`; :func:`stacked_factor` reads a
 sparse top block's entries where it stages them, and :func:`lsqr` applies
 a sparse operator as given. Rank decisions are made explicit through
 :class:`RankTolerance` so every routine that truncates singular values
-documents its cutoff. Pseudoinverses and null-space bases are read off one
-:class:`QrFactors` when a QR of the matrix's tall side certifies full rank
-(:func:`certified_qr`), else off one :class:`SvdFactors` (U thin, V
-square); a QR keeps its Householder reflectors and forms only the columns
-of Q that are read. A stack ``[L; B]`` is factored around a triangle of L,
-into which B's rows are folded (:func:`stacked_factor`), and only the rows
-of its Q that a caller reads are formed. No projector is formed here, its
-users apply the factors as products. The one iterative kernel,
-:func:`lsqr`, solves a symmetric positive semidefinite system by conjugate
-gradients and needs the operator only as a product: a dense matrix is read
-through one triangle by BLAS ``symv``, while sparse matrices and callables
-are kept as given. With a dense matrix its loop allocates nothing per
+documents its cutoff. Pseudoinverses and null-space bases are read off the
+one factor that :func:`ranked_factor` makes from a Householder QR of the
+matrix's tall side: a :class:`QrFactors` when the QR certifies full rank,
+which keeps its reflectors and forms only the columns of Q that are read,
+else the :class:`SvdFactors` (U thin, V square) built from the SVD of its
+R. No factor keeps a reference to its matrix. A stack ``[L; B]`` is
+factored around a triangle of L, into which B's rows are folded
+(:func:`stacked_factor`), and only the rows of its Q that a caller reads
+are formed. No projector is formed here, its users apply the factors as
+products. The one iterative kernel, :func:`lsqr`, solves a symmetric
+positive semidefinite system by conjugate gradients and needs the operator
+only as a product: a dense matrix is read through one triangle by BLAS
+``symv``, while sparse matrices and callables are kept as given. With a dense matrix its loop allocates nothing per
 iteration: dot products go through BLAS ``ddot``, and each update of the
 iterate, the residual and (preconditioned) the direction is one in-place
 BLAS ``daxpy``. It may be preconditioned by an upper banded Cholesky factor
@@ -52,7 +53,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "svd",
-    "certified_qr",
+    "ranked_factor",
     "stacked_factor",
     "pinv",
     "cholesky_spd",
@@ -202,9 +203,7 @@ def _certified_inverse(R, cutoff):
     fails without an exception or a warning.
     """
     R_inv, info = dtrtri(R)
-    if info != 0 or not _certifies(R_inv, cutoff):
-        return None
-    return R_inv
+    return R_inv if info == 0 and _certifies(R_inv, cutoff) else None
 
 
 def _certifies(R_inv, cutoff):
@@ -235,30 +234,28 @@ class QrFactors:
 
     A wide A (m < n) is factored as ``A' = Q R`` with Q n x n orthogonal,
     any other A as ``A = Q R`` with Q m x m. Q is kept as LAPACK ``geqrf``
-    leaves it, its Householder vectors (``reflectors``, rows x r) and
-    ``tau``, and is never formed whole: the columns a caller reads are
-    formed by applying the reflectors to a matrix (LAPACK ``ormqr``), not
-    by ``orgqr`` (Bjorck, *Numerical Methods for Least Squares Problems*,
-    1996, 2.4; Golub and Van Loan, *Matrix Computations*, 4th ed., 5.1.6).
-    Of R only ``R_inv = R^-1`` (r x r) is kept, and it certified full rank:
-    ``1 / ||R^-1||_F``, a lower bound on sigma_min(A), exceeded the rank
-    cutoff computed with ``||A||_F``, an upper bound on sigma_max(A), so an
-    SVD ranks A at r too (Bjorck, 1.3 and 2.2). Then N(A) is ``Q[:, r:]``
-    (empty unless A is wide), formed on first read and cached;
-    :meth:`nullspace_norm` reads ``||N' y||`` off ``Q' y`` with no basis
-    formed; R(A) is R^m for a wide A and ``Q[:, :r]`` otherwise; pinv(A)
-    is ``Q[:, :r] R^-T`` (formed as ``Q [R^-T; 0]``) or ``R^-1 Q[:, :r]'``.
-    It reads like :class:`SvdFactors`; ``source`` is A,
-    which :meth:`ranked` factors by SVD when the certificate does not clear
-    its cutoff, or None for a factor that is never re-ranked. The arrays
-    are read-only.
+    leaves it, its Householder vectors (``reflectors``, rows x r, with R in
+    their upper triangle) and ``tau``, and is never formed whole: the
+    columns a caller reads are formed by applying the reflectors to a
+    matrix (LAPACK ``ormqr``), not by ``orgqr`` (Bjorck, *Numerical Methods
+    for Least Squares Problems*, 1996, 2.4; Golub and Van Loan, *Matrix
+    Computations*, 4th ed., 5.1.6). ``R_inv = R^-1`` (r x r) certified full
+    rank: ``1 / ||R^-1||_F``, a lower bound on sigma_min(A), exceeded the
+    rank cutoff computed with ``||A||_F = ||R||_F``, an upper bound on
+    sigma_max(A), so an SVD ranks A at r too (Bjorck, 1.3 and 2.2). Then
+    N(A) is ``Q[:, r:]`` (empty unless A is wide), formed on first read and
+    cached; :meth:`nullspace_norm` reads ``||N' y||`` off ``Q' y`` with no
+    basis formed; R(A) is R^m for a wide A and ``Q[:, :r]`` otherwise;
+    pinv(A) is ``Q[:, :r] R^-T`` (formed as ``Q [R^-T; 0]``) or ``R^-1
+    Q[:, :r]'``. It reads like :class:`SvdFactors`, and keeps no reference
+    to A: :meth:`ranked` reads R off the reflectors. The arrays are
+    read-only.
     """
 
     reflectors: np.ndarray
     tau: np.ndarray
     R_inv: np.ndarray
     wide: bool
-    source: np.ndarray | None
 
     @property
     def rank(self):
@@ -266,14 +263,15 @@ class QrFactors:
 
     def ranked(self, tol=None):
         """These factors if the certificate clears the cutoff of ``tol``
-        (None: the default :class:`RankTolerance`), else the SVD of A
-        ranked by ``tol``."""
-        if self.source is None:
-            raise ValueError("these factors kept no reference to their matrix")
+        (None: the default :class:`RankTolerance`), else the SVD of A,
+        ranked by ``tol``, from the SVD of R (:func:`ranked_factor`)."""
         tol = tol if tol is not None else RankTolerance()
-        if _certifies(self.R_inv, tol.cutoff(self.source.shape, np.linalg.norm(self.source))):
+        R = np.triu(self.reflectors[: self.rank])
+        # the reflectors are A's shape or its transpose's, and the cutoff
+        # reads only the larger dimension
+        if _certifies(self.R_inv, tol.cutoff(self.reflectors.shape, np.linalg.norm(R))):
             return self
-        return svd(self.source, tol)
+        return _svd_of_r(self.reflectors, self.tau, R, self.wide, tol)
 
     def _zeros(self, columns):
         return np.zeros((self.reflectors.shape[0], columns), order="F")
@@ -334,31 +332,54 @@ def _staged(block, rows):
     return staged
 
 
-def certified_qr(A, tol=None, keep_source=True):
-    """:class:`QrFactors` of A, or None when its QR cannot certify full rank.
+def _householder_qr(K):
+    """The raw Householder QR of K, a fresh Fortran-ordered array that it
+    overwrites: ``((reflectors, tau), R)``, as LAPACK ``geqrf`` leaves it."""
+    return scipy.linalg.qr(K, mode="raw", overwrite_a=True, check_finite=False)
+
+
+def _svd_of_r(reflectors, tau, R, wide, tol):
+    """The :class:`SvdFactors` of A, ranked by ``tol``, from the SVD ``R =
+    U_R diag(sig) V_R'`` of the R of its QR (Q given by ``reflectors`` and
+    ``tau``): ``U = Q [U_R; 0]`` and ``V = V_R`` for a tall A; for a wide
+    A, ``A = R' Q'``, so ``U = V_R`` and ``V = Q diag(U_R, I)``, square."""
+    rows, r = reflectors.shape
+    rf = svd(R)
+    C = np.eye(rows, rows if wide else r, order="F")
+    C[:r, :r] = rf.U
+    QU = _apply_reflectors(reflectors, tau, C)
+    QU.flags.writeable = False
+    U, V = (rf.V, QU) if wide else (QU, rf.V)
+    return SvdFactors(U=U, singular_values=rf.singular_values, V=V, rank=r).ranked(tol)
+
+
+def ranked_factor(A, tol=None):
+    """A factor of A with the rank that ``tol`` (default
+    :class:`RankTolerance`) decides: :class:`QrFactors` when the QR of A's
+    tall side certifies full rank, else :class:`SvdFactors`.
 
     A' (when A is wide) or A is staged in a fresh Fortran-ordered array,
-    rows x r, which ``scipy.linalg.qr(mode="raw")`` overwrites with its
-    reflectors. The cutoff is the one ``tol`` (default
-    :class:`RankTolerance`) gives at A's shape with ``||A||_F`` for
-    sigma_max. No column of Q is formed here; when the certificate fails,
-    every array of the QR is freed on return, before the caller's fallback
-    runs. ``keep_source=False`` keeps no reference to A, for a product that
-    is not stored and never re-ranked.
+    rows x r, which one raw Householder QR overwrites with its reflectors.
+    The cutoff is the one ``tol`` gives at A's shape with ``||A||_F`` for
+    sigma_max. When ``1 / ||R^-1||_F`` clears it, no column of Q is formed
+    here. Otherwise the SVD of the r x r R, with Q applied to its singular
+    vectors, gives the SVD of A, ranked at the same cutoff with its own
+    sigma_max, so r is the rank :func:`svd` of A gives, and the QR's
+    arrays are freed on return. An empty A is ranked at 0 by :func:`svd`.
     """
+    A = as_matrix(A, "A")
     m, n = A.shape
     if A.size == 0:
-        return None
+        return svd(A, tol)
     wide = m < n
-    K = _staged(A.T if wide else A, max(m, n))
-    (reflectors, tau), R = scipy.linalg.qr(K, mode="raw", overwrite_a=True, check_finite=False)
+    (reflectors, tau), R = _householder_qr(_staged(A.T if wide else A, max(m, n)))
     tol = tol if tol is not None else RankTolerance()
     R_inv = _certified_inverse(R, tol.cutoff(A.shape, np.linalg.norm(A)))
     if R_inv is None:
-        return None
+        return _svd_of_r(reflectors, tau, R, wide, tol)
     for factor in (reflectors, tau, R_inv):
         factor.flags.writeable = False
-    return QrFactors(reflectors, tau, R_inv, wide, source=A if keep_source else None)
+    return QrFactors(reflectors, tau, R_inv, wide)
 
 
 @dataclass(frozen=True)
@@ -453,12 +474,13 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     (Elden, *BIT* 17, 1977). R0 is L itself, padded with zero rows, when L
     is upper trapezoidal with at most n rows, as a difference stencil or
     the identity is; otherwise it is the R of one raw QR of L, ``L = Q_L
-    [R0; 0]`` (``scipy.linalg.qr``). LAPACK ``tpqrt`` then folds B into R0,
-    ``[R0; B] = Q [R; 0]``, at O(q n^2) flops, not the O((p + q) n^2) of a
-    QR of the staged stack (Demmel, Grigori, Hoemmen and Langou, *SIAM J.
-    Sci. Comput.* 34(1), 2012). Q is never formed whole: ``tpmqrt`` forms
-    the rows of ``Q[:, :n]`` that belong to B, and with ``l_rows`` those
-    of L, applying ``Q_L`` to them when L was factored.
+    [R0; 0]``, the Householder QR that :func:`ranked_factor` makes. LAPACK
+    ``tpqrt`` then folds B into R0, ``[R0; B] = Q [R; 0]``, at O(q n^2)
+    flops, not the O((p + q) n^2) of a QR of the staged stack (Demmel,
+    Grigori, Hoemmen and Langou, *SIAM J. Sci. Comput.* 34(1), 2012). Q is
+    never formed whole: ``tpmqrt`` forms the rows of ``Q[:, :n]`` that
+    belong to B, and with ``l_rows`` those of L, applying ``Q_L`` to them
+    when L was factored.
 
     When ``1 / ||R^-1||_F``, a lower bound on sigma_min(K), exceeds the
     rank cutoff that ``tol`` (default :class:`RankTolerance`) gives at K's
@@ -486,7 +508,7 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     if p <= n and _upper_trapezoidal(L):
         R0 = _staged(L, n)
     else:
-        Q_L, R_L = scipy.linalg.qr(_staged(L, p), mode="raw", overwrite_a=True, check_finite=False)
+        Q_L, R_L = _householder_qr(_staged(L, p))
         R0 = _staged(R_L, n)
     R, V, T, info = dtpqrt(
         0, min(_FOLD_BLOCK, n), R0, np.array(B, order="F"), overwrite_a=1, overwrite_b=1
@@ -509,9 +531,6 @@ def stacked_factor(L, B, tol=None, l_rows=False):
 
 def pinv(A, tol=None):
     """Moore-Penrose pseudoinverse with singular values <= cutoff zeroed."""
-    A = as_matrix(A, "A")
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
     return svd(A, tol).pinv()
 
 
@@ -638,7 +657,11 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     by cond(G)^(1/2) (the Krylov space of G, not of G^2). Hitting
     ``max_iter``, or a curvature ``d'Gd <= 0`` (G not positive definite on
     the search direction), is reported through ``converged=False``, not an
-    error. ``rhs`` is not modified.
+    error. The reported ``relative_residual`` is the recursive one, except
+    on those exits and on a converged one with ``tau < n eps``, below the
+    rounding floor of ``G x - rhs``: those cost one more product with G,
+    to report the evaluated ``||G x - rhs|| / ||rhs||``. ``rhs`` is not
+    modified.
 
     Besides its product with G, an iteration makes two BLAS ``ddot`` and
     updates x and r by one in-place BLAS ``daxpy`` each; with a dense G it
@@ -712,11 +735,12 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
             daxpy(d, z, n, rz / rz_old)
             d, z = z, d
 
-    if converged:
+    if converged and tau >= n * EPS:
         relres = math.sqrt(rr) / beta1
     else:
-        # after stagnation the recursive residual under-reports; callers
-        # that stop unconverged get the directly evaluated value
+        # after stagnation, or past the rounding floor n eps that a tau
+        # below it asks for, the recursive residual under-reports (it may
+        # underflow to 0): those exits get the directly evaluated value
         relres = float(np.linalg.norm(matvec(x) - rhs)) / beta1
 
     return LsqrResult(x=x, iterations=iterations, converged=converged, relative_residual=relres)

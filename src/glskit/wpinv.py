@@ -22,7 +22,7 @@ from scipy.linalg.blas import dtrmm
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
-    EPS, RankTolerance, SvdFactors, as_matrix, as_vector, certified_qr, pinv, stacked_factor, svd,
+    EPS, RankTolerance, as_matrix, as_vector, pinv, ranked_factor, stacked_factor, svd,
 )
 
 __all__ = [
@@ -46,15 +46,17 @@ class FactorStore:
     identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
     singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
     so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[L; MA]``
-    (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` start
-    with a QR of their tall side (``L N`` only when it is tall): when it
-    certifies full rank, the factor is a :class:`~glskit.linalg.QrFactors`,
-    which keeps its reflectors and forms only the columns of Q that are
-    read, and no SVD is made; so a wide ``M A`` of full row rank has N(MA)
-    = ``Q[:, q:]``, formed on first read, and R(MA) = R^q. Otherwise the
-    QR's arrays are freed and the factor is the
-    :class:`~glskit.linalg.SvdFactors` of ``linalg.svd`` at the same
-    tolerance. The formed ``G`` is never factored. ``nullspace_g`` reads
+    (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` are
+    factored by :func:`~glskit.linalg.ranked_factor`, one QR of their tall
+    side: when it certifies full rank, the factor is a
+    :class:`~glskit.linalg.QrFactors`, which keeps its reflectors and forms
+    only the columns of Q that are read, and no SVD is made; so a wide ``M
+    A`` of full row rank has N(MA) = ``Q[:, q:]``, formed on first read,
+    and R(MA) = R^q, and a wide or square ``L N`` of full row rank
+    certifies too. Otherwise the factor is the
+    :class:`~glskit.linalg.SvdFactors` that the SVD of the QR's r x r R
+    gives, ranked at the same tolerance as ``linalg.svd`` would rank the
+    matrix. The formed ``G`` is never factored. ``nullspace_g`` reads
     the certified ``gdag`` when it is cached, and then neither ``ma`` nor
     ``ln``. Other rank decisions of M A apply their own tolerance through
     ``ranked``; L N is always ranked at its product floor.
@@ -69,8 +71,7 @@ class FactorStore:
         otherwise at its product floor (``_product_tolerance`` of M and A),
         not at a fraction of sigma_max(MA), which may itself be tiny."""
         tol = None if self._M is None else _product_tolerance(self._M, self._A)
-        f = certified_qr(self._MA, tol)
-        return f if f is not None else svd(self._MA, tol)
+        return ranked_factor(self._MA, tol)
 
     @cached_property
     def m(self):
@@ -287,16 +288,10 @@ def _product_tolerance(*factors):
 
 
 def _ln_factor(L, N):
-    """The factor of ``L N`` for an orthonormal N, ranked at the roundoff
-    floor of the product; a QR is tried only when L N is tall, and a
-    certified one keeps no reference to the product (rank 0 and identity
-    singular vectors when p = 0 or N has no columns)."""
-    LN = L @ N
-    if LN.size == 0:
-        return SvdFactors(np.eye(LN.shape[0]), np.zeros(0), np.eye(LN.shape[1]), 0)
-    tol = _product_tolerance(L, N)
-    f = certified_qr(LN, tol, keep_source=False) if LN.shape[0] > LN.shape[1] else None
-    return f if f is not None else svd(LN, tol)
+    """The :func:`~glskit.linalg.ranked_factor` of ``L N`` for an
+    orthonormal N, ranked at the roundoff floor of the product (rank 0 when
+    p = 0 or N has no columns)."""
+    return ranked_factor(L @ N, _product_tolerance(L, N))
 
 
 def wpinv_limit(prob: GlsProblem, delta, tol=None) -> np.ndarray:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from glskit import (
     GlsProblem,
@@ -12,8 +14,10 @@ from glskit import (
     InnerLsqrStrategy,
     RankTolerance,
     cholesky_spd,
+    SvdFactors,
     lsqr,
     pinv,
+    ranked_factor,
     svd,
 )
 from glskit import linalg
@@ -22,6 +26,7 @@ from glskit.problems import generate, random_sparse_matrix, regularizer
 from helpers import (
     STACKED_KINDS,
     counted_factorizations,
+    matrix_with_spectrum,
     nullspace_basis,
     orthogonal,
     projector_range,
@@ -327,6 +332,49 @@ def test_lsqr_cap_reports_the_evaluated_residual(generated_g, form):
     assert early.relative_residual == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [1e-15, 1e-150, 1e-300])
+def test_lsqr_below_the_rounding_floor_reports_the_evaluated_residual(generated_g, band_factor, tau):
+    # tau < n eps: the preconditioned run stops converged once its
+    # recursive residual passes tau (with the dense G: 9.7e-16 at 1e-15,
+    # 4.8e-151 at 1e-150, 0.0 at 1e-300), far below the 3.9e-15 to 4.1e-15
+    # that G x - rhs shows, so it reports the evaluated residual, at the
+    # cost of one more product
+    G, rhs = generated_g
+    products = []
+
+    def operator(v):
+        products.append(1)
+        return G @ v
+
+    res = lsqr(operator, rhs, tau=tau, precond=band_factor)
+    assert res.converged and len(products) == res.iterations + 1
+    direct = np.linalg.norm(G @ res.x - rhs) / np.linalg.norm(rhs)
+    assert 1e-16 < direct < 1e-13
+    assert res.relative_residual == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("precond, iterations", [(True, 28), (False, 106)])
+def test_lsqr_above_the_rounding_floor_reports_the_recursive_residual(
+    generated_g, band_factor, precond, iterations
+):
+    # tau = 1e-10, the glsqr_inner workload's, is above n eps: the stop
+    # costs no product beyond the iterations', and the recursive residual
+    # that passed the stop test is what is reported
+    G, rhs = generated_g
+    products = []
+
+    def operator(v):
+        products.append(1)
+        return G @ v
+
+    res = lsqr(operator, rhs, tau=1e-10, precond=band_factor if precond else None)
+    assert res.converged and res.iterations == iterations
+    assert len(products) == iterations
+    assert res.relative_residual <= 1e-10
+    direct = np.linalg.norm(G @ res.x - rhs) / np.linalg.norm(rhs)
+    assert res.relative_residual == pytest.approx(direct, rel=1e-4)
+
+
 def test_orthogonal_helper():
     Q = orthogonal(np.random.default_rng(0), 6)
     assert np.linalg.norm(Q.T @ Q - np.eye(6)) <= 1e-13
@@ -427,9 +475,9 @@ def test_lsqr_memory_does_not_grow_with_its_iterations(generated_g, band_factor,
             tracemalloc.stop()
         iterations.append(res.iterations)
     # the preconditioned run stops short of its cap, after about 300
-    # iterations, when its recursive residual underflows to zero; it then
-    # reports that residual and skips the evaluated one, whose temporary
-    # sets the short run's peak, so its own peak may be lower
+    # iterations, when its recursive residual underflows to zero; like the
+    # capped runs it then reports the evaluated residual, whose temporary
+    # sets both runs' peaks
     assert iterations[0] == 5 and iterations[1] >= 300
     assert peaks[1] - peaks[0] < 8 * rhs.size
 
@@ -510,3 +558,57 @@ def test_gdag_w_matches_the_oracle_across_a_family(family):
         gap = np.linalg.norm(prob.factors.gdag.W - W_o) / np.linalg.norm(W_o)
         ratios.append(gap / max(1e-12, EPS * sig[0] / sig[-1]))
     assert max(ratios) <= 1.0
+
+
+@st.composite
+def ranked_problems(draw):
+    """``(A, tol)``: A m x n (1 <= m, n <= 12) of a planted rank
+    with singular values in [1e-8, 1] times a scale of 10^k, |k| <= 150 (a
+    rank of 0 gives A = 0); tol None, or relative or absolute with its
+    cutoff halfway (geometrically) across a gap of at least 2x below a
+    planted singular value, or above them all."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rank = min(m, n) - draw(st.integers(0, min(m, n)))
+    exponents = draw(st.lists(st.floats(0.0, 8.0), min_size=rank, max_size=rank))
+    sigma = np.sort(10.0 ** -np.array(exponents, dtype=np.float64))[::-1]
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = scale * matrix_with_spectrum(rng, m, n, sigma)
+    mode = draw(st.sampled_from([None, "relative", "absolute"]))
+    if mode is None:
+        return A, None
+    # the planted values, padded by one above and one far below the least
+    bounds = np.concatenate([[10.0 * sigma.max(initial=1.0)], sigma, [1e-3 * sigma.min(initial=1.0)]])
+    j = draw(st.integers(1, bounds.size - 1))
+    assume(bounds[j - 1] >= 2.0 * bounds[j])
+    cutoff = math.sqrt(bounds[j - 1] * bounds[j])
+    if mode == "relative":
+        return A, RankTolerance("relative", cutoff / sigma.max(initial=1.0))
+    return A, RankTolerance("absolute", cutoff * scale)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(ranked_problems())
+@example((np.zeros((4, 7)), None))
+@example((np.zeros((7, 4)), RankTolerance("absolute", 1e-3)))
+@example((np.zeros((0, 5)), None))
+@example((np.zeros((5, 0)), RankTolerance("relative", 1e-3)))
+@example((np.zeros((0, 0)), RankTolerance("absolute", 1.0)))
+def test_ranked_factor_ranks_as_the_svd_does(problem):
+    # a certified QR or the SVD of R, with Q applied: the same rank as the
+    # SVD of A, and the same N(A) and pinv(A) to within eps cond(A); the
+    # explicit examples add A = 0 and the empty shapes
+    A, tol = problem
+    got, want = ranked_factor(A, tol), svd(A, tol)
+    assert got.rank == want.rank
+    N, Z = got.nullspace(), want.nullspace()
+    assert N.shape == Z.shape
+    assert np.linalg.norm(N @ N.T - Z @ Z.T) <= 1e-6
+    X, Y = got.pinv(), want.pinv()
+    assert X.shape == Y.shape == A.T.shape
+    # divided by its largest entry first, as pinv(A) reaches 1e158 and
+    # the sum of its squares would overflow
+    unit = np.abs(Y).max(initial=0.0) or 1.0
+    assert np.linalg.norm((X - Y) / unit) <= 1e-6 * np.linalg.norm(Y / unit)
+    if not isinstance(got, SvdFactors):
+        assert got.rank == min(A.shape)

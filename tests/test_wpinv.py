@@ -11,13 +11,13 @@ from glskit import (
     QrFactors,
     RankTolerance,
     SvdFactors,
-    certified_qr,
     certify_solution,
     check_gls_criterion,
     check_gmpe,
     glsqr_solve,
     gsvd_pair,
     pinv,
+    ranked_factor,
     svd,
     wpinv_apply,
     wpinv_elden,
@@ -27,7 +27,9 @@ from glskit import (
 )
 from glskit.problems import generate, make_l1, make_l2
 from glskit.wpinv import FactorStore, _product_tolerance
-from helpers import matrix_with_spectrum, nullspace_basis, random_gls_problem, random_matrix
+from helpers import (
+    counted_factorizations, matrix_with_spectrum, nullspace_basis, random_gls_problem, random_matrix,
+)
 
 
 def hand_problem(b=2.0):
@@ -507,26 +509,77 @@ def test_shapes_validated():
 
 
 # rank-deficient families (see test_glsqr.FAMILIES): M A fails the QR's
-# certificate, and L N is wide (C1, C2) or square (W), so it is not tried
+# certificate and takes the SVD of its R, while L N, wide (C1, C2) or
+# square (W) and of full row rank, certifies its QR. SVD_FAMILY_GAPS bounds
+# how far each factor's N N' and pinv may stray from those of the SVD of
+# its matrix, about eps cond(MA) (cond 1e4 makes C1's the loosest)
 SVD_FAMILIES = {
     "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
     "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
     "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
 }
+SVD_FAMILY_GAPS = {"C1": 4e-9, "C2": 6e-12, "W": 3e-13}
 
 
 @pytest.mark.parametrize("family", SVD_FAMILIES)
-def test_rank_deficient_factors_are_the_svds_array_for_array(family):
+def test_rank_deficient_factors_agree_with_the_svd(family):
+    # the SVD of R, with Q applied, ranks M A as the SVD of M A does; L N
+    # is formed from the N that M A's factor gives
+    bound = SVD_FAMILY_GAPS[family]
     for seed in range(200):
         prob = random_gls_problem(seed, **SVD_FAMILIES[family])
-        ma = svd(prob.MA, _product_tolerance(prob.M, prob.A))
+        ma, ln = prob.factors.ma, prob.factors.ln
+        assert isinstance(ma, SvdFactors) and isinstance(ln, QrFactors), seed
         N = ma.nullspace()
-        ln = svd(prob.L @ N, _product_tolerance(prob.L, N))
-        for got, want in ((prob.factors.ma, ma), (prob.factors.ln, ln)):
-            assert isinstance(got, SvdFactors), seed
+        for got, want in (
+            (ma, svd(prob.MA, _product_tolerance(prob.M, prob.A))),
+            (ln, svd(prob.L @ N, _product_tolerance(prob.L, N))),
+        ):
             assert got.rank == want.rank, seed
-            for name in ("U", "singular_values", "V"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            N_got, N_want = got.nullspace(), want.nullspace()
+            assert np.linalg.norm(N_got @ N_got.T - N_want @ N_want.T) <= bound, seed
+            X, Y = got.pinv(), want.pinv()
+            assert np.linalg.norm(X - Y) <= bound * np.linalg.norm(Y), seed
+        for array in (ma.U, ma.singular_values, ma.V):
+            assert not array.flags.writeable
+
+
+def _svd_shapes(monkeypatch):
+    """The shapes of the matrices that later calls of numpy's svd factor."""
+    shapes, numpy_svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return numpy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+def test_a_rank_deficient_ma_costs_one_qr_and_the_svd_of_its_r(monkeypatch):
+    # C1's M A is 4 x 9 of rank 3: the QR of its transpose fails the
+    # certificate and the SVD is of the 4 x 4 R, not of M A; re-ranking a
+    # certified factor past its certificate makes that SVD and no QR
+    prob = random_gls_problem(0, **SVD_FAMILIES["C1"])
+    calls = counted_factorizations(monkeypatch, ("qr", "svd"))
+    shapes = _svd_shapes(monkeypatch)
+    assert prob.factors.ma.rank == 3
+    assert calls == ["scipy.linalg.qr", "numpy.linalg.svd"]
+    assert shapes == [(4, 4)]
+    rng = np.random.default_rng(8)
+    A = matrix_with_spectrum(rng, 6, 9, [1.0, 0.5, 0.2, 5e-6, 3e-7, 1e-7])
+    qr = ranked_factor(A)
+    assert isinstance(qr, QrFactors)
+    del calls[:], shapes[:]
+    tol = RankTolerance("absolute", 4e-7)
+    ma = qr.ranked(tol)
+    assert calls == ["numpy.linalg.svd"] and shapes == [(6, 6)]
+    assert isinstance(ma, SvdFactors) and ma.rank == 4
+    # the kept sigma_4 = 5e-6 bounds the gap to eps / 5e-6, about 4e-11
+    ref = svd(A, tol)
+    N, Z = ma.nullspace(), ref.nullspace()
+    assert np.linalg.norm(N @ N.T - Z @ Z.T) <= 1e-10
+    assert np.linalg.norm(ma.pinv() - ref.pinv()) <= 1e-10 * np.linalg.norm(ref.pinv())
 
 
 def _assert_factors_agree(got, want):
@@ -562,8 +615,6 @@ def test_full_rank_factors_are_certified_and_match_the_svd(shape):
             ln = prob.factors.ln
             assert isinstance(ln, QrFactors), seed
             _assert_factors_agree(ln, svd(prob.L @ N, _product_tolerance(prob.L, N)))
-            with pytest.raises(ValueError):
-                ln.ranked()  # the product L N is not kept
             certified.append(ln)
         for f in certified:
             for array in (f.reflectors, f.tau, f.R_inv, f.nullspace()):
@@ -610,7 +661,7 @@ def test_a_singular_r_fails_the_qr_certificate_quietly(shape, scale):
         A[:, -1] *= scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert certified_qr(A) is None
+        assert isinstance(ranked_factor(A), SvdFactors)
         ma = GlsProblem(A, None, rng.standard_normal((5, shape[1]))).factors.ma
     assert isinstance(ma, SvdFactors)
     assert ma.rank == min(shape) - 1
@@ -618,8 +669,9 @@ def test_a_singular_r_fails_the_qr_certificate_quietly(shape, scale):
 
 @pytest.mark.parametrize("family", [*SVD_FAMILIES, *FULL_RANK_SHAPES])
 def test_nullspace_norm_reads_the_explicit_basis(family):
-    # both factor kinds on every family: ||N' y|| from Q' y (QR, with no
-    # basis formed) or from V (SVD) equals the norm through the basis
+    # both factor kinds on every family (on the rank-deficient ones M A's
+    # is an SVD and L N's a QR): ||N' y|| from Q' y (QR, with no basis
+    # formed) or from V (SVD) equals the norm through the basis
     shape = {**SVD_FAMILIES, **FULL_RANK_SHAPES}[family]
     kinds = set()
     for seed in range(200):
@@ -631,7 +683,7 @@ def test_nullspace_norm_reads_the_explicit_basis(family):
             for y in np.random.default_rng(seed).standard_normal((2, f.nullspace().shape[0])):
                 want = np.linalg.norm(f.nullspace().T @ y)
                 assert abs(f.nullspace_norm(y) - want) <= 1e-12 * want, seed
-    assert kinds == ({SvdFactors} if family in SVD_FAMILIES else {SvdFactors, QrFactors})
+    assert kinds == {SvdFactors, QrFactors}
 
 
 @pytest.mark.parametrize("family", SVD_FAMILIES)
