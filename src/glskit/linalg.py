@@ -55,6 +55,7 @@ __all__ = [
     "svd",
     "ranked_factor",
     "stacked_factor",
+    "norm_product",
     "pinv",
     "cholesky_spd",
     "lsqr",
@@ -207,10 +208,32 @@ def _certified_inverse(R, cutoff):
 
 
 def _certifies(R_inv, cutoff):
-    """Whether ``1 / ||R^-1||_F`` exceeds ``cutoff``."""
-    # BLAS dnrm2 scales its sum of squares: a huge inverse has a finite
-    # norm, an overflowed one an inf or NaN norm, and neither warns
-    return float(dnrm2(R_inv.ravel(order="K"))) * cutoff < 1.0
+    """Whether ``1 / ||R^-1||_F`` exceeds ``cutoff``; an overflowed inverse
+    has an inf or NaN norm, and fails without a warning."""
+    return norm_product(R_inv, scale=cutoff) < 1.0
+
+
+def norm_product(*factors, scale=1.0):
+    """``scale`` times the product of the Frobenius norms of ``factors``
+    (dense, or scipy sparse with no duplicate entries). It is inf, or 0
+    with no zero factor, only when the product itself leaves the double
+    range.
+
+    Each norm is BLAS ``dnrm2`` of the entries, which scales its sum of
+    squares: it is finite for every finite factor, where the unscaled sum
+    in ``np.linalg.norm`` overflows once the norm passes about 1.3e154.
+    The product multiplies the norms' mantissas and adds their exponents
+    (``math.frexp``), so no partial product overflows or underflows.
+    """
+    mantissa, exponent = math.frexp(scale)
+    for f in factors:
+        entries = f.data if scipy.sparse.issparse(f) else np.asarray(f).ravel(order="K")
+        m, e = math.frexp(float(dnrm2(entries)) if entries.size else 0.0)
+        mantissa, exponent = mantissa * m, exponent + e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _apply_reflectors(reflectors, tau, C, trans="N"):
@@ -269,7 +292,7 @@ class QrFactors:
         R = np.triu(self.reflectors[: self.rank])
         # the reflectors are A's shape or its transpose's, and the cutoff
         # reads only the larger dimension
-        if _certifies(self.R_inv, tol.cutoff(self.reflectors.shape, np.linalg.norm(R))):
+        if _certifies(self.R_inv, tol.cutoff(self.reflectors.shape, norm_product(R))):
             return self
         return _svd_of_r(self.reflectors, self.tau, R, self.wide, tol)
 
@@ -360,12 +383,13 @@ def ranked_factor(A, tol=None):
 
     A' (when A is wide) or A is staged in a fresh Fortran-ordered array,
     rows x r, which one raw Householder QR overwrites with its reflectors.
-    The cutoff is the one ``tol`` gives at A's shape with ``||A||_F`` for
-    sigma_max. When ``1 / ||R^-1||_F`` clears it, no column of Q is formed
-    here. Otherwise the SVD of the r x r R, with Q applied to its singular
-    vectors, gives the SVD of A, ranked at the same cutoff with its own
-    sigma_max, so r is the rank :func:`svd` of A gives, and the QR's
-    arrays are freed on return. An empty A is ranked at 0 by :func:`svd`.
+    The cutoff is the one ``tol`` gives at A's shape with ``||A||_F``
+    (:func:`norm_product`, finite for a finite A) for sigma_max. When
+    ``1 / ||R^-1||_F`` clears it, no column of Q is formed here. Otherwise
+    the SVD of the r x r R, with Q applied to its singular vectors, gives
+    the SVD of A, ranked at the same cutoff with its own sigma_max, so r is
+    the rank :func:`svd` of A gives, and the QR's arrays are freed on
+    return. An empty A is ranked at 0 by :func:`svd`.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
@@ -374,7 +398,7 @@ def ranked_factor(A, tol=None):
     wide = m < n
     (reflectors, tau), R = _householder_qr(_staged(A.T if wide else A, max(m, n)))
     tol = tol if tol is not None else RankTolerance()
-    R_inv = _certified_inverse(R, tol.cutoff(A.shape, np.linalg.norm(A)))
+    R_inv = _certified_inverse(R, tol.cutoff(A.shape, norm_product(A)))
     if R_inv is None:
         return _svd_of_r(reflectors, tau, R, wide, tol)
     for factor in (reflectors, tau, R_inv):
@@ -484,13 +508,13 @@ def stacked_factor(L, B, tol=None, l_rows=False):
 
     When ``1 / ||R^-1||_F``, a lower bound on sigma_min(K), exceeds the
     rank cutoff that ``tol`` (default :class:`RankTolerance`) gives at K's
-    shape with ``||K||_F`` (from the blocks' column norms) for sigma_max,
-    the QR has certified full column rank. Otherwise (a null space, or
-    sigma_min near the cutoff) R's SVD is ranked at that cutoff with its
-    own sigma_max, so r is the rank the SVD of K would give. A wide K (p +
-    q < n) has a null space by its shape: it is staged and its own SVD
-    ranks it, with no QR; a K with no rows has r = 0, so Z_B is 0 x 0,
-    F_pinv n x 0 and N = I.
+    shape with ``||K||_F`` (the blocks' norms by :func:`norm_product`) for
+    sigma_max, the QR has certified full column rank. Otherwise (a null
+    space, or sigma_min near the cutoff) R's SVD is ranked at that cutoff
+    with its own sigma_max, so r is the rank the SVD of K would give. A
+    wide K (p + q < n) has a null space by its shape: it is staged and its
+    own SVD ranks it, with no QR; a K with no rows has r = 0, so Z_B is 0
+    x 0, F_pinv n x 0 and N = I.
     """
     (p, n), q = L.shape, B.shape[0]
     gram_diagonal = _column_sumsq(L) + _column_sumsq(B)
@@ -515,7 +539,8 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     )
     if info != 0:
         raise FactorizationError(f"tpqrt failed with info {info}")
-    R_inv = _certified_inverse(R, tol.cutoff((p + q, n), math.sqrt(gram_diagonal.sum())))
+    k_norm = math.hypot(norm_product(L), norm_product(B))
+    R_inv = _certified_inverse(R, tol.cutoff((p + q, n), k_norm))
     top, Z_B = _fold_rows(V, T, min(p, n) if l_rows else 0)
     del V, T
     if R_inv is not None:

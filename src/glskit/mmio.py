@@ -12,7 +12,11 @@ does not allow, goes to a line walker: it reads what numpy does not (comment
 lines inside the body, array rows of different lengths, integers beyond
 int64, spellings only Python accepts such as ``1_0.5``) and reports the first
 fault with its line number. Both cut lines as ``str.splitlines`` does.
-Writers emit floats as ``repr`` and stream their text to the file in chunks.
+
+The writer is ``scipy.io.mmwrite`` with general storage, so a written file
+has a ``%`` comment line after its banner. From scipy 1.12 on it writes each
+float as the shortest text that reads back to the same double; below that,
+scipy's Python writer writes the file. The reader above is this module's own.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
 
 _BANNER = "%%matrixmarket"
 _READ_CHARS = 1 << 16  # characters per read, completed to a whole line
-_WRITE_LINES = 4096  # lines per write
 
 
 class MatrixMarketError(ValueError):
@@ -218,38 +221,30 @@ def read_matrix_market(path):
     return mat
 
 
-def _write_lines(fh, line, *columns):
-    """Write ``line(*row)`` and a newline for each row of the columns,
-    ``_WRITE_LINES`` rows at a time."""
-    for start in range(0, len(columns[0]), _WRITE_LINES):
-        rows = (column[start : start + _WRITE_LINES].tolist() for column in columns)
-        fh.write("\n".join(map(line, *rows)) + "\n")
-
-
 def write_matrix_market(path, a):
-    """Write a matrix: scipy sparse -> coordinate format, dense -> array.
-    The text goes to the file ``_WRITE_LINES`` lines at a time."""
+    """Write a matrix by ``scipy.io.mmwrite`` with general storage: scipy
+    sparse -> coordinate format, summed, without zeros and sorted by row
+    then column; dense -> array format, a 1-D array as one column."""
     if sp.issparse(a):
-        coo = sp.coo_array(a)
-        coo.sum_duplicates()
-        coo.eliminate_zeros()
-        order = np.lexsort((coo.col, coo.row))
-        entries = coo.row[order] + 1, coo.col[order] + 1, coo.data.astype(np.float64, copy=False)[order]
-        m, n = coo.shape
-        with open(path, "w") as fh:
-            fh.write(f"%%MatrixMarket matrix coordinate real general\n{m} {n} {coo.nnz}\n")
-            _write_lines(fh, "{} {} {!r}".format, *entries)
-        return
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError("only 1-D or 2-D arrays can be written")
-    m, n = arr.shape
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
-        for column in arr.T:  # column-major
-            _write_lines(fh, repr, column)
+        a = sp.csr_array(a, dtype=np.float64, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        a = a.tocoo()
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 1:
+            a = a.reshape(-1, 1)
+        if a.ndim != 2:
+            raise ValueError("only 1-D or 2-D arrays can be written")
+    # imported here: scipy.io costs about 20 ms and 1 MiB to import, and a
+    # solve that writes no file need not pay them
+    from scipy.io import mmwrite
+
+    # general, not scipy's default scan that writes a symmetric input as
+    # symmetric storage; a stream, since given a path mmwrite appends ".mtx"
+    # to one that does not end in it
+    with open(path, "wb") as fh:
+        mmwrite(fh, a, field="real", symmetry="general")
 
 
 def read_vector(path):

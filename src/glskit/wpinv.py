@@ -22,7 +22,8 @@ from scipy.linalg.blas import dtrmm
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
-    EPS, RankTolerance, as_matrix, as_vector, pinv, ranked_factor, stacked_factor, svd,
+    EPS, RankTolerance, as_matrix, as_vector, norm_product, pinv, ranked_factor,
+    stacked_factor, svd,
 )
 
 __all__ = [
@@ -104,7 +105,7 @@ class FactorStore:
         return GdagFactor(
             Z_B=s.Z_B,
             F_pinv=s.F_pinv,
-            relative_noise=max(1e-12, 4.0 * EPS * np.linalg.norm(s.F) * np.linalg.norm(s.F_pinv)),
+            relative_noise=max(1e-12, norm_product(s.F, s.F_pinv, scale=4.0 * EPS)),
             pivots=s.F.diagonal() ** 2 if s.certified else None,
             diagonal_max=float(s.gram_diagonal.max(initial=0.0)),
         )
@@ -277,14 +278,13 @@ def _product_tolerance(*factors):
     ||A||_F ||B||_F`` (Higham, Accuracy and Stability, 2nd ed., 3.5). It
     scales with the factors, not with the product's own (possibly tiny) top
     singular value; the margin 8 covers error inherited from upstream
-    null-space computations. None (the default cutoff) for a zero factor.
-    A sparse factor is canonical, so its stored entries give its norm.
+    null-space computations, formed by :func:`~glskit.linalg.norm_product`
+    so it overflows only past the double range. None (the default cutoff)
+    when it is zero, as for a zero factor.
     """
-    scale = math.prod(float(np.linalg.norm(f.data if sp.issparse(f) else f)) for f in factors)
-    if scale == 0.0:
-        return None
     dim = max(d for f in factors for d in f.shape)
-    return RankTolerance("absolute", 8.0 * dim * EPS * scale)
+    cutoff = norm_product(*factors, scale=8.0 * dim * EPS)
+    return RankTolerance("absolute", cutoff) if cutoff else None
 
 
 def _ln_factor(L, N):

@@ -203,6 +203,21 @@ def test_wpinv_command_and_matrix_out(problem_dir, tmp_path):
     assert np.linalg.norm(X @ b - x) <= 1e-10 * np.linalg.norm(x)
 
 
+def test_wpinv_writes_to_paths_without_mtx(problem_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    x_path, X_path = out / "x.txt", out / "X.dat"
+    x_path.write_text("stale")
+    args = ["wpinv", "--A", str(problem_dir / "A.mtx"), "--L", str(problem_dir / "L.mtx")]
+    args += ["--b", str(problem_dir / "b.mtx"), "--out", str(x_path), "--matrix-out", str(X_path)]
+    assert main(args) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["X.dat", "x.txt"]
+    assert str(x_path) in capsys.readouterr().out
+    x = read_vector(x_path)
+    b = read_vector(problem_dir / "b.mtx")
+    assert np.linalg.norm(read_matrix_market(X_path) @ b - x) <= 1e-10 * np.linalg.norm(x)
+
+
 def test_wpinv_matrix_out_forms_x_once(problem_dir, tmp_path, monkeypatch):
     calls = []
     original = glskit.wpinv.wpinv_elden

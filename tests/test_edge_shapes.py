@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glskit import GlsProblem, certify_solution, check_gls_criterion, glsqr_solve, wpinv_apply
-from helpers import random_gls_problem
+from helpers import SPECTRUM_GAP, random_gls_problem, spectrum_gap
 
 
 def _no_regularizer():
@@ -91,6 +91,17 @@ def test_both_routes_certify_on_edge_shapes(name):
         assert report and report.in_range_g
     scale = max(np.linalg.norm(x_direct), 1.0)
     assert np.linalg.norm(x_iter - x_direct) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("name", [name for name in EDGE_SHAPES if name != "full-column-rank MA"])
+def test_terminated_bidiagonal_has_the_gsvd_cosines_on_edge_shapes(name):
+    # as test_glsqr's check across the families, on every shape whose run
+    # terminates; full-column-rank MA stops at tolerance_met at k = 5, and
+    # five shapes, "no rows" among them, terminate at k = 0 with no value
+    prob = EDGE_SHAPES[name]()
+    report = glsqr_solve(prob, tol=1e-14)
+    assert report.stop_reason == "ggkb_terminated"
+    assert spectrum_gap(prob, report) <= SPECTRUM_GAP
 
 
 def test_a_stack_with_no_rows_binds_coordinates_of_dimension_0():

@@ -24,6 +24,7 @@ from glskit import (
     wpinv_elden,
 )
 from helpers import (
+    SPECTRUM_GAP,
     bidiagonal,
     counted_factorizations,
     counted_orgqr,
@@ -33,6 +34,7 @@ from helpers import (
     random_matrix,
     run_ggkb,
     seminorm_p,
+    spectrum_gap,
 )
 
 
@@ -362,6 +364,25 @@ def test_dense_solve_lands_on_the_direct_route_across_a_family(family):
         assert certify_solution(prob, report), seed
         x_ref = wpinv_apply(prob)
         assert np.linalg.norm(report.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref), seed
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "prescribed"])
+def test_terminated_bidiagonal_has_the_gsvd_cosines_across_a_family(family):
+    # every seed 0-199 that ends ggkb_terminated. C1, C2 and W have every
+    # cosine 1 (q2 = 0), so their runs end at k = 1 and B_1 has one singular
+    # value; the prescribed pairs have 2-5 cosines in (0, 1) and end at
+    # k = 2-6
+    terminated = 0
+    for seed in range(200):
+        if family == "prescribed":
+            prob = prescribed_gsvd_pair(7000 + seed)
+        else:
+            prob = random_gls_problem(seed, **FAMILIES[family])
+        report = glsqr_solve(prob, tol=1e-14)
+        if report.stop_reason == "ggkb_terminated":
+            terminated += 1
+            assert spectrum_gap(prob, report) <= SPECTRUM_GAP, seed
+    assert terminated >= 150
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():

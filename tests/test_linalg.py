@@ -21,8 +21,9 @@ from glskit import (
     svd,
 )
 from glskit import linalg
-from glskit.linalg import EPS, stacked_factor
+from glskit.linalg import EPS, norm_product, stacked_factor
 from glskit.problems import generate, random_sparse_matrix, regularizer
+from glskit.wpinv import _product_tolerance
 from helpers import (
     STACKED_KINDS,
     counted_factorizations,
@@ -560,10 +561,27 @@ def test_gdag_w_matches_the_oracle_across_a_family(family):
     assert max(ratios) <= 1.0
 
 
+def test_norm_product_leaves_the_double_range_only_with_its_result():
+    # each norm scaled where the unscaled sum of squares overflows (1e300)
+    # or underflows (1e-300), and a product whose partial products would
+    big, tiny = np.full((4, 5), 1e300), np.full(3, 1e-300)
+    assert norm_product(big) == pytest.approx(math.sqrt(20) * 1e300, rel=1e-15)
+    assert norm_product(tiny) == pytest.approx(math.sqrt(3) * 1e-300, rel=1e-15)
+    assert norm_product(big, big, tiny, scale=1e-20) == pytest.approx(20 * math.sqrt(3) * 1e280, rel=1e-14)
+    assert norm_product(tiny, tiny, big) == pytest.approx(3 * math.sqrt(20) * 1e-300, rel=1e-14)
+    assert norm_product(big, big) == math.inf
+    assert norm_product(tiny, tiny) == 0.0
+    assert norm_product(scipy.sparse.csr_array(big)) == norm_product(big)
+    assert norm_product(np.zeros((0, 3)), big) == 0.0
+    # the product floor of two factors whose norms' plain product overflows
+    floor = _product_tolerance(big, np.full((5, 2), 1e-290))
+    assert floor.value == pytest.approx(8 * 5 * EPS * math.sqrt(20) * math.sqrt(10) * 1e10, rel=1e-14)
+
+
 @st.composite
 def ranked_problems(draw):
     """``(A, tol)``: A m x n (1 <= m, n <= 12) of a planted rank
-    with singular values in [1e-8, 1] times a scale of 10^k, |k| <= 150 (a
+    with singular values in [1e-8, 1] times a scale of 10^k, |k| <= 300 (a
     rank of 0 gives A = 0); tol None, or relative or absolute with its
     cutoff halfway (geometrically) across a gap of at least 2x below a
     planted singular value, or above them all."""
@@ -571,7 +589,7 @@ def ranked_problems(draw):
     rank = min(m, n) - draw(st.integers(0, min(m, n)))
     exponents = draw(st.lists(st.floats(0.0, 8.0), min_size=rank, max_size=rank))
     sigma = np.sort(10.0 ** -np.array(exponents, dtype=np.float64))[::-1]
-    scale = 10.0 ** draw(st.integers(-150, 150))
+    scale = 10.0 ** draw(st.integers(-300, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = scale * matrix_with_spectrum(rng, m, n, sigma)
     mode = draw(st.sampled_from([None, "relative", "absolute"]))
@@ -594,10 +612,15 @@ def ranked_problems(draw):
 @example((np.zeros((0, 5)), None))
 @example((np.zeros((5, 0)), RankTolerance("relative", 1e-3)))
 @example((np.zeros((0, 0)), RankTolerance("absolute", 1.0)))
+@example((np.random.default_rng(0).standard_normal((5, 3)) * 1e160, None))
+@example((1e300 * matrix_with_spectrum(np.random.default_rng(0), 12, 9, np.logspace(0, -8, 9)), None))
+@example((1e-300 * matrix_with_spectrum(np.random.default_rng(0), 12, 9, np.logspace(0, -8, 9)), None))
 def test_ranked_factor_ranks_as_the_svd_does(problem):
     # a certified QR or the SVD of R, with Q applied: the same rank as the
     # SVD of A, and the same N(A) and pinv(A) to within eps cond(A); the
-    # explicit examples add A = 0 and the empty shapes
+    # explicit examples add A = 0, the empty shapes, a norm whose unscaled
+    # sum of squares overflows, and both ends of the scales. Below 1e-300
+    # the oracle's own pinv overflows: 1 / (1e-301 * 1e-8) is past 1.8e308
     A, tol = problem
     got, want = ranked_factor(A, tol), svd(A, tol)
     assert got.rank == want.rank
@@ -606,7 +629,7 @@ def test_ranked_factor_ranks_as_the_svd_does(problem):
     assert np.linalg.norm(N @ N.T - Z @ Z.T) <= 1e-6
     X, Y = got.pinv(), want.pinv()
     assert X.shape == Y.shape == A.T.shape
-    # divided by its largest entry first, as pinv(A) reaches 1e158 and
+    # divided by its largest entry first, as pinv(A) reaches 1e308 and
     # the sum of its squares would overflow
     unit = np.abs(Y).max(initial=0.0) or 1.0
     assert np.linalg.norm((X - Y) / unit) <= 1e-6 * np.linalg.norm(Y / unit)
