@@ -15,31 +15,33 @@ Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 alpha_i, the G-norm of s, is a sum of squares as G = (MA)'(MA) + L'L, and
 MA v_i = (MA s) / alpha_i is kept for the next r. So a step reads G only
 through one application of pinv(G) (MA)', and how that is carried out is
-pluggable. A strategy has four members:
+pluggable. A strategy has five members:
 
 - ``bind(prob)``, which ``ggkb_init`` calls once, before the first apply:
-  the strategy takes from the problem what its applies read;
+  the strategy takes from the problem what its applies read, and binds
+  its ``coordinates``;
+- ``coordinates``, a linear map from coordinates s^ to x-space that is
+  isometric from the 2-norm to the G-norm on R(G). It has ``dim``, the
+  dimension of s^; ``image(s^)``, which returns MA s and ||s||_G; and
+  ``to_x(S)``, which maps a block of coordinate columns to x-space;
 - ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it,
   in the strategy's coordinates;
 - ``relative_noise``, the relative accuracy the applies deliver;
 - ``hit_cap``, True once an inner iteration has ended unconverged (out of
-  steps, or on a curvature breakdown);
+  steps, or on a curvature breakdown).
 
-and may bind a fifth, ``coordinates``, a linear map from coordinates s^ to
-x-space that is isometric from the 2-norm to the G-norm on R(G). It has
-``dim``, the dimension of s^; ``image(s^)``, which returns MA s and
-||s||_G; and ``to_x(S)``, which maps a block of coordinate columns to
-x-space. The recurrence above then runs on the coordinates: the s and v_i
-it keeps are s^ and v^_i. A strategy without one runs in x-space itself
-(:class:`IdentityCoordinates`), with the arithmetic above.
+The recurrence above runs on the coordinates: the s and v_i it keeps are
+s^ and v^_i. In x-space itself (:class:`IdentityCoordinates`) that is the
+arithmetic above.
 
 The dense strategies bind the coordinates s^ = F s of the problem's factor
 ``[L; MA] = Z F`` (``FactorStore.gdag``, a ``GdagFactor``, is the map), in
 which ||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the
 coordinates Z_B' u, Z_B the rows of Z that belong to MA: gGKB is there the
 plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
-1982), two products with Z_B a step. The inner one forms (MA)' u and runs
-conjugate gradients on G, in x-space.
+1982), two products with Z_B a step. The inner one binds
+:class:`IdentityCoordinates`: it forms (MA)' u and runs conjugate gradients
+on G, in x-space.
 
 ``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
 later one. The data side M U~ lives in one workspace (``Basis``) that each
@@ -50,6 +52,13 @@ computed bidiagonal accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6),
 2000; Barlow, Numer. Math. 124, 2013), so the v_i are never projected, and
 the recurrence, like the LSQR recurrence of gLSQR on top of it, reads only
 the latest one: no basis V is stored.
+
+The alphas and the betas from beta_2 on are the entries of the lower
+bidiagonal B_k = U' (MA) V of the map v -> MA v from (R(G), G-norm) to R^q,
+whose norm, the largest GSVD cosine of {MA, L}, is at most 1. They do not
+change when b is scaled; only beta_1 = ||M b|| does. So every cutoff takes
+its scale from the entries of B_k, never from beta_1, and scaling b by a
+power of 2 scales the iterates by it exactly.
 """
 
 from __future__ import annotations
@@ -91,8 +100,7 @@ class DensePinvStrategy:
     a :class:`~glskit.wpinv.GdagFactor`, made once per problem), whose
     coordinates are ``s^ = F s``, and takes its ``relative_noise``.
     ``apply(u)`` is ``Z_B' u``, the coordinates of pinv(G) (MA)' u: one
-    product with the q x r ``Z_B``. ``W``, pinv(G) (MA)' in x-space, is the
-    factor's, formed on first read. ``hit_cap`` is always False.
+    product with the q x r ``Z_B``. ``hit_cap`` is always False.
     """
 
     hit_cap = False
@@ -106,10 +114,6 @@ class DensePinvStrategy:
         self.coordinates = prob.factors.gdag
         self.relative_noise = self.coordinates.relative_noise
 
-    @property
-    def W(self):
-        return self.coordinates.W
-
     def apply(self, u):
         return self.coordinates.Z_B.T @ u
 
@@ -120,9 +124,10 @@ class CholeskyStrategy(DensePinvStrategy):
     The R of a QR of ``K = [L; MA]`` is the Cholesky factor of G = K'K, so
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
     factor (``prob.factors.gdag``) does not certify K of full column rank
-    (a wide K is never certified), or a
-    pivot ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
-    ``linalg.cholesky_spd``; otherwise it binds as :class:`DensePinvStrategy`
+    (a wide K is never certified), or a pivot ``r_jj^2`` at or below ``1e-14
+    max(diag(G))``, the rule of ``linalg.cholesky_spd``, with diag(G) =
+    diag(R'R) the squared column norms of R (the factor's
+    ``diagonal_max``); otherwise it binds as :class:`DensePinvStrategy`
     does. ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
     strategy's.
     """
@@ -157,11 +162,12 @@ class InnerLsqrStrategy:
     latches ``hit_cap`` instead of raising. ``inner_iterations`` counts the
     CG iterations of every apply.
 
-    :meth:`bind` takes the problem's ``MA`` and preconditions CG from the
-    problem when its ``L`` is a scipy sparse stencil: with ``P = L'L + cI``,
-    the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue of
-    ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of P,
-    kept in LAPACK ``pbtrf`` layout as ``precond``. :func:`lsqr` solves
+    :meth:`bind` takes the problem's ``MA``, binds
+    :class:`IdentityCoordinates` as ``coordinates``, and preconditions CG
+    from the problem when its ``L`` is a scipy sparse stencil: with ``P =
+    L'L + cI``, the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue
+    of ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of
+    P, kept in LAPACK ``pbtrf`` layout as ``precond``. :func:`lsqr` solves
     with P in O(n) per iteration: by ``pttrs`` on the factor's LDL' form
     when P is tridiagonal (the l1 stencil) or diagonal (a sparse identity
     ``L``), else by ``pbtrs`` (the l2 stencil). The stop test is the same,
@@ -197,10 +203,12 @@ class InnerLsqrStrategy:
         return max(self.tau, self._worst_achieved)
 
     def bind(self, prob):
-        """Take ``prob.MA``, and set ``precond`` from ``prob.L`` and
-        ``prob.MA`` (see the class docstring): the upper banded Cholesky
-        factor of ``L'L + cI``, or None."""
+        """Take ``prob.MA``, bind x-space as ``coordinates``, and set
+        ``precond`` from ``prob.L`` and ``prob.MA`` (see the class
+        docstring): the upper banded Cholesky factor of ``L'L + cI``, or
+        None."""
         self.MA = prob.MA
+        self.coordinates = IdentityCoordinates(prob)
         self.precond = None
         L, n = prob.L, prob.n
         c = float(np.linalg.norm(prob.MA)) ** 2 / n
@@ -231,7 +239,7 @@ class InnerLsqrStrategy:
 
 
 class IdentityCoordinates:
-    """The coordinates of a strategy that binds none: x-space itself.
+    """x-space itself as coordinates, which the inner strategy binds.
 
     :meth:`image` returns MA s and ``||s||_G = (||MA s||^2 +
     ||L s||^2)^(1/2)`` from the problem, and :meth:`to_x` its argument.
@@ -387,16 +395,17 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     k = 0 and the downstream solution is zero. "Vanishes" means
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
     is None), the roundoff floor of the product M b. An alpha_1 at or below
-    ``BREAKDOWN_REL beta_1`` terminates at k = 0 too. Either way the
+    ``BREAKDOWN_REL`` terminates at k = 0 too: alpha_1 is an entry of B_k,
+    at most 1 whatever the scale of b (see the module docstring), which
+    only beta_1 carries. Either way the
     terminating coefficients are stored as 0.0. The strategy gets
     ``bind(prob)`` first, before its first apply; the state's coordinates
-    are then the strategy's ``coordinates``, or :class:`IdentityCoordinates`
-    when it has none.
+    are then the strategy's ``coordinates``.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     strategy.bind(prob)
-    coordinates = getattr(strategy, "coordinates", None) or IdentityCoordinates(prob)
+    coordinates = strategy.coordinates
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
@@ -410,19 +419,20 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     init_scale = norm_m * float(np.linalg.norm(prob.b))
     # a copy: mult_M returns b itself when M is None, and r is projected in place
     r = prob.mult_M(prob.b).copy()
-    _expand(state, strategy, r, BREAKDOWN_REL * init_scale, 0.0, BREAKDOWN_REL)
+    _expand(state, strategy, r, BREAKDOWN_REL * init_scale, BREAKDOWN_REL, 0.0)
     return state
 
 
 def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     """One expansion in place: appends beta_{k+1}, alpha_{k+1}; returns ``state``.
 
-    Either coefficient falling to the breakdown threshold (relative to the
-    initial coefficient scale) terminates the process at the current k.
+    Either coefficient falling to the breakdown threshold, relative to
+    alpha_1 (never to beta_1, which scales with b), terminates the process
+    at the current k.
     """
     if state.terminated:
         raise ValueError("the bidiagonalization already terminated")
-    threshold = BREAKDOWN_REL * max(state.alphas[0], state.betas[0])
+    threshold = BREAKDOWN_REL * state.alphas[0]
     # coefficients below the accuracy the strategy actually delivers are
     # indistinguishable from noise, so the degeneracy cutoff scales with it
     degenerate = max(DEGENERATE_REL, 4.0 * strategy.relative_noise)

@@ -239,7 +239,8 @@ def glsqr_solve(
 
         rho = math.hypot(rho_bar, beta_next)
         guard = max(1e-10, 10.0 * strategy.relative_noise)
-        if state.terminated and rho <= guard * max(max(state.alphas), max(state.betas)):
+        # scaled by the entries of B_k: beta_1 carries the scale of b
+        if state.terminated and rho <= guard * max(state.alphas + state.betas[1:]):
             # The trailing column of the bidiagonal matrix is numerically
             # zero (the Krylov space was already exhausted and the last
             # direction sits at the noise floor of the pinv(G) application).

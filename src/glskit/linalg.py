@@ -413,13 +413,13 @@ class StackedFactors:
     Z has r = rank K orthonormal columns and is kept only as its rows:
     ``Z_B`` (q x r), those of B, and ``Z_L`` (p x r), those of L, or None
     when the caller did not ask for them. F is r x n with pseudoinverse
-    ``F_pinv``, ``N`` an orthonormal basis of N(K) and ``gram_diagonal``
-    diag(K'K). When ``certified``, the QR ``K = Q [R; 0]`` proved full
-    column rank: Z is ``Q[:, :n]``, F is R and ``F_pinv`` R^-1, both upper
-    triangular. Otherwise an SVD ``U_R diag(sig) V_R'`` of R (of K itself
-    when K is wide) ranked K: Z is ``Q[:, :n] U_R[:, :r]`` (``U_R[:, :r]``),
-    F ``diag(sig) W'`` and ``F_pinv`` ``W diag(1/sig)``, ``W = V_R[:, :r]``,
-    and N is ``V_R[:, r:]``.
+    ``F_pinv`` and ``N`` an orthonormal basis of N(K). When ``certified``,
+    the QR ``K = Q [R; 0]`` proved full column rank: Z is ``Q[:, :n]``, F
+    is R and ``F_pinv`` R^-1, both upper triangular. Otherwise an SVD
+    ``U_R diag(sig) V_R'`` of R (of K itself when K is wide) ranked K: Z is
+    ``Q[:, :n] U_R[:, :r]`` (``U_R[:, :r]``), F ``diag(sig) W'`` and
+    ``F_pinv`` ``W diag(1/sig)``, ``W = V_R[:, :r]``, and N is ``V_R[:,
+    r:]``. Either way G = K'K = F'F.
     """
 
     Z_L: np.ndarray | None
@@ -427,20 +427,11 @@ class StackedFactors:
     F: np.ndarray
     F_pinv: np.ndarray
     N: np.ndarray
-    gram_diagonal: np.ndarray
     certified: bool
 
 
 # reflectors per block of LAPACK tpqrt and tpmqrt
 _FOLD_BLOCK = 32
-
-
-def _column_sumsq(block):
-    """The squared column norms of a dense or scipy sparse block."""
-    if scipy.sparse.issparse(block):
-        entries = block.tocoo()
-        return np.bincount(entries.col, weights=entries.data**2, minlength=block.shape[1])
-    return np.einsum("ij,ij->j", block, block)
 
 
 def _upper_trapezoidal(block):
@@ -517,7 +508,6 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     x 0, F_pinv n x 0 and N = I.
     """
     (p, n), q = L.shape, B.shape[0]
-    gram_diagonal = _column_sumsq(L) + _column_sumsq(B)
     tol = tol if tol is not None else RankTolerance()
     if p + q < n:
         # a wide stack has a null space, so no certificate can pass: the
@@ -527,7 +517,7 @@ def stacked_factor(L, B, tol=None, l_rows=False):
         K[p:] = B
         U, F, F_pinv, N = _ranked(svd(K), K.shape, tol)
         Z_L = U[:p] if l_rows else None
-        return StackedFactors(Z_L, U[p:], F, F_pinv, N, gram_diagonal, certified=False)
+        return StackedFactors(Z_L, U[p:], F, F_pinv, N, certified=False)
     Q_L = None
     if p <= n and _upper_trapezoidal(L):
         R0 = _staged(L, n)
@@ -551,7 +541,7 @@ def stacked_factor(L, B, tol=None, l_rows=False):
     Z_L = None
     if l_rows:
         Z_L = top if Q_L is None else _apply_reflectors(*Q_L, _staged(top, p))
-    return StackedFactors(Z_L, Z_B, F, F_pinv, N, gram_diagonal, certified=U is None)
+    return StackedFactors(Z_L, Z_B, F, F_pinv, N, certified=U is None)
 
 
 def pinv(A, tol=None):

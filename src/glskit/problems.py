@@ -40,6 +40,9 @@ __all__ = [
     "load_problem",
 ]
 
+# the tolerance at which generate certifies its planted solution
+CRITERION_TOL = 1e-8
+
 
 def make_l1(n):
     """(n-1) x n first-difference stencil with rows (..., 1, -1, ...)."""
@@ -112,10 +115,10 @@ class GeneratedProblem:
     seed: int
     func: str = "custom"
     regularizer_kind: str = "custom"
-    criterion_tol: float = 1e-8
+    criterion_tol: float = CRITERION_TOL
 
 
-def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
+def generate(A, regularizer_kind="l1", func="ramp", seed=0):
     """Build a GLS problem (M = I) with a certified planted solution.
 
     The plant is the direct route's projector applied to the sampled
@@ -124,7 +127,7 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     from the problem's factor of A; it is exactly 0, and none is drawn,
     when A has full row rank, which a certified QR of A' proves without an
     SVD. Raises ``ValueError`` if it fails its own criterion at
-    ``criterion_tol``.
+    ``CRITERION_TOL``.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
@@ -147,7 +150,7 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     b = A @ x_true + z
 
     prob = base.with_b(b)
-    report = check_gls_criterion(prob, x_true, tol=criterion_tol)
+    report = check_gls_criterion(prob, x_true, tol=CRITERION_TOL)
     if not report:
         raise ValueError(
             "generated problem failed the solution criterion "
@@ -157,7 +160,7 @@ def generate(A, regularizer_kind="l1", func="ramp", seed=0, criterion_tol=1e-8):
     kind_name = regularizer_kind if isinstance(regularizer_kind, str) else "custom"
     return GeneratedProblem(
         problem=prob, x_true=x_true, w=w, z=z, seed=seed,
-        func=func, regularizer_kind=kind_name, criterion_tol=criterion_tol,
+        func=func, regularizer_kind=kind_name,
     )
 
 
@@ -228,5 +231,5 @@ def load_problem(directory):
         seed=int(meta.get("seed", -1)),
         func=meta.get("func", "custom"),
         regularizer_kind=meta.get("Lkind", "custom"),
-        criterion_tol=float(meta.get("tolerancesUsed", {}).get("criterion", 1e-8)),
+        criterion_tol=float(meta.get("tolerancesUsed", {}).get("criterion", CRITERION_TOL)),
     )

@@ -107,7 +107,7 @@ class FactorStore:
             F_pinv=s.F_pinv,
             relative_noise=max(1e-12, norm_product(s.F, s.F_pinv, scale=4.0 * EPS)),
             pivots=s.F.diagonal() ** 2 if s.certified else None,
-            diagonal_max=float(s.gram_diagonal.max(initial=0.0)),
+            diagonal_max=float(np.einsum("ij,ij->j", s.F, s.F).max(initial=0.0)),
         )
 
 
@@ -129,7 +129,7 @@ class GdagFactor:
     ||F_pinv||_F)``. ``pivots`` are the ``r_jj^2``, the Cholesky pivots of
     G, when the QR certified full column rank (F = R and ``F_pinv`` = R^-1,
     upper triangular), else None; ``diagonal_max`` is max(diag(G)), the
-    largest squared column norm of K.
+    largest squared column norm of F, as G = F'F.
     """
 
     Z_B: np.ndarray
@@ -178,8 +178,9 @@ class GlsProblem:
     is formed once and every product with A'P reads it, as
     A'P u = (MA)'(M u). ``G = (MA)'(MA) + L'L`` is dense and symmetric as
     formed, with no n x n temporary for a sparse L: (MA)'(MA) by one BLAS
-    syrk call, then L'L added in place, a sparse one on its entries, which
-    are then symmetrized with their mirrors. No other Gram matrix or
+    syrk call, then L'L added in place, a sparse one on its entries: scipy
+    sums entry (i, j) of L'L over the same rows, in the same order, as entry
+    (j, i), so it is symmetric as formed too. No other Gram matrix or
     projector is stored: P = M'M, A'PA and L'L are applied as products where
     they are read. Instances are treated as immutable. ``factors`` is the
     problem's :class:`FactorStore`: every route and check derives its
@@ -210,11 +211,6 @@ class GlsProblem:
         if sp.issparse(self.L):
             LtL = (self.L.T @ self.L).tocoo()
             self.G[LtL.row, LtL.col] += LtL.data
-            # symmetrize the entries L'L reached, and their mirrors, as
-            # 0.5 (G + G') would: the rest of G is the symmetric (MA)'MA
-            rows = np.concatenate([LtL.row, LtL.col])
-            cols = np.concatenate([LtL.col, LtL.row])
-            self.G[rows, cols] = 0.5 * (self.G[rows, cols] + self.G[cols, rows])
         else:
             self.G += self.L.T @ self.L
         self.factors = FactorStore(self.A, self.M, self.MA, self.L)

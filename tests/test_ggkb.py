@@ -61,7 +61,7 @@ def test_dense_strategy_satisfies_moore_penrose():
     # G PSD singular: W = pinv(G) (MA)', from the QR of [L; MA] and the SVD
     # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
-    W = bound(DensePinvStrategy(prob.G), prob).W
+    W = bound(DensePinvStrategy(prob.G), prob).coordinates.W
     expected = pinv(prob.G) @ prob.MA.T
     assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -69,8 +69,7 @@ def test_dense_strategy_satisfies_moore_penrose():
 def in_x_space(strategy, u):
     """The strategy's apply of u, mapped from its coordinates to x-space."""
     s = np.asfortranarray(strategy.apply(u)[:, None])
-    coordinates = getattr(strategy, "coordinates", None)
-    return (coordinates.to_x(s) if coordinates else s)[:, 0]
+    return strategy.coordinates.to_x(s)[:, 0]
 
 
 def test_strategies_agree_on_spd_solve():

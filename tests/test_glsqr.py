@@ -355,11 +355,20 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+def family_problem(family, seed):
+    """Seed ``seed`` of a family: C1, C2, W, or the prescribed GSVD pairs
+    (seed 7000 + ``seed``), whose 2-5 cosines in (0, 1) take gLSQR past
+    k = 1, where C1, C2 and W, with every cosine 1, end."""
+    if family == "prescribed":
+        return prescribed_gsvd_pair(7000 + seed)
+    return random_gls_problem(seed, **FAMILIES[family])
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "prescribed"])
 def test_dense_solve_lands_on_the_direct_route_across_a_family(family):
     # judged by the gap to wpinv_apply, not by the certificate alone
     for seed in range(200):
-        prob = random_gls_problem(seed, **FAMILIES[family])
+        prob = family_problem(family, seed)
         report = glsqr_solve(prob, tol=1e-12)
         assert certify_solution(prob, report), seed
         x_ref = wpinv_apply(prob)
@@ -374,15 +383,35 @@ def test_terminated_bidiagonal_has_the_gsvd_cosines_across_a_family(family):
     # k = 2-6
     terminated = 0
     for seed in range(200):
-        if family == "prescribed":
-            prob = prescribed_gsvd_pair(7000 + seed)
-        else:
-            prob = random_gls_problem(seed, **FAMILIES[family])
+        prob = family_problem(family, seed)
         report = glsqr_solve(prob, tol=1e-14)
         if report.stop_reason == "ggkb_terminated":
             terminated += 1
             assert spectrum_gap(prob, report) <= SPECTRUM_GAP, seed
     assert terminated >= 150
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "prescribed"])
+@pytest.mark.parametrize("inner", [False, True], ids=["dense", "inner"])
+def test_solve_scales_with_b(family, inner):
+    # A_ML^+ is linear, and only beta_1 = ||M b|| carries the scale of b:
+    # every cutoff reads the entries of B_k, so b scaled by a power of 2
+    # gives x scaled by it bitwise, in the same steps, with the same stop
+    # and certificate
+    for seed in range(20):
+        prob = family_problem(family, seed)
+        runs = []
+        for c in (1.0, 2.0**40, 2.0**-40):
+            scaled = prob.with_b(c * prob.b)
+            strategy = InnerLsqrStrategy(prob.G, tau=1e-12) if inner else None
+            report = glsqr_solve(scaled, strategy, tol=1e-12)
+            runs.append((c, report, certify_solution(scaled, report)))
+        _, base, certified = runs[0]
+        for c, report, scaled_certified in runs[1:]:
+            np.testing.assert_array_equal(report.x, c * base.x, err_msg=f"seed {seed}")
+            assert report.iterations == base.iterations, seed
+            assert report.stop_reason == base.stop_reason, seed
+            assert scaled_certified == certified, seed
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():
