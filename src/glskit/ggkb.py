@@ -35,7 +35,7 @@ s^ and v^_i. In x-space itself (:class:`IdentityCoordinates`) that is the
 arithmetic above.
 
 The dense strategies bind the coordinates s^ = F s of the problem's factor
-``[L; MA] = Z F`` (``FactorStore.gdag``, a ``GdagFactor``, is the map), in
+``[L; MA] = Z F`` (``FactorStore.gdag``, a ``StackedFactors``, is the map), in
 which ||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the
 coordinates Z_B' u, Z_B the rows of Z that belong to MA: gGKB is there the
 plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
@@ -72,7 +72,9 @@ from scipy.linalg import cholesky_banded
 
 # cholesky_spd is not called here; it stays importable because the
 # benchmark's tracer (glsbench/spans.py) hooks glskit.ggkb.cholesky_spd
-from .linalg import IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr  # noqa: F401
+from .linalg import (  # noqa: F401
+    EPS, IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr, norm_product,
+)
 from .wpinv import GlsProblem
 
 __all__ = [
@@ -97,10 +99,11 @@ class DensePinvStrategy:
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
     ``prob.n``; ``bind`` then binds as ``coordinates`` the factor ``K = [L;
     MA] = Z F`` that the problem's factor store holds (``prob.factors.gdag``,
-    a :class:`~glskit.wpinv.GdagFactor`, made once per problem), whose
-    coordinates are ``s^ = F s``, and takes its ``relative_noise``.
-    ``apply(u)`` is ``Z_B' u``, the coordinates of pinv(G) (MA)' u: one
-    product with the q x r ``Z_B``. ``hit_cap`` is always False.
+    a :class:`~glskit.linalg.StackedFactors`, made once per problem), whose
+    coordinates are ``s^ = F s``, and sets ``relative_noise`` to ``max(1e-12,
+    4 eps ||F||_F ||F_pinv||_F)``. ``apply(u)`` is ``Z_B' u``, the
+    coordinates of pinv(G) (MA)' u: one product with the q x r ``Z_B``.
+    ``hit_cap`` is always False.
     """
 
     hit_cap = False
@@ -111,8 +114,8 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
-        self.coordinates = prob.factors.gdag
-        self.relative_noise = self.coordinates.relative_noise
+        factor = self.coordinates = prob.factors.gdag
+        self.relative_noise = max(1e-12, norm_product(factor.F, factor.F_pinv, scale=4.0 * EPS))
 
     def apply(self, u):
         return self.coordinates.Z_B.T @ u
@@ -125,22 +128,22 @@ class CholeskyStrategy(DensePinvStrategy):
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
     factor (``prob.factors.gdag``) does not certify K of full column rank
     (a wide K is never certified), or a pivot ``r_jj^2`` at or below ``1e-14
-    max(diag(G))``, the rule of ``linalg.cholesky_spd``, with diag(G) =
-    diag(R'R) the squared column norms of R (the factor's
-    ``diagonal_max``); otherwise it binds as :class:`DensePinvStrategy`
-    does. ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
-    strategy's.
+    max(diag(G))``, the rule of ``linalg.cholesky_spd``; both are read off
+    F = R, as diag(G) = diag(R'R) holds the squared column norms of R.
+    Otherwise it binds as :class:`DensePinvStrategy` does. ``apply(u)``,
+    ``relative_noise`` and ``hit_cap`` are the dense strategy's.
     """
 
     def bind(self, prob):
         super().bind(prob)
-        factor = self.coordinates
-        if factor.pivots is None:
+        if not self.coordinates.certified:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
-        small = np.flatnonzero(factor.pivots <= 1e-14 * factor.diagonal_max)
+        R = self.coordinates.F
+        pivots = R.diagonal() ** 2
+        small = np.flatnonzero(pivots <= 1e-14 * np.einsum("ij,ij->j", R, R).max(initial=0.0))
         if small.size:
             j = int(small[0])
-            pivot = float(factor.pivots[j])
+            pivot = float(pivots[j])
             raise IndefiniteMatrixError(
                 f"nonpositive pivot {pivot:.3e} at column {j}", pivot=pivot, index=j
             )

@@ -89,8 +89,9 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
     power iteration on W MA in the G-inner product, seeded with W M b, with
-    W = pinv(G) (MA)' from the problem's factor of ``[L; MA]``
-    (``prob.factors.gdag``) and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
+    W = pinv(G) (MA)' = ``F_pinv Z_B'`` from the problem's factor of ``[L;
+    MA]`` (``prob.factors.gdag``), applied as two products, so no n x q W
+    is formed, and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
@@ -98,9 +99,9 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
 
-    W = prob.factors.gdag.W
+    gdag = prob.factors.gdag
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
-    v = W @ prob.mult_M(seed)
+    v = gdag.F_pinv @ (gdag.Z_B.T @ prob.mult_M(seed))
 
     estimate = 0.0
     iterations = 0
@@ -118,7 +119,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
         estimate = new_estimate
         if converged:
             break
-        v = W @ Av
+        v = gdag.F_pinv @ (gdag.Z_B.T @ Av)
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal, dsymv
+from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal, dsymv, dtrmm
 from scipy.linalg.lapack import dormqr, dpbtrs, dpttrs, dtpmqrt, dtpqrt, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
@@ -420,6 +420,15 @@ class StackedFactors:
     ``Q[:, :n] U_R[:, :r]`` (``U_R[:, :r]``), F ``diag(sig) W'`` and
     ``F_pinv`` ``W diag(1/sig)``, ``W = V_R[:, :r]``, and N is ``V_R[:,
     r:]``. Either way G = K'K = F'F.
+
+    The factor is also the map of coordinates that dense gGKB binds, with
+    B = MA (:mod:`glskit.ggkb`). B' = F' Z_B', so pinv(G) B' = F_pinv Z_B',
+    with columns in R(F') = R(G), at cond(K), not at the cond(K)^2 of a
+    factorization of the formed G (Bjorck, *Numerical Methods for Least
+    Squares Problems*, 1996, 2.2). In the coordinates ``s^ = F s`` of R(G),
+    ``s = F_pinv s^``, the G-norm of s is the 2-norm of s^ and B s is
+    ``Z_B s^``: gGKB there is the plain Golub-Kahan process of Z_B. The map
+    is ``dim``, :meth:`image` and :meth:`to_x`.
     """
 
     Z_L: np.ndarray | None
@@ -428,6 +437,24 @@ class StackedFactors:
     F_pinv: np.ndarray
     N: np.ndarray
     certified: bool
+
+    @property
+    def dim(self):
+        """r, the dimension of the coordinates."""
+        return self.Z_B.shape[1]
+
+    def image(self, s):
+        """``(B s, ||s||_G)`` for the coordinates s^ = ``s``: ``Z_B s^`` and
+        ``||s^||``."""
+        return self.Z_B @ s, math.sqrt(float(s @ s))
+
+    def to_x(self, S):
+        """``F_pinv S`` for a Fortran-ordered r x k block S of coordinates,
+        which it may overwrite: one BLAS ``trmm`` when certified, else one
+        product."""
+        if self.certified:
+            return dtrmm(1.0, self.F_pinv, S, overwrite_b=1)
+        return self.F_pinv @ S
 
 
 # reflectors per block of LAPACK tpqrt and tpmqrt

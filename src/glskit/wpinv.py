@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrmm
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
@@ -47,7 +46,9 @@ class FactorStore:
     identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
     singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
     so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[L; MA]``
-    (``gdag``), the only source of pinv(G). ``M A`` and ``L N`` are
+    (``gdag``), the only source of pinv(G), a
+    :class:`~glskit.linalg.StackedFactors` that dense gGKB binds as its
+    map of coordinates. ``M A`` and ``L N`` are
     factored by :func:`~glskit.linalg.ranked_factor`, one QR of their tall
     side: when it certifies full rank, the factor is a
     :class:`~glskit.linalg.QrFactors`, which keeps its reflectors and forms
@@ -90,82 +91,21 @@ class FactorStore:
         certified ``[L; MA]`` of full column rank, so G nonsingular; else
         ``N N(L N)``, N = N(MA)."""
         gdag = vars(self).get("gdag")
-        if gdag is not None and gdag.pivots is not None:
+        if gdag is not None and gdag.certified:
             return np.zeros((self._MA.shape[1], 0))
         return self.ma.nullspace() @ self.ln.nullspace()
 
     @cached_property
     def gdag(self):
-        """The factor of pinv(G) (MA)', a :class:`GdagFactor`, from
-        :func:`~glskit.linalg.stacked_factor` of ``[L; MA]``: of Z only the
-        q rows of MA are formed, and W is not."""
+        """The :class:`~glskit.linalg.StackedFactors` of ``[L; MA] = Z F``
+        (:func:`~glskit.linalg.stacked_factor`), the source of pinv(G)
+        (MA)' = ``F_pinv Z_B'``: of Z only the q rows of MA are formed.
+        ``Z_B``, ``F`` and ``F_pinv`` are read-only, as every copy of the
+        problem shares them."""
         s = stacked_factor(self._L, self._MA)
-        for factor in (s.Z_B, s.F_pinv):
+        for factor in (s.Z_B, s.F, s.F_pinv):
             factor.flags.writeable = False
-        return GdagFactor(
-            Z_B=s.Z_B,
-            F_pinv=s.F_pinv,
-            relative_noise=max(1e-12, norm_product(s.F, s.F_pinv, scale=4.0 * EPS)),
-            pivots=s.F.diagonal() ** 2 if s.certified else None,
-            diagonal_max=float(np.einsum("ij,ij->j", s.F, s.F).max(initial=0.0)),
-        )
-
-
-@dataclass(frozen=True)
-class GdagFactor:
-    """What is kept of ``K = Z F``, ``K = [L; MA]`` (``linalg.stacked_factor``).
-
-    G = K'K = F'F and (MA)' = F' Z_B', Z_B (q x r) the rows of Z that
-    belong to MA, so pinv(G) (MA)' = F_pinv Z_B', with columns in R(F') =
-    R(G), at cond(K), not at the cond(K)^2 of a factorization of the formed
-    G (Bjorck, *Numerical Methods for Least Squares Problems*, 1996, 2.2).
-    In the coordinates ``s^ = F s`` of R(G), ``s = F_pinv s^``, the
-    G-norm of s is the 2-norm of s^ and MA s is ``Z_B s^``: gGKB there is
-    the plain Golub-Kahan process of Z_B. The factor is the map of these
-    coordinates that gGKB reads (``dim``, :meth:`image`, :meth:`to_x`; see
-    :mod:`glskit.ggkb`); ``W = F_pinv Z_B'`` (n x q) is formed only when
-    read. ``Z_B`` and ``F_pinv`` are read-only, as every copy of the
-    problem shares them. ``relative_noise`` is ``max(1e-12, 4 eps ||F||_F
-    ||F_pinv||_F)``. ``pivots`` are the ``r_jj^2``, the Cholesky pivots of
-    G, when the QR certified full column rank (F = R and ``F_pinv`` = R^-1,
-    upper triangular), else None; ``diagonal_max`` is max(diag(G)), the
-    largest squared column norm of F, as G = F'F.
-    """
-
-    Z_B: np.ndarray
-    F_pinv: np.ndarray
-    relative_noise: float
-    pivots: np.ndarray | None
-    diagonal_max: float
-
-    @property
-    def dim(self):
-        """r, the dimension of the coordinates."""
-        return self.Z_B.shape[1]
-
-    def image(self, s):
-        """``(MA s, ||s||_G)`` for the coordinates s^ = ``s``: ``Z_B s^`` and
-        ``||s^||``."""
-        return self.Z_B @ s, math.sqrt(float(s @ s))
-
-    def to_x(self, S):
-        """``F_pinv S`` for a Fortran-ordered r x k block S of coordinates,
-        which it may overwrite: one BLAS ``trmm`` when certified, else one
-        product."""
-        if self.pivots is None:
-            return self.F_pinv @ S
-        return dtrmm(1.0, self.F_pinv, S, overwrite_b=1)
-
-    @cached_property
-    def W(self):
-        """pinv(G) (MA)' = ``F_pinv Z_B'``, n x q and read-only, formed on
-        first read: ``W' = Z_B R^-T`` by one BLAS ``trmm`` when certified."""
-        if self.pivots is None:
-            W = self.F_pinv @ self.Z_B.T
-        else:
-            W = dtrmm(1.0, self.F_pinv, self.Z_B, side=1, trans_a=1).T
-        W.flags.writeable = False
-        return W
+        return s
 
 
 class GlsProblem:
@@ -468,7 +408,10 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     ``x in R(G)``, tested as
     ``||N_G' x|| <= tol ||x||`` with N_G = ``prob.factors.nullspace_g``, is
     reported separately (solutions form a coset of N(G); the one inside R(G)
-    is the minimum 2-norm solution).
+    is the minimum 2-norm solution). Both flags are False unless the
+    residual, its scale, the coupling, ``||x||_G`` and ``||x||`` are all
+    finite: inf passes ``inf <= tol inf``, so a norm that overflows would
+    certify any x.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
@@ -487,10 +430,11 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
 
     nx = float(np.linalg.norm(x))
     in_range = float(np.linalg.norm(prob.factors.nullspace_g.T @ x)) <= tol * nx
+    finite = all(map(math.isfinite, (r1, scale1, coupling, g_norm_x, nx)))
 
     return GlsCriterionReport(
-        satisfied=bool(ok_normal and ok_null),
-        in_range_g=bool(in_range),
+        satisfied=bool(finite and ok_normal and ok_null),
+        in_range_g=bool(finite and in_range),
         normal_residual=r1,
         normal_scale=scale1,
         null_coupling=coupling,

@@ -14,6 +14,7 @@ from glskit import (
     glsqr_solve,
     pinv,
 )
+from glskit.linalg import EPS, norm_product
 from glskit.problems import make_l1, make_l2
 from helpers import (
     bidiagonal,
@@ -57,11 +58,44 @@ def test_strategies_dispatch_and_validate():
             CholeskyStrategy(prob.G).bind(prob)
 
 
+def test_dense_strategy_noise_is_read_off_the_factor():
+    # max(1e-12, 4 eps ||F||_F ||F_pinv||_F) of the problem's factor of
+    # [L; MA]: above the floor on a C1 problem, whose cond(K) is about 1e7,
+    # and at it on a well-conditioned one
+    for prob, above_floor in (
+        (random_gls_problem(0, m=6, n=9, p=2, q=4, rank_a=3, cond=1e4), True),
+        (random_gls_problem(3, m=12, n=10, p=6), False),
+    ):
+        strategy = bound(DensePinvStrategy(prob.G), prob)
+        gdag = prob.factors.gdag
+        noise = norm_product(gdag.F, gdag.F_pinv, scale=4.0 * EPS)
+        assert strategy.relative_noise == max(1e-12, noise)
+        assert (noise > 1e-12) == above_floor
+
+
+def test_cholesky_refuses_a_certified_g_at_its_pivot_floor():
+    # column 4 of A and L scaled by 1e-7: the QR of [L; MA] still certifies
+    # full column rank, but the pivot r_44^2 lies below 1e-14 max(diag(G))
+    base = random_gls_problem(3, m=12, n=10, p=6)
+    A, L = base.A.copy(), base.L.copy()
+    A[:, 4] *= 1e-7
+    L[:, 4] *= 1e-7
+    prob = GlsProblem(A, None, L, base.b)
+    with pytest.raises(IndefiniteMatrixError, match="at column 4") as refused:
+        CholeskyStrategy(prob.G).bind(prob)
+    R = prob.factors.gdag.F
+    assert prob.factors.gdag.certified
+    assert refused.value.index == 4
+    assert refused.value.pivot == R[4, 4] ** 2 == pytest.approx(1.046e-15, rel=1e-3)
+    assert refused.value.pivot <= 1e-14 * np.max(np.sum(R * R, axis=0))
+
+
 def test_dense_strategy_satisfies_moore_penrose():
     # G PSD singular: W = pinv(G) (MA)', from the QR of [L; MA] and the SVD
     # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
-    W = bound(DensePinvStrategy(prob.G), prob).coordinates.W
+    factor = bound(DensePinvStrategy(prob.G), prob).coordinates
+    W = factor.F_pinv @ factor.Z_B.T
     expected = pinv(prob.G) @ prob.MA.T
     assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
 

@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse
 
 import glskit.linalg
-import glskit.wpinv
 from glskit import (
     CholeskyStrategy,
     DensePinvStrategy,
@@ -319,16 +318,15 @@ def test_a_dense_solve_and_its_certificate_form_no_w(monkeypatch):
     seed = 1
     A = random_sparse_matrix(450, 600, density=0.05, seed=seed)
     prob = generate(A, "l1", "trig", seed).problem
-    trmm, blocks = glskit.wpinv.dtrmm, []
+    trmm, blocks = glskit.linalg.dtrmm, []
 
     def recording(alpha, a, b, **kwargs):
         blocks.append(b.shape)
         return trmm(alpha, a, b, **kwargs)
 
-    monkeypatch.setattr(glskit.wpinv, "dtrmm", recording)
+    monkeypatch.setattr(glskit.linalg, "dtrmm", recording)
     report = glsqr_solve(prob, DensePinvStrategy(prob.G), tol=1e-10)
     assert certify_solution(prob, report)
-    assert "W" not in vars(prob.factors.gdag)
     k = report.iterations
     assert blocks == [(600, 32)] * (k // 32) + [(600, k % 32)] * (k % 32 > 0)
 
@@ -412,6 +410,23 @@ def test_solve_scales_with_b(family, inner):
             assert report.iterations == base.iterations, seed
             assert report.stop_reason == base.stop_reason, seed
             assert scaled_certified == certified, seed
+
+
+@pytest.mark.parametrize("scale, certified", [(1e150, True), (1e155, False)])
+def test_a_solve_is_certified_only_where_its_norms_are_finite(scale, certified):
+    # at b 1e155, ||M b|| overflows: gGKB terminates at k = 0 with x = 0,
+    # and the criterion's normal residual and its scale are both inf, which
+    # pass inf <= tol inf, so only their finiteness refuses x
+    base = random_gls_problem(3, m=12, n=10, p=6)
+    prob = base.with_b(scale * base.b)
+    with np.errstate(all="ignore"):
+        report = glsqr_solve(prob)
+        crit = check_gls_criterion(prob, report.x, tol=1e-8)
+        assert certify_solution(prob, report) == certified
+    assert crit.satisfied == crit.in_range_g == certified
+    if not certified:
+        assert report.iterations == 0 and not report.x.any()
+        assert crit.normal_residual == crit.normal_scale == np.inf
 
 
 def test_reported_norm_matches_gsvd_oracle_at_termination():

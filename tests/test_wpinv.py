@@ -349,6 +349,35 @@ def test_criterion_rejects_zero_when_data_inconsistent():
     assert not check_gls_criterion(prob, np.zeros(2), tol=1e-8)
 
 
+@pytest.mark.xfail(strict=True, reason="no roundoff floor on the criterion's tests")
+def test_criterion_accepts_the_direct_solution_for_b_near_the_null_space_of_m():
+    # b a computed null vector of a rank-deficient M, so M b is roundoff:
+    # the normal residual of the direct x (7.3e-17) is tested against a
+    # scale of 6.5e-18, and x = 0 is rejected as well
+    prob = random_gls_problem(74, m=8, n=6, p=3, q=7, rank_a=4, rank_m=5)
+    prob = prob.with_b(nullspace_basis(prob.M)[:, 0])
+    assert check_gls_criterion(prob, wpinv_apply(prob))
+
+
+@pytest.mark.parametrize("route", [
+    "elden",
+    pytest.param("gsvd", marks=pytest.mark.xfail(
+        strict=True, reason="the GSVD route keeps a roundoff singular value of MA")),
+    pytest.param("glsqr", marks=pytest.mark.xfail(
+        strict=True, reason="gGKB keeps an alpha at the noise floor")),
+])
+def test_every_route_certifies_on_a_rank_one_ma(route):
+    # MA has rank 1 (sigma_2 / sigma_1 about 8e-17): the direct x has norm
+    # 1.7, the GSVD route's 6.8e12 and dense gLSQR's 5.1e12
+    # (ggkb_terminated at k = 3)
+    prob = random_gls_problem(53, m=3, n=12, p=5, q=5, rank_a=1, cond=6199493.012977124)
+    if route == "glsqr":
+        assert certify_solution(prob, glsqr_solve(prob, tol=1e-300))
+    else:
+        crit = check_gls_criterion(prob, wpinv_apply(prob, route), tol=1e-8)
+        assert crit and crit.in_range_g
+
+
 def test_solution_is_orthogonal_to_joint_null_space():
     prob = random_gls_problem(41, m=9, n=7, p=4, q=8, rank_a=5, rank_m=6, shared_null=True)
     x = wpinv_apply(prob)
