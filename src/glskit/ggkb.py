@@ -34,12 +34,17 @@ The recurrence above runs on the coordinates: the s and v_i it keeps are
 s^ and v^_i. In x-space itself (:class:`IdentityCoordinates`) that is the
 arithmetic above.
 
-The dense strategies bind the coordinates s^ = F s of the problem's factor
-``[L; MA] = Z F`` (``FactorStore.gdag``, a ``StackedFactors``, is the map), in
-which ||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the
-coordinates Z_B' u, Z_B the rows of Z that belong to MA: gGKB is there the
+In the coordinates s^ = F s of the problem's factor ``[L; MA] = Z F``,
+||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the coordinates
+Z_B' u, Z_B (q x r) the rows of Z that belong to MA: gGKB is there the
 plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
-1982), two products with Z_B a step. The inner one binds
+1982). The dense strategies run it on the triangle of ``Z_B' = Q [R;
+0]``, in the coordinates t = Q_1' s^ (``FactorStore.gdag``, a
+``GdagFactors``, is the map): ||s||_G = ||t||, MA s = R' t and the
+coordinates of pinv(G) (MA)' u are R u, so a step is two BLAS ``trmv``
+with the q x q triangle R, and the coefficients are those of Z_B, as
+Golub-Kahan's are under an orthogonal change of coordinates. The inner
+one binds
 :class:`IdentityCoordinates`: it forms (MA)' u and runs conjugate gradients
 on G, in x-space.
 
@@ -94,16 +99,17 @@ INITIAL_COLUMNS = 16
 
 
 class DensePinvStrategy:
-    """Apply pinv(G) (MA)' in the coordinates of the factor of ``[L; MA]``.
+    """Apply pinv(G) (MA)' in the coordinates of the factors of pinv(G) (MA)'.
 
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
-    ``prob.n``; ``bind`` then binds as ``coordinates`` the factor ``K = [L;
-    MA] = Z F`` that the problem's factor store holds (``prob.factors.gdag``,
-    a :class:`~glskit.linalg.StackedFactors`, made once per problem), whose
-    coordinates are ``s^ = F s``, and sets ``relative_noise`` to ``max(1e-12,
-    4 eps ||F||_F ||F_pinv||_F)``. ``apply(u)`` is ``Z_B' u``, the
-    coordinates of pinv(G) (MA)' u: one product with the q x r ``Z_B``.
-    ``hit_cap`` is always False.
+    ``prob.n``; ``bind`` then binds as ``coordinates`` the problem's
+    :class:`~glskit.linalg.GdagFactors` (``prob.factors.gdag``, made once
+    per problem): with ``[L; MA] = Z F`` and ``Z_B' = Q [R; 0]``, Z_B the
+    rows of Z that belong to MA, its coordinates are ``t = Q_1' F s``, and
+    it sets ``relative_noise`` to ``max(1e-12, 4 eps ||F||_F
+    ||F_pinv||_F)``. ``apply(u)`` is ``R u``, the coordinates of pinv(G)
+    (MA)' u: one BLAS ``trmv`` with the q x q triangle R (a product when
+    q > rank [L; MA] makes R trapezoidal). ``hit_cap`` is always False.
     """
 
     hit_cap = False
@@ -114,11 +120,16 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
+        self._refuse(prob.factors.stack)
         factor = self.coordinates = prob.factors.gdag
         self.relative_noise = max(1e-12, norm_product(factor.F, factor.F_pinv, scale=4.0 * EPS))
 
+    def _refuse(self, stack):
+        """Raise if the strategy cannot bind the factor ``stack`` of ``[L;
+        MA]``; the dense strategy binds every one."""
+
     def apply(self, u):
-        return self.coordinates.Z_B.T @ u
+        return self.coordinates.apply(u)
 
 
 class CholeskyStrategy(DensePinvStrategy):
@@ -126,19 +137,19 @@ class CholeskyStrategy(DensePinvStrategy):
 
     The R of a QR of ``K = [L; MA]`` is the Cholesky factor of G = K'K, so
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
-    factor (``prob.factors.gdag``) does not certify K of full column rank
+    factor (``prob.factors.stack``) does not certify K of full column rank
     (a wide K is never certified), or a pivot ``r_jj^2`` at or below ``1e-14
     max(diag(G))``, the rule of ``linalg.cholesky_spd``; both are read off
-    F = R, as diag(G) = diag(R'R) holds the squared column norms of R.
+    F = R, as diag(G) = diag(R'R) holds the squared column norms of R. It
+    refuses before the QR of Z_B' that ``prob.factors.gdag`` makes.
     Otherwise it binds as :class:`DensePinvStrategy` does. ``apply(u)``,
     ``relative_noise`` and ``hit_cap`` are the dense strategy's.
     """
 
-    def bind(self, prob):
-        super().bind(prob)
-        if not self.coordinates.certified:
+    def _refuse(self, stack):
+        if not stack.certified:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
-        R = self.coordinates.F
+        R = stack.F
         pivots = R.diagonal() ** 2
         small = np.flatnonzero(pivots <= 1e-14 * np.einsum("ij,ij->j", R, R).max(initial=0.0))
         if small.size:

@@ -89,9 +89,10 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
     power iteration on W MA in the G-inner product, seeded with W M b, with
-    W = pinv(G) (MA)' = ``F_pinv Z_B'`` from the problem's factor of ``[L;
-    MA]`` (``prob.factors.gdag``), applied as two products, so no n x q W
-    is formed, and ||v||_G = (||MA v||^2 + ||L v||^2)^(1/2).
+    W = pinv(G) (MA)' = ``F_pinv Q [R; 0]`` from the problem's factors of
+    it (``prob.factors.gdag``): ``W u`` is ``to_x`` of the coordinates
+    ``R u``, so no n x q W is formed, and ||v||_G = (||MA v||^2 + ||L
+    v||^2)^(1/2).
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
@@ -100,8 +101,12 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
         raise ValueError(f"unknown operator norm method {method!r}")
 
     gdag = prob.factors.gdag
+
+    def w_times(u):
+        return gdag.to_x(gdag.apply(u)[:, None])[:, 0]
+
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
-    v = gdag.F_pinv @ (gdag.Z_B.T @ prob.mult_M(seed))
+    v = w_times(prob.mult_M(seed))
 
     estimate = 0.0
     iterations = 0
@@ -119,7 +124,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
         estimate = new_estimate
         if converged:
             break
-        v = gdag.F_pinv @ (gdag.Z_B.T @ Av)
+        v = w_times(Av)
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
@@ -131,7 +136,7 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
 
 
 # iterates mapped to x-space per block: at most BLOCK_COLUMNS of them, and
-# at most BLOCK_DOUBLES entries (256 KiB) of coordinates
+# at most BLOCK_DOUBLES entries (256 KiB) of coordinates or of x-space
 BLOCK_COLUMNS = 32
 BLOCK_DOUBLES = 2**15
 
@@ -148,11 +153,12 @@ def _bidiagonal_norm(state: BidiagState, k: int) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _true_residual(prob, Z_B, ma_x):
+def _true_residual(prob, gdag, ma_x):
     """||q||_G of q = pinv(G) A'P (A x - b), given MA x: with ``pinv(G)
-    (MA)' = F_pinv Z_B'`` (``prob.factors.gdag``) and ||F_pinv y||_G = ||y||
-    for y in R(F), it is ``||Z_B' (MA x - M b)||``."""
-    return float(np.linalg.norm(Z_B.T @ (ma_x - prob.mult_M(prob.b))))
+    (MA)' = F_pinv Z_B'`` and ``Z_B' = Q [R; 0]`` (``prob.factors.gdag``),
+    ||F_pinv y||_G = ||y|| for y in R(F) and Q orthogonal, it is ``||Z_B'
+    (MA x - M b)|| = ||R (MA x - M b)||``."""
+    return float(np.linalg.norm(gdag.apply(ma_x - prob.mult_M(prob.b))))
 
 
 def _mapped(coordinates, block, xnorm_hist):
@@ -193,16 +199,17 @@ def glsqr_solve(
         not an error; an explicit cap below 1 raises ``ValueError``.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
-        (dense-cost, for validation). It reads the problem's own factor of
-        ``[L; MA]`` (``prob.factors.gdag``, the one the dense strategies
-        bind), never ``strategy``, so the run's iterates are those of a
-        plain run.
+        (dense-cost, for validation). It reads the problem's own factors
+        of pinv(G) (MA)' (``prob.factors.gdag``, the ones the dense
+        strategies bind), never ``strategy``, so the run's iterates are
+        those of a plain run.
 
     The recurrence runs in the coordinates the strategy binds (see
     :mod:`glskit.ggkb`): x_k and w_k are carried as coordinates, and every
-    ``BLOCK_COLUMNS`` iterates (fewer when a block would hold more than
-    ``BLOCK_DOUBLES`` entries) are mapped to x-space at once, which gives
-    ``x_norm_history`` and, from the last block, x.
+    ``BLOCK_COLUMNS`` iterates (fewer when a block, or its image in
+    x-space, would hold more than ``BLOCK_DOUBLES`` entries) are mapped to
+    x-space at once, which gives ``x_norm_history`` and, from the last
+    block, x.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -221,14 +228,16 @@ def glsqr_solve(
     x_hat = np.zeros(dim)
     w = np.zeros(dim)
     x = np.zeros(prob.n)
-    block = np.empty((dim, max(1, min(BLOCK_COLUMNS, BLOCK_DOUBLES // max(dim, 1)))), order="F")
+    # to_x maps a block to an n-row one
+    width = BLOCK_DOUBLES // max(dim, prob.n, 1)
+    block = np.empty((dim, max(1, min(BLOCK_COLUMNS, width))), order="F")
     j = 0
     # w_k = v_k - (theta_{k-1} / rho_{k-1}) w_{k-1}, with w_1 = v_1
     rho_bar, phi_bar, w_coef = state.alphas[0], beta1, 0.0
     est_hist, xnorm_hist = [], []
     true_hist = [] if debug else None
-    Z_B = prob.factors.gdag.Z_B if debug else None
-    k, est = 0, math.inf
+    gdag = prob.factors.gdag if debug else None
+    k, est, kept = 0, math.inf, False
 
     while not (state.terminated or est <= tol or k == max_iter):
         k += 1
@@ -247,8 +256,9 @@ def glsqr_solve(
             # direction sits at the noise floor of the pinv(G) application).
             # The minimum-norm solution of the rank-deficient trailing
             # system keeps its coefficient at zero, so the previous iterate
-            # stands.
-            est = 0.0
+            # stands, as it was mapped: a second map of the same coordinates
+            # through blocked kernels need not round alike.
+            est, kept = 0.0, True
         else:
             c, s = rho_bar / rho, beta_next / rho
             phi = c * phi_bar
@@ -261,16 +271,19 @@ def glsqr_solve(
             rho_bar, phi_bar = -c * alpha_next, s * phi_bar
 
         est_hist.append(est)
-        block[:, j] = x_hat
-        j += 1
-        if j == block.shape[1]:
-            x = _mapped(coordinates, block, xnorm_hist)
-            j = 0
+        if not kept:
+            block[:, j] = x_hat
+            j += 1
+            if j == block.shape[1]:
+                x = _mapped(coordinates, block, xnorm_hist)
+                j = 0
         if debug:
             ma_x = coordinates.image(x_hat)[0]
-            true_hist.append(_true_residual(prob, Z_B, ma_x) / denom)
+            true_hist.append(_true_residual(prob, gdag, ma_x) / denom)
     if j:
         x = _mapped(coordinates, block[:, :j], xnorm_hist)
+    if kept:  # the last step, which ended the loop
+        xnorm_hist.append(xnorm_hist[-1] if xnorm_hist else 0.0)
 
     if state.terminated:
         stop_reason = "ggkb_terminated"

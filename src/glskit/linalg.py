@@ -13,18 +13,20 @@ else the :class:`SvdFactors` (U thin, V square) built from the SVD of its
 R. No factor keeps a reference to its matrix. A stack ``[L; B]`` is
 factored around a triangle of L, into which B's rows are folded
 (:func:`stacked_factor`), and only the rows of its Q that a caller reads
-are formed. No projector is formed here, its users apply the factors as
-products. The one iterative kernel, :func:`lsqr`, solves a symmetric
-positive semidefinite system by conjugate gradients and needs the operator
-only as a product: a dense matrix is read through one triangle by BLAS
-``symv``, while sparse matrices and callables are kept as given. With a dense matrix its loop allocates nothing per
-iteration: dot products go through BLAS ``ddot``, and each update of the
-iterate, the residual and (preconditioned) the direction is one in-place
-BLAS ``daxpy``. It may be preconditioned by an upper banded Cholesky factor
-in LAPACK ``pbtrf`` layout, solved in place in a preallocated buffer: by
-LAPACK ``pttrs`` on its LDL' form when the band is tridiagonal or
-diagonal, else by ``pbtrs``. The stop test stays on the unpreconditioned
-residual.
+are formed; :func:`gdag_factors` factors its rows of B once more, by a QR
+of their transpose, into the triangle that dense gGKB runs on. No
+projector is formed here, its users apply the factors as products. The
+one iterative kernel, :func:`lsqr`, solves a symmetric positive
+semidefinite system by conjugate gradients and needs the operator only as
+a product: a dense matrix is read through one triangle by BLAS ``symv``,
+while sparse matrices and callables are kept as given. With a dense
+matrix its loop allocates nothing per iteration: dot products go through
+BLAS ``ddot``, and each update of the iterate, the residual and
+(preconditioned) the direction is one in-place BLAS ``daxpy``. It may be
+preconditioned by an upper banded Cholesky factor in LAPACK ``pbtrf``
+layout, solved in place in a preallocated buffer: by LAPACK ``pttrs`` on
+its LDL' form when the band is tridiagonal or diagonal, else by
+``pbtrs``. The stop test stays on the unpreconditioned residual.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal, dsymv, dtrmm
+from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal, dsymv, dtrmm, dtrmv
 from scipy.linalg.lapack import dormqr, dpbtrs, dpttrs, dtpmqrt, dtpqrt, dtrtri
 
 EPS = float(np.finfo(np.float64).eps)
@@ -49,12 +51,14 @@ __all__ = [
     "SvdFactors",
     "QrFactors",
     "StackedFactors",
+    "GdagFactors",
     "LsqrResult",
     "as_matrix",
     "as_vector",
     "svd",
     "ranked_factor",
     "stacked_factor",
+    "gdag_factors",
     "norm_product",
     "pinv",
     "cholesky_spd",
@@ -419,16 +423,11 @@ class StackedFactors:
     ``U_R diag(sig) V_R'`` of R (of K itself when K is wide) ranked K: Z is
     ``Q[:, :n] U_R[:, :r]`` (``U_R[:, :r]``), F ``diag(sig) W'`` and
     ``F_pinv`` ``W diag(1/sig)``, ``W = V_R[:, :r]``, and N is ``V_R[:,
-    r:]``. Either way G = K'K = F'F.
-
-    The factor is also the map of coordinates that dense gGKB binds, with
-    B = MA (:mod:`glskit.ggkb`). B' = F' Z_B', so pinv(G) B' = F_pinv Z_B',
-    with columns in R(F') = R(G), at cond(K), not at the cond(K)^2 of a
-    factorization of the formed G (Bjorck, *Numerical Methods for Least
-    Squares Problems*, 1996, 2.2). In the coordinates ``s^ = F s`` of R(G),
-    ``s = F_pinv s^``, the G-norm of s is the 2-norm of s^ and B s is
-    ``Z_B s^``: gGKB there is the plain Golub-Kahan process of Z_B. The map
-    is ``dim``, :meth:`image` and :meth:`to_x`.
+    r:]``. Either way G = K'K = F'F, and B' = F' Z_B', so pinv(G) B' =
+    F_pinv Z_B', with columns in R(F') = R(G), at cond(K), not at the
+    cond(K)^2 of a factorization of the formed G (Bjorck, *Numerical
+    Methods for Least Squares Problems*, 1996, 2.2). :func:`gdag_factors`
+    keeps that product as the map of coordinates that dense gGKB binds.
     """
 
     Z_L: np.ndarray | None
@@ -438,23 +437,93 @@ class StackedFactors:
     N: np.ndarray
     certified: bool
 
+
+def _triangle_product(R, x, trans):
+    """``R x`` (``trans=1``: ``R' x``) in a fresh array: BLAS ``trmv`` when
+    R is a nonempty C-ordered upper triangle, read as its transpose, a
+    Fortran-ordered lower one; else a product."""
+    if R.shape[0] != R.shape[1] or not R.size:
+        return R.T @ x if trans else R @ x
+    # positional (offx, incx, lower, trans): keyword parsing in the f2py
+    # wrapper is a visible share of a product this small
+    return dtrmv(R.T, x, 0, 1, 1, 1 - trans)
+
+
+@dataclass(frozen=True)
+class GdagFactors:
+    """pinv(G) B' = F_pinv Z_B' of ``K = [L; B] = Z F`` (a
+    :class:`StackedFactors`), with Z_B' factored as ``Z_B' = Q [R; 0]`` by
+    one Householder QR (:func:`gdag_factors`).
+
+    Q (r x r) is kept as the ``reflectors`` (r x q) and ``tau`` of that
+    QR, never formed, and R, C-ordered, is q x q upper triangular when q
+    <= r, else r x q upper trapezoidal; d = min(r, q) is its number of
+    rows. ``F``, ``F_pinv`` and ``certified`` are the stack's; Z_B and N
+    are not kept. Z_B' = Q_1 R, Q_1 = ``Q[:, :d]``, so pinv(G) B' = F_pinv
+    Q_1 R.
+
+    The factor is the map of coordinates that dense gGKB binds, with B =
+    MA (:mod:`glskit.ggkb`): in the coordinates ``t = Q_1' F s`` of R(G)
+    (s = F_pinv Q_1 t), the G-norm of s is ``||t||``, B s is ``R' t`` and
+    pinv(G) B' u has the coordinates ``R u``. gGKB there is the plain
+    Golub-Kahan process of R', as of Z_B, whose coefficients an orthogonal
+    change of coordinates leaves as they are (Paige & Saunders, ACM TOMS
+    8(1), 1982), on d x q entries in place of q x r. The map is ``dim`` =
+    d, :meth:`image` and :meth:`to_x`; :meth:`apply` gives ``R u``.
+    """
+
+    reflectors: np.ndarray
+    tau: np.ndarray
+    R: np.ndarray
+    F: np.ndarray
+    F_pinv: np.ndarray
+    certified: bool
+
     @property
     def dim(self):
-        """r, the dimension of the coordinates."""
-        return self.Z_B.shape[1]
+        """d = min(r, q), the dimension of the coordinates."""
+        return self.R.shape[0]
 
-    def image(self, s):
-        """``(B s, ||s||_G)`` for the coordinates s^ = ``s``: ``Z_B s^`` and
-        ``||s^||``."""
-        return self.Z_B @ s, math.sqrt(float(s @ s))
+    def apply(self, u):
+        """``R u``, the coordinates of pinv(G) B' u = F_pinv Q_1 R u."""
+        return _triangle_product(self.R, u, 0)
+
+    def image(self, t):
+        """``(B s, ||s||_G)`` for the coordinates t = ``t`` of s: ``R' t``
+        and ``||t||``."""
+        return _triangle_product(self.R, t, 1), math.sqrt(float(t @ t))
+
+    def _q_times(self, T):
+        """``Q [T; 0]`` for a block T of d rows, in a fresh Fortran-ordered
+        array of r rows."""
+        C = np.zeros((self.reflectors.shape[0], T.shape[1]), order="F")
+        C[: T.shape[0]] = T
+        return _apply_reflectors(self.reflectors, self.tau, C) if self.tau.size else C
 
     def to_x(self, S):
-        """``F_pinv S`` for a Fortran-ordered r x k block S of coordinates,
-        which it may overwrite: one BLAS ``trmm`` when certified, else one
+        """``F_pinv Q [S; 0]`` for a d x k block S of coordinates: LAPACK
+        ``ormqr``, then one BLAS ``trmm`` when certified, else one
         product."""
+        C = self._q_times(S)
         if self.certified:
-            return dtrmm(1.0, self.F_pinv, S, overwrite_b=1)
-        return self.F_pinv @ S
+            return dtrmm(1.0, self.F_pinv, C, overwrite_b=1)
+        return self.F_pinv @ C
+
+    @property
+    def Z_B(self):
+        """The q x r rows of Z that belong to B, ``(Q [R; 0])'``, formed on
+        each read."""
+        return self._q_times(self.R).T
+
+
+def gdag_factors(stack):
+    """The :class:`GdagFactors` of a :class:`StackedFactors`: one raw
+    Householder QR of its Z_B', staged in a fresh Fortran-ordered array.
+    The QR's R is kept as it is returned, C-ordered, so no copy of it is
+    made."""
+    (reflectors, tau), R = _householder_qr(np.array(stack.Z_B.T, order="F"))
+    R = np.ascontiguousarray(R)
+    return GdagFactors(reflectors, tau, R, stack.F, stack.F_pinv, stack.certified)
 
 
 # reflectors per block of LAPACK tpqrt and tpmqrt

@@ -1,5 +1,7 @@
 """Shared constructors for seeded test problems, and test oracles."""
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
@@ -10,6 +12,7 @@ import glskit.linalg
 from glskit import (
     BidiagState, GlsProblem, RankTolerance, ggkb_init, ggkb_step, gsvd_pair, pinv, svd,
 )
+from glskit.linalg import EPS, norm_product
 from glskit.problems import make_l1, make_l2
 
 # Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
@@ -127,6 +130,34 @@ def run_ggkb(prob: GlsProblem, strategy, steps):
         if not state.terminated:
             cols.append(state.v.copy())
     return state, np.column_stack(cols) if cols else np.empty((prob.n, 0))
+
+
+class StackRowsStrategy:
+    """The dense strategy on Z_B itself, the oracle for the triangle that
+    ``DensePinvStrategy`` binds: the plain Golub-Kahan process of the rows
+    Z_B of ``[L; MA] = Z F`` (``linalg.stacked_factor``) that belong to MA,
+    in the coordinates s^ = F s. It is its own ``coordinates``:
+    ``apply(u)`` is ``Z_B' u``, ``image(s^)`` is ``(Z_B s^, ||s^||)`` and
+    ``to_x(S)`` is ``F_pinv S``; ``relative_noise`` is the dense
+    strategy's."""
+
+    hit_cap = False
+
+    def bind(self, prob):
+        stack = glskit.linalg.stacked_factor(prob.L, prob.MA)
+        self.Z_B, self.F_pinv = stack.Z_B, stack.F_pinv
+        self.dim = self.Z_B.shape[1]
+        self.relative_noise = max(1e-12, norm_product(stack.F, stack.F_pinv, scale=4.0 * EPS))
+        self.coordinates = self
+
+    def apply(self, u):
+        return self.Z_B.T @ u
+
+    def image(self, s):
+        return self.Z_B @ s, math.sqrt(float(s @ s))
+
+    def to_x(self, S):
+        return self.F_pinv @ S
 
 
 def bidiagonal(state: BidiagState, k: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from glskit.linalg import EPS, norm_product
 from glskit.problems import make_l1, make_l2
 from helpers import (
     bidiagonal,
+    counted_factorizations,
     krylov_subspace_check,
     nullspace_basis,
     projector_range,
@@ -88,6 +89,35 @@ def test_cholesky_refuses_a_certified_g_at_its_pivot_floor():
     assert refused.value.index == 4
     assert refused.value.pivot == R[4, 4] ** 2 == pytest.approx(1.046e-15, rel=1e-3)
     assert refused.value.pivot <= 1e-14 * np.max(np.sum(R * R, axis=0))
+
+
+def test_cholesky_refuses_a_singular_g_before_the_qr_of_z_b(monkeypatch):
+    # the refusal reads the stack's factor, made by the QR of L, the fold of
+    # MA into its R and the SVD of that R, and not the QR of Z_B' that the
+    # dense factors add; a dense bind then reuses the stack
+    prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
+    calls = counted_factorizations(monkeypatch, ("svd", "qr"))
+    with pytest.raises(IndefiniteMatrixError, match="singular"):
+        CholeskyStrategy(prob.G).bind(prob)
+    assert calls == ["scipy.linalg.qr", "dtpqrt", "numpy.linalg.svd"]
+    assert "gdag" not in vars(prob.factors)
+    calls.clear()
+    DensePinvStrategy(prob.G).bind(prob)
+    assert calls == ["scipy.linalg.qr"]
+
+
+def test_the_dense_factors_keep_no_view_of_a_larger_array():
+    # C2 seed 1: the QR of [L; MA] does not certify, and the SVD of its R
+    # leaves N(K) as a view of R's n x n V, which the problem must not keep
+    prob = random_gls_problem(1, m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3)
+    glsqr_solve(prob, DensePinvStrategy(prob.G))
+    gdag = prob.factors.gdag
+    assert not gdag.certified
+    assert "stack" not in vars(prob.factors)
+    held = [a for a in vars(gdag).values() if isinstance(a, np.ndarray)]
+    assert len(held) == 5
+    for a in held:
+        assert a.base is None or a.base.size <= a.size
 
 
 def test_dense_strategy_satisfies_moore_penrose():

@@ -493,6 +493,7 @@ def test_lsqr_memory_does_not_grow_with_its_iterations(generated_g, band_factor,
         ("dormqr", "cq,work,info = dormqr(side,trans,a,tau,c,lwork,[overwrite_c])"),
         ("dtpqrt", "a,b,t,info = dtpqrt(l,nb,a,b,[overwrite_a,overwrite_b])"),
         ("dtpmqrt", "a,b,info = dtpmqrt(l,v,t,a,b,[side,trans,overwrite_a,overwrite_b])"),
+        ("dtrmv", "x = dtrmv(a,x,[offx,incx,lower,trans,diag,overwrite_x])"),
     ],
 )
 def test_positionally_called_wrappers_keep_their_argument_order(name, signature):
