@@ -26,7 +26,8 @@ pluggable. A strategy has five members:
   ``to_x(S)``, which maps a block of coordinate columns to x-space;
 - ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it,
   in the strategy's coordinates;
-- ``relative_noise``, the relative accuracy the applies deliver;
+- ``relative_noise``, the relative accuracy the applies deliver, from
+  which every cutoff below takes its floor, ``10 relative_noise``;
 - ``hit_cap``, True once an inner iteration has ended unconverged (out of
   steps, or on a curvature breakdown).
 
@@ -63,7 +64,8 @@ bidiagonal B_k = U' (MA) V of the map v -> MA v from (R(G), G-norm) to R^q,
 whose norm, the largest GSVD cosine of {MA, L}, is at most 1. They do not
 change when b is scaled; only beta_1 = ||M b|| does. So every cutoff takes
 its scale from the entries of B_k, never from beta_1, and scaling b by a
-power of 2 scales the iterates by it exactly.
+power of 2 scales the iterates by it exactly: a coefficient at or below
+``10 relative_noise`` is roundoff of the applies, whatever the scale of b.
 """
 
 from __future__ import annotations
@@ -77,9 +79,7 @@ from scipy.linalg import cholesky_banded
 
 # cholesky_spd is not called here; it stays importable because the
 # benchmark's tracer (glsbench/spans.py) hooks glskit.ggkb.cholesky_spd
-from .linalg import (  # noqa: F401
-    EPS, IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr, norm_product,
-)
+from .linalg import IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr  # noqa: F401
 from .wpinv import GlsProblem
 
 __all__ = [
@@ -92,6 +92,7 @@ __all__ = [
     "ggkb_step",
 ]
 
+# the roundoff floor of the product M b, relative to ||M||_F ||b||
 BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
 # workspace columns before the first doubling
@@ -106,10 +107,11 @@ class DensePinvStrategy:
     :class:`~glskit.linalg.GdagFactors` (``prob.factors.gdag``, made once
     per problem): with ``[L; MA] = Z F`` and ``Z_B' = Q [R; 0]``, Z_B the
     rows of Z that belong to MA, its coordinates are ``t = Q_1' F s``, and
-    it sets ``relative_noise`` to ``max(1e-12, 4 eps ||F||_F
-    ||F_pinv||_F)``. ``apply(u)`` is ``R u``, the coordinates of pinv(G)
-    (MA)' u: one BLAS ``trmv`` with the q x q triangle R (a product when
-    q > rank [L; MA] makes R trapezoidal). ``hit_cap`` is always False.
+    it sets ``relative_noise`` to the factor's ``noise``, the relative
+    roundoff of the factor of ``[L; MA]``. ``apply(u)`` is ``R u``, the
+    coordinates of pinv(G) (MA)' u: one BLAS ``trmv`` with the q x q
+    triangle R (a product when q > rank [L; MA] makes R trapezoidal).
+    ``hit_cap`` is always False.
     """
 
     hit_cap = False
@@ -120,13 +122,13 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
-        self._refuse(prob.factors.stack)
+        self._refuse(prob)
         factor = self.coordinates = prob.factors.gdag
-        self.relative_noise = max(1e-12, norm_product(factor.F, factor.F_pinv, scale=4.0 * EPS))
+        self.relative_noise = factor.noise
 
-    def _refuse(self, stack):
-        """Raise if the strategy cannot bind the factor ``stack`` of ``[L;
-        MA]``; the dense strategy binds every one."""
+    def _refuse(self, prob):
+        """Raise if the strategy cannot bind the factor of ``[L; MA]`` of
+        ``prob``; the dense strategy binds every one."""
 
     def apply(self, u):
         return self.coordinates.apply(u)
@@ -139,19 +141,26 @@ class CholeskyStrategy(DensePinvStrategy):
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
     factor (``prob.factors.stack``) does not certify K of full column rank
     (a wide K is never certified), or a pivot ``r_jj^2`` at or below ``1e-14
-    max(diag(G))``, the rule of ``linalg.cholesky_spd``; both are read off
-    F = R, as diag(G) = diag(R'R) holds the squared column norms of R. It
-    refuses before the QR of Z_B' that ``prob.factors.gdag`` makes.
-    Otherwise it binds as :class:`DensePinvStrategy` does. ``apply(u)``,
-    ``relative_noise`` and ``hit_cap`` are the dense strategy's.
+    max(diag(G))``, the rule of ``linalg.cholesky_spd``. The pivots are
+    read off the factor's ``F_pinv`` = R^-1, whose diagonal LAPACK ``trtri``
+    forms as ``1 / r_jj``, and diag(G) off the squared column norms of MA
+    and L. It refuses before the QR of Z_B' that ``prob.factors.gdag``
+    makes. Otherwise it binds as :class:`DensePinvStrategy` does.
+    ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
+    strategy's.
     """
 
-    def _refuse(self, stack):
+    def _refuse(self, prob):
+        stack, L = prob.factors.stack, prob.L
         if not stack.certified:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
-        R = stack.F
-        pivots = R.diagonal() ** 2
-        small = np.flatnonzero(pivots <= 1e-14 * np.einsum("ij,ij->j", R, R).max(initial=0.0))
+        pivots = stack.F_pinv.diagonal() ** -2.0
+        # the squared column norms of MA and L; a sparse L is canonical CSR
+        # (GlsProblem), so its entries in column j are those of index j
+        diag_g = np.einsum("ij,ij->j", prob.MA, prob.MA)
+        diag_g += (np.bincount(L.indices, L.data**2, prob.n) if sp.issparse(L)
+                   else np.einsum("ij,ij->j", L, L))
+        small = np.flatnonzero(pivots <= 1e-14 * diag_g.max(initial=0.0))
         if small.size:
             j = int(small[0])
             pivot = float(pivots[j])
@@ -409,10 +418,10 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     k = 0 and the downstream solution is zero. "Vanishes" means
     ``||M b|| <= BREAKDOWN_REL ||M||_F ||b||`` (``||I_m||_F = sqrt(m)`` when M
     is None), the roundoff floor of the product M b. An alpha_1 at or below
-    ``BREAKDOWN_REL`` terminates at k = 0 too: alpha_1 is an entry of B_k,
-    at most 1 whatever the scale of b (see the module docstring), which
-    only beta_1 carries. Either way the
-    terminating coefficients are stored as 0.0. The strategy gets
+    ``10 strategy.relative_noise`` terminates at k = 0 too: alpha_1 is an
+    entry of B_k, at most 1 whatever the scale of b (see the module
+    docstring), which only beta_1 carries. Either way the terminating
+    coefficients are stored as 0.0. The strategy gets
     ``bind(prob)`` first, before its first apply; the state's coordinates
     are then the strategy's ``coordinates``.
     """
@@ -433,22 +442,22 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     init_scale = norm_m * float(np.linalg.norm(prob.b))
     # a copy: mult_M returns b itself when M is None, and r is projected in place
     r = prob.mult_M(prob.b).copy()
-    _expand(state, strategy, r, BREAKDOWN_REL * init_scale, BREAKDOWN_REL, 0.0)
+    _expand(state, strategy, r, BREAKDOWN_REL * init_scale, 10.0 * strategy.relative_noise, 0.0)
     return state
 
 
 def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
     """One expansion in place: appends beta_{k+1}, alpha_{k+1}; returns ``state``.
 
-    Either coefficient falling to the breakdown threshold, relative to
-    alpha_1 (never to beta_1, which scales with b), terminates the process
-    at the current k.
+    Either coefficient at or below ``10 strategy.relative_noise``, an
+    absolute floor as the entries of B_k are at most 1 (never scaled by
+    beta_1, which scales with b), terminates the process at the current k.
     """
     if state.terminated:
         raise ValueError("the bidiagonalization already terminated")
-    threshold = BREAKDOWN_REL * state.alphas[0]
     # coefficients below the accuracy the strategy actually delivers are
-    # indistinguishable from noise, so the degeneracy cutoff scales with it
+    # indistinguishable from noise, so both cutoffs scale with it
+    threshold = 10.0 * strategy.relative_noise
     degenerate = max(DEGENERATE_REL, 4.0 * strategy.relative_noise)
     alpha = state.alphas[-1]
     r = state.ma_v - alpha * state.MU[:, -1]

@@ -66,7 +66,9 @@ class SolveReport:
     ``alphas``, ``betas`` and ``beta1`` are read off ``state``, the final
     :class:`BidiagState`, which keeps the coefficients and the data-side
     basis but no basis of the solution side; ``beta1`` is 0.0 when M b
-    vanishes.
+    vanishes. ``noise_floor`` is ``10 relative_noise`` of the strategy at
+    the end of the run, the absolute cutoff that gGKB's coefficients and
+    the kept-iterate guard were held to (the entries of B_k are at most 1).
     """
 
     x: np.ndarray
@@ -77,6 +79,7 @@ class SolveReport:
     x_norm_history: list
     norm_estimate: OperatorNormEstimate
     state: BidiagState
+    noise_floor: float
 
     alphas = property(lambda self: self.state.alphas)
     betas = property(lambda self: self.state.betas)
@@ -248,8 +251,8 @@ def glsqr_solve(
         alpha_next, beta_next = state.alphas[-1], state.betas[-1]
 
         rho = math.hypot(rho_bar, beta_next)
-        guard = max(1e-10, 10.0 * strategy.relative_noise)
         # scaled by the entries of B_k: beta_1 carries the scale of b
+        guard = 10.0 * strategy.relative_noise
         if state.terminated and rho <= guard * max(state.alphas + state.betas[1:]):
             # The trailing column of the bidiagonal matrix is numerically
             # zero (the Krylov space was already exhausted and the last
@@ -296,6 +299,7 @@ def glsqr_solve(
         x=x, iterations=k, stop_reason=stop_reason,
         residual_estimate_history=est_hist, true_residual_history=true_hist,
         x_norm_history=xnorm_hist, norm_estimate=norm, state=state,
+        noise_floor=10.0 * strategy.relative_noise,
     )
 
 

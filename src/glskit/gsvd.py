@@ -40,9 +40,6 @@ __all__ = [
     "save_factors",
 ]
 
-_CLUSTER_TOL = 1e-12
-
-
 @dataclass
 class GsvdFactors:
     U_A: np.ndarray  # m x m orthogonal
@@ -75,7 +72,7 @@ def gsvd_pair(A, L, tol=None):
     :func:`~glskit.linalg.stacked_factor` at ``tol`` (L goes first because
     the cosines that are exactly 0, those of the q3 block, then carry less
     roundoff: about half of the ``[A; L]`` order's on the C1 family of the
-    tests, and none crosses the 1e-12 snap): ``Z = Q[:, :n]``, ``F = R``
+    tests, and none crosses the snap below): ``Z = Q[:, :n]``, ``F = R``
     when the QR certifies full column rank, else ``Z = Q[:, :n] U_R[:,
     :r]``, ``F = diag(sig) W'`` from R's SVD (K's own, with Z = ``U_R[:,
     :r]``, when K is wide), r the rank of K that the SVD of K would give,
@@ -90,8 +87,12 @@ def gsvd_pair(A, L, tol=None):
     dropped once Z_L Vhat is taken, and every other intermediate before the
     reconstruction is checked.
 
-    Cosines within 1e-12 of 1 (0) are snapped into the q1 (q3) block so the
-    factors carry the exact block structure.
+    Cosines within ``10 noise`` of 1 (0) are snapped into the q1 (q3)
+    block so the factors carry the exact block structure, ``noise`` being
+    the relative roundoff of the stack's factor
+    (:class:`~glskit.linalg.StackedFactors`). The cosines are the singular
+    values of Z_A, which carries that roundoff, so a rank-deficient A
+    leaves no cosine of roundoff in the q2 block to be inverted.
     """
     A = as_matrix(A, "A")
     L = as_matrix(L, "L")
@@ -109,7 +110,7 @@ def _factor(A, L, tol):
     freed on return."""
     (m, n), p = A.shape, L.shape[0]
     K = stacked_factor(L, A, tol, l_rows=True)
-    Z_A, Z_L, F, F_pinv, N = K.Z_B, K.Z_L, K.F, K.F_pinv, K.N
+    Z_A, Z_L, F, F_pinv, N, snap = K.Z_B, K.Z_L, K.F, K.F_pinv, K.N, 10.0 * K.noise
     del K
     r = Z_A.shape[1]
     try:
@@ -120,8 +121,8 @@ def _factor(A, L, tol):
 
     c = np.zeros(r)
     c[: min(m, r)] = np.clip(c_part, 0.0, 1.0)
-    q1 = int(np.count_nonzero(1.0 - c <= _CLUSTER_TOL))
-    q3 = int(np.count_nonzero(c <= _CLUSTER_TOL))
+    q1 = int(np.count_nonzero(1.0 - c <= snap))
+    q3 = int(np.count_nonzero(c <= snap))
     q2 = r - q1 - q3
     k, nz = q1 + q2, r - q1
     c[:q1] = 1.0

@@ -428,6 +428,12 @@ class StackedFactors:
     cond(K)^2 of a factorization of the formed G (Bjorck, *Numerical
     Methods for Least Squares Problems*, 1996, 2.2). :func:`gdag_factors`
     keeps that product as the map of coordinates that dense gGKB binds.
+
+    ``noise``, ``max(1e-12, 4 eps ||F||_F ||F_pinv||_F)``, is the relative
+    roundoff of the factor: ``||F||_F ||F_pinv||_F`` bounds cond(K) from
+    above with the norms of what the factor holds. Every decision about the
+    stack treats a value within ``10 noise`` as roundoff: the GSVD's snap
+    of its cosines to 0 or 1, and gGKB's cutoffs on its coefficients.
     """
 
     Z_L: np.ndarray | None
@@ -436,6 +442,8 @@ class StackedFactors:
     F_pinv: np.ndarray
     N: np.ndarray
     certified: bool
+
+    noise = property(lambda self: max(1e-12, norm_product(self.F, self.F_pinv, scale=4.0 * EPS)))
 
 
 def _triangle_product(R, x, trans):
@@ -458,9 +466,9 @@ class GdagFactors:
     Q (r x r) is kept as the ``reflectors`` (r x q) and ``tau`` of that
     QR, never formed, and R, C-ordered, is q x q upper triangular when q
     <= r, else r x q upper trapezoidal; d = min(r, q) is its number of
-    rows. ``F``, ``F_pinv`` and ``certified`` are the stack's; Z_B and N
-    are not kept. Z_B' = Q_1 R, Q_1 = ``Q[:, :d]``, so pinv(G) B' = F_pinv
-    Q_1 R.
+    rows. ``F_pinv``, ``certified`` and the scalar ``noise`` are the
+    stack's; F, Z_B and N are not kept. Z_B' = Q_1 R, Q_1 = ``Q[:, :d]``,
+    so pinv(G) B' = F_pinv Q_1 R.
 
     The factor is the map of coordinates that dense gGKB binds, with B =
     MA (:mod:`glskit.ggkb`): in the coordinates ``t = Q_1' F s`` of R(G)
@@ -475,9 +483,9 @@ class GdagFactors:
     reflectors: np.ndarray
     tau: np.ndarray
     R: np.ndarray
-    F: np.ndarray
     F_pinv: np.ndarray
     certified: bool
+    noise: float
 
     @property
     def dim(self):
@@ -509,12 +517,6 @@ class GdagFactors:
             return dtrmm(1.0, self.F_pinv, C, overwrite_b=1)
         return self.F_pinv @ C
 
-    @property
-    def Z_B(self):
-        """The q x r rows of Z that belong to B, ``(Q [R; 0])'``, formed on
-        each read."""
-        return self._q_times(self.R).T
-
 
 def gdag_factors(stack):
     """The :class:`GdagFactors` of a :class:`StackedFactors`: one raw
@@ -523,7 +525,7 @@ def gdag_factors(stack):
     made."""
     (reflectors, tau), R = _householder_qr(np.array(stack.Z_B.T, order="F"))
     R = np.ascontiguousarray(R)
-    return GdagFactors(reflectors, tau, R, stack.F, stack.F_pinv, stack.certified)
+    return GdagFactors(reflectors, tau, R, stack.F_pinv, stack.certified, stack.noise)
 
 
 # reflectors per block of LAPACK tpqrt and tpmqrt

@@ -99,12 +99,12 @@ class FactorStore:
 
     @cached_property
     def stack(self):
-        """``certified``, ``F`` and ``F_pinv`` of ``[L; MA] = Z F``: the
-        :class:`~glskit.linalg.StackedFactors` that
+        """``certified``, ``F_pinv`` and ``noise`` of ``[L; MA] = Z F``:
+        the :class:`~glskit.linalg.StackedFactors` that
         :func:`~glskit.linalg.stacked_factor` makes, until ``gdag`` is made
         from it, and ``gdag`` from then on, so the problem keeps neither its
-        Z_B nor its N. ``CholeskyStrategy`` reads it to refuse a singular G
-        before the QR of Z_B' is made."""
+        F, nor its Z_B, nor its N. ``CholeskyStrategy`` reads it to refuse a
+        singular G before the QR of Z_B' is made."""
         gdag = vars(self).get("gdag")
         return gdag if gdag is not None else stacked_factor(self._L, self._MA)
 
@@ -118,7 +118,7 @@ class FactorStore:
         stack = self.stack
         del self.stack
         gdag = gdag_factors(stack)
-        for factor in (gdag.reflectors, gdag.tau, gdag.R, gdag.F, gdag.F_pinv):
+        for factor in (gdag.reflectors, gdag.tau, gdag.R, gdag.F_pinv):
             factor.flags.writeable = False
         return gdag
 

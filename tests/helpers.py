@@ -12,7 +12,6 @@ import glskit.linalg
 from glskit import (
     BidiagState, GlsProblem, RankTolerance, ggkb_init, ggkb_step, gsvd_pair, pinv, svd,
 )
-from glskit.linalg import EPS, norm_product
 from glskit.problems import make_l1, make_l2
 
 # Matrix Market files that overflow: a dimension beyond scipy's int64 shapes
@@ -138,8 +137,8 @@ class StackRowsStrategy:
     Z_B of ``[L; MA] = Z F`` (``linalg.stacked_factor``) that belong to MA,
     in the coordinates s^ = F s. It is its own ``coordinates``:
     ``apply(u)`` is ``Z_B' u``, ``image(s^)`` is ``(Z_B s^, ||s^||)`` and
-    ``to_x(S)`` is ``F_pinv S``; ``relative_noise`` is the dense
-    strategy's."""
+    ``to_x(S)`` is ``F_pinv S``; ``relative_noise`` is the stack's
+    ``noise``, as the dense strategy's."""
 
     hit_cap = False
 
@@ -147,7 +146,7 @@ class StackRowsStrategy:
         stack = glskit.linalg.stacked_factor(prob.L, prob.MA)
         self.Z_B, self.F_pinv = stack.Z_B, stack.F_pinv
         self.dim = self.Z_B.shape[1]
-        self.relative_noise = max(1e-12, norm_product(stack.F, stack.F_pinv, scale=4.0 * EPS))
+        self.relative_noise = stack.noise
         self.coordinates = self
 
     def apply(self, u):
@@ -158,6 +157,13 @@ class StackRowsStrategy:
 
     def to_x(self, S):
         return self.F_pinv @ S
+
+
+def z_b(gdag) -> np.ndarray:
+    """The q x r rows Z_B of Z in ``[L; MA] = Z F`` that belong to MA, from
+    a ``linalg.GdagFactors``, which keeps them as ``Z_B' = Q [R; 0]``:
+    ``(Q [R; 0])'``, formed by applying Q's reflectors to R."""
+    return gdag._q_times(gdag.R).T
 
 
 def bidiagonal(state: BidiagState, k: int) -> np.ndarray:

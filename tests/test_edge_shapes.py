@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glskit import GlsProblem, certify_solution, check_gls_criterion, glsqr_solve, wpinv_apply
-from helpers import SPECTRUM_GAP, random_gls_problem, spectrum_gap
+from helpers import SPECTRUM_GAP, random_gls_problem, spectrum_gap, z_b
 
 
 def _no_regularizer():
@@ -107,7 +107,7 @@ def test_terminated_bidiagonal_has_the_gsvd_cosines_on_edge_shapes(name):
 def test_a_stack_with_no_rows_binds_coordinates_of_dimension_0():
     prob = _no_rows()
     gdag = prob.factors.gdag
-    assert gdag.Z_B.shape == (0, 0) and gdag.F_pinv.shape == (4, 0)
+    assert z_b(gdag).shape == (0, 0) and gdag.F_pinv.shape == (4, 0)
     report = glsqr_solve(prob)
     assert report.stop_reason == "ggkb_terminated" and report.iterations == 0
     assert report.x.shape == (4,) and not report.x.any()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import glskit.ggkb as ggkb_module
@@ -14,7 +15,7 @@ from glskit import (
     glsqr_solve,
     pinv,
 )
-from glskit.linalg import EPS, norm_product
+from glskit.linalg import EPS, norm_product, stacked_factor
 from glskit.problems import make_l1, make_l2
 from helpers import (
     bidiagonal,
@@ -25,6 +26,7 @@ from helpers import (
     random_gls_problem,
     random_matrix,
     run_ggkb,
+    z_b,
 )
 
 
@@ -60,17 +62,18 @@ def test_strategies_dispatch_and_validate():
 
 
 def test_dense_strategy_noise_is_read_off_the_factor():
-    # max(1e-12, 4 eps ||F||_F ||F_pinv||_F) of the problem's factor of
-    # [L; MA]: above the floor on a C1 problem, whose cond(K) is about 1e7,
+    # max(1e-12, 4 eps ||F||_F ||F_pinv||_F) of the factor of [L; MA], F
+    # read off a factor made apart from the problem's, which keeps only the
+    # scalar: above the floor on a C1 problem, whose cond(K) is about 1e7,
     # and at it on a well-conditioned one
     for prob, above_floor in (
         (random_gls_problem(0, m=6, n=9, p=2, q=4, rank_a=3, cond=1e4), True),
         (random_gls_problem(3, m=12, n=10, p=6), False),
     ):
         strategy = bound(DensePinvStrategy(prob.G), prob)
-        gdag = prob.factors.gdag
-        noise = norm_product(gdag.F, gdag.F_pinv, scale=4.0 * EPS)
-        assert strategy.relative_noise == max(1e-12, noise)
+        stack = stacked_factor(prob.L, prob.MA)
+        noise = norm_product(stack.F, stack.F_pinv, scale=4.0 * EPS)
+        assert strategy.relative_noise == prob.factors.gdag.noise == max(1e-12, noise)
         assert (noise > 1e-12) == above_floor
 
 
@@ -84,11 +87,13 @@ def test_cholesky_refuses_a_certified_g_at_its_pivot_floor():
     prob = GlsProblem(A, None, L, base.b)
     with pytest.raises(IndefiniteMatrixError, match="at column 4") as refused:
         CholeskyStrategy(prob.G).bind(prob)
-    R = prob.factors.gdag.F
     assert prob.factors.gdag.certified
+    # the pivot is read off R^-1; the R of the staged stack's own QR gives it
+    R = scipy.linalg.qr(np.vstack([L, A]), mode="r")[0]
     assert refused.value.index == 4
-    assert refused.value.pivot == R[4, 4] ** 2 == pytest.approx(1.046e-15, rel=1e-3)
-    assert refused.value.pivot <= 1e-14 * np.max(np.sum(R * R, axis=0))
+    assert refused.value.pivot == pytest.approx(R[4, 4] ** 2, rel=1e-12)
+    assert refused.value.pivot == pytest.approx(1.046e-15, rel=1e-3)
+    assert refused.value.pivot <= 1e-14 * prob.G.diagonal().max()
 
 
 def test_cholesky_refuses_a_singular_g_before_the_qr_of_z_b(monkeypatch):
@@ -115,7 +120,7 @@ def test_the_dense_factors_keep_no_view_of_a_larger_array():
     assert not gdag.certified
     assert "stack" not in vars(prob.factors)
     held = [a for a in vars(gdag).values() if isinstance(a, np.ndarray)]
-    assert len(held) == 5
+    assert len(held) == 4
     for a in held:
         assert a.base is None or a.base.size <= a.size
 
@@ -125,7 +130,7 @@ def test_dense_strategy_satisfies_moore_penrose():
     # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
     factor = bound(DensePinvStrategy(prob.G), prob).coordinates
-    W = factor.F_pinv @ factor.Z_B.T
+    W = factor.F_pinv @ z_b(factor).T
     expected = pinv(prob.G) @ prob.MA.T
     assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
 

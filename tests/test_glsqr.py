@@ -693,6 +693,20 @@ def test_report_coefficients_are_the_state_record():
         report.alphas = []
 
 
+def test_the_report_records_the_noise_floor_of_its_cutoffs():
+    # 10 relative_noise: of the factor of [L; MA] on a dense run, where
+    # every kept coefficient of B_k lies above it, and of the worst inner
+    # residual on a capped inner run
+    prob = random_gls_problem(0, m=30, n=24, p=10, cond=100.0)
+    dense = glsqr_solve(prob, tol=1e-300)
+    assert dense.stop_reason == "ggkb_terminated"
+    assert dense.noise_floor == 10.0 * prob.factors.gdag.noise
+    assert min(c for c in dense.alphas + dense.betas[1:] if c) > dense.noise_floor
+    inner = InnerLsqrStrategy(prob.G, tau=1e-10, max_iter=8)
+    capped = glsqr_solve(prob, inner, tol=1e-10)
+    assert capped.noise_floor == 10.0 * inner.relative_noise > 10.0 * inner.tau
+
+
 def test_rejects_bad_tolerance():
     gen = planted_problem(seed=2, m=10, n=12, rank=8)
     with pytest.raises(ValueError):

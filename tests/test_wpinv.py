@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -359,18 +360,27 @@ def test_criterion_accepts_the_direct_solution_for_b_near_the_null_space_of_m():
     assert check_gls_criterion(prob, wpinv_apply(prob))
 
 
-@pytest.mark.parametrize("route", [
-    "elden",
-    pytest.param("gsvd", marks=pytest.mark.xfail(
-        strict=True, reason="the GSVD route keeps a roundoff singular value of MA")),
-    pytest.param("glsqr", marks=pytest.mark.xfail(
-        strict=True, reason="gGKB keeps an alpha at the noise floor")),
+# (seed, cond) of rank-one MA problems of the R1 shape. A snap of the GSVD
+# cosines that is not scaled by the noise of the factor of [L; MA] keeps a
+# roundoff cosine on each, and a gGKB cutoff not scaled by it keeps a
+# roundoff alpha at seed 53 and at cond 1e7
+RANK_ONE_MA = [(53, 6199493.012977124), (0, 1e5), (1, 1e5), (4, 1e7), (5, 1e7)]
+
+
+@pytest.mark.parametrize("route, seed, cond", [
+    pytest.param(
+        route, seed, cond,
+        id=route if seed == 53 else f"{route}-1e{math.log10(cond):.0f}-s{seed}",
+    )
+    for seed, cond in RANK_ONE_MA
+    for route in ("elden", "gsvd", "glsqr")
 ])
-def test_every_route_certifies_on_a_rank_one_ma(route):
-    # MA has rank 1 (sigma_2 / sigma_1 about 8e-17): the direct x has norm
-    # 1.7, the GSVD route's 6.8e12 and dense gLSQR's 5.1e12
-    # (ggkb_terminated at k = 3)
-    prob = random_gls_problem(53, m=3, n=12, p=5, q=5, rank_a=1, cond=6199493.012977124)
+def test_every_route_certifies_on_a_rank_one_ma(route, seed, cond):
+    # MA has rank 1 (sigma_2 / sigma_1 about 8e-17 at seed 53): a cosine or
+    # an alpha at the noise floor of the factor of [L; MA] is roundoff. At
+    # seed 53, without that floor, the direct x had norm 1.7, the GSVD
+    # route's 6.8e12 and dense gLSQR's 5.1e12 (ggkb_terminated at k = 3)
+    prob = random_gls_problem(seed, m=3, n=12, p=5, q=5, rank_a=1, cond=cond)
     if route == "glsqr":
         assert certify_solution(prob, glsqr_solve(prob, tol=1e-300))
     else:
