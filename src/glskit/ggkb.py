@@ -122,13 +122,8 @@ class DensePinvStrategy:
     def bind(self, prob):
         if self.shape != (prob.n, prob.n):
             raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
-        self._refuse(prob)
         factor = self.coordinates = prob.factors.gdag
         self.relative_noise = factor.noise
-
-    def _refuse(self, prob):
-        """Raise if the strategy cannot bind the factor of ``[L; MA]`` of
-        ``prob``; the dense strategy binds every one."""
 
     def apply(self, u):
         return self.coordinates.apply(u)
@@ -139,22 +134,22 @@ class CholeskyStrategy(DensePinvStrategy):
 
     The R of a QR of ``K = [L; MA]`` is the Cholesky factor of G = K'K, so
     ``bind(prob)`` refuses, with :class:`IndefiniteMatrixError`, a G whose
-    factor (``prob.factors.stack``) does not certify K of full column rank
-    (a wide K is never certified), or a pivot ``r_jj^2`` at or below ``1e-14
-    max(diag(G))``, the rule of ``linalg.cholesky_spd``. The pivots are
-    read off the factor's ``F_pinv`` = R^-1, whose diagonal LAPACK ``trtri``
-    forms as ``1 / r_jj``, and diag(G) off the squared column norms of MA
-    and L. It refuses before the QR of Z_B' that ``prob.factors.gdag``
-    makes. Otherwise it binds as :class:`DensePinvStrategy` does.
-    ``apply(u)``, ``relative_noise`` and ``hit_cap`` are the dense
-    strategy's.
+    factor (``prob.factors.gdag``, made once per problem) does not certify
+    K of full column rank (a wide K is never certified), or a pivot
+    ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
+    ``linalg.cholesky_spd``. The pivots are read off the factor's
+    ``F_pinv`` = R^-1, whose diagonal LAPACK ``trtri`` forms as ``1 /
+    r_jj``, and diag(G) off the squared column norms of MA and L. It
+    refuses before it binds anything; otherwise it binds as
+    :class:`DensePinvStrategy` does. ``apply(u)``, ``relative_noise`` and
+    ``hit_cap`` are the dense strategy's.
     """
 
-    def _refuse(self, prob):
-        stack, L = prob.factors.stack, prob.L
-        if not stack.certified:
+    def bind(self, prob):
+        factor, L = prob.factors.gdag, prob.L
+        if not factor.certified:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
-        pivots = stack.F_pinv.diagonal() ** -2.0
+        pivots = factor.F_pinv.diagonal() ** -2.0
         # the squared column norms of MA and L; a sparse L is canonical CSR
         # (GlsProblem), so its entries in column j are those of index j
         diag_g = np.einsum("ij,ij->j", prob.MA, prob.MA)
@@ -167,6 +162,7 @@ class CholeskyStrategy(DensePinvStrategy):
             raise IndefiniteMatrixError(
                 f"nonpositive pivot {pivot:.3e} at column {j}", pivot=pivot, index=j
             )
+        super().bind(prob)
 
 
 class InnerLsqrStrategy:
@@ -183,7 +179,8 @@ class InnerLsqrStrategy:
     ``max_iter`` defaults to the ``4n`` cap of :func:`lsqr`. An inner solve
     that ends unconverged, at the iteration cap or on a curvature breakdown,
     latches ``hit_cap`` instead of raising. ``inner_iterations`` counts the
-    CG iterations of every apply.
+    CG iterations of every apply. All three start afresh at each
+    :meth:`bind`.
 
     :meth:`bind` takes the problem's ``MA``, binds
     :class:`IdentityCoordinates` as ``coordinates``, and preconditions CG
@@ -215,10 +212,6 @@ class InnerLsqrStrategy:
         self.G = G
         self.tau = float(tau)
         self.max_iter = max_iter
-        self.precond = None
-        self.hit_cap = False
-        self.inner_iterations = 0
-        self._worst_achieved = 0.0
 
     @property
     def relative_noise(self):
@@ -233,6 +226,9 @@ class InnerLsqrStrategy:
         self.MA = prob.MA
         self.coordinates = IdentityCoordinates(prob)
         self.precond = None
+        self.hit_cap = False
+        self.inner_iterations = 0
+        self._worst_achieved = 0.0
         L, n = prob.L, prob.n
         c = float(np.linalg.norm(prob.MA)) ** 2 / n
         if not sp.issparse(L) or L.shape[0] == 0 or not c > 0.0:
@@ -350,8 +346,8 @@ class BidiagState:
     keeps only what the recurrence reads, in the strategy's
     ``coordinates``: ``v_hat``, the coordinates of the latest v_k (zero
     before the first expansion), which each expansion replaces with a fresh
-    array, and ``ma_v`` = MA v_k, overwritten in place. ``v``, v_k itself,
-    is formed from ``v_hat`` on each read. ``ggkb_step`` mutates the state
+    array, and ``ma_v`` = MA v_k, overwritten in place; ``coordinates``
+    maps ``v_hat`` to v_k itself. ``ggkb_step`` mutates the state
     and returns the same object, so a view of ``MU`` taken earlier keeps its
     columns but stops sharing memory with the state once the workspace
     grows.
@@ -376,10 +372,6 @@ class BidiagState:
     @property
     def MU(self):
         return self.u.cols
-
-    @property
-    def v(self):
-        return self.coordinates.to_x(np.array(self.v_hat[:, None], order="F"))[:, 0]
 
 
 def _expand(state, strategy, r, beta_floor, threshold, relative):

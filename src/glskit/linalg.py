@@ -13,20 +13,20 @@ else the :class:`SvdFactors` (U thin, V square) built from the SVD of its
 R. No factor keeps a reference to its matrix. A stack ``[L; B]`` is
 factored around a triangle of L, into which B's rows are folded
 (:func:`stacked_factor`), and only the rows of its Q that a caller reads
-are formed; :func:`gdag_factors` factors its rows of B once more, by a QR
-of their transpose, into the triangle that dense gGKB runs on. No
-projector is formed here, its users apply the factors as products. The
-one iterative kernel, :func:`lsqr`, solves a symmetric positive
-semidefinite system by conjugate gradients and needs the operator only as
-a product: a dense matrix is read through one triangle by BLAS ``symv``,
-while sparse matrices and callables are kept as given. With a dense
-matrix its loop allocates nothing per iteration: dot products go through
-BLAS ``ddot``, and each update of the iterate, the residual and
+are formed; :func:`gdag_factors` makes that factor and factors its rows of
+B once more, by a QR of their transpose, into the triangle that dense gGKB
+runs on. No projector is formed here, its users apply the factors as
+products. The one iterative kernel, :func:`lsqr`, solves a symmetric
+positive semidefinite system by conjugate gradients and needs the operator
+only as a product: a dense matrix is read through one triangle by BLAS
+``symv``, while sparse matrices and callables are kept as given. With a
+dense matrix its loop allocates nothing per iteration: dot products go
+through BLAS ``ddot``, and each update of the iterate, the residual and
 (preconditioned) the direction is one in-place BLAS ``daxpy``. It may be
 preconditioned by an upper banded Cholesky factor in LAPACK ``pbtrf``
 layout, solved in place in a preallocated buffer: by LAPACK ``pttrs`` on
-its LDL' form when the band is tridiagonal or diagonal, else by
-``pbtrs``. The stop test stays on the unpreconditioned residual.
+its LDL' form when the band is tridiagonal or diagonal, else by ``pbtrs``.
+The stop test stays on the unpreconditioned residual.
 """
 
 from __future__ import annotations
@@ -300,13 +300,9 @@ class QrFactors:
             return self
         return _svd_of_r(self.reflectors, self.tau, R, self.wide, tol)
 
-    def _zeros(self, columns):
-        return np.zeros((self.reflectors.shape[0], columns), order="F")
-
     def _q_columns(self, first, count):
         """``Q[:, first:first + count]``, formed from the reflectors."""
-        C = self._zeros(count)
-        C[np.arange(first, first + count), np.arange(count)] = 1.0
+        C = np.eye(self.reflectors.shape[0], count, -first, order="F")
         return _apply_reflectors(self.reflectors, self.tau, C)
 
     def pinv(self):
@@ -316,9 +312,7 @@ class QrFactors:
         r = self.rank
         if not self.wide:
             return self.R_inv @ self._q_columns(0, r).T
-        C = self._zeros(r)
-        C[:r] = self.R_inv.T
-        return _apply_reflectors(self.reflectors, self.tau, C)
+        return _q_times(self.reflectors, self.tau, self.R_inv.T)
 
     def nullspace(self):
         """Orthonormal basis of the null space of A: ``Q[:, r:]``, n x (n - r)
@@ -357,6 +351,14 @@ def _staged(block, rows):
     else:
         staged[: block.shape[0]] = block
     return staged
+
+
+def _q_times(reflectors, tau, T):
+    """``Q [T; 0]``, Q given by the Householder ``reflectors`` and ``tau``
+    of a raw QR, for a block T (as :func:`_staged` takes it) of at most as
+    many rows as Q, in a fresh Fortran-ordered array."""
+    C = _staged(T, reflectors.shape[0])
+    return _apply_reflectors(reflectors, tau, C) if tau.size else C
 
 
 def _householder_qr(K):
@@ -501,31 +503,35 @@ class GdagFactors:
         and ``||t||``."""
         return _triangle_product(self.R, t, 1), math.sqrt(float(t @ t))
 
-    def _q_times(self, T):
-        """``Q [T; 0]`` for a block T of d rows, in a fresh Fortran-ordered
-        array of r rows."""
-        C = np.zeros((self.reflectors.shape[0], T.shape[1]), order="F")
-        C[: T.shape[0]] = T
-        return _apply_reflectors(self.reflectors, self.tau, C) if self.tau.size else C
-
     def to_x(self, S):
         """``F_pinv Q [S; 0]`` for a d x k block S of coordinates: LAPACK
         ``ormqr``, then one BLAS ``trmm`` when certified, else one
         product."""
-        C = self._q_times(S)
+        C = _q_times(self.reflectors, self.tau, S)
         if self.certified:
             return dtrmm(1.0, self.F_pinv, C, overwrite_b=1)
         return self.F_pinv @ C
 
 
-def gdag_factors(stack):
-    """The :class:`GdagFactors` of a :class:`StackedFactors`: one raw
-    Householder QR of its Z_B', staged in a fresh Fortran-ordered array.
-    The QR's R is kept as it is returned, C-ordered, so no copy of it is
-    made."""
-    (reflectors, tau), R = _householder_qr(np.array(stack.Z_B.T, order="F"))
+def gdag_factors(L, B):
+    """The :class:`GdagFactors` of ``K = [L; B]``, L and B as
+    :func:`stacked_factor` takes them, which factors K.
+
+    Z_B' is staged in a fresh Fortran-ordered array, and the stack's Z_B,
+    F and N are dropped before one raw Householder QR overwrites it, so
+    the QR runs beside no other copy of Z_B and no n x n F. The QR's R is
+    kept as it is returned, C-ordered, so no copy of it is made. The
+    arrays are read-only, as callers may share them.
+    """
+    stack = stacked_factor(L, B)
+    Z_Bt = np.array(stack.Z_B.T, order="F")
+    F_pinv, certified, noise = stack.F_pinv, stack.certified, stack.noise
+    del stack
+    (reflectors, tau), R = _householder_qr(Z_Bt)
     R = np.ascontiguousarray(R)
-    return GdagFactors(reflectors, tau, R, stack.F_pinv, stack.certified, stack.noise)
+    for factor in (reflectors, tau, R, F_pinv):
+        factor.flags.writeable = False
+    return GdagFactors(reflectors, tau, R, F_pinv, certified, noise)
 
 
 # reflectors per block of LAPACK tpqrt and tpmqrt
@@ -638,7 +644,7 @@ def stacked_factor(L, B, tol=None, l_rows=False):
         top, Z_B = top @ U, Z_B @ U
     Z_L = None
     if l_rows:
-        Z_L = top if Q_L is None else _apply_reflectors(*Q_L, _staged(top, p))
+        Z_L = top if Q_L is None else _q_times(*Q_L, top)
     return StackedFactors(Z_L, Z_B, F, F_pinv, N, certified=U is None)
 
 

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
     EPS, RankTolerance, as_matrix, as_vector, gdag_factors, norm_product, pinv,
-    ranked_factor, stacked_factor, svd,
+    ranked_factor, svd,
 )
 
 __all__ = [
@@ -45,10 +45,9 @@ class FactorStore:
     at the direct route's cutoff), ``M`` (an SVD, V square; made only for
     identity 5 of ``check_gmpe``, which reads N(M) off its trailing right
     singular vectors) and ``L N``, N the basis of N(MA) that ``ma`` ranks,
-    so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[L; MA]``
-    (``stack``), which ``gdag`` replaces with the factors of pinv(G)
-    (MA)', the only source of pinv(G), a
-    :class:`~glskit.linalg.GdagFactors` that dense gGKB binds as its map
+    so N(G) = N(MA) & N(L) = N N(L N); and one factor of ``[L; MA]``,
+    ``gdag``, the factors of pinv(G) (MA)' and the only source of pinv(G),
+    a :class:`~glskit.linalg.GdagFactors` that dense gGKB binds as its map
     of coordinates. ``M A`` and ``L N`` are
     factored by :func:`~glskit.linalg.ranked_factor`, one QR of their tall
     side: when it certifies full rank, the factor is a
@@ -60,8 +59,8 @@ class FactorStore:
     :class:`~glskit.linalg.SvdFactors` that the SVD of the QR's r x r R
     gives, ranked at the same tolerance as ``linalg.svd`` would rank the
     matrix. The formed ``G`` is never factored. ``nullspace_g`` reads
-    a certified ``stack`` or ``gdag`` when one is cached, and then neither
-    ``ma`` nor ``ln``. Other rank decisions of M A apply their own
+    ``gdag`` when it is cached and certified, and then neither ``ma`` nor
+    ``ln``. Other rank decisions of M A apply their own
     tolerance through ``ranked``; L N is always ranked at its product
     floor.
     """
@@ -89,38 +88,23 @@ class FactorStore:
     @cached_property
     def nullspace_g(self):
         """Orthonormal basis of N(G) = N(MA) & N(L): n x 0, read from
-        neither ``ma`` nor ``ln``, when ``stack`` or ``gdag`` is cached and
-        the QR of ``[L; MA]`` certified it of full column rank, so G
-        nonsingular; else ``N N(L N)``, N = N(MA)."""
-        stack = vars(self).get("gdag", vars(self).get("stack"))
-        if stack is not None and stack.certified:
+        neither ``ma`` nor ``ln``, when ``gdag`` is cached and the QR of
+        ``[L; MA]`` certified it of full column rank, so G nonsingular;
+        else ``N N(L N)``, N = N(MA)."""
+        gdag = vars(self).get("gdag")
+        if gdag is not None and gdag.certified:
             return np.zeros((self._MA.shape[1], 0))
         return self.ma.nullspace() @ self.ln.nullspace()
 
     @cached_property
-    def stack(self):
-        """``certified``, ``F_pinv`` and ``noise`` of ``[L; MA] = Z F``:
-        the :class:`~glskit.linalg.StackedFactors` that
-        :func:`~glskit.linalg.stacked_factor` makes, until ``gdag`` is made
-        from it, and ``gdag`` from then on, so the problem keeps neither its
-        F, nor its Z_B, nor its N. ``CholeskyStrategy`` reads it to refuse a
-        singular G before the QR of Z_B' is made."""
-        gdag = vars(self).get("gdag")
-        return gdag if gdag is not None else stacked_factor(self._L, self._MA)
-
-    @cached_property
     def gdag(self):
         """The :class:`~glskit.linalg.GdagFactors` of pinv(G) (MA)' =
-        ``F_pinv Z_B'`` (:func:`~glskit.linalg.gdag_factors`), made from
-        ``stack`` by one QR of Z_B' = ``Q [R; 0]``; it replaces ``stack``.
-        Its arrays are read-only, as every copy of the problem shares
-        them."""
-        stack = self.stack
-        del self.stack
-        gdag = gdag_factors(stack)
-        for factor in (gdag.reflectors, gdag.tau, gdag.R, gdag.F_pinv):
-            factor.flags.writeable = False
-        return gdag
+        ``F_pinv Z_B'`` of ``[L; MA] = Z F``, made in one call of
+        :func:`~glskit.linalg.gdag_factors`: the stack's QR, then one QR of
+        Z_B' = ``Q [R; 0]``. The problem keeps neither the stack's F, nor
+        its Z_B, nor its N. The arrays are read-only, as every copy of the
+        problem shares them."""
+        return gdag_factors(self._L, self._MA)
 
 
 class GlsProblem:

@@ -118,16 +118,21 @@ def prescribed_gsvd_pair(seed):
 def run_ggkb(prob: GlsProblem, strategy, steps):
     """``ggkb_init`` and up to ``steps`` further expansions, stopping at
     termination. Returns the state and V_k, the n x k matrix of the v_i:
-    the state keeps only the latest, so a copy of ``state.v`` is collected
-    after each expansion that adds an alpha."""
+    the state keeps only the coordinates ``v_hat`` of the latest, so v_i is
+    formed from them by the state's ``coordinates`` after each expansion
+    that adds an alpha."""
+
+    def v(state):
+        return state.coordinates.to_x(np.array(state.v_hat[:, None], order="F"))[:, 0]
+
     state = ggkb_init(prob, strategy)
-    cols = [] if state.terminated else [state.v.copy()]
+    cols = [] if state.terminated else [v(state)]
     for _ in range(steps):
         if state.terminated:
             break
         state = ggkb_step(state, prob, strategy)
         if not state.terminated:
-            cols.append(state.v.copy())
+            cols.append(v(state))
     return state, np.column_stack(cols) if cols else np.empty((prob.n, 0))
 
 
@@ -163,7 +168,7 @@ def z_b(gdag) -> np.ndarray:
     """The q x r rows Z_B of Z in ``[L; MA] = Z F`` that belong to MA, from
     a ``linalg.GdagFactors``, which keeps them as ``Z_B' = Q [R; 0]``:
     ``(Q [R; 0])'``, formed by applying Q's reflectors to R."""
-    return gdag._q_times(gdag.R).T
+    return glskit.linalg._q_times(gdag.reflectors, gdag.tau, gdag.R).T
 
 
 def bidiagonal(state: BidiagState, k: int) -> np.ndarray:

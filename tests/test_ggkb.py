@@ -96,19 +96,23 @@ def test_cholesky_refuses_a_certified_g_at_its_pivot_floor():
     assert refused.value.pivot <= 1e-14 * prob.G.diagonal().max()
 
 
-def test_cholesky_refuses_a_singular_g_before_the_qr_of_z_b(monkeypatch):
-    # the refusal reads the stack's factor, made by the QR of L, the fold of
-    # MA into its R and the SVD of that R, and not the QR of Z_B' that the
-    # dense factors add; a dense bind then reuses the stack
+def test_cholesky_refuses_a_singular_g_from_the_one_cached_factor(monkeypatch):
+    # the refusal reads the problem's one factor of [L; MA], made by the QR
+    # of L, the fold of MA into its R, the SVD of that R and the QR of
+    # Z_B', and caches nothing else; a dense bind then binds that factor
+    # and factors nothing
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
     calls = counted_factorizations(monkeypatch, ("svd", "qr"))
     with pytest.raises(IndefiniteMatrixError, match="singular"):
         CholeskyStrategy(prob.G).bind(prob)
-    assert calls == ["scipy.linalg.qr", "dtpqrt", "numpy.linalg.svd"]
-    assert "gdag" not in vars(prob.factors)
+    assert calls == ["scipy.linalg.qr", "dtpqrt", "numpy.linalg.svd", "scipy.linalg.qr"]
+    cached = {k: v for k, v in vars(prob.factors).items() if not k.startswith("_")}
+    assert list(cached) == ["gdag"]
     calls.clear()
-    DensePinvStrategy(prob.G).bind(prob)
-    assert calls == ["scipy.linalg.qr"]
+    strategy = DensePinvStrategy(prob.G)
+    strategy.bind(prob)
+    assert calls == []
+    assert strategy.coordinates is cached["gdag"]
 
 
 def test_the_dense_factors_keep_no_view_of_a_larger_array():
@@ -118,7 +122,6 @@ def test_the_dense_factors_keep_no_view_of_a_larger_array():
     glsqr_solve(prob, DensePinvStrategy(prob.G))
     gdag = prob.factors.gdag
     assert not gdag.certified
-    assert "stack" not in vars(prob.factors)
     held = [a for a in vars(gdag).values() if isinstance(a, np.ndarray)]
     assert len(held) == 4
     for a in held:

@@ -396,6 +396,20 @@ def glsqr_dense_problem(seed=1):
     return generate(A, "l1", "trig", seed).problem
 
 
+def test_the_dense_bind_drops_the_stack_before_the_qr_of_z_b():
+    # n = 600: the stack's Z_B, F and N are freed before the QR of the
+    # staged Z_B', so the bind's traced peak is 10.69 MB; with Z_B and the
+    # n x n F alive beside that QR it was 11.98 MB
+    prob = glsqr_dense_problem(1)
+    tracemalloc.start()
+    try:
+        DensePinvStrategy(prob.G).bind(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.7e6
+
+
 @pytest.mark.parametrize("family", [*FAMILIES, "prescribed", "glsqr_dense"])
 def test_the_triangle_of_z_b_runs_the_process_of_z_b(family):
     # gGKB on the triangle R of Z_B' = Q [R; 0] against the plain process of
@@ -628,6 +642,27 @@ def test_band_preconditioner_cuts_inner_iterations():
     (x_sparse, it_sparse), (x_dense, it_dense) = runs["sparse"], runs["dense"]
     assert np.linalg.norm(x_sparse - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
     assert 0 < 3 * it_sparse <= it_dense
+
+
+def test_a_reused_inner_strategy_solves_as_a_fresh_one():
+    # C2 seed 1 with six right-hand sides: an inner CG capped at 100 steps
+    # caps on some of them only, so a strategy bound again must not carry a
+    # cap, a worst residual or a count over from an earlier solve
+    prob = random_gls_problem(1, m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3)
+    rng = np.random.default_rng(0)
+    shared = InnerLsqrStrategy(prob.G, tau=1e-10, max_iter=100)
+    capped = []
+    for _ in range(6):
+        rhs = prob.with_b(rng.standard_normal(prob.m))
+        fresh_strategy = InnerLsqrStrategy(prob.G, tau=1e-10, max_iter=100)
+        fresh = glsqr_solve(rhs, fresh_strategy)
+        reused = glsqr_solve(rhs, shared)
+        assert np.array_equal(reused.x, fresh.x)
+        assert reused.state.inner_capped == fresh.state.inner_capped
+        assert reused.noise_floor == fresh.noise_floor
+        assert shared.inner_iterations == fresh_strategy.inner_iterations
+        capped.append(fresh.state.inner_capped)
+    assert 0 < sum(capped) < 6
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -501,6 +504,26 @@ def test_positionally_called_wrappers_keep_their_argument_order(name, signature)
     # linalg passes these f2py wrappers' optional arguments by position, so
     # a scipy whose wrapper orders them otherwise would bind them silently
     assert getattr(linalg, name).__doc__.splitlines()[0] == signature
+
+
+def test_the_floor_comment_names_every_blas_and_lapack_import():
+    # pyproject.toml's floor comment lists the BLAS and LAPACK wrappers
+    # that src/glskit calls, so a raised floor can be checked against them
+    root = pathlib.Path(__file__).resolve().parents[1]
+    comment = " ".join(
+        line for line in (root / "pyproject.toml").read_text().splitlines()
+        if line.startswith("#")
+    )
+    imported = {
+        alias.name
+        for path in (root / "src" / "glskit").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("scipy.linalg.blas", "scipy.linalg.lapack")
+        for alias in node.names
+    }
+    assert imported
+    assert {name for name in imported if not re.search(rf"\b{name}\b", comment)} == set()
 
 
 def test_lsqr_rejects_a_precond_of_another_size():
