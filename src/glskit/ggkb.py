@@ -32,8 +32,8 @@ pluggable. A strategy has five members:
   steps, or on a curvature breakdown).
 
 The recurrence above runs on the coordinates: the s and v_i it keeps are
-s^ and v^_i. In x-space itself (:class:`IdentityCoordinates`) that is the
-arithmetic above.
+s^ and v^_i. In x-space itself, the map the inner strategy binds, that is
+the arithmetic above.
 
 In the coordinates s^ = F s of the problem's factor ``[L; MA] = Z F``,
 ||s||_G = ||s^||, MA s = Z_B s^ and pinv(G) (MA)' u has the coordinates
@@ -45,19 +45,20 @@ plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
 coordinates of pinv(G) (MA)' u are R u, so a step is two BLAS ``trmv``
 with the q x q triangle R, and the coefficients are those of Z_B, as
 Golub-Kahan's are under an orthogonal change of coordinates. The inner
-one binds
-:class:`IdentityCoordinates`: it forms (MA)' u and runs conjugate gradients
-on G, in x-space.
+one is its own map, of x-space itself: it forms (MA)' u and runs
+conjugate gradients on G there.
 
-``ggkb_init`` is the first expansion (with v_0 = 0) and ``ggkb_step`` each
-later one. The data side M U~ lives in one workspace (``Basis``) that each
-expansion extends in place; each step reorthogonalizes it, Euclidean in
-R^q, by block classical Gram-Schmidt, with a second pass where the first
-cancels heavily (see ``Basis.project_out``). One side is enough to keep the
-computed bidiagonal accurate (Simon & Zha, SIAM J. Sci. Comput. 21(6),
-2000; Barlow, Numer. Math. 124, 2013), so the v_i are never projected, and
-the recurrence, like the LSQR recurrence of gLSQR on top of it, reads only
-the latest one: no basis V is stored.
+``ggkb_init(prob, strategy)`` binds the strategy and makes the first
+expansion (with v_0 = 0); ``ggkb_step(state, strategy)`` makes each later
+one, and reads the problem only through what the state holds and the
+strategy bound. The data side M U~ lives in one workspace (``Basis``)
+that each expansion extends in place; each step reorthogonalizes it,
+Euclidean in R^q, by block classical Gram-Schmidt, with a second pass
+where the first cancels heavily (see ``Basis.project_out``). One side is
+enough to keep the computed bidiagonal accurate (Simon & Zha, SIAM J.
+Sci. Comput. 21(6), 2000; Barlow, Numer. Math. 124, 2013), so the v_i are
+never projected, and the recurrence, like the LSQR recurrence of gLSQR on
+top of it, reads only the latest one: no basis V is stored.
 
 The alphas and the betas from beta_2 on are the entries of the lower
 bidiagonal B_k = U' (MA) V of the map v -> MA v from (R(G), G-norm) to R^q,
@@ -79,14 +80,15 @@ from scipy.linalg import cholesky_banded
 
 # cholesky_spd is not called here; it stays importable because the
 # benchmark's tracer (glsbench/spans.py) hooks glskit.ggkb.cholesky_spd
-from .linalg import IndefiniteMatrixError, check_symmetric, cholesky_spd, lsqr  # noqa: F401
+from .linalg import (  # noqa: F401
+    IndefiniteMatrixError, check_pivots, check_symmetric, check_tolerance, cholesky_spd, lsqr,
+)
 from .wpinv import GlsProblem
 
 __all__ = [
     "DensePinvStrategy",
     "CholeskyStrategy",
     "InnerLsqrStrategy",
-    "IdentityCoordinates",
     "BidiagState",
     "ggkb_init",
     "ggkb_step",
@@ -97,6 +99,12 @@ BREAKDOWN_REL = 1e-13
 DEGENERATE_REL = 1e-8
 # workspace columns before the first doubling
 INITIAL_COLUMNS = 16
+
+
+def _check_shape(shape, n):
+    """ValueError unless ``shape``, that of G, is n x n."""
+    if shape != (n, n):
+        raise ValueError(f"G must be {n} x {n}, got shape {shape}")
 
 
 class DensePinvStrategy:
@@ -120,8 +128,7 @@ class DensePinvStrategy:
         self.shape = np.shape(G)
 
     def bind(self, prob):
-        if self.shape != (prob.n, prob.n):
-            raise ValueError(f"G must be {prob.n} x {prob.n}, got shape {self.shape}")
+        _check_shape(self.shape, prob.n)
         factor = self.coordinates = prob.factors.gdag
         self.relative_noise = factor.noise
 
@@ -137,7 +144,8 @@ class CholeskyStrategy(DensePinvStrategy):
     factor (``prob.factors.gdag``, made once per problem) does not certify
     K of full column rank (a wide K is never certified), or a pivot
     ``r_jj^2`` at or below ``1e-14 max(diag(G))``, the rule of
-    ``linalg.cholesky_spd``. The pivots are read off the factor's
+    ``linalg.check_pivots``. A G of the wrong shape it refuses first, with
+    the dense strategy's ValueError. The pivots are read off the factor's
     ``F_pinv`` = R^-1, whose diagonal LAPACK ``trtri`` forms as ``1 /
     r_jj``, and diag(G) off the squared column norms of MA and L. It
     refuses before it binds anything; otherwise it binds as
@@ -146,22 +154,16 @@ class CholeskyStrategy(DensePinvStrategy):
     """
 
     def bind(self, prob):
+        _check_shape(self.shape, prob.n)
         factor, L = prob.factors.gdag, prob.L
         if not factor.certified:
             raise IndefiniteMatrixError("G is singular: the factor of [L; MA] cannot certify it")
-        pivots = factor.F_pinv.diagonal() ** -2.0
         # the squared column norms of MA and L; a sparse L is canonical CSR
         # (GlsProblem), so its entries in column j are those of index j
         diag_g = np.einsum("ij,ij->j", prob.MA, prob.MA)
         diag_g += (np.bincount(L.indices, L.data**2, prob.n) if sp.issparse(L)
                    else np.einsum("ij,ij->j", L, L))
-        small = np.flatnonzero(pivots <= 1e-14 * diag_g.max(initial=0.0))
-        if small.size:
-            j = int(small[0])
-            pivot = float(pivots[j])
-            raise IndefiniteMatrixError(
-                f"nonpositive pivot {pivot:.3e} at column {j}", pivot=pivot, index=j
-            )
+        check_pivots(factor.F_pinv.diagonal() ** -2.0, diag_g)
         super().bind(prob)
 
 
@@ -182,20 +184,25 @@ class InnerLsqrStrategy:
     CG iterations of every apply. All three start afresh at each
     :meth:`bind`.
 
-    :meth:`bind` takes the problem's ``MA``, binds
-    :class:`IdentityCoordinates` as ``coordinates``, and preconditions CG
-    from the problem when its ``L`` is a scipy sparse stencil: with ``P =
-    L'L + cI``, the shift ``c = ||MA||_F^2 / n`` being the mean eigenvalue
-    of ``(MA)'MA``, each apply runs PCG with the banded Cholesky factor of
-    P, kept in LAPACK ``pbtrf`` layout as ``precond``. :func:`lsqr` solves
-    with P in O(n) per iteration: by ``pttrs`` on the factor's LDL' form
-    when P is tridiagonal (the l1 stencil) or diagonal (a sparse identity
-    ``L``), else by ``pbtrs`` (the l2 stencil). The stop test is the same,
-    so ``tau`` keeps its meaning. The result stays the minimum-norm
-    solution without any projection: N(G) = N(MA) ∩ N(L), on which ``P z =
-    c z``, so P^-1 maps R(G) into itself and the iterates never leave it.
-    A dense ``L``, ``p = 0``, a vanishing ``MA`` or a bandwidth of ``L'L``
-    above ``MAX_BANDWIDTH`` leaves CG unpreconditioned.
+    :meth:`bind` checks an array or scipy sparse ``G`` against ``prob.n``,
+    as the dense strategies do (a callable ``G`` is not checked), and takes
+    the problem's ``MA`` and ``L``. The strategy is its own
+    ``coordinates``, the map of x-space itself: ``dim`` is n,
+    :meth:`image` returns MA s and ``||s||_G = (||MA s||^2 + ||L
+    s||^2)^(1/2)``, and :meth:`to_x` its argument. :meth:`bind` also
+    preconditions CG from the problem when its ``L`` is a scipy sparse
+    stencil: with ``P = L'L + cI``, the shift ``c = ||MA||_F^2 / n`` being
+    the mean eigenvalue of ``(MA)'MA``, each apply runs PCG with the
+    banded Cholesky factor of P, kept in LAPACK ``pbtrf`` layout as
+    ``precond``. :func:`lsqr` solves with P in O(n) per iteration: by
+    ``pttrs`` on the factor's LDL' form when P is tridiagonal (the l1
+    stencil) or diagonal (a sparse identity ``L``), else by ``pbtrs`` (the
+    l2 stencil). The stop test is the same, so ``tau`` keeps its meaning.
+    The result stays the minimum-norm solution without any projection:
+    N(G) = N(MA) ∩ N(L), on which ``P z = c z``, so P^-1 maps R(G) into
+    itself and the iterates never leave it. A dense ``L``, ``p = 0``, a
+    vanishing ``MA`` or a bandwidth of ``L'L`` above ``MAX_BANDWIDTH``
+    leaves CG unpreconditioned.
     """
 
     # half-bandwidth w of L'L at most this: the factor holds (w + 1) n
@@ -205,12 +212,10 @@ class InnerLsqrStrategy:
     MAX_BANDWIDTH = 8
 
     def __init__(self, G, tau=1e-12, max_iter=None):
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        self.tau = check_tolerance(tau, "tau")
         if not callable(G) and not sp.issparse(G):
             check_symmetric(G)
         self.G = G
-        self.tau = float(tau)
         self.max_iter = max_iter
 
     @property
@@ -218,18 +223,26 @@ class InnerLsqrStrategy:
         # what the inner solver actually delivered, not just what was asked
         return max(self.tau, self._worst_achieved)
 
+    @property
+    def coordinates(self):
+        # a property, not an attribute: self.coordinates = self would make
+        # every bound strategy a reference cycle, whose G and MA live on
+        # until the garbage collector's next full pass
+        return self
+
     def bind(self, prob):
-        """Take ``prob.MA``, bind x-space as ``coordinates``, and set
-        ``precond`` from ``prob.L`` and ``prob.MA`` (see the class
+        """Check G's shape, take ``prob.MA`` and ``prob.L`` for the
+        strategy's own map, and set ``precond`` from them (see the class
         docstring): the upper banded Cholesky factor of ``L'L + cI``, or
         None."""
-        self.MA = prob.MA
-        self.coordinates = IdentityCoordinates(prob)
+        if not callable(self.G):
+            _check_shape(np.shape(self.G), prob.n)
+        L, n = prob.L, prob.n
+        self.MA, self.L, self.dim = prob.MA, L, n
         self.precond = None
         self.hit_cap = False
         self.inner_iterations = 0
         self._worst_achieved = 0.0
-        L, n = prob.L, prob.n
         c = float(np.linalg.norm(prob.MA)) ** 2 / n
         if not sp.issparse(L) or L.shape[0] == 0 or not c > 0.0:
             return
@@ -255,18 +268,6 @@ class InnerLsqrStrategy:
             self.hit_cap = True
         self._worst_achieved = max(self._worst_achieved, result.relative_residual)
         return result.x
-
-
-class IdentityCoordinates:
-    """x-space itself as coordinates, which the inner strategy binds.
-
-    :meth:`image` returns MA s and ``||s||_G = (||MA s||^2 +
-    ||L s||^2)^(1/2)`` from the problem, and :meth:`to_x` its argument.
-    """
-
-    def __init__(self, prob):
-        self.MA, self.L = prob.MA, prob.L
-        self.dim = prob.n
 
     def image(self, s):
         ma_s = self.MA @ s
@@ -438,12 +439,14 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     return state
 
 
-def ggkb_step(state: BidiagState, prob: GlsProblem, strategy) -> BidiagState:
+def ggkb_step(state: BidiagState, strategy) -> BidiagState:
     """One expansion in place: appends beta_{k+1}, alpha_{k+1}; returns ``state``.
 
-    Either coefficient at or below ``10 strategy.relative_noise``, an
-    absolute floor as the entries of B_k are at most 1 (never scaled by
-    beta_1, which scales with b), terminates the process at the current k.
+    The problem is not an argument: the expansion reads ``state`` and the
+    ``strategy`` that ``ggkb_init`` bound to the problem. Either
+    coefficient at or below ``10 strategy.relative_noise``, an absolute
+    floor as the entries of B_k are at most 1 (never scaled by beta_1,
+    which scales with b), terminates the process at the current k.
     """
     if state.terminated:
         raise ValueError("the bidiagonalization already terminated")

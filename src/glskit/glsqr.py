@@ -24,6 +24,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .ggkb import BidiagState, DensePinvStrategy, ggkb_init, ggkb_step
 from .gsvd import gsvd_pair, sigma_max_ca
+from .linalg import check_tolerance
 from .wpinv import GlsProblem, check_gls_criterion
 
 __all__ = [
@@ -91,50 +92,45 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
 
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
-    power iteration on W MA in the G-inner product, seeded with W M b, with
-    W = pinv(G) (MA)' = ``F_pinv Q [R; 0]`` from the problem's factors of
-    it (``prob.factors.gdag``): ``W u`` is ``to_x`` of the coordinates
-    ``R u``, so no n x q W is formed, and ||v||_G = (||MA v||^2 + ||L
-    v||^2)^(1/2).
+    power iteration on W MA in the G-inner product, seeded with W M b, W =
+    pinv(G) (MA)', for at most ``max_iters`` (at least 1) steps. It runs in
+    the coordinates t of the dense strategies (``prob.factors.gdag``; see
+    :mod:`glskit.ggkb`), where ||v||_G = ||t||, MA v = R' t and W u has the
+    coordinates R u: each step is ``t <- R (R' t) / ||t||``, two products
+    with the q x q triangle R, and no iterate is mapped to x-space.
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
         return OperatorNormEstimate(value=value, source="gsvd_exact")
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
+    if not max_iters >= 1:
+        raise ValueError("max_iters must be at least 1")
 
     gdag = prob.factors.gdag
-
-    def w_times(u):
-        return gdag.to_x(gdag.apply(u)[:, None])[:, 0]
-
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
-    v = w_times(prob.mult_M(seed))
+    t = gdag.apply(prob.mult_M(seed))
 
+    # max_iters >= 1, so the loop sets ``it`` and ``converged``
     estimate = 0.0
-    iterations = 0
-    converged = False
     for it in range(1, max_iters + 1):
-        ma_v = prob.MA @ v
-        v_g = math.hypot(np.linalg.norm(ma_v), np.linalg.norm(prob.L @ v))
+        ma_v, v_g = gdag.image(t)
         if v_g == 0.0:
             return OperatorNormEstimate(value=0.0, source="power_iteration", iterations=it)
-        v = v / v_g
         Av = ma_v / v_g
         new_estimate = math.sqrt(float(Av @ Av))
-        iterations = it
         converged = abs(new_estimate - estimate) <= _POWER_REL_TOL * new_estimate
         estimate = new_estimate
         if converged:
             break
-        v = w_times(Av)
+        t = gdag.apply(Av)
     if not converged:
         logger.warning(
             "operator_norm: power iteration stopped at max_iters=%d without meeting "
             "rel_tol=%.1e; estimate %.17g may be low", max_iters, _POWER_REL_TOL, estimate,
         )
     return OperatorNormEstimate(
-        value=estimate, source="power_iteration", iterations=iterations, converged=converged
+        value=estimate, source="power_iteration", iterations=it, converged=converged
     )
 
 
@@ -194,9 +190,10 @@ def glsqr_solve(
     strategy : Gdag strategy, optional
         How pinv(G) is applied each step (default: dense pseudoinverse).
     tol : float
-        Stopping threshold for the residual estimate normalized by beta_1
-        and sigma_max(B_k). The norm is refreshed only at k = 1, 2, 4, ...;
-        as it only grows with k, that can delay the stop, never advance it.
+        Stopping threshold, positive and finite, for the residual estimate
+        normalized by beta_1 and sigma_max(B_k). The norm is refreshed only
+        at k = 1, 2, 4, ...; as it only grows with k, that can delay the
+        stop, never advance it.
     max_iter : int, optional
         Iteration cap, default ``2 * min(m, n)``. Reaching it is a status,
         not an error; an explicit cap below 1 raises ``ValueError``.
@@ -214,8 +211,7 @@ def glsqr_solve(
     x-space at once, which gives ``x_norm_history`` and, from the last
     block, x.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol, "tol")
     if max_iter is None:
         max_iter = max(2 * min(prob.m, prob.n), 1)
     elif not max_iter >= 1:
@@ -245,7 +241,7 @@ def glsqr_solve(
     while not (state.terminated or est <= tol or k == max_iter):
         k += 1
         w = state.v_hat - w_coef * w
-        state = ggkb_step(state, prob, strategy)
+        state = ggkb_step(state, strategy)
         if k & (k - 1) == 0:
             denom = max(_bidiagonal_norm(state, k) * beta1, _TINY)
         alpha_next, beta_next = state.alphas[-1], state.betas[-1]

@@ -125,8 +125,8 @@ class RankTolerance:
             raise ValueError(f"unknown rank tolerance mode {self.mode!r}")
         if self.mode == "absolute" and self.value is None:
             raise ValueError("absolute rank tolerance needs an explicit value")
-        if self.value is not None and not self.value > 0:
-            raise ValueError("rank tolerance value must be positive")
+        if self.value is not None:
+            check_tolerance(self.value, "rank tolerance value")
 
     def cutoff(self, shape, sigma_max):
         if self.mode == "absolute":
@@ -653,6 +653,14 @@ def pinv(A, tol=None):
     return svd(A, tol).pinv()
 
 
+def check_tolerance(value, name):
+    """``value`` as a float; ValueError unless it is positive and finite:
+    an infinite tolerance passes every test, a NaN one none."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def check_symmetric(G):
     """``G`` as a float64 array; ValueError unless it is square and
     ``||G - G'|| <= 1e-10 ||G||`` (Frobenius)."""
@@ -669,11 +677,11 @@ def cholesky_spd(G):
     """Lower-triangular C with ``C @ C.T == G`` for SPD ``G`` (LAPACK potrf).
 
     A failed factorization, or a pivot ``C[j, j]**2`` at or below
-    ``1e-14 * max(diag(G))``, raises :class:`IndefiniteMatrixError`. No
-    package code calls it: ``CholeskyStrategy`` applies the same pivot rule
-    to the R of the problem's QR of ``[L; MA]`` (:func:`stacked_factor`),
-    which is the Cholesky factor of ``G = (MA)'MA + L'L`` when that QR
-    certifies full column rank.
+    ``1e-14 * max(diag(G))`` (:func:`check_pivots`), raises
+    :class:`IndefiniteMatrixError`. No package code calls it:
+    ``CholeskyStrategy`` applies the same rule to the R of the problem's QR
+    of ``[L; MA]`` (:func:`stacked_factor`), which is the Cholesky factor
+    of ``G = (MA)'MA + L'L`` when that QR certifies full column rank.
     """
     G = check_symmetric(G)
     G = 0.5 * (G + G.T)
@@ -681,15 +689,22 @@ def cholesky_spd(G):
         C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError(f"G is not positive definite: {exc}") from exc
-    threshold = 1e-14 * max(float(G.diagonal().max(initial=0.0)), 0.0)
-    pivots = C.diagonal() ** 2
-    small = np.flatnonzero(pivots <= threshold)
+    check_pivots(C.diagonal() ** 2, G.diagonal())
+    return C
+
+
+def check_pivots(pivots, diagonal):
+    """The pivot rule of a Cholesky factorization of G: raise
+    :class:`IndefiniteMatrixError` at the first of the squared ``pivots``
+    at or below ``1e-14 max(diagonal)``, ``diagonal`` that of G, with the
+    pivot and its index."""
+    small = np.flatnonzero(pivots <= 1e-14 * max(float(diagonal.max(initial=0.0)), 0.0))
     if small.size:
         j = int(small[0])
+        pivot = float(pivots[j])
         raise IndefiniteMatrixError(
-            f"nonpositive pivot {pivots[j]:.3e} at column {j}", pivot=float(pivots[j]), index=j
+            f"nonpositive pivot {pivot:.3e} at column {j}", pivot=pivot, index=j
         )
-    return C
 
 
 @dataclass
@@ -772,8 +787,8 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     never looks at the other.
     Iteration starts from zero, so the iterates stay in R(G) and the result
     is the minimum 2-norm solution. It stops once the recursive residual
-    satisfies ``||r_k|| <= tau ||rhs||``, for ``tau > 0``; the rate is set
-    by cond(G)^(1/2) (the Krylov space of G, not of G^2). Hitting
+    satisfies ``||r_k|| <= tau ||rhs||``, for a finite ``tau > 0``; the
+    rate is set by cond(G)^(1/2) (the Krylov space of G, not of G^2). Hitting
     ``max_iter``, or a curvature ``d'Gd <= 0`` (G not positive definite on
     the search direction), is reported through ``converged=False``, not an
     error. The reported ``relative_residual`` is the recursive one, except
@@ -800,8 +815,7 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     minimum-norm, when P maps N(G) into itself (as ``P = L'L + cI`` does
     for ``G = (MA)'MA + L'L``); for another P it may not.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    check_tolerance(tau, "tau")
     rhs = as_vector(rhs, name="rhs")
     n = rhs.size
     matvec = _symmetric_product(G, n)

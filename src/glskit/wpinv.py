@@ -21,8 +21,8 @@ import scipy.sparse as sp
 
 from .gsvd import gsvd_pair, wpinv_via_gsvd
 from .linalg import (
-    EPS, RankTolerance, as_matrix, as_vector, gdag_factors, norm_product, pinv,
-    ranked_factor, svd,
+    EPS, RankTolerance, as_matrix, as_vector, check_tolerance, gdag_factors, norm_product,
+    pinv, ranked_factor, svd,
 )
 
 __all__ = [
@@ -328,8 +328,9 @@ def check_gmpe(prob: GlsProblem, X, tol=1e-9) -> MpeReport:
     roundoff in the product L'L X A (see ``_product_tolerance``), not by
     ``||L||^2 ||X A||``, which X A's cancellation can make small; the
     residual still does not change when L or A is scaled, as A_ML^+ does
-    not.
+    not. ``tol`` must be positive and finite: an infinite one passes any X.
     """
+    check_tolerance(tol, "tol")
     X = as_matrix(X, "X")
     if X.shape != (prob.n, prob.m):
         raise ValueError(f"X must be {prob.n} x {prob.m}, got {X.shape}")
@@ -410,8 +411,9 @@ def check_gls_criterion(prob: GlsProblem, x, tol=1e-9) -> GlsCriterionReport:
     is the minimum 2-norm solution). Both flags are False unless the
     residual, its scale, the coupling, ``||x||_G`` and ``||x||`` are all
     finite: inf passes ``inf <= tol inf``, so a norm that overflows would
-    certify any x.
+    certify any x. For the same reason ``tol`` must be positive and finite.
     """
+    check_tolerance(tol, "tol")
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     x = as_vector(x, prob.n, "x")

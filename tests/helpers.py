@@ -115,6 +115,25 @@ def prescribed_gsvd_pair(seed):
     return GlsProblem(A, None, L, rng.standard_normal(m))
 
 
+# seeded problem families: C1 has a genuine singular value of MA near 1e-7,
+# so cond(G) is near 1e14 and cond([MA; L]) near 1e7; C2 has a null space
+# shared by MA and L, so G is singular; W has a rank-deficient M
+FAMILIES = {
+    "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
+    "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
+    "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
+}
+
+
+def family_problem(family, seed):
+    """Seed ``seed`` of a family: C1, C2, W, or the prescribed GSVD pairs
+    (seed 7000 + ``seed``), whose 2-5 cosines in (0, 1) take gLSQR past
+    k = 1, where C1, C2 and W, with every cosine 1, end."""
+    if family == "prescribed":
+        return prescribed_gsvd_pair(7000 + seed)
+    return random_gls_problem(seed, **FAMILIES[family])
+
+
 def run_ggkb(prob: GlsProblem, strategy, steps):
     """``ggkb_init`` and up to ``steps`` further expansions, stopping at
     termination. Returns the state and V_k, the n x k matrix of the v_i:
@@ -130,7 +149,7 @@ def run_ggkb(prob: GlsProblem, strategy, steps):
     for _ in range(steps):
         if state.terminated:
             break
-        state = ggkb_step(state, prob, strategy)
+        state = ggkb_step(state, strategy)
         if not state.terminated:
             cols.append(v(state))
     return state, np.column_stack(cols) if cols else np.empty((prob.n, 0))
@@ -152,7 +171,10 @@ class StackRowsStrategy:
         self.Z_B, self.F_pinv = stack.Z_B, stack.F_pinv
         self.dim = self.Z_B.shape[1]
         self.relative_noise = stack.noise
-        self.coordinates = self
+
+    @property
+    def coordinates(self):
+        return self
 
     def apply(self, u):
         return self.Z_B.T @ u

@@ -197,7 +197,7 @@ def test_criterion_6_ggkb_structural_invariants():
         for _ in range(40):
             if st.terminated:
                 break
-            st = ggkb_step(st, p2, strategy)
+            st = ggkb_step(st, strategy)
         rank_bound = min(np.linalg.matrix_rank(p2.G), p2.m)  # M = I, so rank P = m
         bound_ok = bound_ok and st.terminated and st.k <= rank_bound
     assert bound_ok

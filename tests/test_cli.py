@@ -130,7 +130,7 @@ def test_cholesky_refuses_a_singular_g_before_writing(tmp_path, capsys):
     assert json.loads((tmp_path / "dense" / "summary.json").read_text())["certified"] is True
 
 
-@pytest.mark.parametrize("value", ["unknown", "dense:1e-6", "lsqrx", "lsqr:"])
+@pytest.mark.parametrize("value", ["unknown", "dense:1e-6", "lsqrx", "lsqr:", "lsqr:inf"])
 def test_unknown_gdag_exits_1(problem_dir, tmp_path, capsys, value):
     code = main(
         [
@@ -423,6 +423,24 @@ def test_check_mpe_rank_tolerance_on_shared_null_pair(tmp_path, monkeypatch, cap
     monkeypatch.setenv("WPINV_TOL_RANK", "1e-15")
     assert main(["check-mpe", "--A", str(a_path), "--L", str(l_path)]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
+
+
+def test_tolerances_that_are_not_positive_and_finite_exit_1(
+    problem_dir, tmp_path, monkeypatch, capsys
+):
+    # check-mpe with --tol inf passed a zero X on all five identities, and
+    # WPINV_TOL_RANK=inf ranked every matrix at 0
+    pair = ["--A", str(problem_dir / "A.mtx"), "--L", str(problem_dir / "L.mtx")]
+    x_path = tmp_path / "X0.mtx"
+    write_matrix_market(x_path, np.zeros(read_matrix_market(problem_dir / "A.mtx").shape[::-1]))
+    capsys.readouterr()
+    for tol in ("inf", "nan", "0"):
+        assert main(["check-mpe", *pair, "--X", str(x_path), "--tol", tol]) == 1
+        err = capsys.readouterr()
+        assert err.err.startswith("error: ") and "PASS" not in err.out
+    monkeypatch.setenv("WPINV_TOL_RANK", "inf")
+    assert main(["check-mpe", *pair]) == 1
+    assert capsys.readouterr().err.startswith("error: rank tolerance value")
 
 
 def test_env_var_overrides_default_tolerance(problem_dir, tmp_path, monkeypatch):

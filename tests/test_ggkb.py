@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,8 +22,10 @@ from glskit import (
 from glskit.linalg import EPS, norm_product, stacked_factor
 from glskit.problems import make_l1, make_l2
 from helpers import (
+    StackRowsStrategy,
     bidiagonal,
     counted_factorizations,
+    family_problem,
     krylov_subspace_check,
     nullspace_basis,
     projector_range,
@@ -45,8 +51,10 @@ def test_strategies_dispatch_and_validate():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     G = B @ B.T + np.eye(6)
-    with pytest.raises(ValueError):
-        InnerLsqrStrategy(G, tau=0.0)
+    # an infinite tau would end every inner solve at once, and gGKB at k = 0
+    for tau in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau"):
+            InnerLsqrStrategy(G, tau=tau)
     # cholesky refuses, when bound, a PSD-singular G (G = C'C of rank 3), a G
     # whose pivot is at the floor 1e-14 max(diag(G)), and a G singular
     # through a null space that MA and a nonempty L share
@@ -59,6 +67,78 @@ def test_strategies_dispatch_and_validate():
     for prob in problems:
         with pytest.raises(IndefiniteMatrixError):
             CholeskyStrategy(prob.G).bind(prob)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_strategies_check_the_shape_of_g_at_bind(sparse):
+    # a G that is not n x n is refused when bound, before any apply, with
+    # the same error by every strategy, for a singular G (the second
+    # problem) too; a callable G is not checked
+    wrong = np.eye(11)
+    if sparse:
+        wrong = scipy.sparse.csr_array(wrong)
+    for prob in (
+        random_gls_problem(3, m=12, n=10, p=6),
+        random_gls_problem(1, m=12, n=10, p=2, rank_a=3, shared_null=True),
+    ):
+        for strategy_class in (DensePinvStrategy, CholeskyStrategy, InnerLsqrStrategy):
+            with pytest.raises(ValueError, match="G must be 10 x 10"):
+                strategy_class(wrong).bind(prob)
+        bound(InnerLsqrStrategy(lambda v: prob.G @ v), prob)
+
+
+MAP_STRATEGIES = {
+    "dense": DensePinvStrategy,
+    "cholesky": CholeskyStrategy,
+    "inner": InnerLsqrStrategy,
+    "stack_rows": lambda G: StackRowsStrategy(),
+}
+
+
+@pytest.mark.parametrize("family", ["C2", "W", "prescribed"])
+@pytest.mark.parametrize("kind", MAP_STRATEGIES)
+def test_every_strategy_binds_a_map_whose_image_and_to_x_agree(family, kind):
+    # with x = to_x(s), image(s) is (MA x, ||x||_G) for any coordinates s,
+    # and apply returns coordinates of the map's dim; the Cholesky strategy
+    # refuses a singular G: every C2 seed, and prescribed pairs with n > r
+    for seed in range(4):
+        prob = family_problem(family, seed)
+        strategy = MAP_STRATEGIES[kind](prob.G)
+        if kind == "cholesky" and not prob.factors.gdag.certified:
+            with pytest.raises(IndefiniteMatrixError):
+                strategy.bind(prob)
+            continue
+        strategy.bind(prob)
+        coordinates = strategy.coordinates
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(coordinates.dim)
+        x = coordinates.to_x(np.asfortranarray(s[:, None]))[:, 0]
+        ma_s, g_norm = coordinates.image(s)
+        ma_x = prob.MA @ x
+        assert np.linalg.norm(ma_s - ma_x) <= 1e-12 * np.linalg.norm(ma_x), seed
+        # ||x||_G as (||MA x||^2 + ||L x||^2)^(1/2): x'Gx with the formed G
+        # loses cond(K)^2 eps relative, 1.6e-11 on C2 seed 0
+        g_norm_x = math.hypot(np.linalg.norm(ma_x), np.linalg.norm(prob.L @ x))
+        assert g_norm == pytest.approx(g_norm_x, rel=1e-12), seed
+        assert strategy.apply(rng.standard_normal(prob.q)).size == coordinates.dim
+
+
+def test_a_solved_strategy_is_freed_with_its_last_reference():
+    # no strategy, bound and run, is part of a reference cycle: an inner
+    # strategy that held itself as its map kept its G and MA alive until a
+    # full garbage collection (the glsqr_inner benchmark's 20-s run peaked
+    # at 180 MiB of RSS instead of 68)
+    prob = random_gls_problem(0, m=30, n=24, p=10)
+    gc.disable()
+    try:
+        for strategy_class in (DensePinvStrategy, CholeskyStrategy, InnerLsqrStrategy):
+            strategy = strategy_class(prob.G)
+            report = glsqr_solve(prob, strategy, tol=1e-8)
+            freed = weakref.ref(strategy)
+            del strategy, report
+            assert freed() is None, strategy_class.__name__
+    finally:
+        gc.enable()
 
 
 def test_dense_strategy_noise_is_read_off_the_factor():
@@ -236,7 +316,7 @@ def test_step_rejects_terminated_state():
     prob = identity_problem()
     state, _ = run_ggkb(prob, DensePinvStrategy(prob.G), steps=5)
     with pytest.raises(ValueError):
-        ggkb_step(state, prob, DensePinvStrategy(prob.G))
+        ggkb_step(state, DensePinvStrategy(prob.G))
 
 
 def full_rank_problem(seed=12, m=12, n=8):
@@ -343,7 +423,7 @@ def test_step_updates_one_workspace_in_place():
     state = ggkb_init(prob, strategy)
     for _ in range(5):
         before = state.MU
-        assert ggkb_step(state, prob, strategy) is state
+        assert ggkb_step(state, strategy) is state
         assert state.k == before.shape[1] + 1
         assert np.shares_memory(state.MU, before)
         assert np.shares_memory(state.MU, state.u.X)

@@ -23,11 +23,13 @@ from glskit import (
     wpinv_elden,
 )
 from helpers import (
+    FAMILIES,
     SPECTRUM_GAP,
     StackRowsStrategy,
     bidiagonal,
     counted_factorizations,
     counted_orgqr,
+    family_problem,
     prescribed_gsvd_pair,
     projector_range,
     random_gls_problem,
@@ -184,6 +186,9 @@ def test_operator_norm_flags_power_iteration_cap(caplog):
     assert capped.iterations == 2 and not capped.converged
     assert [r.name for r in caplog.records] == ["glskit"]
     assert "max_iters=2" in caplog.records[0].getMessage()
+    # no step, no estimate: max_iters=0 would report 0.0
+    with pytest.raises(ValueError, match="max_iters"):
+        operator_norm(prob, method="power", max_iters=0)
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="glskit"):
@@ -344,25 +349,9 @@ def test_a_debug_solve_factors_what_a_plain_one_does(monkeypatch):
     assert made[False] and made[True] == made[False]
 
 
-# seeded problem families on which the dense solve of every seed 0-199 must
-# land within 1e-8 of the direct route; with the SVD of the formed G, C1
-# (cond(G) near 1e14, cond([MA; L]) near 1e7) landed none, C2 70
-FAMILIES = {
-    "C1": dict(m=6, n=9, p=2, q=4, rank_a=3, cond=1e4),
-    "C2": dict(m=30, n=40, p=5, q=25, rank_a=12, shared_null=True, cond=1e3),
-    "W": dict(m=9, n=7, p=3, q=8, rank_a=4, rank_m=5),
-}
-
-
-def family_problem(family, seed):
-    """Seed ``seed`` of a family: C1, C2, W, or the prescribed GSVD pairs
-    (seed 7000 + ``seed``), whose 2-5 cosines in (0, 1) take gLSQR past
-    k = 1, where C1, C2 and W, with every cosine 1, end."""
-    if family == "prescribed":
-        return prescribed_gsvd_pair(7000 + seed)
-    return random_gls_problem(seed, **FAMILIES[family])
-
-
+# the dense solve of every seed 0-199 of each of FAMILIES must land within
+# 1e-8 of the direct route; with the SVD of the formed G, C1 (cond(G) near
+# 1e14, cond([MA; L]) near 1e7) landed none, C2 70
 @pytest.mark.parametrize("family", [*FAMILIES, "prescribed"])
 def test_dense_solve_lands_on_the_direct_route_across_a_family(family):
     # judged by the gap to wpinv_apply, not by the certificate alone
@@ -743,9 +732,11 @@ def test_the_report_records_the_noise_floor_of_its_cutoffs():
 
 
 def test_rejects_bad_tolerance():
+    # an infinite tol would be met at once: x = 0, "tolerance_met", 0 steps
     gen = planted_problem(seed=2, m=10, n=12, rank=8)
-    with pytest.raises(ValueError):
-        glsqr_solve(gen.problem, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            glsqr_solve(gen.problem, tol=tol)
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])

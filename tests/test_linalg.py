@@ -98,8 +98,12 @@ def test_rank_tolerance_modes():
     assert svd(A, RankTolerance("relative", 1e-3)).rank == 1
     with pytest.raises(ValueError):
         RankTolerance("absolute")
-    with pytest.raises(ValueError):
-        RankTolerance("relative", -1.0)
+    # an infinite value would rank every matrix at 0
+    for value in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RankTolerance("relative", value)
+        with pytest.raises(ValueError):
+            RankTolerance("absolute", value)
 
 
 def test_pinv_identity_and_diagonal():
@@ -147,6 +151,21 @@ def test_cholesky_psd_singular_raises():
     B = rng.standard_normal((4, 2))
     with pytest.raises(IndefiniteMatrixError):
         cholesky_spd(B @ B.T)
+
+
+def test_cholesky_spd_refuses_by_the_pivot_rule_of_check_pivots():
+    # the first pivot at or below 1e-14 max(diag(G)), with the message,
+    # pivot and index that CholeskyStrategy.bind raises through the same
+    # rule; powers of 2 make the pivots exactly the squared diagonal of C
+    G = np.diag([4.0, 1.0, 2.0**-50, 2.0**-54])
+    with pytest.raises(IndefiniteMatrixError) as spd:
+        cholesky_spd(G)
+    with pytest.raises(IndefiniteMatrixError) as rule:
+        linalg.check_pivots(G.diagonal(), G.diagonal())
+    assert str(spd.value) == str(rule.value) == "nonpositive pivot 8.882e-16 at column 2"
+    assert spd.value.pivot == rule.value.pivot == 2.0**-50
+    assert spd.value.index == rule.value.index == 2
+    linalg.check_pivots(np.ones(3), np.ones(3))
 
 
 def test_projector_range_cases():
@@ -261,7 +280,7 @@ def test_lsqr_solution_orthogonal_to_nullspace(seed):
     assert np.abs(N.T @ res.x).max() <= 1e-8 * np.linalg.norm(res.x)
 
 
-@pytest.mark.parametrize("tau", [-1e-10, 0.0, math.nan])
+@pytest.mark.parametrize("tau", [-1e-10, 0.0, math.nan, math.inf])
 def test_lsqr_rejects_a_tau_that_is_not_positive(tau):
     with pytest.raises(ValueError, match="tau"):
         lsqr(np.diag([1.0, 2.0, 3.0]), np.ones(3), tau=tau)

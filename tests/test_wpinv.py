@@ -350,6 +350,19 @@ def test_criterion_rejects_zero_when_data_inconsistent():
     assert not check_gls_criterion(prob, np.zeros(2), tol=1e-8)
 
 
+def test_checkers_refuse_a_tolerance_that_is_not_positive_and_finite():
+    # with tol = inf the zero X passed all five identities and x = (3, 0),
+    # which misses x1 + x2 = 2, the criterion; a NaN tol fails every test
+    prob = hand_problem()
+    wrong = np.array([3.0, 0.0])
+    assert not check_gls_criterion(prob, wrong, tol=1e-8)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            check_gmpe(prob, np.zeros((2, 1)), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_gls_criterion(prob, wrong, tol=tol)
+
+
 @pytest.mark.xfail(strict=True, reason="no roundoff floor on the criterion's tests")
 def test_criterion_accepts_the_direct_solution_for_b_near_the_null_space_of_m():
     # b a computed null vector of a rank-deficient M, so M b is roundoff:
