@@ -15,24 +15,24 @@ Euclidean inner product, and A'P u~_i = (MA)' u_bar_i:
 alpha_i, the G-norm of s, is a sum of squares as G = (MA)'(MA) + L'L, and
 MA v_i = (MA s) / alpha_i is kept for the next r. So a step reads G only
 through one application of pinv(G) (MA)', and how that is carried out is
-pluggable. A strategy has five members:
+pluggable. A strategy is also the map of the coordinates its applies
+return, and has seven members:
 
 - ``bind(prob)``, which ``ggkb_init`` calls once, before the first apply:
-  the strategy takes from the problem what its applies read, and binds
-  its ``coordinates``;
-- ``coordinates``, a linear map from coordinates s^ to x-space that is
-  isometric from the 2-norm to the G-norm on R(G). It has ``dim``, the
-  dimension of s^; ``image(s^)``, which returns MA s and ||s||_G; and
-  ``to_x(S)``, which maps a block of coordinate columns to x-space;
+  the strategy takes from the problem what its applies and its map read;
+- ``dim``, the dimension of the coordinates s^, ``image(s^)``, which
+  returns MA s and ||s||_G, and ``to_x(S)``, which maps a block of
+  coordinate columns to x-space: a linear map from s^ to x-space that is
+  isometric from the 2-norm to the G-norm on R(G);
 - ``apply(u)``, pinv(G) (MA)' u for u in R^q, or an approximation of it,
-  in the strategy's coordinates;
+  in those coordinates;
 - ``relative_noise``, the relative accuracy the applies deliver, from
   which every cutoff below takes its floor, ``10 relative_noise``;
 - ``hit_cap``, True once an inner iteration has ended unconverged (out of
   steps, or on a curvature breakdown).
 
 The recurrence above runs on the coordinates: the s and v_i it keeps are
-s^ and v^_i. In x-space itself, the map the inner strategy binds, that is
+s^ and v^_i. In x-space itself, the map of the inner strategy, that is
 the arithmetic above.
 
 In the coordinates s^ = F s of the problem's factor ``[L; MA] = Z F``,
@@ -40,13 +40,13 @@ In the coordinates s^ = F s of the problem's factor ``[L; MA] = Z F``,
 Z_B' u, Z_B (q x r) the rows of Z that belong to MA: gGKB is there the
 plain Golub-Kahan process of Z_B (LSQR; Paige & Saunders, ACM TOMS 8(1),
 1982). The dense strategies run it on the triangle of ``Z_B' = Q [R;
-0]``, in the coordinates t = Q_1' s^ (``FactorStore.gdag``, a
-``GdagFactors``, is the map): ||s||_G = ||t||, MA s = R' t and the
-coordinates of pinv(G) (MA)' u are R u, so a step is two BLAS ``trmv``
-with the q x q triangle R, and the coefficients are those of Z_B, as
-Golub-Kahan's are under an orthogonal change of coordinates. The inner
-one is its own map, of x-space itself: it forms (MA)' u and runs
-conjugate gradients on G there.
+0]``, in the coordinates t = Q_1' s^, whose map is that of
+``FactorStore.gdag``, a ``GdagFactors``: ||s||_G = ||t||, MA s = R' t
+and the coordinates of pinv(G) (MA)' u are R u, so a step is two BLAS
+``trmv`` with the q x q triangle R, and the coefficients are those of
+Z_B, as Golub-Kahan's are under an orthogonal change of coordinates. The
+inner one's map is x-space itself: it forms (MA)' u and runs conjugate
+gradients on G there.
 
 ``ggkb_init(prob, strategy)`` binds the strategy and makes the first
 expansion (with v_0 = 0); ``ggkb_step(state, strategy)`` makes each later
@@ -81,7 +81,8 @@ from scipy.linalg import cholesky_banded
 # cholesky_spd is not called here; it stays importable because the
 # benchmark's tracer (glsbench/spans.py) hooks glskit.ggkb.cholesky_spd
 from .linalg import (  # noqa: F401
-    IndefiniteMatrixError, check_pivots, check_symmetric, check_tolerance, cholesky_spd, lsqr,
+    IndefiniteMatrixError, check_count, check_pivots, check_symmetric, check_tolerance,
+    cholesky_spd, lsqr,
 )
 from .wpinv import GlsProblem
 
@@ -111,15 +112,16 @@ class DensePinvStrategy:
     """Apply pinv(G) (MA)' in the coordinates of the factors of pinv(G) (MA)'.
 
     ``G`` is read only for its shape, which ``bind(prob)`` checks against
-    ``prob.n``; ``bind`` then binds as ``coordinates`` the problem's
+    ``prob.n``; ``bind`` then keeps as ``gdag`` the problem's
     :class:`~glskit.linalg.GdagFactors` (``prob.factors.gdag``, made once
-    per problem): with ``[L; MA] = Z F`` and ``Z_B' = Q [R; 0]``, Z_B the
-    rows of Z that belong to MA, its coordinates are ``t = Q_1' F s``, and
-    it sets ``relative_noise`` to the factor's ``noise``, the relative
-    roundoff of the factor of ``[L; MA]``. ``apply(u)`` is ``R u``, the
-    coordinates of pinv(G) (MA)' u: one BLAS ``trmv`` with the q x q
-    triangle R (a product when q > rank [L; MA] makes R trapezoidal).
-    ``hit_cap`` is always False.
+    per problem) and takes its map, ``dim``, ``image`` and ``to_x``: with
+    ``[L; MA] = Z F`` and ``Z_B' = Q [R; 0]``, Z_B the rows of Z that
+    belong to MA, its coordinates are ``t = Q_1' F s``. ``bind`` sets
+    ``relative_noise`` to the factor's ``noise``, the relative roundoff of
+    the factor of ``[L; MA]``. ``apply(u)`` is ``R u``, the coordinates of
+    pinv(G) (MA)' u: one BLAS ``trmv`` with the q x q triangle R (a
+    product when q > rank [L; MA] makes R trapezoidal). ``hit_cap`` is
+    always False.
     """
 
     hit_cap = False
@@ -129,11 +131,12 @@ class DensePinvStrategy:
 
     def bind(self, prob):
         _check_shape(self.shape, prob.n)
-        factor = self.coordinates = prob.factors.gdag
-        self.relative_noise = factor.noise
+        gdag = self.gdag = prob.factors.gdag
+        self.relative_noise = gdag.noise
+        self.dim, self.image, self.to_x = gdag.dim, gdag.image, gdag.to_x
 
     def apply(self, u):
-        return self.coordinates.apply(u)
+        return self.gdag.apply(u)
 
 
 class CholeskyStrategy(DensePinvStrategy):
@@ -149,8 +152,8 @@ class CholeskyStrategy(DensePinvStrategy):
     ``F_pinv`` = R^-1, whose diagonal LAPACK ``trtri`` forms as ``1 /
     r_jj``, and diag(G) off the squared column norms of MA and L. It
     refuses before it binds anything; otherwise it binds as
-    :class:`DensePinvStrategy` does. ``apply(u)``, ``relative_noise`` and
-    ``hit_cap`` are the dense strategy's.
+    :class:`DensePinvStrategy` does. Its map, ``apply(u)``,
+    ``relative_noise`` and ``hit_cap`` are the dense strategy's.
     """
 
     def bind(self, prob):
@@ -178,26 +181,25 @@ class InnerLsqrStrategy:
     products: a dense ``G`` through one triangle, by BLAS ``symv``, so it
     must be symmetric (checked here once, to rtol 1e-10), while scipy sparse
     and callable ``G`` are kept as given and applied as they are.
-    ``max_iter`` defaults to the ``4n`` cap of :func:`lsqr`. An inner solve
-    that ends unconverged, at the iteration cap or on a curvature breakdown,
-    latches ``hit_cap`` instead of raising. ``inner_iterations`` counts the
-    CG iterations of every apply. All three start afresh at each
-    :meth:`bind`.
+    ``max_iter``, an integer of at least 1, defaults to the ``4n`` cap of
+    :func:`lsqr`. An inner solve that ends unconverged, at the iteration
+    cap or on a curvature breakdown, latches ``hit_cap`` instead of
+    raising. ``inner_iterations`` counts the CG iterations of every apply.
+    All three start afresh at each :meth:`bind`.
 
     :meth:`bind` checks an array or scipy sparse ``G`` against ``prob.n``,
     as the dense strategies do (a callable ``G`` is not checked), and takes
-    the problem's ``MA`` and ``L``. The strategy is its own
-    ``coordinates``, the map of x-space itself: ``dim`` is n,
-    :meth:`image` returns MA s and ``||s||_G = (||MA s||^2 + ||L
-    s||^2)^(1/2)``, and :meth:`to_x` its argument. :meth:`bind` also
-    preconditions CG from the problem when its ``L`` is a scipy sparse
-    stencil: with ``P = L'L + cI``, the shift ``c = ||MA||_F^2 / n`` being
-    the mean eigenvalue of ``(MA)'MA``, each apply runs PCG with the
-    banded Cholesky factor of P, kept in LAPACK ``pbtrf`` layout as
-    ``precond``. :func:`lsqr` solves with P in O(n) per iteration: by
-    ``pttrs`` on the factor's LDL' form when P is tridiagonal (the l1
-    stencil) or diagonal (a sparse identity ``L``), else by ``pbtrs`` (the
-    l2 stencil). The stop test is the same, so ``tau`` keeps its meaning.
+    the problem's ``MA`` and ``L``. The strategy's map is that of x-space
+    itself: ``dim`` is n, :meth:`image` returns MA s and ``||s||_G =
+    (||MA s||^2 + ||L s||^2)^(1/2)``, and :meth:`to_x` its argument.
+    :meth:`bind` also preconditions CG from the problem when its ``L`` is
+    a scipy sparse stencil: with ``P = L'L + cI``, the shift ``c =
+    ||MA||_F^2 / n`` being the mean eigenvalue of ``(MA)'MA``, each apply
+    runs PCG with the banded Cholesky factor of P, kept in LAPACK
+    ``pbtrf`` layout as ``precond``. :func:`lsqr` solves with P in O(n)
+    per iteration: by ``pttrs`` on the factor's LDL' form when P is
+    tridiagonal (the l1 stencil) or diagonal (a sparse identity ``L``),
+    else by ``pbtrs`` (the l2 stencil). The stop test is the same, so ``tau`` keeps its meaning.
     The result stays the minimum-norm solution without any projection:
     N(G) = N(MA) ∩ N(L), on which ``P z = c z``, so P^-1 maps R(G) into
     itself and the iterates never leave it. A dense ``L``, ``p = 0``, a
@@ -216,19 +218,12 @@ class InnerLsqrStrategy:
         if not callable(G) and not sp.issparse(G):
             check_symmetric(G)
         self.G = G
-        self.max_iter = max_iter
+        self.max_iter = None if max_iter is None else check_count(max_iter, "max_iter")
 
     @property
     def relative_noise(self):
         # what the inner solver actually delivered, not just what was asked
         return max(self.tau, self._worst_achieved)
-
-    @property
-    def coordinates(self):
-        # a property, not an attribute: self.coordinates = self would make
-        # every bound strategy a reference cycle, whose G and MA live on
-        # until the garbage collector's next full pass
-        return self
 
     def bind(self, prob):
         """Check G's shape, take ``prob.MA`` and ``prob.L`` for the
@@ -344,14 +339,14 @@ class BidiagState:
     Euclidean inner product by reorthogonalization, where the u~_i are the
     P-orthonormal data-side vectors of the recurrence (see the module
     docstring); ``MU`` is a view of its leading columns. The solution side
-    keeps only what the recurrence reads, in the strategy's
-    ``coordinates``: ``v_hat``, the coordinates of the latest v_k (zero
-    before the first expansion), which each expansion replaces with a fresh
-    array, and ``ma_v`` = MA v_k, overwritten in place; ``coordinates``
-    maps ``v_hat`` to v_k itself. ``ggkb_step`` mutates the state
-    and returns the same object, so a view of ``MU`` taken earlier keeps its
-    columns but stops sharing memory with the state once the workspace
-    grows.
+    keeps only what the recurrence reads, in the coordinates of the
+    strategy that ``ggkb_init`` bound: ``v_hat``, the coordinates of the
+    latest v_k (zero before the first expansion), which each expansion
+    replaces with a fresh array, and ``ma_v`` = MA v_k, overwritten in
+    place; the strategy's ``to_x`` maps ``v_hat`` to v_k itself.
+    ``ggkb_step`` mutates the state and returns the same object, so a view
+    of ``MU`` taken earlier keeps its columns but stops sharing memory with
+    the state once the workspace grows.
     """
 
     alphas: list
@@ -359,7 +354,6 @@ class BidiagState:
     v_hat: np.ndarray
     u: Basis
     ma_v: np.ndarray
-    coordinates: object
     inner_capped: bool = False
 
     @property
@@ -392,7 +386,7 @@ def _expand(state, strategy, r, beta_floor, threshold, relative):
         return
     u = r / beta
     s = strategy.apply(u) - beta * state.v_hat
-    ma_s, alpha = state.coordinates.image(s)
+    ma_s, alpha = strategy.image(s)
     state.betas.append(beta)
     state.u.append(u)
     state.inner_capped = state.inner_capped or strategy.hit_cap
@@ -414,22 +408,20 @@ def ggkb_init(prob: GlsProblem, strategy) -> BidiagState:
     ``10 strategy.relative_noise`` terminates at k = 0 too: alpha_1 is an
     entry of B_k, at most 1 whatever the scale of b (see the module
     docstring), which only beta_1 carries. Either way the terminating
-    coefficients are stored as 0.0. The strategy gets
-    ``bind(prob)`` first, before its first apply; the state's coordinates
-    are then the strategy's ``coordinates``.
+    coefficients are stored as 0.0. The strategy gets ``bind(prob)``
+    first, before its first apply; ``v_hat`` then has the strategy's
+    ``dim``.
     """
     if prob.b is None:
         raise ValueError("problem has no right-hand side b")
     strategy.bind(prob)
-    coordinates = strategy.coordinates
     # the Krylov spaces hold at most min(m, n) directions, MU one more
     limit = min(prob.m, prob.n) + 1
     state = BidiagState(
         alphas=[], betas=[],
-        v_hat=np.zeros(coordinates.dim),
+        v_hat=np.zeros(strategy.dim),
         u=Basis.empty(prob.q, limit),
         ma_v=np.zeros(prob.q),
-        coordinates=coordinates,
     )
     norm_m = math.sqrt(prob.m) if prob.M is None else float(np.linalg.norm(prob.M))
     init_scale = norm_m * float(np.linalg.norm(prob.b))

@@ -24,7 +24,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .ggkb import BidiagState, DensePinvStrategy, ggkb_init, ggkb_step
 from .gsvd import gsvd_pair, sigma_max_ca
-from .linalg import check_tolerance
+from .linalg import check_count, check_tolerance
 from .wpinv import GlsProblem, check_gls_criterion
 
 __all__ = [
@@ -93,19 +93,19 @@ def operator_norm(prob: GlsProblem, method, max_iters=200) -> OperatorNormEstima
     An oracle for the estimate a solve reports. ``gsvd`` computes it exactly
     as the largest diagonal of C_A of the pair {MA, L}; ``power`` runs a
     power iteration on W MA in the G-inner product, seeded with W M b, W =
-    pinv(G) (MA)', for at most ``max_iters`` (at least 1) steps. It runs in
-    the coordinates t of the dense strategies (``prob.factors.gdag``; see
-    :mod:`glskit.ggkb`), where ||v||_G = ||t||, MA v = R' t and W u has the
-    coordinates R u: each step is ``t <- R (R' t) / ||t||``, two products
-    with the q x q triangle R, and no iterate is mapped to x-space.
+    pinv(G) (MA)', for at most ``max_iters`` (an integer, at least 1)
+    steps. It runs in the coordinates t of the dense strategies
+    (``prob.factors.gdag``; see :mod:`glskit.ggkb`), where ||v||_G =
+    ||t||, MA v = R' t and W u has the coordinates R u: each step is ``t <-
+    R (R' t) / ||t||``, two products with the q x q triangle R, and no
+    iterate is mapped to x-space.
     """
     if method == "gsvd":
         value = sigma_max_ca(gsvd_pair(prob.MA, prob.L))
         return OperatorNormEstimate(value=value, source="gsvd_exact")
     if method != "power":
         raise ValueError(f"unknown operator norm method {method!r}")
-    if not max_iters >= 1:
-        raise ValueError("max_iters must be at least 1")
+    max_iters = check_count(max_iters, "max_iters")
 
     gdag = prob.factors.gdag
     seed = prob.b if prob.b is not None else np.random.default_rng(0).standard_normal(prob.m)
@@ -160,10 +160,11 @@ def _true_residual(prob, gdag, ma_x):
     return float(np.linalg.norm(gdag.apply(ma_x - prob.mult_M(prob.b))))
 
 
-def _mapped(coordinates, block, xnorm_hist):
-    """Map the iterates in ``block``'s columns to x-space, append their
-    norms to ``xnorm_hist`` and return the last one."""
-    X = coordinates.to_x(block)
+def _mapped(strategy, block, xnorm_hist):
+    """Map the iterates in ``block``'s columns to x-space by the strategy's
+    ``to_x``, append their norms to ``xnorm_hist`` and return the last
+    one."""
+    X = strategy.to_x(block)
     xnorm_hist.extend(float(np.linalg.norm(X[:, j])) for j in range(X.shape[1]))
     return X[:, -1].copy()
 
@@ -196,34 +197,34 @@ def glsqr_solve(
         stop, never advance it.
     max_iter : int, optional
         Iteration cap, default ``2 * min(m, n)``. Reaching it is a status,
-        not an error; an explicit cap below 1 raises ``ValueError``.
+        not an error; an explicit cap that is not an integer of at least 1
+        raises ``ValueError``.
     debug : bool
         Also record the directly evaluated residual seminorm per iteration
-        (dense-cost, for validation). It reads the problem's own factors
-        of pinv(G) (MA)' (``prob.factors.gdag``, the ones the dense
-        strategies bind), never ``strategy``, so the run's iterates are
-        those of a plain run.
+        (dense-cost, for validation). It reads MA x_k off the strategy's
+        ``image`` and applies the problem's own factors of pinv(G) (MA)'
+        (``prob.factors.gdag``, the ones the dense strategies bind), never
+        the strategy's ``apply``, so the run's iterates are those of a
+        plain run.
 
-    The recurrence runs in the coordinates the strategy binds (see
-    :mod:`glskit.ggkb`): x_k and w_k are carried as coordinates, and every
-    ``BLOCK_COLUMNS`` iterates (fewer when a block, or its image in
-    x-space, would hold more than ``BLOCK_DOUBLES`` entries) are mapped to
-    x-space at once, which gives ``x_norm_history`` and, from the last
-    block, x.
+    The recurrence runs in the coordinates of the strategy, which is also
+    their map (see :mod:`glskit.ggkb`): x_k and w_k are carried as
+    coordinates, and every ``BLOCK_COLUMNS`` iterates (fewer when a block,
+    or its image in x-space, would hold more than ``BLOCK_DOUBLES``
+    entries) are mapped to x-space at once, by the strategy's ``to_x``,
+    which gives ``x_norm_history`` and, from the last block, x.
     """
     check_tolerance(tol, "tol")
     if max_iter is None:
         max_iter = max(2 * min(prob.m, prob.n), 1)
-    elif not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
-    max_iter = int(max_iter)
+    else:
+        max_iter = check_count(max_iter, "max_iter")
     if strategy is None:
         strategy = DensePinvStrategy(prob.G)
 
     state = ggkb_init(prob, strategy)
     beta1 = state.betas[0]
-    coordinates = state.coordinates
-    dim = coordinates.dim
+    dim = strategy.dim
     x_hat = np.zeros(dim)
     w = np.zeros(dim)
     x = np.zeros(prob.n)
@@ -274,13 +275,13 @@ def glsqr_solve(
             block[:, j] = x_hat
             j += 1
             if j == block.shape[1]:
-                x = _mapped(coordinates, block, xnorm_hist)
+                x = _mapped(strategy, block, xnorm_hist)
                 j = 0
         if debug:
-            ma_x = coordinates.image(x_hat)[0]
+            ma_x = strategy.image(x_hat)[0]
             true_hist.append(_true_residual(prob, gdag, ma_x) / denom)
     if j:
-        x = _mapped(coordinates, block[:, :j], xnorm_hist)
+        x = _mapped(strategy, block[:, :j], xnorm_hist)
     if kept:  # the last step, which ended the loop
         xnorm_hist.append(xnorm_hist[-1] if xnorm_hist else 0.0)
 

@@ -51,7 +51,6 @@ class GsvdFactors:
     q1: int
     q2: int
     q3: int
-    X_inv: np.ndarray  # exact inverse assembled from the construction
 
 
 def _complete_basis(T):
@@ -83,9 +82,10 @@ def gsvd_pair(A, L, tol=None):
     with the cosine values. Sines are recovered as the column norms of
     ``Z_L @ Vhat``, whose normalized columns (placed last, after an
     orthonormal completion) form U_L. ``X = [F_pinv Vhat, N]`` (``R^-1
-    Vhat`` when certified), and X_inv is assembled alongside. Z's rows are
-    dropped once Z_L Vhat is taken, and every other intermediate before the
-    reconstruction is checked.
+    Vhat`` when certified); of inv(X) only the rows ``Vhat' F`` are formed,
+    those the reconstruction check reads, and they are not kept. Z's rows
+    are dropped once Z_L Vhat is taken, and every other intermediate before
+    the reconstruction is checked.
 
     Cosines within ``10 noise`` of 1 (0) are snapped into the q1 (q3)
     block so the factors carry the exact block structure, ``noise`` being
@@ -100,13 +100,14 @@ def gsvd_pair(A, L, tol=None):
         raise ValueError("A and L must have the same number of columns")
     if (A.shape[0] + L.shape[0]) * A.shape[1] == 0:
         raise ValueError("gsvd_pair requires a nonempty stack [A; L]")
-    f = _factor(A, L, tol if tol is not None else RankTolerance())
-    _check_reconstruction(A, L, f)
+    f, rows = _factor(A, L, tol if tol is not None else RankTolerance())
+    _check_reconstruction(A, L, f, rows)
     return f
 
 
 def _factor(A, L, tol):
-    """The factors of :func:`gsvd_pair`, unchecked; every intermediate is
+    """The factors of :func:`gsvd_pair`, unchecked, and the r x n rows
+    ``Vhat' F`` of inv(X) that the check reads; every other intermediate is
     freed on return."""
     (m, n), p = A.shape, L.shape[0]
     K = stacked_factor(L, A, tol, l_rows=True)
@@ -141,31 +142,26 @@ def _factor(A, L, tol):
     S_L = np.zeros((p, r))
     S_L[np.arange(p - nz, p), np.arange(q1, r)] = s
 
-    # the first r columns of X are F_pinv Vhat, the first r rows of X_inv
-    # Vhat' F; the rest are N and N'
+    # the first r columns of X are F_pinv Vhat and the rest N; the first r
+    # rows of inv(X) are Vhat' F
     X = np.empty((n, n))
     np.matmul(F_pinv, Vhat, out=X[:, :r])
     X[:, r:] = N
-    X_inv = np.empty((n, n))
-    np.matmul(Vhat.T, F, out=X_inv[:r])
-    X_inv[r:] = N.T
-    return GsvdFactors(
-        U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3,
-        X_inv=X_inv,
-    )
+    f = GsvdFactors(U_A=Ua, U_L=U_L, X=X, C_A=C_A, S_L=S_L, r=r, q1=q1, q2=q2, q3=q3)
+    return f, Vhat.T @ F
 
 
-def _check_reconstruction(A, L, f):
-    """FactorizationError unless ``A = U_A C_A X_inv[:r]`` and ``L = U_L S_L
-    X_inv[:r]`` hold to 1e-10 of ``||A|| + ||L||``, read on the nonzero
-    blocks only."""
+def _check_reconstruction(A, L, f, rows):
+    """FactorizationError unless ``A = U_A C_A rows`` and ``L = U_L S_L
+    rows`` hold to 1e-10 of ``||A|| + ||L||``, ``rows`` = Vhat' F being the
+    first r rows of inv(X), read on the nonzero blocks only."""
     p = L.shape[0]
     k, nz = f.q1 + f.q2, f.r - f.q1
     c = f.C_A[np.arange(k), np.arange(k)]
     s = f.S_L[np.arange(p - nz, p), np.arange(f.q1, f.r)]
-    E_A = (f.U_A[:, :k] * c) @ f.X_inv[:k]
+    E_A = (f.U_A[:, :k] * c) @ rows[:k]
     E_A -= A
-    E_L = (f.U_L[:, p - nz :] * s) @ f.X_inv[f.q1 : f.r]
+    E_L = (f.U_L[:, p - nz :] * s) @ rows[f.q1 :]
     E_L -= L
     resid = max(np.linalg.norm(E_A), np.linalg.norm(E_L))
     scale = np.linalg.norm(A) + np.linalg.norm(L)

@@ -32,6 +32,7 @@ The stop test stays on the unpreconditioned residual.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -661,6 +662,18 @@ def check_tolerance(value, name):
     return float(value)
 
 
+def check_count(value, name):
+    """``value`` as an int; ValueError unless it is an integer of at least
+    1: a fractional cap would be truncated, an infinite one overflow."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
 def check_symmetric(G):
     """``G`` as a float64 array; ValueError unless it is square and
     ``||G - G'|| <= 1e-10 ||G||`` (Frobenius)."""
@@ -789,13 +802,13 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     is the minimum 2-norm solution. It stops once the recursive residual
     satisfies ``||r_k|| <= tau ||rhs||``, for a finite ``tau > 0``; the
     rate is set by cond(G)^(1/2) (the Krylov space of G, not of G^2). Hitting
-    ``max_iter``, or a curvature ``d'Gd <= 0`` (G not positive definite on
-    the search direction), is reported through ``converged=False``, not an
-    error. The reported ``relative_residual`` is the recursive one, except
-    on those exits and on a converged one with ``tau < n eps``, below the
-    rounding floor of ``G x - rhs``: those cost one more product with G,
-    to report the evaluated ``||G x - rhs|| / ||rhs||``. ``rhs`` is not
-    modified.
+    ``max_iter`` (an integer of at least 1, default 4n), or a curvature
+    ``d'Gd <= 0`` (G not positive definite on the search direction), is
+    reported through ``converged=False``, not an error. The reported
+    ``relative_residual`` is the recursive one, except on those exits and
+    on a converged one with ``tau < n eps``, below the rounding floor of
+    ``G x - rhs``: those cost one more product with G, to report the
+    evaluated ``||G x - rhs|| / ||rhs||``. ``rhs`` is not modified.
 
     Besides its product with G, an iteration makes two BLAS ``ddot`` and
     updates x and r by one in-place BLAS ``daxpy`` each; with a dense G it
@@ -819,8 +832,7 @@ def lsqr(G, rhs, tau=1e-12, max_iter=None, precond=None):
     rhs = as_vector(rhs, name="rhs")
     n = rhs.size
     matvec = _symmetric_product(G, n)
-    if max_iter is None:
-        max_iter = 4 * n
+    max_iter = 4 * n if max_iter is None else check_count(max_iter, "max_iter")
     if precond is not None and precond.shape[1:] != (n,):
         raise ValueError(f"precond must have {n} columns, got shape {precond.shape}")
 

@@ -168,10 +168,12 @@ def random_sparse_matrix(m, n, rank=None, density=0.3, seed=0):
     """Seeded sparse test matrix with the requested rank.
 
     Built as a product of sparsified factors; the rank is checked (and
-    re-drawn from the same stream if a mask degenerates) while the density
-    is only a target, and the product fills in as the rank approaches
-    min(m, n).
+    re-drawn from the same stream if a mask degenerates) while the density,
+    finite and in (0, 1], is only a target, and the product fills in as
+    the rank approaches min(m, n).
     """
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density!r}")
     if rank is None:
         rank = min(m, n)
     if not 1 <= rank <= min(m, n):

@@ -138,11 +138,11 @@ def run_ggkb(prob: GlsProblem, strategy, steps):
     """``ggkb_init`` and up to ``steps`` further expansions, stopping at
     termination. Returns the state and V_k, the n x k matrix of the v_i:
     the state keeps only the coordinates ``v_hat`` of the latest, so v_i is
-    formed from them by the state's ``coordinates`` after each expansion
-    that adds an alpha."""
+    formed from them by the strategy's ``to_x`` after each expansion that
+    adds an alpha."""
 
     def v(state):
-        return state.coordinates.to_x(np.array(state.v_hat[:, None], order="F"))[:, 0]
+        return strategy.to_x(np.array(state.v_hat[:, None], order="F"))[:, 0]
 
     state = ggkb_init(prob, strategy)
     cols = [] if state.terminated else [v(state)]
@@ -159,10 +159,10 @@ class StackRowsStrategy:
     """The dense strategy on Z_B itself, the oracle for the triangle that
     ``DensePinvStrategy`` binds: the plain Golub-Kahan process of the rows
     Z_B of ``[L; MA] = Z F`` (``linalg.stacked_factor``) that belong to MA,
-    in the coordinates s^ = F s. It is its own ``coordinates``:
-    ``apply(u)`` is ``Z_B' u``, ``image(s^)`` is ``(Z_B s^, ||s^||)`` and
-    ``to_x(S)`` is ``F_pinv S``; ``relative_noise`` is the stack's
-    ``noise``, as the dense strategy's."""
+    in the coordinates s^ = F s, whose map it is: ``apply(u)`` is ``Z_B'
+    u``, ``image(s^)`` is ``(Z_B s^, ||s^||)`` and ``to_x(S)`` is ``F_pinv
+    S``; ``relative_noise`` is the stack's ``noise``, as the dense
+    strategy's."""
 
     hit_cap = False
 
@@ -171,10 +171,6 @@ class StackRowsStrategy:
         self.Z_B, self.F_pinv = stack.Z_B, stack.F_pinv
         self.dim = self.Z_B.shape[1]
         self.relative_noise = stack.noise
-
-    @property
-    def coordinates(self):
-        return self
 
     def apply(self, u):
         return self.Z_B.T @ u

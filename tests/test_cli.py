@@ -345,6 +345,14 @@ def test_gen_problem_without_matrix_source_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "2", "inf"])
+def test_gen_problem_density_outside_0_1_exits_1(tmp_path, capsys, value):
+    out = tmp_path / "d"
+    assert main(["gen-problem", "--n", "30", "--density", value, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: density must be in (0, 1]")
+    assert not out.exists()
+
+
 def test_gsvd_command_writes_factors(tmp_path):
     a_path, l_path = tmp_path / "A.mtx", tmp_path / "L.mtx"
     write_matrix_market(a_path, np.diag([2.0, 1.0]))

@@ -55,6 +55,11 @@ def test_strategies_dispatch_and_validate():
     for tau in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="tau"):
             InnerLsqrStrategy(G, tau=tau)
+    # an inner cap of 0 would make every apply return 0 and end gGKB at
+    # k = 0; an infinite or fractional one would reach lsqr as it is
+    for max_iter in (np.inf, np.nan, 2.5, 0):
+        with pytest.raises(ValueError, match="max_iter"):
+            InnerLsqrStrategy(G, max_iter=max_iter)
     # cholesky refuses, when bound, a PSD-singular G (G = C'C of rank 3), a G
     # whose pivot is at the floor 1e-14 max(diag(G)), and a G singular
     # through a null space that MA and a nonempty L share
@@ -109,18 +114,17 @@ def test_every_strategy_binds_a_map_whose_image_and_to_x_agree(family, kind):
                 strategy.bind(prob)
             continue
         strategy.bind(prob)
-        coordinates = strategy.coordinates
         rng = np.random.default_rng(seed)
-        s = rng.standard_normal(coordinates.dim)
-        x = coordinates.to_x(np.asfortranarray(s[:, None]))[:, 0]
-        ma_s, g_norm = coordinates.image(s)
+        s = rng.standard_normal(strategy.dim)
+        x = strategy.to_x(np.asfortranarray(s[:, None]))[:, 0]
+        ma_s, g_norm = strategy.image(s)
         ma_x = prob.MA @ x
         assert np.linalg.norm(ma_s - ma_x) <= 1e-12 * np.linalg.norm(ma_x), seed
         # ||x||_G as (||MA x||^2 + ||L x||^2)^(1/2): x'Gx with the formed G
         # loses cond(K)^2 eps relative, 1.6e-11 on C2 seed 0
         g_norm_x = math.hypot(np.linalg.norm(ma_x), np.linalg.norm(prob.L @ x))
         assert g_norm == pytest.approx(g_norm_x, rel=1e-12), seed
-        assert strategy.apply(rng.standard_normal(prob.q)).size == coordinates.dim
+        assert strategy.apply(rng.standard_normal(prob.q)).size == strategy.dim
 
 
 def test_a_solved_strategy_is_freed_with_its_last_reference():
@@ -192,7 +196,7 @@ def test_cholesky_refuses_a_singular_g_from_the_one_cached_factor(monkeypatch):
     strategy = DensePinvStrategy(prob.G)
     strategy.bind(prob)
     assert calls == []
-    assert strategy.coordinates is cached["gdag"]
+    assert strategy.gdag is cached["gdag"]
 
 
 def test_the_dense_factors_keep_no_view_of_a_larger_array():
@@ -212,7 +216,7 @@ def test_dense_strategy_satisfies_moore_penrose():
     # G PSD singular: W = pinv(G) (MA)', from the QR of [L; MA] and the SVD
     # of its R, matches the pseudoinverse of the formed G
     prob = random_gls_problem(1, m=7, n=6, p=2, rank_a=3, shared_null=True)
-    factor = bound(DensePinvStrategy(prob.G), prob).coordinates
+    factor = bound(DensePinvStrategy(prob.G), prob).gdag
     W = factor.F_pinv @ z_b(factor).T
     expected = pinv(prob.G) @ prob.MA.T
     assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -221,7 +225,7 @@ def test_dense_strategy_satisfies_moore_penrose():
 def in_x_space(strategy, u):
     """The strategy's apply of u, mapped from its coordinates to x-space."""
     s = np.asfortranarray(strategy.apply(u)[:, None])
-    return strategy.coordinates.to_x(s)[:, 0]
+    return strategy.to_x(s)[:, 0]
 
 
 def test_strategies_agree_on_spd_solve():

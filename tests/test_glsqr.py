@@ -186,9 +186,11 @@ def test_operator_norm_flags_power_iteration_cap(caplog):
     assert capped.iterations == 2 and not capped.converged
     assert [r.name for r in caplog.records] == ["glskit"]
     assert "max_iters=2" in caplog.records[0].getMessage()
-    # no step, no estimate: max_iters=0 would report 0.0
-    with pytest.raises(ValueError, match="max_iters"):
-        operator_norm(prob, method="power", max_iters=0)
+    # no step, no estimate: max_iters=0 would report 0.0; and the cap is
+    # an integer, not a float that range() refuses with a TypeError
+    for max_iters in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_iters"):
+            operator_norm(prob, method="power", max_iters=max_iters)
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="glskit"):
@@ -739,7 +741,8 @@ def test_rejects_bad_tolerance():
             glsqr_solve(gen.problem, tol=tol)
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
+# an infinite cap would overflow int(), and a fractional one be truncated
+@pytest.mark.parametrize("max_iter", [0, -3, math.inf, math.nan, 2.5])
 def test_rejects_an_explicit_max_iter_below_one(max_iter):
     gen = planted_problem(seed=2, m=10, n=12, rank=8)
     with pytest.raises(ValueError, match="max_iter"):

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 
+import glskit.gsvd
 import glskit.linalg
 from glskit import (
     GlsProblem,
@@ -47,7 +48,7 @@ def check_factors(A, L, f, rtol=1e-10):
     n = f.X.shape[0]
     assert np.linalg.norm(A @ f.X - f.U_A @ padded(f.C_A, n)) <= rtol * max(np.linalg.norm(A), 1e-30)
     assert np.linalg.norm(L @ f.X - f.U_L @ padded(f.S_L, n)) <= rtol * max(np.linalg.norm(L), 1e-30)
-    assert np.linalg.norm(f.X @ f.X_inv - np.eye(f.X.shape[0])) <= 1e-10
+    assert np.linalg.matrix_rank(f.X) == n
     cq2 = np.diag(f.C_A)[f.q1 : f.q1 + f.q2]
     assert np.all((cq2 > 0.0) & (cq2 < 1.0))
     sq2 = [f.S_L[:, j].max() for j in range(f.q1, f.q1 + f.q2)]
@@ -385,3 +386,22 @@ def test_gsvd_factors_on_every_path_of_the_stacked_factor(kind):
     f = gsvd_pair(A, L)
     assert f.r == stacked_oracle(L, A)[1].shape[0]
     check_factors(A, L, f)
+
+
+def test_corrupted_factors_fail_the_reconstruction_check(monkeypatch):
+    # a sign flipped in the last column of U_L, one of the normalized
+    # columns of Z_L Vhat that carry L's sines: the factors stay
+    # orthonormal, and only the reconstruction of L can tell
+    rng = np.random.default_rng(4)
+    A, L = random_matrix(rng, 8, 6, cond=50.0), random_matrix(rng, 4, 6, cond=50.0)
+    complete = glskit.gsvd._complete_basis
+
+    def flipped(T):
+        U = complete(T)
+        U[:, -1] *= -1.0
+        return U
+
+    monkeypatch.setattr(glskit.gsvd, "_complete_basis", flipped)
+    with pytest.raises(glskit.linalg.FactorizationError, match="reconstruction") as err:
+        gsvd_pair(A, L)
+    assert err.value.residual > 1e-10 * (np.linalg.norm(A) + np.linalg.norm(L))

@@ -286,6 +286,13 @@ def test_lsqr_rejects_a_tau_that_is_not_positive(tau):
         lsqr(np.diag([1.0, 2.0, 3.0]), np.ones(3), tau=tau)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3, math.nan, math.inf, 2.5])
+def test_lsqr_rejects_a_max_iter_that_is_not_an_integer_of_at_least_1(max_iter):
+    # 2.5 would run 3 iterations, and 0, -3 or NaN none, as converged=False
+    with pytest.raises(ValueError, match="max_iter"):
+        lsqr(np.diag([1.0, 2.0, 3.0]), np.ones(3), max_iter=max_iter)
+
+
 @pytest.fixture(scope="module")
 def generated_problem():
     # a glsqr_inner-sized problem: G is 220 x 220, C-ordered and bitwise

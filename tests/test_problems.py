@@ -135,6 +135,14 @@ def test_random_sparse_matrix_rank_and_reproducibility():
         random_sparse_matrix(5, 5, rank=9)
 
 
+@pytest.mark.parametrize("density", [float("nan"), -1.0, 0.0, 2.0, float("inf")])
+def test_random_sparse_matrix_refuses_a_density_outside_0_1(density):
+    # a NaN density would draw an empty mask 50 times and end in a
+    # RuntimeError; the others would be taken as targets without complaint
+    with pytest.raises(ValueError, match="density"):
+        random_sparse_matrix(6, 5, density=density)
+
+
 def test_save_and_load_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     A = random_matrix(rng, 9, 12, rank=6)
